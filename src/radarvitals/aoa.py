@@ -29,6 +29,15 @@ def steering_matrix(angles_deg, num_elements: int, spacing: float,
     return np.exp(1j * phase)
 
 
+def _loaded(cov: np.ndarray, loading: float) -> np.ndarray:
+    """Hermitian-symmetrize a (..., K, K) covariance stack and load its
+    diagonal with ``loading * trace/K`` plus a tiny absolute floor."""
+    k = cov.shape[-1]
+    cov = 0.5 * (cov + np.conj(np.swapaxes(cov, -1, -2)))
+    tr = np.trace(cov, axis1=-2, axis2=-1).real
+    return cov + (loading * tr / k + 1e-12)[..., None, None] * np.eye(k)
+
+
 def spatial_covariance(snapshots: np.ndarray,
                        loading: float = 1e-3) -> np.ndarray:
     """Diagonally loaded sample covariance from (K, S) snapshots.
@@ -40,14 +49,9 @@ def spatial_covariance(snapshots: np.ndarray,
     x = np.asarray(snapshots)
     if x.ndim != 2:
         raise ValueError("snapshots must be a (num_elements, num_snapshots) array")
-    k, s = x.shape
-    if s < 1:
+    if x.shape[1] < 1:
         raise ValueError("need at least one snapshot")
-    cov = x @ x.conj().T / s
-    cov = 0.5 * (cov + cov.conj().T)
-    tr = float(np.real(np.trace(cov)))
-    cov += (loading * tr / k + 1e-12) * np.eye(k)
-    return cov
+    return _loaded(x @ x.conj().T / x.shape[1], loading)
 
 
 def snapshots_at(profiles: RangeProfiles, range_bin: int,
@@ -65,12 +69,16 @@ def snapshots_at(profiles: RangeProfiles, range_bin: int,
 
 def mvdr_spectrum(cov: np.ndarray, spacing: float, wavelength: float,
                   angles_deg=None) -> np.ndarray:
-    """Capon pseudo-spectrum 1 / (a^H R^-1 a) on an angle grid."""
+    """Capon pseudo-spectrum 1 / (a^H R^-1 a) on an angle grid.
+
+    ``cov`` is one (K, K) covariance or a (..., K, K) stack of them; the
+    result has shape (..., A).
+    """
     if angles_deg is None:
         angles_deg = default_angle_grid()
-    a = steering_matrix(angles_deg, cov.shape[0], spacing, wavelength)
-    sol = np.linalg.solve(cov, a)
-    denom = np.einsum("ka,ka->a", a.conj(), sol).real
+    a = steering_matrix(angles_deg, cov.shape[-1], spacing, wavelength)
+    sol = np.linalg.solve(cov, np.broadcast_to(a, cov.shape[:-2] + a.shape))
+    denom = np.einsum("ka,...ka->...a", a.conj(), sol).real
     if np.any(denom <= 0):
         raise np.linalg.LinAlgError(
             "covariance is not positive definite; increase diagonal loading")
@@ -108,18 +116,9 @@ def range_angle_heatmap(
     if start < 0 or count < 1 or start + count > n_slow:
         raise ValueError("snapshot slice outside slow-time extent")
     x = profiles.data[:, start:start + count, :]
-    k = x.shape[2]
-    cov = np.einsum("rsk,rsl->rkl", x, x.conj()) / count
-    cov = 0.5 * (cov + np.conj(np.swapaxes(cov, 1, 2)))
-    tr = np.trace(cov, axis1=1, axis2=2).real
-    cov += ((loading * tr / k + 1e-12)[:, None, None] * np.eye(k))
-    a = steering_matrix(angles_deg, k, cfg.rx_spacing, cfg.wavelength)
-    sol = np.linalg.solve(cov, np.broadcast_to(a, (cov.shape[0],) + a.shape))
-    denom = np.einsum("ka,rka->ra", a.conj(), sol).real
-    if np.any(denom <= 0):
-        raise np.linalg.LinAlgError(
-            "covariance is not positive definite; increase diagonal loading")
-    return Heatmap(power=1.0 / denom, range_axis=profiles.range_axis.copy(),
+    cov = _loaded(np.einsum("rsk,rsl->rkl", x, x.conj()) / count, loading)
+    power = mvdr_spectrum(cov, cfg.rx_spacing, cfg.wavelength, angles_deg)
+    return Heatmap(power=power, range_axis=profiles.range_axis.copy(),
                    angle_axis=angles_deg)
 
 

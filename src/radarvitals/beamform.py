@@ -61,13 +61,18 @@ def rx_weights(steer_deg: float, wavelength: float, num_elements: int = 8,
 
 
 def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:
-    """Coherent sum w^H x across the array axis (axis 0)."""
+    """Coherent sum w^H x across the array axis (the last axis).
+
+    Every array in this package is laid out ``[..., element]``, so a single
+    snapshot ``(K,)``, a slow-time series ``(S, K)`` or a block of range bins
+    ``(L, S, K)`` are all combined the same way.
+    """
     x = np.asarray(snapshots)
-    if x.shape[0] != len(bw):
+    if x.shape[-1] != len(bw):
         raise ValueError(
-            f"snapshot array axis 0 ({x.shape[0]}) does not match the "
+            f"snapshot array last axis ({x.shape[-1]}) does not match the "
             f"{len(bw)}-element weights")
-    return np.tensordot(bw.weights.conj(), x, axes=(0, 0))
+    return x @ bw.weights.conj()
 
 
 @dataclass
@@ -98,17 +103,6 @@ def beam_pattern(bw: BeamWeights, angles_deg=None,
     gain_db = 20.0 * np.log10(np.maximum(gain / len(bw), 1e-12))
     return BeamPattern(angles_deg=angles_deg, gain_db=gain_db,
                        steer_deg=bw.steer_deg, role=bw.role)
-
-
-def beamformed_target_signal(profiles, range_bin: int,
-                             bw: BeamWeights) -> np.ndarray:
-    """Receive-combined slow-time series at one range bin: w^H x[m]."""
-    if not (0 <= range_bin < profiles.num_bins):
-        raise ValueError("range_bin outside profile")
-    x = profiles.data[range_bin]          # (slow, K)
-    if x.shape[1] != len(bw):
-        raise ValueError("weights do not match the virtual array size")
-    return x @ bw.weights.conj()
 
 
 def write_pattern_csv(pattern: BeamPattern, path) -> None:

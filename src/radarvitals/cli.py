@@ -17,6 +17,7 @@ radarvitals pattern --role rx --steer 30 --elements 8 --out pattern.csv
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -129,8 +130,7 @@ def _cmd_suite(args) -> int:
     for path in paths:
         spec = ScenarioSpec.from_json(path)
         if args.seed is not None:
-            spec = ScenarioSpec.from_dict(
-                {**spec.to_dict(), "seed": args.seed})
+            spec = dataclasses.replace(spec, seed=args.seed)
         out = args.out / path.stem if len(paths) > 1 else args.out
         summary = run_suite(
             spec, repetitions=args.repetitions, out_dir=out,

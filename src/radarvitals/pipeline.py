@@ -1,16 +1,26 @@
-"""End-to-end scenario runner: scene -> cube -> localization -> rates.
+"""End-to-end scenario runner: one stage chain from scene to rates.
 
 A :class:`ScenarioSpec` bundles the radar, scene, camera and processing
 parameters (JSON-serializable, see ``scenarios/``).  :func:`run_scenario`
-executes one seeded repetition and produces a deterministic report;
-:func:`run_suite` repeats it across seeds and aggregates error CDFs;
-:func:`bench_acceleration` times the decomposition at several spectrum
-truncation lengths.
+executes one seeded repetition as a single chain of timed stages:
+
+* scene stages - ``simulate``, ``range_fft``, ``heatmap``, ``localize``;
+* per localized target, the vitals chain - ``beamform`` (steered re-render,
+  when beamforming is on), ``phase``, ``weights``, ``mode_count``,
+  ``spectrum``, ``decompose``, ``rates``.
+
+Every stage runs under :func:`_stage`, which times it and turns a failure
+into a named ``failure_stage`` in the deterministic report.
+:func:`run_suite` repeats the run across seeds and aggregates error CDFs;
+:func:`bench_acceleration` reuses a run's vitals chain to time the
+decomposition at several spectrum truncation lengths.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,6 +32,11 @@ from .rangefft import range_bin_of, range_fft
 from .simulate import synthesize_cube, synthesize_detections
 
 _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
+
+# ScenarioSpec fields stored at the top level of a scenario JSON; every other
+# field is a processing knob stored under "processing".
+_TOP_LEVEL_FIELDS = frozenset(
+    {"name", "radar", "scene", "camera", "snr_db", "seed", "beamforming"})
 
 
 @dataclass(frozen=True)
@@ -52,7 +67,17 @@ class ScenarioSpec:
     rr_band: tuple[float, float] = vitals.DEFAULT_RR_BAND
     hr_band: tuple[float, float] = vitals.DEFAULT_HR_BAND
 
+    @classmethod
+    def _processing_fields(cls) -> list[str]:
+        return [f.name for f in dataclasses.fields(cls)
+                if f.name not in _TOP_LEVEL_FIELDS]
+
     def to_dict(self) -> dict:
+        """JSON-ready dict; tuple fields (the rate bands) become lists."""
+        processing = {}
+        for name in self._processing_fields():
+            value = getattr(self, name)
+            processing[name] = list(value) if isinstance(value, tuple) else value
         return {
             "name": self.name,
             "radar": self.radar.to_dict(),
@@ -61,38 +86,15 @@ class ScenarioSpec:
             "snr_db": self.snr_db,
             "seed": self.seed,
             "beamforming": self.beamforming,
-            "processing": {
-                "n_fft": self.n_fft,
-                "num_angle_bins": self.num_angle_bins,
-                "mvdr_loading": self.mvdr_loading,
-                "stationary_window_s": self.stationary_window_s,
-                "x_threshold_px": self.x_threshold_px,
-                "w_threshold_px": self.w_threshold_px,
-                "max_range_m": self.max_range_m,
-                "num_phase_channels": self.num_phase_channels,
-                "num_modes": self.num_modes,
-                "alpha": self.alpha,
-                "eta": self.eta,
-                "tol": self.tol,
-                "max_iter": self.max_iter,
-                "n_keep": self.n_keep,
-                "rr_band": list(self.rr_band),
-                "hr_band": list(self.hr_band),
-            },
+            "processing": processing,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
         proc = d.get("processing", {})
-        kw = {k: proc[k] for k in proc if k in {
-            "n_fft", "num_angle_bins", "mvdr_loading", "stationary_window_s",
-            "x_threshold_px", "w_threshold_px", "max_range_m",
-            "num_phase_channels", "num_modes", "alpha", "eta", "tol",
-            "max_iter", "n_keep"}}
-        if "rr_band" in proc:
-            kw["rr_band"] = tuple(proc["rr_band"])
-        if "hr_band" in proc:
-            kw["hr_band"] = tuple(proc["hr_band"])
+        kw = {name: tuple(proc[name]) if isinstance(proc[name], list)
+              else proc[name]
+              for name in cls._processing_fields() if name in proc}
         return cls(
             name=d["name"],
             radar=RadarConfig.from_dict(d["radar"]) if "radar" in d
@@ -118,18 +120,55 @@ class ScenarioSpec:
 
 
 @dataclass
+class VitalsChain:
+    """What the vitals chain produced for one localized target."""
+
+    weights: vitals.ChannelWeights
+    k: int
+    spectra: vitals.AnalyticSpectra
+    modes: vitals.ModeSet
+    rates: vitals.VitalRates
+
+
+@dataclass
 class RunResult:
-    """Deterministic report plus wall-clock timings and working objects."""
+    """Deterministic report plus wall-clock timings and working objects.
+
+    ``locations`` lists ``(track_id, angle_window, Localization)`` of every
+    localized target; ``chains`` maps each track id whose vitals chain
+    succeeded to its :class:`VitalsChain`.
+    """
 
     report: dict
     timings_ms: dict
-    heatmap: aoa.Heatmap | None = None
     locations: list = field(default_factory=list)
-    mode_sets: dict = field(default_factory=dict)
+    chains: dict = field(default_factory=dict)
 
     @property
     def failed(self) -> bool:
         return self.report.get("failure_stage") is not None
+
+
+class _StageFailed(Exception):
+    """A stage raised one of ``_FAILURE_EXCEPTIONS``; names the stage."""
+
+    def __init__(self, stage: str, error: Exception):
+        super().__init__(str(error))
+        self.stage = stage
+
+
+@contextmanager
+def _stage(timings: dict, name: str):
+    """Add the block's wall time to ``timings[name]`` (ms), failed or not,
+    and re-raise a stage failure as :class:`_StageFailed`."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except _FAILURE_EXCEPTIONS as e:
+        raise _StageFailed(name, e) from e
+    finally:
+        timings[name] = (timings.get(name, 0.0)
+                         + (time.perf_counter() - t0) * 1e3)
 
 
 def _band_seeded_init(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
@@ -162,22 +201,88 @@ def _band_seeded_init(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
     return np.asarray(sorted(seeds))
 
 
-class _StageClock:
-    def __init__(self):
-        self.timings: dict[str, float] = {}
-        self._t0 = None
-        self._stage = None
+def _decompose(spec: ScenarioSpec, spectra: vitals.AnalyticSpectra,
+               weights: np.ndarray, k: int):
+    """The decomposition of ``spectra`` as a zero-argument call.
 
-    def start(self, stage: str) -> str:
-        self._stage = stage
-        self._t0 = time.perf_counter()
-        return stage
+    The band-seeded init is computed here, so calling the result runs
+    ``multichannel_vmd`` alone (which the benchmark times).
+    """
+    init = _band_seeded_init(spectra, weights, k,
+                             bands=(spec.rr_band, spec.hr_band))
+    return lambda: vitals.multichannel_vmd(
+        spectra, k, weights=weights, alpha=spec.alpha, eta=spec.eta,
+        tol=spec.tol, max_iter=spec.max_iter, init=init)
 
-    def stop(self) -> None:
-        if self._stage is not None:
-            dt = (time.perf_counter() - self._t0) * 1e3
-            self.timings[self._stage] = self.timings.get(self._stage, 0.0) + dt
-            self._stage = None
+
+def _localize(spec: ScenarioSpec, detections, heatmap: aoa.Heatmap,
+              report: dict) -> list:
+    """(track_id, angle window, Localization) of every stationary track."""
+    tracks = fusion.build_tracks(detections)
+    stationary = fusion.filter_stationary(
+        tracks, spec.camera.image_width,
+        x_threshold=spec.x_threshold_px,
+        w_threshold=spec.w_threshold_px,
+        window=spec.stationary_window_s)
+    report["num_stationary_tracks"] = len(stationary)
+    if not stationary:
+        raise ValueError("no stationary detection track to localize")
+    located = []
+    for tr in stationary:
+        sel = tr.times >= tr.times[-1] - spec.stationary_window_s
+        window = fusion.pixel_to_angle_window(
+            float(np.mean(tr.xs[sel])), float(np.mean(tr.ws[sel])),
+            spec.camera.image_width, spec.num_angle_bins)
+        loc = fusion.localize(heatmap, window, max_range=spec.max_range_m)
+        located.append((tr.id, window, loc))
+    return located
+
+
+def _vitals_chain(spec: ScenarioSpec, profiles, noise_ss, loc,
+                  beamforming: bool, n_keep: int | None,
+                  timings: dict) -> VitalsChain:
+    """beamform -> phase -> weights -> mode_count -> spectrum -> decompose
+    -> rates for one localized target.
+
+    With beamforming the cube is re-rendered with transmit weights steered
+    at the target (same noise realisation) and the phase channels are
+    receive-combined; otherwise they are read off ``profiles`` directly.
+    """
+    cfg = spec.radar
+    rx = None
+    if beamforming:
+        with _stage(timings, "beamform"):
+            tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
+                                     num_elements=cfg.num_tx,
+                                     spacing=cfg.tx_spacing)
+            cube = synthesize_cube(spec.scene, cfg, tx_weights=tx,
+                                   snr_db=spec.snr_db, seed=noise_ss)
+            profiles = range_fft(cube, n_fft=spec.n_fft)
+            rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength,
+                                     num_elements=cfg.num_virtual,
+                                     spacing=cfg.rx_spacing)
+    with _stage(timings, "phase"):
+        phase = vitals.extract_phase(profiles, loc.range_bin,
+                                     num_channels=spec.num_phase_channels,
+                                     rx=rx)
+    with _stage(timings, "weights"):
+        cw = vitals.adaptive_weights(phase.samples)
+        combined_series = cw.weights @ phase.samples
+    with _stage(timings, "mode_count"):
+        k = (vitals.select_mode_count(combined_series)
+             if spec.num_modes == "auto" else int(spec.num_modes))
+    with _stage(timings, "spectrum"):
+        spectra = vitals.analytic_spectrum(phase.samples, phase.sample_rate)
+        if n_keep is not None:
+            keep = int(np.clip(n_keep, 4, spectra.n_bins))
+            spectra = vitals.truncate_spectrum(spectra, keep)
+    with _stage(timings, "decompose"):
+        modes = _decompose(spec, spectra, cw.weights, k)()
+    with _stage(timings, "rates"):
+        rates = vitals.estimate_rates(modes, rr_band=spec.rr_band,
+                                      hr_band=spec.hr_band)
+    return VitalsChain(weights=cw, k=k, spectra=spectra, modes=modes,
+                       rates=rates)
 
 
 def _true_position(track_id: str, scene: Scene):
@@ -199,17 +304,16 @@ def run_scenario(
     ``seed`` / ``beamforming`` / ``n_keep`` override the scenario when given
     (``n_keep=None`` means keep the full spectrum).  The returned report is
     a plain JSON-ready dict; identical inputs give byte-identical reports.
-    Stage failures (e.g. no stationary box to localize) are recorded in
-    ``report["failure_stage"]`` instead of raising.
+    Stage failures are recorded instead of raised: a scene stage (e.g. no
+    stationary box to localize) ends the run with that stage as
+    ``report["failure_stage"]``; a target whose vitals chain fails carries
+    a ``"failure"`` entry and sets ``failure_stage`` to ``"vitals"``.
     """
     eff_seed = spec.seed if seed is None else int(seed)
     eff_bf = spec.beamforming if beamforming is None else bool(beamforming)
     eff_keep = spec.n_keep if n_keep == "spec" else n_keep
     cfg = spec.radar
-    scene = spec.scene
-    clock = _StageClock()
-    root = np.random.SeedSequence(eff_seed)
-    noise_ss, det_ss = root.spawn(2)
+    noise_ss, det_ss = np.random.SeedSequence(eff_seed).spawn(2)
 
     report: dict = {
         "scenario": spec.to_dict(),
@@ -221,67 +325,30 @@ def run_scenario(
         "num_stationary_tracks": 0,
         "targets": [],
     }
-    result = RunResult(report=report, timings_ms=clock.timings)
+    result = RunResult(report=report, timings_ms={})
+    timings = result.timings_ms
 
-    def fail(stage: str, message: str) -> RunResult:
-        clock.stop()
-        report["failure_stage"] = stage
-        report["error"] = message
+    try:
+        with _stage(timings, "simulate"):
+            cube = synthesize_cube(spec.scene, cfg, tx_weights=None,
+                                   snr_db=spec.snr_db, seed=noise_ss)
+            detections = synthesize_detections(
+                spec.scene, spec.camera, frame_rate=cfg.frame_rate,
+                seed=det_ss)
+        with _stage(timings, "range_fft"):
+            profiles = range_fft(cube, n_fft=spec.n_fft)
+        with _stage(timings, "heatmap"):
+            heatmap = aoa.range_angle_heatmap(
+                profiles, angles_deg=aoa.default_angle_grid(spec.num_angle_bins),
+                loading=spec.mvdr_loading)
+        with _stage(timings, "localize"):
+            result.locations = _localize(spec, detections, heatmap, report)
+    except _StageFailed as e:
+        report["failure_stage"] = e.stage
+        report["error"] = str(e)
         return result
 
-    try:
-        clock.start("simulate")
-        cube = synthesize_cube(scene, cfg, tx_weights=None,
-                               snr_db=spec.snr_db, seed=noise_ss)
-        detections = synthesize_detections(
-            scene, spec.camera, frame_rate=cfg.frame_rate, seed=det_ss)
-        clock.stop()
-    except _FAILURE_EXCEPTIONS as e:
-        return fail("simulate", str(e))
-
-    try:
-        clock.start("range_fft")
-        profiles = range_fft(cube, n_fft=spec.n_fft)
-        clock.stop()
-    except _FAILURE_EXCEPTIONS as e:
-        return fail("range_fft", str(e))
-
-    try:
-        clock.start("heatmap")
-        grid = aoa.default_angle_grid(spec.num_angle_bins)
-        heatmap = aoa.range_angle_heatmap(
-            profiles, angles_deg=grid, loading=spec.mvdr_loading)
-        result.heatmap = heatmap
-        clock.stop()
-    except _FAILURE_EXCEPTIONS as e:
-        return fail("heatmap", str(e))
-
-    try:
-        clock.start("localize")
-        tracks = fusion.build_tracks(detections)
-        stationary = fusion.filter_stationary(
-            tracks, spec.camera.image_width,
-            x_threshold=spec.x_threshold_px,
-            w_threshold=spec.w_threshold_px,
-            window=spec.stationary_window_s)
-        report["num_stationary_tracks"] = len(stationary)
-        if not stationary:
-            return fail("localize", "no stationary detection track to localize")
-        located = []
-        for tr in stationary:
-            sel = tr.times >= tr.times[-1] - spec.stationary_window_s
-            box_x = float(np.mean(tr.xs[sel]))
-            box_w = float(np.mean(tr.ws[sel]))
-            window = fusion.pixel_to_angle_window(
-                box_x, box_w, spec.camera.image_width, spec.num_angle_bins)
-            loc = fusion.localize(heatmap, window, max_range=spec.max_range_m)
-            located.append((tr.id, window, loc))
-        result.locations = located
-        clock.stop()
-    except _FAILURE_EXCEPTIONS as e:
-        return fail("localize", str(e))
-
-    for track_id, window, loc in located:
+    for track_id, window, loc in result.locations:
         entry: dict = {
             "track_id": track_id,
             "angle_window_bins": list(window),
@@ -290,7 +357,7 @@ def run_scenario(
             "range_m": loc.range_m,
             "angle_deg": loc.angle_deg,
         }
-        tgt = _true_position(track_id, scene)
+        tgt = _true_position(track_id, spec.scene)
         if tgt is not None:
             entry["true_range_m"] = tgt.range_m
             entry["true_angle_deg"] = tgt.angle_deg
@@ -305,73 +372,19 @@ def run_scenario(
         report["targets"].append(entry)
 
         try:
-            if eff_bf:
-                clock.start("beamform")
-                tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
-                                         num_elements=cfg.num_tx,
-                                         spacing=cfg.tx_spacing)
-                cube_bf = synthesize_cube(scene, cfg, tx_weights=tx,
-                                          snr_db=spec.snr_db, seed=noise_ss)
-                profiles_bf = range_fft(cube_bf, n_fft=spec.n_fft)
-                rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength,
-                                         num_elements=cfg.num_virtual,
-                                         spacing=cfg.rx_spacing)
-                clock.stop()
-                clock.start("phase")
-                phase = vitals.extract_phase(
-                    profiles_bf, loc.range_bin,
-                    num_channels=spec.num_phase_channels, rx=rx)
-            else:
-                clock.start("phase")
-                phase = vitals.extract_phase(
-                    profiles, loc.range_bin,
-                    num_channels=spec.num_phase_channels, rx=None)
-            clock.stop()
-
-            clock.start("weights")
-            cw = vitals.adaptive_weights(phase.samples)
-            combined_series = cw.weights @ phase.samples
-            clock.stop()
-
-            clock.start("mode_count")
-            if spec.num_modes == "auto":
-                k = vitals.select_mode_count(combined_series)
-            else:
-                k = int(spec.num_modes)
-            clock.stop()
-
-            clock.start("spectrum")
-            spectra = vitals.analytic_spectrum(phase.samples,
-                                               phase.sample_rate)
-            if eff_keep is not None:
-                keep = int(np.clip(eff_keep, 4, spectra.n_bins))
-                spectra = vitals.truncate_spectrum(spectra, keep)
-            clock.stop()
-
-            clock.start("decompose")
-            init = _band_seeded_init(spectra, cw.weights, k,
-                                     bands=(spec.rr_band, spec.hr_band))
-            modes = vitals.multichannel_vmd(
-                spectra, k, weights=cw.weights, alpha=spec.alpha,
-                eta=spec.eta, tol=spec.tol, max_iter=spec.max_iter,
-                init=init)
-            result.mode_sets[track_id] = modes
-            clock.stop()
-
-            clock.start("rates")
-            rates = vitals.estimate_rates(modes, rr_band=spec.rr_band,
-                                          hr_band=spec.hr_band)
-            clock.stop()
-        except _FAILURE_EXCEPTIONS as e:
-            clock.stop()
+            chain = _vitals_chain(spec, profiles, noise_ss, loc, eff_bf,
+                                  eff_keep, timings)
+        except _StageFailed as e:
             entry["failure"] = str(e)
             report["failure_stage"] = report["failure_stage"] or "vitals"
             report["error"] = report["error"] or str(e)
             continue
+        result.chains[track_id] = chain
 
-        entry["channel_weights"] = [float(w) for w in cw.weights]
-        entry["num_modes"] = k
-        entry["kept_band_hz"] = (spectra.n_bins - 1) * spectra.bin_hz
+        modes, rates = chain.modes, chain.rates
+        entry["channel_weights"] = [float(w) for w in chain.weights.weights]
+        entry["num_modes"] = chain.k
+        entry["kept_band_hz"] = (chain.spectra.n_bins - 1) * chain.spectra.bin_hz
         entry["mode_center_freqs_hz"] = [float(f)
                                          for f in modes.center_freqs_hz]
         entry["iterations"] = modes.iterations
@@ -379,12 +392,10 @@ def run_scenario(
         entry["breaths_per_min"] = rates.breaths_per_min
         entry["beats_per_min"] = rates.beats_per_min
         if tgt is not None:
-            entry["rr_error_rpm"] = (
-                None if rates.breaths_per_min is None
-                else rates.breaths_per_min - entry["true_breaths_per_min"])
-            entry["hr_error_bpm"] = (
-                None if rates.beats_per_min is None
-                else rates.beats_per_min - entry["true_beats_per_min"])
+            entry["rr_error_rpm"] = _delta(rates.breaths_per_min,
+                                           entry["true_breaths_per_min"])
+            entry["hr_error_bpm"] = _delta(rates.beats_per_min,
+                                           entry["true_beats_per_min"])
 
     return result
 
@@ -431,11 +442,9 @@ def run_suite(
     failed_runs = 0
     missing_rr = 0
     missing_hr = 0
-    reports = []
     for i in range(repetitions):
         res = run_scenario(spec, seed=spec.seed + i,
                            beamforming=beamforming, n_keep=n_keep)
-        reports.append(res)
         if out_dir is not None:
             write_run_outputs(res, Path(out_dir) / f"run-{i:03d}")
         if res.failed:
@@ -479,7 +488,6 @@ def run_suite(
                 fh.write("abs_error,cumulative_fraction\n")
                 for j, e in enumerate(sorted(errs)):
                     fh.write(f"{e:.6f},{(j + 1) / len(errs):.6f}\n")
-    summary["_results"] = reports
     return summary
 
 
@@ -491,9 +499,10 @@ def bench_acceleration(
 ) -> list[dict]:
     """Time the decomposition stage at several truncation lengths.
 
-    The pipeline runs once up to the spectrum stage; each ``n_keep`` value
-    (None = full spectrum) then gets ``repeats`` timed decompositions (best
-    time kept) on identical inputs, so rows differ only in spectrum length.
+    The pipeline runs once on the full spectrum; its first target's vitals
+    chain (channel weights, mode count, spectrum) is then decomposed again
+    for each ``n_keep`` value (None = full spectrum), ``repeats`` timed
+    times each (best time kept), so rows differ only in spectrum length.
     Rate deltas are reported against the full-spectrum row.
     """
     res = run_scenario(spec, n_keep=None)
@@ -501,33 +510,8 @@ def bench_acceleration(
         raise RuntimeError(
             f"scenario failed at stage {res.report['failure_stage']}: "
             f"{res.report['error']}")
-    track_id, _, loc = res.locations[0]
-    cfg = spec.radar
-    if spec.beamforming:
-        tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
-                                 num_elements=cfg.num_tx,
-                                 spacing=cfg.tx_spacing)
-        cube = synthesize_cube(spec.scene, cfg, tx_weights=tx,
-                               snr_db=spec.snr_db,
-                               seed=np.random.SeedSequence(spec.seed).spawn(2)[0])
-        profiles = range_fft(cube, n_fft=spec.n_fft)
-        rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength,
-                                 num_elements=cfg.num_virtual,
-                                 spacing=cfg.rx_spacing)
-    else:
-        cube = synthesize_cube(spec.scene, cfg, tx_weights=None,
-                               snr_db=spec.snr_db,
-                               seed=np.random.SeedSequence(spec.seed).spawn(2)[0])
-        profiles = range_fft(cube, n_fft=spec.n_fft)
-        rx = None
-    phase = vitals.extract_phase(profiles, loc.range_bin,
-                                 num_channels=spec.num_phase_channels, rx=rx)
-    cw = vitals.adaptive_weights(phase.samples)
-    if spec.num_modes == "auto":
-        k = vitals.select_mode_count(cw.weights @ phase.samples)
-    else:
-        k = int(spec.num_modes)
-    full = vitals.analytic_spectrum(phase.samples, phase.sample_rate)
+    chain = res.chains[res.locations[0][0]]
+    full = chain.spectra
 
     rows = []
     baseline = None
@@ -541,16 +525,12 @@ def bench_acceleration(
                        reverse=True):
         spectra = (full if keep is None
                    else vitals.truncate_spectrum(full, int(keep)))
-        init = _band_seeded_init(spectra, cw.weights, k,
-                                 bands=(spec.rr_band, spec.hr_band))
+        decompose = _decompose(spec, spectra, chain.weights.weights, chain.k)
         best = np.inf
         modes = None
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()
-            modes = vitals.multichannel_vmd(
-                spectra, k, weights=cw.weights, alpha=spec.alpha,
-                eta=spec.eta, tol=spec.tol, max_iter=spec.max_iter,
-                init=init)
+            modes = decompose()
             best = min(best, time.perf_counter() - t0)
         rates = vitals.estimate_rates(modes, rr_band=spec.rr_band,
                                       hr_band=spec.hr_band)

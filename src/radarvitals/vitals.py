@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import beamform
+
 DEFAULT_RR_BAND = (0.1, 0.5)
 DEFAULT_HR_BAND = (0.8, 2.5)
 
@@ -39,12 +41,13 @@ class PhaseMatrix:
 
 
 def extract_phase(profiles, center_bin: int, num_channels: int = 5,
-                  rx: "BeamWeights | None" = None) -> PhaseMatrix:
+                  rx: beamform.BeamWeights | None = None) -> PhaseMatrix:
     """Slow-time phase of ``num_channels`` range bins centered on a target.
 
     One sample per frame is used (the first chirp), so the sample rate is
     the frame rate.  Each channel is combined across the virtual array with
-    ``rx`` weights when given, otherwise read from the first antenna; the
+    ``rx`` weights (:func:`beamform.combine`) when given, otherwise read from
+    the first antenna; the
     phase is unwrapped along time and the per-channel mean removed.
     """
     if num_channels < 1 or num_channels % 2 == 0:
@@ -61,7 +64,7 @@ def extract_phase(profiles, center_bin: int, num_channels: int = 5,
     if rx is None:
         series = block[:, :, 0]
     else:
-        series = block @ np.asarray(rx.weights).conj()
+        series = beamform.combine(block, rx)
     phase = np.unwrap(np.angle(series), axis=1)
     phase -= phase.mean(axis=1, keepdims=True)
     return PhaseMatrix(samples=phase, sample_rate=cfg.frame_rate,
@@ -270,31 +273,6 @@ class ModeSet:
         return self.modes.sum(axis=0)
 
 
-def _peak_init(mag: np.ndarray, num_modes: int, nu: np.ndarray,
-               min_sep_bins: int = 3) -> np.ndarray:
-    """Center-frequency init at the strongest well-separated spectral peaks."""
-    nb = mag.size
-    cand = [i for i in range(1, nb - 1)
-            if mag[i] >= mag[i - 1] and mag[i] > mag[i + 1]]
-    cand.sort(key=lambda i: -mag[i])
-    picked: list[int] = []
-    for i in cand:
-        if all(abs(i - j) >= min_sep_bins for j in picked):
-            picked.append(i)
-        if len(picked) == num_modes:
-            break
-    if len(picked) < num_modes:           # pad with an even spread
-        for i in np.linspace(1, nb - 1, num_modes + 2)[1:-1]:
-            i = int(round(i))
-            if all(abs(i - j) >= 1 for j in picked):
-                picked.append(i)
-            if len(picked) == num_modes:
-                break
-        while len(picked) < num_modes:    # degenerate tiny spectra
-            picked.append(min((picked[-1] + 1) if picked else 1, nb - 1))
-    return nu[np.sort(np.asarray(picked[:num_modes]))]
-
-
 def multichannel_vmd(
     spec: AnalyticSpectra,
     num_modes: int,
@@ -333,12 +311,11 @@ def multichannel_vmd(
     tol, max_iter :
         Convergence is declared when the summed relative change of the mode
         spectra drops below ``tol``.
-    init : "uniform", "peaks", or array of Hz
+    init : "uniform" or array of Hz
         Center-frequency initialization.  "uniform" (default) spreads modes
         deterministically over (0, sample_rate/4], capped at the kept band;
-        "peaks" seeds them on the strongest local maxima of the combined
-        spectrum, which helps when one component dwarfs the others; an
-        explicit array gives starting frequencies in Hz.
+        an explicit array gives starting frequencies in Hz (the pipeline
+        seeds one mode per vital band this way).
 
     Returns
     -------
@@ -372,13 +349,10 @@ def multichannel_vmd(
     combined = w @ s_all                             # (nb,)
     nu = np.arange(nb) / n                           # cycles per sample
     if isinstance(init, str):
-        if init == "peaks":
-            omega = _peak_init(np.abs(combined), num_modes, nu)
-        elif init == "uniform":
-            omega = (np.arange(1, num_modes + 1) / num_modes
-                     * min(0.25, nu[-1]))
-        else:
+        if init != "uniform":
             raise ValueError(f"unknown init {init!r}")
+        omega = (np.arange(1, num_modes + 1) / num_modes
+                 * min(0.25, nu[-1]))
     else:
         omega = np.sort(np.asarray(init, dtype=float)) / fs
         if omega.shape != (num_modes,):

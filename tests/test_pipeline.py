@@ -1,13 +1,14 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 import radarvitals as rv
+from radarvitals import pipeline, vitals
 from radarvitals.pipeline import (ScenarioSpec, _band_seeded_init,
                                   bench_acceleration, run_scenario,
                                   run_suite, write_run_outputs)
-from radarvitals import vitals
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +76,32 @@ class TestRunScenario:
         assert res.failed and res.report["failure_stage"] == "localize"
         assert res.report["num_stationary_tracks"] == 0
 
+    @pytest.mark.parametrize("override, stage", [
+        ({"n_fft": 8}, "range_fft"),
+        ({"num_phase_channels": 4}, "vitals"),
+    ])
+    def test_stage_failure_is_named(self, quick_spec, override, stage):
+        spec = dataclasses.replace(quick_spec, beamforming=False, **override)
+        res = run_scenario(spec)
+        assert res.failed
+        assert res.report["failure_stage"] == stage
+        assert res.report["error"]
+        if stage == "vitals":
+            (entry,) = res.report["targets"]
+            assert "failure" in entry
+            assert "phase" in res.timings_ms
+            assert res.chains == {}
+
+    def test_chain_kept_per_target(self, quick_spec):
+        res = run_scenario(quick_spec)
+        (entry,) = res.report["targets"]
+        chain = res.chains[entry["track_id"]]
+        assert chain.k == entry["num_modes"]
+        assert chain.modes.iterations == entry["iterations"]
+        assert chain.rates.breaths_per_min == entry["breaths_per_min"]
+        assert ((chain.spectra.n_bins - 1) * chain.spectra.bin_hz
+                == entry["kept_band_hz"])
+
     def test_report_is_deterministic(self, quick_spec):
         a = run_scenario(quick_spec, seed=9)
         b = run_scenario(quick_spec, seed=9)
@@ -98,6 +125,7 @@ class TestSpecSerialization:
         quick_spec.to_json(path)
         again = ScenarioSpec.from_json(path)
         assert again.to_dict() == quick_spec.to_dict()
+        assert again == quick_spec          # bands come back as tuples
 
     def test_committed_scenarios_load(self):
         from pathlib import Path
@@ -184,6 +212,27 @@ class TestBench:
         rows = bench_acceleration(quick_spec, n_keep_values=[60], repeats=1)
         by_keep = {r["n_keep"]: r for r in rows}
         assert abs(by_keep[60]["rr_delta_rpm"]) < 0.5
+
+    @pytest.mark.parametrize("beamforming, renders", [(True, 2), (False, 1)])
+    def test_reuses_the_run(self, quick_spec, monkeypatch, beamforming,
+                            renders):
+        spec = dataclasses.replace(quick_spec, beamforming=beamforming)
+        steered = []
+        render = pipeline.synthesize_cube
+
+        def counted(*args, **kwargs):
+            steered.append(kwargs.get("tx_weights") is not None)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "synthesize_cube", counted)
+        rows = bench_acceleration(spec, n_keep_values=[40], repeats=1)
+        assert steered == [False, True][:renders]
+        monkeypatch.undo()
+        (entry,) = run_scenario(spec, n_keep=None).report["targets"]
+        full = {r["n_keep"]: r for r in rows}["full"]
+        assert full["iterations"] == entry["iterations"]
+        assert full["breaths_per_min"] == entry["breaths_per_min"]
+        assert full["beats_per_min"] == entry["beats_per_min"]
 
     def test_oversized_keep_is_clipped(self, quick_spec):
         rows = bench_acceleration(quick_spec, n_keep_values=[10_000],
