@@ -65,14 +65,16 @@ def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:
 
     Every array in this package is laid out ``[..., element]``, so a single
     snapshot ``(K,)``, a slow-time series ``(S, K)`` or a block of range bins
-    ``(L, S, K)`` are all combined the same way.
+    ``(L, S, K)`` are all combined the same way.  The contraction is an
+    einsum, not a matmul: small BLAS calls can stall for tens of
+    milliseconds after large array work while BLAS threads wake up.
     """
     x = np.asarray(snapshots)
     if x.shape[-1] != len(bw):
         raise ValueError(
             f"snapshot array last axis ({x.shape[-1]}) does not match the "
             f"{len(bw)}-element weights")
-    return x @ bw.weights.conj()
+    return np.einsum("...k,k->...", x, bw.weights.conj())
 
 
 @dataclass

@@ -5,9 +5,13 @@ parameters (JSON-serializable, see ``scenarios/``).  :func:`run_scenario`
 executes one seeded repetition as a single chain of timed stages:
 
 * scene stages - ``simulate``, ``range_fft``, ``heatmap``, ``localize``;
-* per localized target, the vitals chain - ``beamform`` (steered re-render,
-  when beamforming is on), ``phase``, ``weights``, ``mode_count``,
+* per localized target, the vitals chain - ``beamform`` (when beamforming
+  is on: transmit steering added to the unsteered profiles at the bins and
+  samples the phase stage reads, see :func:`simulate.steering_correction`,
+  plus receive weights), ``phase``, ``weights``, ``mode_count``,
   ``spectrum``, ``decompose``, ``rates``.
+
+The cube is rendered once per run, unsteered.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
@@ -28,8 +32,9 @@ import numpy as np
 
 from . import aoa, beamform, fusion, vitals
 from .config import CameraConfig, RadarConfig, Scene
-from .rangefft import range_bin_of, range_fft
-from .simulate import synthesize_cube, synthesize_detections
+from .rangefft import RangeProfiles, range_bin_of, range_fft
+from .simulate import (steering_correction, synthesize_cube,
+                       synthesize_detections)
 
 _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
 
@@ -238,14 +243,33 @@ def _localize(spec: ScenarioSpec, detections, heatmap: aoa.Heatmap,
     return located
 
 
-def _vitals_chain(spec: ScenarioSpec, profiles, noise_ss, loc,
+def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
+             center_bin: int) -> RangeProfiles:
+    """``profiles`` as if rendered with transmit weights ``tx``, exact only
+    at the bins and slow samples the phase stage reads.
+
+    A copy of the unsteered profiles with :func:`steering_correction` added
+    in that window, so the phase stage indexes it by absolute bin as usual.
+    The window is checked first (same error as the phase stage raises).
+    """
+    bins, frames = vitals.phase_window(profiles, center_bin,
+                                       spec.num_phase_channels)
+    data = profiles.data.copy()
+    data[bins.start:bins.stop, frames] += steering_correction(
+        spec.scene, spec.radar, tx, bins, frames, n_fft=profiles.n_fft)
+    return dataclasses.replace(profiles, data=data)
+
+
+def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
                   beamforming: bool, n_keep: int | None,
                   timings: dict) -> VitalsChain:
     """beamform -> phase -> weights -> mode_count -> spectrum -> decompose
     -> rates for one localized target.
 
-    With beamforming the cube is re-rendered with transmit weights steered
-    at the target (same noise realisation) and the phase channels are
+    With beamforming, transmit weights steered at the target enter as a
+    closed-form correction to the unsteered profiles in the phase window
+    (no second render: both would share one noise realisation, so they
+    differ by a noise-free term), and the phase channels are
     receive-combined; otherwise they are read off ``profiles`` directly.
     """
     cfg = spec.radar
@@ -255,9 +279,7 @@ def _vitals_chain(spec: ScenarioSpec, profiles, noise_ss, loc,
             tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
                                      num_elements=cfg.num_tx,
                                      spacing=cfg.tx_spacing)
-            cube = synthesize_cube(spec.scene, cfg, tx_weights=tx,
-                                   snr_db=spec.snr_db, seed=noise_ss)
-            profiles = range_fft(cube, n_fft=spec.n_fft)
+            profiles = _steered(spec, profiles, tx, loc.range_bin)
             rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength,
                                      num_elements=cfg.num_virtual,
                                      spacing=cfg.rx_spacing)
@@ -372,8 +394,8 @@ def run_scenario(
         report["targets"].append(entry)
 
         try:
-            chain = _vitals_chain(spec, profiles, noise_ss, loc, eff_bf,
-                                  eff_keep, timings)
+            chain = _vitals_chain(spec, profiles, loc, eff_bf, eff_keep,
+                                  timings)
         except _StageFailed as e:
             entry["failure"] = str(e)
             report["failure_stage"] = report["failure_stage"] or "vitals"

@@ -10,6 +10,11 @@ linear phase ramp across the virtual receive array.  Cubes are indexed
 Transmit beamforming is modeled as a per-scatterer illumination gain: with
 steering weights ``w`` the field hitting a scatterer at azimuth theta scales
 by ``w^H a_tx(theta)``, where ``a_tx`` is the transmit-array steering vector.
+:func:`synthesize_cube` renders a whole cube with that gain.  Because every
+return is linear in its gain and the noise does not depend on it,
+:func:`steering_correction` gives the steered range profiles at a few bins
+and slow samples as the unsteered ones plus a noise-free term, without a
+second render; both share one per-scatterer signal model (``_returns``).
 """
 from __future__ import annotations
 
@@ -115,6 +120,63 @@ def _check_beat(cfg: RadarConfig, r_max: float) -> None:
             f"the fast-time Nyquist limit ({cfg.max_unambiguous_range:.2f} m)")
 
 
+def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights,
+             gain_offset: float = 0.0):
+    """Noise-free return of every scatterer at slow times ``slow_t``.
+
+    Yields one ``(fast_slow, slow_ant)`` pair per scatterer, shaped
+    ``(samples_per_chirp, S)`` and ``(S, num_virtual)`` with ``S`` either
+    ``slow_t.size`` or 1 (constant over slow time); the scatterer adds
+    ``fast_slow[:, :, None] * slow_ant[None, :, :]`` to the cube.
+    ``fast_slow`` holds the fast-time beat tone and, for statics and vital
+    targets, the amplitude, carrier phase and illumination gain;
+    ``slow_ant`` holds the antenna phase ramp and, for movers, the
+    time-varying amplitude, carrier phase and gain.  The gain is the
+    illumination gain of ``tx_weights`` minus ``gain_offset``; every return
+    is linear in it.
+    """
+    n_fast = cfg.samples_per_chirp
+    lam = cfg.wavelength
+    alpha = cfg.chirp_slope_factor
+    fast_t = np.arange(n_fast) * cfg.adc_interval
+    k = np.arange(cfg.num_virtual)
+    ant_factor = 2.0 * np.pi * cfg.rx_spacing / lam
+
+    def gain(angles_deg):
+        return _illumination(angles_deg, tx_weights, cfg) - gain_offset
+
+    for s in scene.statics:
+        _check_beat(cfg, s.range_m)
+        g = complex(gain([s.angle_deg])[0])
+        fast = np.exp(2j * np.pi * alpha * s.range_m * fast_t)
+        ant = np.exp(1j * ant_factor * np.sin(np.deg2rad(s.angle_deg)) * k)
+        amp = s.amplitude * g * np.exp(4j * np.pi * s.range_m / lam)
+        yield (amp * fast)[:, None], ant[None, :]
+
+    for tgt in scene.targets:
+        _check_beat(cfg, tgt.range_m)
+        g = complex(gain([tgt.angle_deg])[0])
+        fast = np.exp(2j * np.pi * alpha * tgt.range_m * fast_t)
+        dr = chest_displacement(slow_t, tgt.vitals)
+        slow = np.exp(4j * np.pi * (tgt.range_m + dr) / lam)
+        ant = np.exp(1j * ant_factor * np.sin(np.deg2rad(tgt.angle_deg)) * k)
+        yield (tgt.amplitude * g) * np.multiply.outer(fast, slow), ant[None, :]
+
+    for mv in scene.movers:
+        r_m = np.asarray(mv.range_at(slow_t), dtype=float)
+        r_m = r_m + motion_displacement(slow_t, mv.body_motion)
+        _check_beat(cfg, float(np.max(r_m)))
+        th_m = np.asarray(mv.angle_at(slow_t), dtype=float)
+        a_m = np.asarray(mv.amplitude_at(slow_t), dtype=float)
+        g_m = gain(th_m)
+        fast_slow = np.exp(2j * np.pi * alpha * cfg.adc_interval
+                           * np.outer(np.arange(n_fast), r_m))
+        ant_slow = np.exp(1j * ant_factor
+                          * np.outer(np.sin(np.deg2rad(th_m)), k))
+        ant_slow *= (a_m * g_m * np.exp(4j * np.pi * r_m / lam))[:, None]
+        yield fast_slow, ant_slow
+
+
 def synthesize_cube(
     scene: Scene,
     cfg: RadarConfig,
@@ -136,49 +198,10 @@ def synthesize_cube(
         Noise randomness; ignored when ``snr_db`` is None.
     """
     frame_t, slow_t = _slow_times(cfg, scene.duration)
-    n_fast = cfg.samples_per_chirp
-    n_slow = slow_t.size
-    n_ant = cfg.num_virtual
-    lam = cfg.wavelength
-    alpha = cfg.chirp_slope_factor
-
-    fast_t = np.arange(n_fast) * cfg.adc_interval
-    k = np.arange(n_ant)
-    ant_factor = 2.0 * np.pi * cfg.rx_spacing / lam
-
-    cube = np.zeros((n_fast, n_slow, n_ant), dtype=np.complex128)
-
-    for s in scene.statics:
-        _check_beat(cfg, s.range_m)
-        g = complex(_illumination([s.angle_deg], tx_weights, cfg)[0])
-        fast = np.exp(2j * np.pi * alpha * s.range_m * fast_t)
-        ant = np.exp(1j * ant_factor * np.sin(np.deg2rad(s.angle_deg)) * k)
-        amp = s.amplitude * g * np.exp(4j * np.pi * s.range_m / lam)
-        cube += (amp * fast)[:, None, None] * ant[None, None, :]
-
-    for tgt in scene.targets:
-        _check_beat(cfg, tgt.range_m)
-        g = complex(_illumination([tgt.angle_deg], tx_weights, cfg)[0])
-        fast = np.exp(2j * np.pi * alpha * tgt.range_m * fast_t)
-        dr = chest_displacement(slow_t, tgt.vitals)
-        slow = np.exp(4j * np.pi * (tgt.range_m + dr) / lam)
-        ant = np.exp(1j * ant_factor * np.sin(np.deg2rad(tgt.angle_deg)) * k)
-        block = (tgt.amplitude * g) * np.multiply.outer(fast, slow)
-        cube += block[:, :, None] * ant[None, None, :]
-
-    for mv in scene.movers:
-        r_m = np.asarray(mv.range_at(slow_t), dtype=float)
-        r_m = r_m + motion_displacement(slow_t, mv.body_motion)
-        _check_beat(cfg, float(np.max(r_m)))
-        th_m = np.asarray(mv.angle_at(slow_t), dtype=float)
-        a_m = np.asarray(mv.amplitude_at(slow_t), dtype=float)
-        g_m = _illumination(th_m, tx_weights, cfg)
-        fast_slow = np.exp(2j * np.pi * alpha * cfg.adc_interval
-                           * np.outer(np.arange(n_fast), r_m))
-        ant_slow = np.exp(1j * ant_factor
-                          * np.outer(np.sin(np.deg2rad(th_m)), k))
-        ant_slow *= (a_m * g_m * np.exp(4j * np.pi * r_m / lam))[:, None]
-        cube += fast_slow[:, :, None] * ant_slow[None, :, :]
+    cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
+                    dtype=np.complex128)
+    for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
+        cube += fast_slow[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
         rng = np.random.default_rng(seed)
@@ -187,6 +210,44 @@ def synthesize_cube(
                          + 1j * rng.standard_normal(cube.shape))
 
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
+
+
+def steering_correction(scene: Scene, cfg: RadarConfig, tx_weights, bins,
+                        slow_idx, n_fft: int | None = None) -> np.ndarray:
+    """Steered minus unsteered range profiles at ``bins`` x ``slow_idx``.
+
+    Rendered with the same noise seed, ``synthesize_cube(..., tx_weights)``
+    and the unsteered cube differ only by the noise-free
+    ``sum_i (g_i - 1) * return_i``, which is the scene rendered with gain
+    ``g - 1``.  The unwindowed range FFT is linear, so this returns that
+    difference's ``n_fft``-point spectrum at the given range bins and slow
+    samples only, shaped ``(len(bins), len(slow_idx), num_virtual)``: add it
+    to the unsteered profiles there to get the steered ones.  The beat
+    limit is checked only at those slow samples; the unsteered render
+    checks the whole capture.
+    """
+    n_fast = cfg.samples_per_chirp
+    n_fft = n_fast if n_fft is None else int(n_fft)
+    if n_fft < n_fast:
+        raise ValueError(
+            f"n_fft ({n_fft}) must be >= samples_per_chirp ({n_fast})")
+    bins = np.asarray(bins, dtype=np.int64)
+    if bins.size and (bins.min() < 0 or bins.max() > n_fft // 2):
+        raise ValueError(
+            f"range bins must lie in [0, {n_fft // 2}] for n_fft={n_fft}")
+    _, slow_t = _slow_times(cfg, scene.duration)
+    slow_t = slow_t[np.asarray(slow_idx)]
+    # DFT rows of the range bins; the integer product is reduced mod n_fft
+    # first so the exponent stays small and exact.
+    dft = np.exp(-2j * np.pi / n_fft
+                 * (np.outer(bins, np.arange(n_fast)) % n_fft))
+    out = np.zeros((bins.size, slow_t.size, cfg.num_virtual),
+                   dtype=np.complex128)
+    for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
+                                        gain_offset=1.0):
+        tone = np.einsum("bn,ns->bs", dft, fast_slow)
+        out += tone[:, :, None] * slow_ant[None, :, :]
+    return out
 
 
 def synthesize_detections(

@@ -40,15 +40,14 @@ class PhaseMatrix:
     range_bins: tuple[int, ...]
 
 
-def extract_phase(profiles, center_bin: int, num_channels: int = 5,
-                  rx: beamform.BeamWeights | None = None) -> PhaseMatrix:
-    """Slow-time phase of ``num_channels`` range bins centered on a target.
+def phase_window(profiles, center_bin: int,
+                 num_channels: int = 5) -> tuple[range, np.ndarray]:
+    """Range bins and slow-time samples that :func:`extract_phase` reads.
 
-    One sample per frame is used (the first chirp), so the sample rate is
-    the frame rate.  Each channel is combined across the virtual array with
-    ``rx`` weights (:func:`beamform.combine`) when given, otherwise read from
-    the first antenna; the
-    phase is unwrapped along time and the per-channel mean removed.
+    Returns the ``num_channels`` bins centered on ``center_bin`` and the
+    index of the first chirp of every frame.  The window is checked before
+    anyone indexes with it: a ValueError names a channel count that is not
+    a positive odd number, or bins that leave the profile.
     """
     if num_channels < 1 or num_channels % 2 == 0:
         raise ValueError("num_channels must be a positive odd number")
@@ -58,17 +57,32 @@ def extract_phase(profiles, center_bin: int, num_channels: int = 5,
         raise ValueError(
             f"channels [{lo}, {hi}] fall outside the {profiles.num_bins}-bin "
             "range profile")
-    cfg = profiles.config
-    idx = np.arange(len(profiles.frame_timestamps)) * cfg.chirps_per_frame
-    block = profiles.data[lo:hi + 1][:, idx, :]          # (L, frames, K)
+    frames = (np.arange(len(profiles.frame_timestamps))
+              * profiles.config.chirps_per_frame)
+    return range(lo, hi + 1), frames
+
+
+def extract_phase(profiles, center_bin: int, num_channels: int = 5,
+                  rx: beamform.BeamWeights | None = None) -> PhaseMatrix:
+    """Slow-time phase of ``num_channels`` range bins centered on a target.
+
+    One sample per frame is used (the first chirp), so the sample rate is
+    the frame rate; :func:`phase_window` gives the bins and samples read.
+    Each channel is combined across the virtual array with ``rx`` weights
+    (:func:`beamform.combine`) when given, otherwise read from the first
+    antenna; the phase is unwrapped along time and the per-channel mean
+    removed.
+    """
+    bins, frames = phase_window(profiles, center_bin, num_channels)
+    block = profiles.data[bins.start:bins.stop][:, frames, :]   # (L, frames, K)
     if rx is None:
         series = block[:, :, 0]
     else:
         series = beamform.combine(block, rx)
     phase = np.unwrap(np.angle(series), axis=1)
     phase -= phase.mean(axis=1, keepdims=True)
-    return PhaseMatrix(samples=phase, sample_rate=cfg.frame_rate,
-                       range_bins=tuple(range(lo, hi + 1)))
+    return PhaseMatrix(samples=phase, sample_rate=profiles.config.frame_rate,
+                       range_bins=tuple(bins))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,22 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import pipeline, vitals
+from radarvitals import beamform, pipeline, vitals
 from radarvitals.pipeline import (ScenarioSpec, _band_seeded_init,
                                   bench_acceleration, run_scenario,
                                   run_suite, write_run_outputs)
+from radarvitals.rangefft import range_bin_of, range_fft
+from radarvitals.simulate import synthesize_cube
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +99,27 @@ class TestRunScenario:
             assert "failure" in entry
             assert "phase" in res.timings_ms
             assert res.chains == {}
+
+    @pytest.mark.parametrize("range_m, max_range_m", [(0.3, 10.0),
+                                                      (18.9, 20.0)])
+    def test_window_off_the_profile_fails_alike_steered_or_not(
+            self, range_m, max_range_m):
+        """The 5-bin window around a target at the first or last bin leaves
+        the profile: both ways it is the same named vitals failure."""
+        spec = ScenarioSpec(
+            name="edge", max_range_m=max_range_m,
+            scene=rv.Scene(targets=(rv.VitalTarget(
+                range_m, 30.0, 1.0,
+                rv.VitalParams(breath_freq=0.25, heart_freq=1.2)),),
+                duration=6.0))
+        failures = []
+        for beamforming in (True, False):
+            res = run_scenario(spec, beamforming=beamforming)
+            assert res.report["failure_stage"] == "vitals"
+            (entry,) = res.report["targets"]
+            failures.append(entry["failure"])
+        assert failures[0] == failures[1]
+        assert "fall outside the 65-bin range profile" in failures[0]
 
     def test_chain_kept_per_target(self, quick_spec):
         res = run_scenario(quick_spec)
@@ -213,7 +242,7 @@ class TestBench:
         by_keep = {r["n_keep"]: r for r in rows}
         assert abs(by_keep[60]["rr_delta_rpm"]) < 0.5
 
-    @pytest.mark.parametrize("beamforming, renders", [(True, 2), (False, 1)])
+    @pytest.mark.parametrize("beamforming, renders", [(True, 1), (False, 1)])
     def test_reuses_the_run(self, quick_spec, monkeypatch, beamforming,
                             renders):
         spec = dataclasses.replace(quick_spec, beamforming=beamforming)
@@ -226,7 +255,7 @@ class TestBench:
 
         monkeypatch.setattr(pipeline, "synthesize_cube", counted)
         rows = bench_acceleration(spec, n_keep_values=[40], repeats=1)
-        assert steered == [False, True][:renders]
+        assert steered == [False] * renders      # steering adds no render
         monkeypatch.undo()
         (entry,) = run_scenario(spec, n_keep=None).report["targets"]
         full = {r["n_keep"]: r for r in rows}["full"]
@@ -240,6 +269,73 @@ class TestBench:
         requested = [r["n_keep"] for r in rows]
         assert "full" in requested
         assert all(r["n_bins"] <= 81 for r in rows)
+
+
+class TestSteeredProfiles:
+    """The beamform stage's steered profiles against a steered re-render."""
+
+    @pytest.fixture(scope="class")
+    def renders(self):
+        # range_overlap: static clutter, a vital target and a mover
+        spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
+        cfg = spec.radar
+        tgt = spec.scene.targets[0]
+        tx = beamform.tx_weights(tgt.angle_deg, cfg.wavelength,
+                                 num_elements=cfg.num_tx,
+                                 spacing=cfg.tx_spacing)
+        cubes = [synthesize_cube(spec.scene, cfg, tx_weights=w,
+                                 snr_db=spec.snr_db, seed=11)
+                 for w in (None, tx)]
+        return spec, tx, cubes
+
+    @pytest.mark.parametrize("n_fft", [None, 256])
+    @pytest.mark.parametrize("where", ["target", "first_bins"])
+    def test_matches_the_steered_render_in_the_read_window(
+            self, renders, n_fft, where):
+        spec, tx, (plain, steered) = renders
+        profiles = range_fft(plain, n_fft=n_fft)
+        before = profiles.data.copy()
+        reference = range_fft(steered, n_fft=n_fft).data
+        center = (range_bin_of(spec.scene.targets[0].range_m, spec.radar,
+                               profiles.n_fft)
+                  if where == "target" else spec.num_phase_channels // 2)
+        got = pipeline._steered(spec, profiles, tx, center).data
+        bins, frames = vitals.phase_window(profiles, center,
+                                           spec.num_phase_channels)
+        want = reference[bins.start:bins.stop][:, frames]
+        err = np.abs(got[bins.start:bins.stop][:, frames] - want)
+        assert err.max() <= 1e-12 * np.abs(want).max()
+        assert np.array_equal(profiles.data, before)    # input untouched
+
+
+class TestDeterminism:
+    def test_reports_match_a_single_blas_thread_process(self, tmp_path):
+        """Steered reports are byte-identical in-process and in a fresh
+        process with one BLAS thread."""
+        cases = [(name, i) for name in ("clean", "range_overlap")
+                 for i in range(2)]
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from radarvitals.pipeline import (ScenarioSpec, run_scenario,\n"
+            "                                  write_run_outputs)\n"
+            "out, root = Path(sys.argv[1]), Path(sys.argv[2])\n"
+            f"for name, i in {cases!r}:\n"
+            "    spec = ScenarioSpec.from_json(root / f'{name}.json')\n"
+            "    res = run_scenario(spec, seed=spec.seed + i, beamforming=True)\n"
+            "    write_run_outputs(res, out / f'{name}-{i}')\n")
+        src = str(Path(rv.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "one"),
+                        str(SCENARIOS)], env=env, check=True, timeout=300)
+        for name, i in cases:
+            spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+            res = run_scenario(spec, seed=spec.seed + i, beamforming=True)
+            here = write_run_outputs(res, tmp_path / "here" / f"{name}-{i}")
+            there = tmp_path / "one" / f"{name}-{i}" / "report.json"
+            assert here.read_bytes() == there.read_bytes(), (name, i)
 
 
 def test_write_run_outputs(tmp_path, quick_spec):

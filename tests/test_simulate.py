@@ -130,6 +130,24 @@ def test_illumination_gain_scales_scatterer(cfg):
     assert ratio == pytest.approx(cfg.num_tx, rel=1e-9)
 
 
+class TestSteeringCorrection:
+    def test_zero_without_steering(self, cfg, small_scene):
+        corr = simulate.steering_correction(small_scene, cfg, None,
+                                            range(3, 6), np.arange(8))
+        assert corr.shape == (3, 8, cfg.num_virtual)
+        assert np.all(corr == 0)
+
+    @pytest.mark.parametrize("bins, n_fft", [([-1, 0, 1], None),
+                                             ([63, 64, 65], None),
+                                             ([3], 64)])
+    def test_rejects_bins_off_the_profile(self, cfg, small_scene, bins,
+                                          n_fft):
+        tx = np.ones(cfg.num_tx)
+        with pytest.raises(ValueError):
+            simulate.steering_correction(small_scene, cfg, tx, bins,
+                                         np.arange(8), n_fft=n_fft)
+
+
 def test_cube_dump_load_round_trip(tmp_path, cfg):
     scene = rv.Scene(statics=(rv.PointReflector(3.0, 10.0),), duration=0.5)
     cube = simulate.synthesize_cube(scene, cfg, snr_db=15.0, seed=3)
