@@ -54,19 +54,6 @@ def spatial_covariance(snapshots: np.ndarray,
     return _loaded(x @ x.conj().T / x.shape[1], loading)
 
 
-def snapshots_at(profiles: RangeProfiles, range_bin: int,
-                 start: int = 0, count: int | None = None) -> np.ndarray:
-    """Slice slow-time snapshots at one range bin: shape (K, count)."""
-    n_slow = profiles.data.shape[1]
-    if count is None:
-        count = n_slow - start
-    if not (0 <= range_bin < profiles.num_bins):
-        raise ValueError("range_bin outside profile")
-    if start < 0 or count < 1 or start + count > n_slow:
-        raise ValueError("snapshot slice outside slow-time extent")
-    return profiles.data[range_bin, start:start + count, :].T
-
-
 def mvdr_spectrum(cov: np.ndarray, spacing: float, wavelength: float,
                   angles_deg=None) -> np.ndarray:
     """Capon pseudo-spectrum 1 / (a^H R^-1 a) on an angle grid.
@@ -151,12 +138,3 @@ def spatial_fft_spectrum(snapshots: np.ndarray, spacing: float,
     order = np.argsort(angles)
     return AngleSpectrum(angles_deg=angles[order], power=power[visible][order])
 
-
-def write_heatmap_csv(heatmap: Heatmap, path) -> None:
-    """Matrix CSV: first column range (m), header row angles (deg)."""
-    with open(path, "w") as fh:
-        fh.write("range_m," + ",".join(f"{a:.4f}" for a in heatmap.angle_axis))
-        fh.write("\n")
-        for r, row in zip(heatmap.range_axis, heatmap.power):
-            fh.write(f"{r:.6f}," + ",".join(f"{v:.8e}" for v in row))
-            fh.write("\n")

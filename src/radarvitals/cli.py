@@ -95,8 +95,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load(path: Path) -> ScenarioSpec | None:
+    """The scenario at ``path``, or None after one stderr line saying why
+    it does not load."""
+    try:
+        return ScenarioSpec.from_json(path)
+    except (OSError, ValueError) as e:
+        print(f"{path}: invalid scenario: {e}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args) -> int:
-    spec = ScenarioSpec.from_json(args.scenario)
+    spec = _load(args.scenario)
+    if spec is None:
+        return 2
     res = run_scenario(spec, seed=args.seed,
                        beamforming=False if args.no_beamforming else None,
                        n_keep=args.n_keep)
@@ -126,9 +138,11 @@ def _cmd_suite(args) -> int:
             return 2
     else:
         paths = [args.scenario]
+    specs = [_load(path) for path in paths]
+    if None in specs:
+        return 2
     rc = 0
-    for path in paths:
-        spec = ScenarioSpec.from_json(path)
+    for path, spec in zip(paths, specs):
         if args.seed is not None:
             spec = dataclasses.replace(spec, seed=args.seed)
         out = args.out / path.stem if len(paths) > 1 else args.out
@@ -150,7 +164,9 @@ def _cmd_suite(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    spec = ScenarioSpec.from_json(args.scenario)
+    spec = _load(args.scenario)
+    if spec is None:
+        return 2
     values = [_parse_n_keep(v) for v in str(args.n_keep).split(",") if v]
     args.out.mkdir(parents=True, exist_ok=True)
     rows = bench_acceleration(spec, n_keep_values=values,

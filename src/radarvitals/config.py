@@ -2,14 +2,15 @@
 
 Everything downstream (cube synthesis, range processing, angle estimation,
 beamforming, vital-rate extraction) is parameterized by the small set of
-frozen dataclasses defined here.  All of them round-trip through plain dicts
-so scenario files can be written as JSON.
+frozen dataclasses defined here.  All of them derive from :class:`Record`
+and round-trip through plain dicts, so scenario files can be written as
+JSON: ``to_dict`` walks the fields in order, and ``from_dict`` rejects an
+unknown or missing key with a ``ValueError`` naming the class and the key.
+Each class's ``__post_init__`` is the one place nested dicts become records.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import MISSING, dataclass, field, fields
 
 from scipy.constants import c as SPEED_OF_LIGHT
 
@@ -19,8 +20,57 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
+def check_keys(owner: str, d, allowed, required=()) -> None:
+    """Reject a non-dict ``d``, or a key of it outside ``allowed``, or a
+    ``required`` key it lacks, with a ``ValueError`` naming ``owner``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{owner}: expected an object, not "
+                         f"{type(d).__name__}")
+    for key in d:
+        _require(key in allowed, f"{owner}: unknown key {key!r}")
+    for key in required:
+        _require(key in d, f"{owner}: missing key {key!r}")
+
+
+def _plain(value):
+    if isinstance(value, Record):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+class Record:
+    """Plain-dict round trip shared by the config dataclasses."""
+
+    def to_dict(self) -> dict:
+        """Fields in order; nested records become dicts, tuples lists."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        """Build from a dict with only known keys and every required one;
+        a value of the wrong type also raises ``ValueError``."""
+        fs = fields(cls)
+        check_keys(cls.__name__, d, {f.name for f in fs},
+                   [f.name for f in fs if f.default is MISSING
+                    and f.default_factory is MISSING])
+        try:
+            return cls(**d)
+        except TypeError as e:
+            raise ValueError(f"{cls.__name__}: {e}") from e
+
+
+def as_record(cls, value):
+    return value if isinstance(value, cls) else cls.from_dict(value)
+
+
+def _records(cls, values) -> tuple:
+    return tuple(as_record(cls, v) for v in values)
+
+
 @dataclass(frozen=True)
-class RadarConfig:
+class RadarConfig(Record):
     """FMCW chirp and antenna-array parameters.
 
     Parameters
@@ -118,29 +168,9 @@ class RadarConfig:
     def frame_period(self) -> float:
         return 1.0 / self.frame_rate
 
-    def to_dict(self) -> dict:
-        return {
-            "carrier_freq": self.carrier_freq,
-            "bandwidth": self.bandwidth,
-            "chirp_duration": self.chirp_duration,
-            "pri": self.pri,
-            "adc_interval": self.adc_interval,
-            "samples_per_chirp": self.samples_per_chirp,
-            "chirps_per_frame": self.chirps_per_frame,
-            "frame_rate": self.frame_rate,
-            "num_tx": self.num_tx,
-            "num_rx": self.num_rx,
-            "tx_spacing": self.tx_spacing,
-            "rx_spacing": self.rx_spacing,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RadarConfig":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class BodyMotion:
+class BodyMotion(Record):
     """One additive sinusoidal body-motion burst, active on [start, stop)."""
 
     freq: float
@@ -153,13 +183,9 @@ class BodyMotion:
         _require(self.amp >= 0, "body motion amp must be non-negative")
         _require(self.stop > self.start, "body motion window must be non-empty")
 
-    def to_dict(self) -> dict:
-        return {"freq": self.freq, "amp": self.amp,
-                "start": self.start, "stop": self.stop}
-
 
 @dataclass(frozen=True)
-class VitalParams:
+class VitalParams(Record):
     """Chest-displacement model: breathing + heartbeat sinusoids plus
     optional transient body-motion bursts."""
 
@@ -176,24 +202,8 @@ class VitalParams:
                  "heart displacement must be smaller than breathing displacement")
         _require(self.breath_amp > 0 and self.heart_amp >= 0,
                  "amplitudes must be non-negative (breath_amp > 0)")
-        object.__setattr__(
-            self, "body_motion",
-            tuple(b if isinstance(b, BodyMotion) else BodyMotion(**b)
-                  for b in self.body_motion),
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "breath_freq": self.breath_freq,
-            "breath_amp": self.breath_amp,
-            "heart_freq": self.heart_freq,
-            "heart_amp": self.heart_amp,
-            "body_motion": [b.to_dict() for b in self.body_motion],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VitalParams":
-        return cls(**d)
+        object.__setattr__(self, "body_motion",
+                           _records(BodyMotion, self.body_motion))
 
 
 def _check_angle(angle: float, what: str) -> None:
@@ -201,7 +211,7 @@ def _check_angle(angle: float, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class PointReflector:
+class PointReflector(Record):
     """Static point scatterer (wall, furniture...)."""
 
     range_m: float
@@ -212,13 +222,9 @@ class PointReflector:
         _require(self.range_m > 0, "static reflector range must be positive")
         _check_angle(self.angle_deg, "static reflector")
 
-    def to_dict(self) -> dict:
-        return {"range_m": self.range_m, "angle_deg": self.angle_deg,
-                "amplitude": self.amplitude}
-
 
 @dataclass(frozen=True)
-class VitalTarget:
+class VitalTarget(Record):
     """Stationary person: fixed range/angle, chest micro-motion from vitals."""
 
     range_m: float
@@ -229,16 +235,11 @@ class VitalTarget:
     def __post_init__(self) -> None:
         _require(self.range_m > 0, "target range must be positive")
         _check_angle(self.angle_deg, "target")
-        if isinstance(self.vitals, dict):
-            object.__setattr__(self, "vitals", VitalParams.from_dict(self.vitals))
-
-    def to_dict(self) -> dict:
-        return {"range_m": self.range_m, "angle_deg": self.angle_deg,
-                "amplitude": self.amplitude, "vitals": self.vitals.to_dict()}
+        object.__setattr__(self, "vitals", as_record(VitalParams, self.vitals))
 
 
 @dataclass(frozen=True)
-class MovingReflector:
+class MovingReflector(Record):
     """Moving interferer following a piecewise-linear (t, range, angle) path.
 
     ``waypoints`` is a sequence of (time, range_m, angle_deg) triples sorted
@@ -267,11 +268,8 @@ class MovingReflector:
             _require(all(len(p) == 2 for p in amp),
                      "amplitude profile must be (time, value) pairs")
             object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(
-            self, "body_motion",
-            tuple(b if isinstance(b, BodyMotion) else BodyMotion(**b)
-                  for b in self.body_motion),
-        )
+        object.__setattr__(self, "body_motion",
+                           _records(BodyMotion, self.body_motion))
 
     def range_at(self, t):
         import numpy as np
@@ -293,16 +291,9 @@ class MovingReflector:
         vals = [p[1] for p in self.amplitude]
         return np.interp(t, times, vals)
 
-    def to_dict(self) -> dict:
-        amp = (self.amplitude if isinstance(self.amplitude, (int, float))
-               else [list(p) for p in self.amplitude])
-        return {"waypoints": [list(w) for w in self.waypoints],
-                "amplitude": amp,
-                "body_motion": [b.to_dict() for b in self.body_motion]}
-
 
 @dataclass(frozen=True)
-class Scene:
+class Scene(Record):
     """Everything standing in front of the radar plus the capture duration."""
 
     statics: tuple[PointReflector, ...] = ()
@@ -312,15 +303,10 @@ class Scene:
 
     def __post_init__(self) -> None:
         _require(self.duration > 0, "scene duration must be positive")
-        object.__setattr__(self, "statics", tuple(
-            s if isinstance(s, PointReflector) else PointReflector(**s)
-            for s in self.statics))
-        object.__setattr__(self, "targets", tuple(
-            t if isinstance(t, VitalTarget) else VitalTarget(**t)
-            for t in self.targets))
-        object.__setattr__(self, "movers", tuple(
-            m if isinstance(m, MovingReflector) else MovingReflector(**m)
-            for m in self.movers))
+        for name, cls in (("statics", PointReflector),
+                          ("targets", VitalTarget),
+                          ("movers", MovingReflector)):
+            object.__setattr__(self, name, _records(cls, getattr(self, name)))
 
     def max_range(self) -> float:
         """Largest nominal range any scatterer reaches (trajectory endpoints
@@ -336,37 +322,9 @@ class Scene:
             r = max(r, float(np.max(m.range_at(ts))))
         return r
 
-    def to_dict(self) -> dict:
-        return {
-            "statics": [s.to_dict() for s in self.statics],
-            "targets": [t.to_dict() for t in self.targets],
-            "movers": [m.to_dict() for m in self.movers],
-            "duration": self.duration,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Scene":
-        return cls(
-            statics=tuple(PointReflector(**s) for s in d.get("statics", [])),
-            targets=tuple(VitalTarget(
-                range_m=t["range_m"], angle_deg=t["angle_deg"],
-                amplitude=t.get("amplitude", 1.0),
-                vitals=VitalParams.from_dict(t.get("vitals", {})),
-            ) for t in d.get("targets", [])),
-            movers=tuple(MovingReflector(
-                waypoints=tuple(tuple(w) for w in m["waypoints"]),
-                amplitude=(m.get("amplitude", 1.0)
-                           if isinstance(m.get("amplitude", 1.0), (int, float))
-                           else tuple(tuple(p) for p in m["amplitude"])),
-                body_motion=tuple(BodyMotion(**b)
-                                  for b in m.get("body_motion", [])),
-            ) for m in d.get("movers", [])),
-            duration=d.get("duration", 30.0),
-        )
-
 
 @dataclass(frozen=True)
-class CameraConfig:
+class CameraConfig(Record):
     """Synthetic detection-stream geometry.
 
     The camera shares the radar boresight; azimuth maps linearly from
@@ -388,18 +346,3 @@ class CameraConfig:
         _require(self.jitter_px >= 0, "jitter_px must be non-negative")
         _require(self.box_width_px > 0 and self.box_height_px > 0,
                  "box dimensions must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "image_width": self.image_width,
-            "image_height": self.image_height,
-            "afov_deg": self.afov_deg,
-            "fps": self.fps,
-            "jitter_px": self.jitter_px,
-            "box_width_px": self.box_width_px,
-            "box_height_px": self.box_height_px,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CameraConfig":
-        return cls(**d)

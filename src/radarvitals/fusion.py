@@ -8,7 +8,6 @@ range-angle cell inside that window.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,44 +24,12 @@ class Box:
     w: float
     h: float
 
-    def to_dict(self) -> dict:
-        return {"id": self.id, "x": self.x, "y": self.y,
-                "w": self.w, "h": self.h}
-
 
 @dataclass
 class DetectionFrame:
     timestamp: float
     image_width: int
     boxes: list[Box] = field(default_factory=list)
-
-
-def write_detections_jsonl(frames: list[DetectionFrame], path) -> None:
-    """One JSON object per line: timestamp, image width, box list."""
-    with open(path, "w") as fh:
-        for fr in frames:
-            fh.write(json.dumps({
-                "timestamp": fr.timestamp,
-                "image_width": fr.image_width,
-                "boxes": [b.to_dict() for b in fr.boxes],
-            }, sort_keys=True))
-            fh.write("\n")
-
-
-def read_detections_jsonl(path) -> list[DetectionFrame]:
-    frames = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            d = json.loads(line)
-            frames.append(DetectionFrame(
-                timestamp=d["timestamp"],
-                image_width=d["image_width"],
-                boxes=[Box(**b) for b in d["boxes"]],
-            ))
-    return frames
 
 
 @dataclass

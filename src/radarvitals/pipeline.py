@@ -31,10 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import aoa, beamform, fusion, vitals
-from .config import CameraConfig, RadarConfig, Scene
+from .config import (CameraConfig, RadarConfig, Record, Scene, as_record,
+                     check_keys)
 from .rangefft import RangeProfiles, range_bin_of, range_fft
 from .simulate import (steering_correction, synthesize_cube,
-                       synthesize_detections)
+                       synthesize_detections, target_track_ids)
 
 _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
 
@@ -45,7 +46,7 @@ _TOP_LEVEL_FIELDS = frozenset(
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Record):
     """Complete description of one simulated capture and its processing."""
 
     name: str
@@ -72,46 +73,32 @@ class ScenarioSpec:
     rr_band: tuple[float, float] = vitals.DEFAULT_RR_BAND
     hr_band: tuple[float, float] = vitals.DEFAULT_HR_BAND
 
-    @classmethod
-    def _processing_fields(cls) -> list[str]:
-        return [f.name for f in dataclasses.fields(cls)
-                if f.name not in _TOP_LEVEL_FIELDS]
+    def __post_init__(self) -> None:
+        for name, cls in (("radar", RadarConfig), ("scene", Scene),
+                          ("camera", CameraConfig)):
+            object.__setattr__(self, name, as_record(cls, getattr(self, name)))
+        for name in ("rr_band", "hr_band"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; tuple fields (the rate bands) become lists."""
-        processing = {}
-        for name in self._processing_fields():
-            value = getattr(self, name)
-            processing[name] = list(value) if isinstance(value, tuple) else value
-        return {
-            "name": self.name,
-            "radar": self.radar.to_dict(),
-            "scene": self.scene.to_dict(),
-            "camera": self.camera.to_dict(),
-            "snr_db": self.snr_db,
-            "seed": self.seed,
-            "beamforming": self.beamforming,
-            "processing": processing,
-        }
+        """JSON-ready dict with the processing knobs nested under
+        ``"processing"``; tuple fields (the rate bands) become lists."""
+        flat = super().to_dict()
+        top = {k: v for k, v in flat.items() if k in _TOP_LEVEL_FIELDS}
+        return {**top, "processing": {k: v for k, v in flat.items()
+                                      if k not in _TOP_LEVEL_FIELDS}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioSpec":
+        """Inverse of :meth:`to_dict`; an unknown key at the top level or
+        under ``"processing"`` raises ``ValueError`` naming it."""
+        check_keys("ScenarioSpec", d, _TOP_LEVEL_FIELDS | {"processing"})
         proc = d.get("processing", {})
-        kw = {name: tuple(proc[name]) if isinstance(proc[name], list)
-              else proc[name]
-              for name in cls._processing_fields() if name in proc}
-        return cls(
-            name=d["name"],
-            radar=RadarConfig.from_dict(d["radar"]) if "radar" in d
-            else RadarConfig(),
-            scene=Scene.from_dict(d["scene"]) if "scene" in d else Scene(),
-            camera=CameraConfig.from_dict(d["camera"]) if "camera" in d
-            else CameraConfig(),
-            snr_db=d.get("snr_db", 20.0),
-            seed=d.get("seed", 0),
-            beamforming=d.get("beamforming", True),
-            **kw,
-        )
+        check_keys("ScenarioSpec processing", proc,
+                   {f.name for f in dataclasses.fields(cls)}
+                   - _TOP_LEVEL_FIELDS)
+        top = {k: v for k, v in d.items() if k != "processing"}
+        return super().from_dict({**top, **proc})
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":
@@ -307,14 +294,6 @@ def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
                        rates=rates)
 
 
-def _true_position(track_id: str, scene: Scene):
-    if track_id.startswith("target-"):
-        idx = int(track_id.split("-", 1)[1])
-        if idx < len(scene.targets):
-            return scene.targets[idx]
-    return None
-
-
 def run_scenario(
     spec: ScenarioSpec,
     seed: int | None = None,
@@ -370,6 +349,7 @@ def run_scenario(
         report["error"] = str(e)
         return result
 
+    truth = target_track_ids(spec.scene)
     for track_id, window, loc in result.locations:
         entry: dict = {
             "track_id": track_id,
@@ -379,7 +359,7 @@ def run_scenario(
             "range_m": loc.range_m,
             "angle_deg": loc.angle_deg,
         }
-        tgt = _true_position(track_id, spec.scene)
+        tgt = truth.get(track_id)
         if tgt is not None:
             entry["true_range_m"] = tgt.range_m
             entry["true_angle_deg"] = tgt.angle_deg

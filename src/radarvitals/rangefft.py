@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import get_window
 
 from .config import RadarConfig
 from .simulate import RadarCube
@@ -30,13 +29,11 @@ def range_bin_width(cfg: RadarConfig, n_fft: int) -> float:
     return 1.0 / (n_fft * cfg.adc_interval * cfg.chirp_slope_factor)
 
 
-def range_fft(cube: RadarCube, n_fft: int | None = None,
-              window: str | None = None) -> RangeProfiles:
+def range_fft(cube: RadarCube, n_fft: int | None = None) -> RangeProfiles:
     """FFT along fast time, keeping the non-negative-beat half spectrum.
 
     ``n_fft`` defaults to samples_per_chirp and must not be smaller (the
-    transform may zero-pad, never truncate).  ``window`` names any scipy
-    window (e.g. "hann"); None applies none.
+    transform may zero-pad, never truncate).  No taper is applied.
     """
     cfg = cube.config
     n_s = cfg.samples_per_chirp
@@ -44,10 +41,7 @@ def range_fft(cube: RadarCube, n_fft: int | None = None,
         n_fft = n_s
     if n_fft < n_s:
         raise ValueError(f"n_fft ({n_fft}) must be >= samples_per_chirp ({n_s})")
-    data = cube.data
-    if window is not None:
-        data = data * get_window(window, n_s)[:, None, None]
-    spectra = np.fft.fft(data, n=n_fft, axis=0)[: n_fft // 2 + 1]
+    spectra = np.fft.fft(cube.data, n=n_fft, axis=0)[: n_fft // 2 + 1]
     axis = np.arange(spectra.shape[0]) * range_bin_width(cfg, n_fft)
     return RangeProfiles(data=spectra, range_axis=axis, n_fft=n_fft,
                          config=cfg, frame_timestamps=cube.frame_timestamps)

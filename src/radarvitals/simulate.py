@@ -18,13 +18,12 @@ second render; both share one per-scatterer signal model (``_returns``).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .config import BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams
+from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
+                     VitalTarget)
 from .fusion import Box, DetectionFrame
 
 
@@ -61,30 +60,6 @@ class RadarCube:
     @property
     def num_frames(self) -> int:
         return len(self.frame_timestamps)
-
-    def dump(self, path) -> None:
-        """Write interleaved float32 I/Q plus a JSON sidecar (``<path>.json``)."""
-        path = Path(path)
-        flat = np.ascontiguousarray(self.data.astype(np.complex64))
-        flat.view(np.float32).tofile(path)
-        meta = {
-            "dtype": "complex64-interleaved-float32",
-            "shape": list(self.data.shape),
-            "config": self.config.to_dict(),
-            "frame_timestamps": self.frame_timestamps.tolist(),
-        }
-        with open(path.with_suffix(path.suffix + ".json"), "w") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
-
-    @classmethod
-    def load(cls, path) -> "RadarCube":
-        path = Path(path)
-        with open(path.with_suffix(path.suffix + ".json")) as fh:
-            meta = json.load(fh)
-        raw = np.fromfile(path, dtype=np.float32).view(np.complex64)
-        data = raw.reshape(meta["shape"]).astype(np.complex128)
-        return cls(data=data, config=RadarConfig.from_dict(meta["config"]),
-                   frame_timestamps=np.asarray(meta["frame_timestamps"]))
 
 
 def _slow_times(cfg: RadarConfig, duration: float):
@@ -206,8 +181,8 @@ def synthesize_cube(
     if snr_db is not None:
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-        cube += sigma * (rng.standard_normal(cube.shape)
-                         + 1j * rng.standard_normal(cube.shape))
+        cube.real += sigma * rng.standard_normal(cube.shape)
+        cube.imag += sigma * rng.standard_normal(cube.shape)
 
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
@@ -250,6 +225,11 @@ def steering_correction(scene: Scene, cfg: RadarConfig, tx_weights, bins,
     return out
 
 
+def target_track_ids(scene: Scene) -> dict[str, VitalTarget]:
+    """Each vital target by the track id its camera boxes carry."""
+    return {f"target-{i}": tgt for i, tgt in enumerate(scene.targets)}
+
+
 def synthesize_detections(
     scene: Scene,
     camera: CameraConfig,
@@ -261,8 +241,9 @@ def synthesize_detections(
     Vital targets and movers whose azimuth falls inside the camera field of
     view get one box each; box centers follow the true azimuth through the
     linear angle-to-column map, with Gaussian pixel jitter on the corner
-    coordinates.  Identities are stable (``target-<i>`` / ``mover-<i>``),
-    mimicking an upstream tracker.  Static clutter produces no boxes.
+    coordinates.  Identities are stable (:func:`target_track_ids`, and
+    ``mover-<i>``), mimicking an upstream tracker.  Static clutter produces
+    no boxes.
     """
     fps = camera.fps if camera.fps is not None else frame_rate
     if fps is None or fps <= 0:
@@ -284,12 +265,13 @@ def synthesize_detections(
         y = float(np.clip(y, 0.0, height - bh))
         return Box(id=bid, x=x, y=y, w=bw, h=bh)
 
+    targets = target_track_ids(scene)
     frames = []
     for f in range(n_frames):
         t = f / fps
         boxes = []
-        for i, tgt in enumerate(scene.targets):
-            b = make_box(f"target-{i}", tgt.angle_deg)
+        for bid, tgt in targets.items():
+            b = make_box(bid, tgt.angle_deg)
             if b is not None:
                 boxes.append(b)
         for i, mv in enumerate(scene.movers):

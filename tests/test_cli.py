@@ -82,6 +82,65 @@ class TestRunVerb:
         assert report["failure_stage"] == "localize"
 
 
+@pytest.fixture
+def broken_scenarios(scenario_path, tmp_path):
+    """A scenario with a typo'd processing key, and one whose target has
+    no angle."""
+    typo = json.loads(scenario_path.read_text())
+    typo["processing"]["n_kep"] = typo["processing"].pop("n_keep")
+    no_angle = json.loads(scenario_path.read_text())
+    del no_angle["scene"]["targets"][0]["angle_deg"]
+    paths = {}
+    for name, blob in (("typo", typo), ("no_angle", no_angle)):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(blob))
+    return paths
+
+
+class TestInvalidScenario:
+    @pytest.mark.parametrize("verb", ["run", "suite", "bench"])
+    def test_typo_exits_2_naming_file_and_key(self, verb, broken_scenarios,
+                                              tmp_path, capsys):
+        path = broken_scenarios["typo"]
+        rc = main([verb, "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert str(path) in line and "'n_kep'" in line
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_target_key(self, broken_scenarios, tmp_path, capsys):
+        path = broken_scenarios["no_angle"]
+        rc = main(["run", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line and "missing key 'angle_deg'" in line
+
+    def test_unreadable_files(self, tmp_path, capsys):
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        for path in (bad_json, tmp_path / "absent.json"):
+            assert main(["run", "--scenario", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert str(path) in line
+
+    def test_one_bad_file_in_a_directory_stops_the_suite(
+            self, scenario_path, broken_scenarios, tmp_path, capsys):
+        scen_dir = tmp_path / "mixed"
+        scen_dir.mkdir()
+        (scen_dir / "good.json").write_bytes(scenario_path.read_bytes())
+        (scen_dir / "typo.json").write_bytes(
+            broken_scenarios["typo"].read_bytes())
+        rc = main(["suite", "--scenario", str(scen_dir),
+                   "--out", str(tmp_path / "out"), "--repetitions", "1"])
+        assert rc == 2
+        assert "typo.json" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestSuiteVerb:
     def test_summary_and_cdfs(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "suite"

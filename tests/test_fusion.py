@@ -136,17 +136,3 @@ class TestLocalize:
         hm = _heatmap(np.ones((10, 121)))
         with pytest.raises(ValueError):
             fusion.localize(hm, (0, 5), max_range=-1.0)
-
-
-def test_detections_jsonl_round_trip(tmp_path):
-    frames = [
-        _frame(0.0, [_box("target-0", 480.5)]),
-        _frame(0.05, [_box("target-0", 481.0), _box("mover-0", 100.0)]),
-    ]
-    path = tmp_path / "detections.jsonl"
-    fusion.write_detections_jsonl(frames, path)
-    again = fusion.read_detections_jsonl(path)
-    assert len(again) == 2
-    assert again[1].boxes[1].id == "mover-0"
-    assert again[0].boxes[0].x == 480.5
-    assert again[0].image_width == 1920

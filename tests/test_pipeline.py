@@ -148,6 +148,90 @@ class TestRunScenario:
         assert entry["kept_band_hz"] == pytest.approx(10.0, abs=0.1)
 
 
+def _scenario_with_every_level() -> dict:
+    """range_overlap.json as a dict, with a body-motion burst added to its
+    target's vitals and to its mover, so every record type occurs."""
+    d = json.loads((SCENARIOS / "range_overlap.json").read_text())
+    burst = {"freq": 1.0, "amp": 1e-3, "start": 1.0, "stop": 2.0}
+    d["scene"]["targets"][0]["vitals"]["body_motion"] = [dict(burst)]
+    d["scene"]["movers"][0]["body_motion"] = [dict(burst)]
+    return d
+
+
+def _node(d: dict, path: tuple):
+    for step in path:
+        d = d[step]
+    return d
+
+
+# Where each kind of scenario record sits in a scenario dict.
+SCENARIO_LEVELS = {
+    "top": (),
+    "processing": ("processing",),
+    "radar": ("radar",),
+    "camera": ("camera",),
+    "scene": ("scene",),
+    "static": ("scene", "statics", 0),
+    "target": ("scene", "targets", 0),
+    "vitals": ("scene", "targets", 0, "vitals"),
+    "body_motion": ("scene", "targets", 0, "vitals", "body_motion", 0),
+    "mover": ("scene", "movers", 0),
+    "mover_body_motion": ("scene", "movers", 0, "body_motion", 0),
+}
+
+
+class TestStrictKeys:
+    def test_every_level_loads_as_is(self):
+        d = _scenario_with_every_level()
+        spec = ScenarioSpec.from_dict(d)
+        assert spec.to_dict() == d
+
+    @pytest.mark.parametrize("path", SCENARIO_LEVELS.values(),
+                             ids=SCENARIO_LEVELS.keys())
+    def test_unknown_key_is_rejected(self, path):
+        d = _scenario_with_every_level()
+        _node(d, path)["n_kep"] = 50
+        with pytest.raises(ValueError, match="unknown key 'n_kep'"):
+            ScenarioSpec.from_dict(d)
+
+    @pytest.mark.parametrize("path,key", [
+        (("scene", "targets", 0), "angle_deg"),
+        (("scene", "statics", 0), "range_m"),
+        (("scene", "movers", 0), "waypoints"),
+        (("scene", "targets", 0, "vitals", "body_motion", 0), "stop"),
+        ((), "name"),
+    ])
+    def test_missing_required_key_is_rejected(self, path, key):
+        d = _scenario_with_every_level()
+        del _node(d, path)[key]
+        with pytest.raises(ValueError, match=f"missing key '{key}'"):
+            ScenarioSpec.from_dict(d)
+
+    def test_keys_stay_at_their_level(self):
+        d = _scenario_with_every_level()
+        d["processing"]["seed"] = 3
+        with pytest.raises(ValueError, match="unknown key 'seed'"):
+            ScenarioSpec.from_dict(d)
+        d = _scenario_with_every_level()
+        d["n_keep"] = d["processing"].pop("n_keep")
+        with pytest.raises(ValueError, match="unknown key 'n_keep'"):
+            ScenarioSpec.from_dict(d)
+
+    def test_wrong_types_raise_value_error(self):
+        d = _scenario_with_every_level()
+        d["scene"]["statics"][0]["range_m"] = "far"
+        with pytest.raises(ValueError, match="PointReflector"):
+            ScenarioSpec.from_dict(d)
+        d = _scenario_with_every_level()
+        d["scene"]["targets"][0]["vitals"] = None
+        with pytest.raises(ValueError, match="VitalParams"):
+            ScenarioSpec.from_dict(d)
+
+    def test_omitted_blocks_take_defaults(self):
+        spec = ScenarioSpec.from_dict({"name": "bare"})
+        assert spec == ScenarioSpec(name="bare")
+
+
 class TestSpecSerialization:
     def test_json_round_trip(self, quick_spec, tmp_path):
         path = tmp_path / "spec.json"
@@ -156,13 +240,13 @@ class TestSpecSerialization:
         assert again.to_dict() == quick_spec.to_dict()
         assert again == quick_spec          # bands come back as tuples
 
-    def test_committed_scenarios_load(self):
-        from pathlib import Path
-        root = Path(__file__).parents[1] / "scenarios"
+    def test_committed_scenarios_load(self, tmp_path):
         names = set()
-        for p in sorted(root.glob("*.json")):
+        for p in sorted(SCENARIOS.glob("*.json")):
             spec = ScenarioSpec.from_json(p)
             names.add(spec.name)
+            spec.to_json(tmp_path / p.name)
+            assert (tmp_path / p.name).read_bytes() == p.read_bytes()
         assert {"clean", "range-overlap", "fusion-stress", "bench"} <= names
 
 

@@ -148,18 +148,6 @@ class TestSteeringCorrection:
                                          np.arange(8), n_fft=n_fft)
 
 
-def test_cube_dump_load_round_trip(tmp_path, cfg):
-    scene = rv.Scene(statics=(rv.PointReflector(3.0, 10.0),), duration=0.5)
-    cube = simulate.synthesize_cube(scene, cfg, snr_db=15.0, seed=3)
-    path = tmp_path / "cube.bin"
-    cube.dump(path)
-    again = simulate.RadarCube.load(path)
-    assert again.data.shape == cube.data.shape
-    assert again.config == cfg
-    # complex64 on disk: equality up to single precision
-    assert np.allclose(again.data, cube.data, atol=1e-5)
-
-
 class TestDetections:
     def test_center_mapping_is_linear(self):
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 30.0),), duration=1.0)
