@@ -1,0 +1,86 @@
+"""Micro-benchmarks of the hot kernels on the bundled ``clean`` scenario.
+
+Run from the repository root (not part of the Tier-1 tests, which collect
+``tests/`` only)::
+
+    PYTHONPATH=src python -m pytest benches --benchmark-only
+
+Each kernel is timed alone on inputs built once per module: the clean
+scene's noisy cube, its range profiles, and the unsteered phase channels
+of its localized target.  Timings of the BLAS-backed calls
+(``select_mode_count``) depend on whether the BLAS worker threads are
+awake, so they move with what ran just before them.
+"""
+from __future__ import annotations
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from radarvitals import aoa, pipeline, rangefft, simulate, vitals
+from radarvitals.pipeline import ScenarioSpec
+
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+
+
+@pytest.fixture(scope="module")
+def spec():
+    return ScenarioSpec.from_json(SCENARIOS / "clean.json")
+
+
+def _render(spec):
+    return simulate.synthesize_cube(spec.scene, spec.radar,
+                                    snr_db=spec.snr_db, seed=spec.seed)
+
+
+@pytest.fixture(scope="module")
+def profiles(spec):
+    return rangefft.range_fft(_render(spec), n_fft=spec.n_fft)
+
+
+@pytest.fixture(scope="module")
+def chain_inputs(spec, profiles):
+    """(phase channels, channel weights, mode count, kept spectra) of the
+    clean scene's target, read off the unsteered profiles."""
+    res = pipeline.run_scenario(spec, beamforming=False)
+    _, _, loc = res.locations[0]
+    phase = vitals.extract_phase(profiles, loc.range_bin,
+                                 num_channels=spec.num_phase_channels)
+    cw = vitals.adaptive_weights(phase.samples)
+    k = vitals.select_mode_count(cw.weights @ phase.samples)
+    spectra = vitals.truncate_spectrum(
+        vitals.analytic_spectrum(phase.samples, phase.sample_rate),
+        spec.n_keep)
+    return phase, cw.weights, k, spectra
+
+
+def test_synthesize_cube(benchmark, spec):
+    cube = benchmark(_render, spec)
+    assert cube.data.shape[0] == spec.radar.samples_per_chirp
+
+
+def test_range_fft(benchmark, spec):
+    cube = _render(spec)
+    out = benchmark(rangefft.range_fft, cube, n_fft=spec.n_fft)
+    assert out.num_bins == out.n_fft // 2 + 1
+
+
+@pytest.mark.parametrize("near", [False, True], ids=["all_bins", "near"])
+def test_range_angle_heatmap(benchmark, spec, profiles, near):
+    kwargs = {"max_range": spec.max_range_m} if near else {}
+    hm = benchmark(aoa.range_angle_heatmap, profiles,
+                   angles_deg=aoa.default_angle_grid(spec.num_angle_bins),
+                   loading=spec.mvdr_loading, **kwargs)
+    assert np.all(np.isfinite(hm.power))
+
+
+def test_select_mode_count(benchmark, chain_inputs):
+    phase, weights, k, _ = chain_inputs
+    assert benchmark(vitals.select_mode_count, weights @ phase.samples) == k
+
+
+def test_multichannel_vmd(benchmark, spec, chain_inputs):
+    _, weights, k, spectra = chain_inputs
+    modes = benchmark(pipeline._decompose(spec, spectra, weights, k))
+    assert modes.converged

@@ -87,11 +87,15 @@ def range_angle_heatmap(
     loading: float = 1e-3,
     start: int = 0,
     count: int | None = None,
+    max_range: float | None = None,
 ) -> Heatmap:
-    """MVDR spectrum at every range bin, covariances batched in one pass.
+    """MVDR spectrum per range bin, covariances batched in one pass.
 
     ``start``/``count`` select the slow-time snapshots entering the
-    covariance of every bin (all of them by default).
+    covariance of every bin (all of them by default).  ``max_range`` keeps
+    only the bins at or below it (every bin when None; none when it lies
+    below bin 0), so a caller that reads only near ranges pays only for
+    those.
     """
     if angles_deg is None:
         angles_deg = default_angle_grid()
@@ -102,10 +106,12 @@ def range_angle_heatmap(
         count = n_slow - start
     if start < 0 or count < 1 or start + count > n_slow:
         raise ValueError("snapshot slice outside slow-time extent")
-    x = profiles.data[:, start:start + count, :]
-    cov = _loaded(np.einsum("rsk,rsl->rkl", x, x.conj()) / count, loading)
+    n_bins = (profiles.num_bins if max_range is None else
+              int(np.count_nonzero(profiles.range_axis <= max_range)))
+    x = profiles.data[:n_bins, start:start + count, :]
+    cov = _loaded(x.transpose(0, 2, 1) @ x.conj() / count, loading)
     power = mvdr_spectrum(cov, cfg.rx_spacing, cfg.wavelength, angles_deg)
-    return Heatmap(power=power, range_axis=profiles.range_axis.copy(),
+    return Heatmap(power=power, range_axis=profiles.range_axis[:n_bins].copy(),
                    angle_axis=angles_deg)
 
 

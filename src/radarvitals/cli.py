@@ -24,8 +24,8 @@ from pathlib import Path
 from scipy.constants import c as SPEED_OF_LIGHT
 
 from . import beamform
-from .pipeline import ScenarioSpec, bench_acceleration, run_scenario, \
-    run_suite, write_run_outputs
+from .pipeline import ScenarioFailed, ScenarioSpec, bench_acceleration, \
+    run_scenario, run_suite, write_run_outputs
 
 
 def _parse_n_keep(text: str):
@@ -169,9 +169,13 @@ def _cmd_bench(args) -> int:
         return 2
     values = [_parse_n_keep(v) for v in str(args.n_keep).split(",") if v]
     args.out.mkdir(parents=True, exist_ok=True)
-    rows = bench_acceleration(spec, n_keep_values=values,
-                              repeats=args.repeats,
-                              out_path=args.out / "bench.csv")
+    try:
+        rows = bench_acceleration(spec, n_keep_values=values,
+                                  repeats=args.repeats,
+                                  out_path=args.out / "bench.csv")
+    except ScenarioFailed as e:
+        print(f"FAILED at stage {e.stage}: {e.error}", file=sys.stderr)
+        return 1
     print(f"{'n_keep':>8} {'bins':>6} {'ms':>10} {'speedup':>8} "
           f"{'RR rpm':>8} {'HR bpm':>8}")
     for row in rows:

@@ -7,9 +7,13 @@ and round-trip through plain dicts, so scenario files can be written as
 JSON: ``to_dict`` walks the fields in order, and ``from_dict`` rejects an
 unknown or missing key with a ``ValueError`` naming the class and the key.
 Each class's ``__post_init__`` is the one place nested dicts become records.
+:func:`check_types` checks a record's fields against their annotations.
 """
 from __future__ import annotations
 
+import numbers
+import types
+import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 from scipy.constants import c as SPEED_OF_LIGHT
@@ -30,6 +34,39 @@ def check_keys(owner: str, d, allowed, required=()) -> None:
         _require(key in allowed, f"{owner}: unknown key {key!r}")
     for key in required:
         _require(key in d, f"{owner}: missing key {key!r}")
+
+
+def _admits(hint, value) -> bool:
+    """Whether ``value`` is of the evaluated annotation ``hint``.
+
+    An int passes for a float; a bool passes only for a bool.
+    """
+    origin = typing.get_origin(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_admits(h, value) for h in typing.get_args(hint))
+    if origin is typing.Literal:
+        return value in typing.get_args(hint)
+    if origin is tuple:
+        args = typing.get_args(hint)
+        return (isinstance(value, (tuple, list)) and len(value) == len(args)
+                and all(_admits(h, v) for h, v in zip(args, value)))
+    if hint is type(None):
+        return value is None
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    return isinstance(value, hint)
+
+
+def check_types(record) -> None:
+    """Reject a field whose value is not of its annotated type with a
+    ``ValueError`` naming the record and the field; no value is converted."""
+    hints = typing.get_type_hints(type(record))
+    for f in fields(record):
+        value = getattr(record, f.name)
+        _require(_admits(hints[f.name], value),
+                 f"{type(record).__name__}: {f.name} must be {f.type}, "
+                 f"not {value!r}")
 
 
 def _plain(value):

@@ -11,7 +11,9 @@ executes one seeded repetition as a single chain of timed stages:
   plus receive weights), ``phase``, ``weights``, ``mode_count``,
   ``spectrum``, ``decompose``, ``rates``.
 
-The cube is rendered once per run, unsteered.
+The cube is rendered once per run, unsteered, and released once it is
+range-transformed.  The heatmap holds only the range bins ``localize``
+reads (those at or below ``max_range_m``).
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
@@ -27,12 +29,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
 from . import aoa, beamform, fusion, vitals
 from .config import (CameraConfig, RadarConfig, Record, Scene, as_record,
-                     check_keys)
+                     check_keys, check_types)
 from .rangefft import RangeProfiles, range_bin_of, range_fft
 from .simulate import (steering_correction, synthesize_cube,
                        synthesize_detections, target_track_ids)
@@ -47,7 +50,12 @@ _TOP_LEVEL_FIELDS = frozenset(
 
 @dataclass(frozen=True)
 class ScenarioSpec(Record):
-    """Complete description of one simulated capture and its processing."""
+    """Complete description of one simulated capture and its processing.
+
+    Every field is checked against its annotation on construction
+    (:func:`config.check_types`): a wrong-typed value raises ``ValueError``
+    naming the field.
+    """
 
     name: str
     radar: RadarConfig = field(default_factory=RadarConfig)
@@ -64,7 +72,7 @@ class ScenarioSpec(Record):
     w_threshold_px: float | None = None
     max_range_m: float = 10.0
     num_phase_channels: int = 5
-    num_modes: int | str = "auto"
+    num_modes: int | Literal["auto"] = "auto"
     alpha: float = 2000.0
     eta: float = 0.0
     tol: float = 1e-7
@@ -77,6 +85,7 @@ class ScenarioSpec(Record):
         for name, cls in (("radar", RadarConfig), ("scene", Scene),
                           ("camera", CameraConfig)):
             object.__setattr__(self, name, as_record(cls, getattr(self, name)))
+        check_types(self)
         for name in ("rr_band", "hr_band"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
 
@@ -338,10 +347,11 @@ def run_scenario(
                 seed=det_ss)
         with _stage(timings, "range_fft"):
             profiles = range_fft(cube, n_fft=spec.n_fft)
+            del cube                    # no later stage reads the raw cube
         with _stage(timings, "heatmap"):
             heatmap = aoa.range_angle_heatmap(
                 profiles, angles_deg=aoa.default_angle_grid(spec.num_angle_bins),
-                loading=spec.mvdr_loading)
+                loading=spec.mvdr_loading, max_range=spec.max_range_m)
         with _stage(timings, "localize"):
             result.locations = _localize(spec, detections, heatmap, report)
     except _StageFailed as e:
@@ -493,6 +503,15 @@ def run_suite(
     return summary
 
 
+class ScenarioFailed(RuntimeError):
+    """The run :func:`bench_acceleration` builds on ended in a failure."""
+
+    def __init__(self, stage: str, error: str):
+        super().__init__(f"scenario failed at stage {stage}: {error}")
+        self.stage = stage
+        self.error = error
+
+
 def bench_acceleration(
     spec: ScenarioSpec,
     n_keep_values=(100, None),
@@ -505,13 +524,12 @@ def bench_acceleration(
     chain (channel weights, mode count, spectrum) is then decomposed again
     for each ``n_keep`` value (None = full spectrum), ``repeats`` timed
     times each (best time kept), so rows differ only in spectrum length.
-    Rate deltas are reported against the full-spectrum row.
+    Rate deltas are reported against the full-spectrum row.  A failed run
+    raises :class:`ScenarioFailed`.
     """
     res = run_scenario(spec, n_keep=None)
     if res.failed:
-        raise RuntimeError(
-            f"scenario failed at stage {res.report['failure_stage']}: "
-            f"{res.report['error']}")
+        raise ScenarioFailed(res.report["failure_stage"], res.report["error"])
     chain = res.chains[res.locations[0][0]]
     full = chain.spectra
 

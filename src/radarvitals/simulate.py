@@ -10,11 +10,13 @@ linear phase ramp across the virtual receive array.  Cubes are indexed
 Transmit beamforming is modeled as a per-scatterer illumination gain: with
 steering weights ``w`` the field hitting a scatterer at azimuth theta scales
 by ``w^H a_tx(theta)``, where ``a_tx`` is the transmit-array steering vector.
-:func:`synthesize_cube` renders a whole cube with that gain.  Because every
-return is linear in its gain and the noise does not depend on it,
-:func:`steering_correction` gives the steered range profiles at a few bins
-and slow samples as the unsteered ones plus a noise-free term, without a
-second render; both share one per-scatterer signal model (``_returns``).
+:func:`synthesize_cube` renders a whole cube with that gain, a block of
+``RENDER_BLOCK_ROWS`` fast-time rows at a time so that no temporary is
+larger than a block.  Because every return is linear in its gain and the
+noise does not depend on it, :func:`steering_correction` gives the steered
+range profiles at a few bins and slow samples as the unsteered ones plus a
+noise-free term, without a second render; both share one per-scatterer
+signal model (``_returns``).
 """
 from __future__ import annotations
 
@@ -25,6 +27,10 @@ import numpy as np
 from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
                      VitalTarget)
 from .fusion import Box, DetectionFrame
+
+# Fast-time rows :func:`synthesize_cube` renders at a time: 16 rows of the
+# default 2400 x 8 slow-antenna plane are ~5 MB of complex samples.
+RENDER_BLOCK_ROWS = 16
 
 
 def chest_displacement(t, vitals: VitalParams):
@@ -173,16 +179,30 @@ def synthesize_cube(
         Noise randomness; ignored when ``snr_db`` is None.
     """
     frame_t, slow_t = _slow_times(cfg, scene.duration)
-    cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
+    n_fast = cfg.samples_per_chirp
+    cube = np.zeros((n_fast, slow_t.size, cfg.num_virtual),
                     dtype=np.complex128)
+    blocks = [slice(i, min(i + RENDER_BLOCK_ROWS, n_fast))
+              for i in range(0, n_fast, RENDER_BLOCK_ROWS)]
+    # Each term is added one row block at a time, so its temporary is one
+    # block; every sample sees the same operations in the same order as in
+    # a whole-cube ``cube += fast_slow[:, :, None] * slow_ant[None]``.
     for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
-        cube += fast_slow[:, :, None] * slow_ant[None, :, :]
+        for rows in blocks:
+            cube[rows] += fast_slow[rows, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
+        # The blocks are drawn in C order, all of the real part first, so
+        # the draws are those of one whole-cube standard_normal per part.
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-        cube.real += sigma * rng.standard_normal(cube.shape)
-        cube.imag += sigma * rng.standard_normal(cube.shape)
+        noise = np.empty(cube[:RENDER_BLOCK_ROWS].shape)
+        for part in (cube.real, cube.imag):
+            for rows in blocks:
+                out = noise[:rows.stop - rows.start]
+                rng.standard_normal(out=out)
+                out *= sigma
+                part[rows] += out
 
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
@@ -261,8 +281,8 @@ def synthesize_detections(
         cx = (angle + afov) / (2.0 * afov) * width
         x = cx - 0.5 * bw + rng.normal(0.0, camera.jitter_px)
         y = y_base + rng.normal(0.0, camera.jitter_px)
-        x = float(np.clip(x, 0.0, width - bw))
-        y = float(np.clip(y, 0.0, height - bh))
+        x = float(min(max(x, 0.0), width - bw))
+        y = float(min(max(y, 0.0), height - bh))
         return Box(id=bid, x=x, y=y, w=bw, h=bh)
 
     targets = target_track_ids(scene)

@@ -116,6 +116,21 @@ class TestHeatmap:
         with pytest.raises(ValueError):
             aoa.range_angle_heatmap(small_profiles, start=0, count=10 ** 9)
 
+    def test_max_range_keeps_the_near_rows(self, small_profiles):
+        full = aoa.range_angle_heatmap(small_profiles)
+        near = aoa.range_angle_heatmap(small_profiles, max_range=5.0)
+        n = near.power.shape[0]
+        assert n == np.count_nonzero(full.range_axis <= 5.0)
+        assert 0 < n < full.power.shape[0]
+        assert np.all(near.range_axis <= 5.0)
+        assert np.array_equal(near.range_axis, full.range_axis[:n])
+        assert np.allclose(near.power, full.power[:n], rtol=1e-10)
+
+    def test_max_range_below_bin_zero_keeps_no_row(self, small_profiles):
+        hm = aoa.range_angle_heatmap(small_profiles, max_range=-1.0)
+        assert hm.power.shape == (0, 121)
+        assert hm.range_axis.size == 0
+
 
 class TestSpatialFft:
     def test_peak_near_source(self):

@@ -118,6 +118,27 @@ class TestInvalidScenario:
         (line,) = capsys.readouterr().err.splitlines()
         assert str(path) in line and "missing key 'angle_deg'" in line
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("processing", "max_iter", "x"),
+        ("processing", "n_keep", "abc"),
+        ("processing", "num_phase_channels", 5.5),
+        (None, "seed", "x"),
+        (None, "snr_db", "loud"),
+        ("processing", "alpha", "big"),
+    ])
+    def test_wrong_typed_scalar_exits_2(self, scenario_path, tmp_path,
+                                        capsys, block, key, value):
+        blob = json.loads(scenario_path.read_text())
+        (blob if block is None else blob[block])[key] = value
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(blob))
+        rc = main(["run", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line and f"{key} must be" in line
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_files(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{not json")
@@ -200,6 +221,15 @@ class TestBenchVerb:
         assert len(lines) == 3
         stdout = capsys.readouterr().out
         assert "speedup" in stdout
+
+    def test_failed_run_is_one_line(self, empty_scenario_path, tmp_path,
+                                    capsys):
+        rc = main(["bench", "--scenario", str(empty_scenario_path),
+                   "--out", str(tmp_path / "b")])
+        assert rc == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("FAILED at stage localize: ")
+        assert "no stationary detection track" in line
 
 
 class TestPatternVerb:

@@ -100,6 +100,11 @@ class TestRunScenario:
             assert "phase" in res.timings_ms
             assert res.chains == {}
 
+    def test_max_range_below_bin_zero_fails_at_localize(self, quick_spec):
+        res = run_scenario(dataclasses.replace(quick_spec, max_range_m=-1.0))
+        assert res.report["failure_stage"] == "localize"
+        assert res.report["error"] == "no range bins at or below max_range"
+
     @pytest.mark.parametrize("range_m, max_range_m", [(0.3, 10.0),
                                                       (18.9, 20.0)])
     def test_window_off_the_profile_fails_alike_steered_or_not(
@@ -180,6 +185,31 @@ SCENARIO_LEVELS = {
 }
 
 
+# A wrong-typed value for top-level scalars and processing knobs.
+WRONG_TYPED_SCALARS = [
+    ("max_iter", "x"),
+    ("n_keep", "abc"),
+    ("num_phase_channels", 5.5),
+    ("seed", "x"),
+    ("snr_db", "loud"),
+    ("alpha", "big"),
+    ("max_iter", True),                 # a bool is not an int
+    ("seed", False),
+    ("alpha", True),
+    ("num_modes", "fancy"),             # an int or "auto"
+    ("num_modes", 2.0),
+    ("beamforming", 1),
+    ("name", 7),
+    ("n_fft", 128.0),
+    ("rr_band", [0.1]),
+    ("hr_band", ["low", "high"]),
+]
+
+
+def _scalar_node(d: dict, key: str) -> dict:
+    return d if key in pipeline._TOP_LEVEL_FIELDS else d["processing"]
+
+
 class TestStrictKeys:
     def test_every_level_loads_as_is(self):
         d = _scenario_with_every_level()
@@ -226,6 +256,25 @@ class TestStrictKeys:
         d["scene"]["targets"][0]["vitals"] = None
         with pytest.raises(ValueError, match="VitalParams"):
             ScenarioSpec.from_dict(d)
+
+    @pytest.mark.parametrize("key, value", WRONG_TYPED_SCALARS,
+                             ids=[f"{k}={v!r}" for k, v in
+                                  WRONG_TYPED_SCALARS])
+    def test_wrong_typed_scalar_is_rejected(self, key, value):
+        d = _scenario_with_every_level()
+        _scalar_node(d, key)[key] = value
+        with pytest.raises(ValueError, match=f"ScenarioSpec: {key} must be"):
+            ScenarioSpec.from_dict(d)
+
+    def test_an_int_passes_for_a_float_unconverted(self):
+        d = _scenario_with_every_level()
+        d["snr_db"] = 20
+        d["processing"].update(alpha=2000, max_range_m=10, num_modes=3,
+                               rr_band=[0, 1])
+        spec = ScenarioSpec.from_dict(d)
+        assert type(spec.snr_db) is int and type(spec.alpha) is int
+        assert spec.num_modes == 3 and spec.rr_band == (0, 1)
+        assert spec.to_dict() == d
 
     def test_omitted_blocks_take_defaults(self):
         spec = ScenarioSpec.from_dict({"name": "bare"})

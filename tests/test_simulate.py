@@ -1,8 +1,13 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import radarvitals as rv
 from radarvitals import simulate
+from radarvitals.beamform import tx_weights
+from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
 
 
@@ -118,11 +123,59 @@ class TestNoiseAndLimits:
                                      tx_weights=np.ones(5))
 
 
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
+
+
+def _whole_cube_render(scene, cfg, tx, snr_db, seed):
+    """The straightforward render: one full-cube product per scatterer,
+    then one full-cube noise draw per part."""
+    _, slow_t = simulate._slow_times(cfg, scene.duration)
+    cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
+                    dtype=np.complex128)
+    for fast_slow, slow_ant in simulate._returns(scene, cfg, slow_t, tx):
+        cube += fast_slow[:, :, None] * slow_ant[None, :, :]
+    if snr_db is not None:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+        cube.real += sigma * rng.standard_normal(cube.shape)
+        cube.imag += sigma * rng.standard_normal(cube.shape)
+    return cube
+
+
+class TestRowBlockRender:
+    """The row-block render equals the whole-cube render bit for bit."""
+
+    @staticmethod
+    def _assert_same_render(scene, cfg, snr_db):
+        tx = tx_weights(20.0, cfg.wavelength, num_elements=cfg.num_tx,
+                        spacing=cfg.tx_spacing)
+        seed = np.random.SeedSequence(5)
+        cube = simulate.synthesize_cube(scene, cfg, tx_weights=tx,
+                                        snr_db=snr_db, seed=seed)
+        ref = _whole_cube_render(scene, cfg, tx, snr_db, seed)
+        assert np.array_equal(cube.data.view(float), ref.view(float))
+
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize("name", ["clean", "range_overlap",
+                                      "fusion_stress", "bench"])
+    def test_bundled_scenarios(self, name, noisy):
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        self._assert_same_render(spec.scene, spec.radar,
+                                 spec.snr_db if noisy else None)
+
+    @pytest.mark.parametrize("snr_db", [10.0, None])
+    def test_rows_not_a_multiple_of_the_block(self, small_scene, snr_db):
+        cfg = rv.RadarConfig(samples_per_chirp=100)
+        assert cfg.samples_per_chirp % simulate.RENDER_BLOCK_ROWS
+        scene = dataclasses.replace(small_scene, movers=(rv.MovingReflector(
+            waypoints=((0.0, 3.0, -20.0), (6.0, 5.0, 20.0))),))
+        self._assert_same_render(scene, cfg, snr_db)
+
+
 def test_illumination_gain_scales_scatterer(cfg):
     """Steering the transmit pair at the scatterer doubles its amplitude."""
     scene = rv.Scene(statics=(rv.PointReflector(3.0, 20.0),), duration=0.5)
     plain = simulate.synthesize_cube(scene, cfg)
-    from radarvitals.beamform import tx_weights
     tx = tx_weights(20.0, cfg.wavelength, num_elements=cfg.num_tx,
                     spacing=cfg.tx_spacing)
     boosted = simulate.synthesize_cube(scene, cfg, tx_weights=tx)
