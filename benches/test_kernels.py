@@ -7,7 +7,8 @@ Run from the repository root (not part of the Tier-1 tests, which collect
 
 Each kernel is timed alone on inputs built once per module: the clean
 scene's noisy cube, its range profiles, and the unsteered phase channels
-of its localized target.  Timings of the BLAS-backed calls
+of its localized target.  ``synthesize_cube`` and ``range_fft`` are the
+reference path; the pipeline renders with ``range_profiles``.  Timings of the BLAS-backed calls
 (``select_mode_count``) depend on whether the BLAS worker threads are
 awake, so they move with what ran just before them.
 """
@@ -64,6 +65,15 @@ def test_range_fft(benchmark, spec):
     cube = _render(spec)
     out = benchmark(rangefft.range_fft, cube, n_fft=spec.n_fft)
     assert out.num_bins == out.n_fft // 2 + 1
+
+
+def test_render_profiles(benchmark, spec):
+    """The pipeline's render: the bins it reads, at every slow sample."""
+    n_fft = rangefft.check_n_fft(spec.radar, spec.n_fft)
+    rows = pipeline._profile_rows(spec, n_fft)
+    out = benchmark(simulate.range_profiles, spec.scene, spec.radar, rows,
+                    n_fft, snr_db=spec.snr_db, seed=spec.seed)
+    assert out.data.shape[0] == rows
 
 
 @pytest.mark.parametrize("near", [False, True], ids=["all_bins", "near"])

@@ -93,9 +93,9 @@ def range_angle_heatmap(
 
     ``start``/``count`` select the slow-time snapshots entering the
     covariance of every bin (all of them by default).  ``max_range`` keeps
-    only the bins at or below it (every bin when None; none when it lies
-    below bin 0), so a caller that reads only near ranges pays only for
-    those.
+    only the bins at or below it (every row ``profiles`` holds when None;
+    none when it lies below bin 0), so a caller that reads only near
+    ranges pays only for those.
     """
     if angles_deg is None:
         angles_deg = default_angle_grid()
@@ -106,7 +106,7 @@ def range_angle_heatmap(
         count = n_slow - start
     if start < 0 or count < 1 or start + count > n_slow:
         raise ValueError("snapshot slice outside slow-time extent")
-    n_bins = (profiles.num_bins if max_range is None else
+    n_bins = (profiles.data.shape[0] if max_range is None else
               int(np.count_nonzero(profiles.range_axis <= max_range)))
     x = profiles.data[:n_bins, start:start + count, :]
     cov = _loaded(x.transpose(0, 2, 1) @ x.conj() / count, loading)

@@ -4,16 +4,21 @@ A :class:`ScenarioSpec` bundles the radar, scene, camera and processing
 parameters (JSON-serializable, see ``scenarios/``).  :func:`run_scenario`
 executes one seeded repetition as a single chain of timed stages:
 
-* scene stages - ``simulate``, ``range_fft``, ``heatmap``, ``localize``;
+* scene stages - ``range_fft`` (the transform size and the range bins the
+  later stages read: those at or below ``max_range_m`` plus half a phase
+  window), ``simulate`` (the range profiles rendered directly at those
+  bins and every slow sample, see :func:`simulate.range_profiles`, and the
+  camera boxes), ``heatmap`` (the bins at or below ``max_range_m``),
+  ``localize``;
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit steering added to the unsteered profiles at the bins and
-  samples the phase stage reads, see :func:`simulate.steering_correction`,
-  plus receive weights), ``phase``, ``weights``, ``mode_count``,
-  ``spectrum``, ``decompose``, ``rates``.
+  samples the phase stage reads, by the same renderer, plus receive
+  weights), ``phase``, ``weights``, ``mode_count``, ``spectrum``,
+  ``decompose``, ``rates``.
 
-The cube is rendered once per run, unsteered, and released once it is
-range-transformed.  The heatmap holds only the range bins ``localize``
-reads (those at or below ``max_range_m``).
+No raw cube is rendered: :func:`simulate.synthesize_cube` and
+:func:`rangefft.range_fft` remain the reference the renderer is tested
+against.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
@@ -36,9 +41,14 @@ import numpy as np
 from . import aoa, beamform, fusion, vitals
 from .config import (CameraConfig, RadarConfig, Record, Scene, as_record,
                      check_keys, check_types)
-from .rangefft import RangeProfiles, range_bin_of, range_fft
-from .simulate import (steering_correction, synthesize_cube,
+from .rangefft import (RangeProfiles, check_n_fft, range_bin_of,
+                       range_bin_width)
+from .simulate import (range_profiles, render_profiles,
                        synthesize_detections, target_track_ids)
+# Not called by the pipeline; tools that trace a run wrap the reference
+# renderer and range FFT under these names.
+from .rangefft import range_fft  # noqa: F401
+from .simulate import synthesize_cube  # noqa: F401
 
 _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
 
@@ -244,16 +254,30 @@ def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
     """``profiles`` as if rendered with transmit weights ``tx``, exact only
     at the bins and slow samples the phase stage reads.
 
-    A copy of the unsteered profiles with :func:`steering_correction` added
+    A copy of the unsteered profiles with the steering difference
+    (:func:`render_profiles` with the gain offset by one, no noise) added
     in that window, so the phase stage indexes it by absolute bin as usual.
     The window is checked first (same error as the phase stage raises).
     """
     bins, frames = vitals.phase_window(profiles, center_bin,
                                        spec.num_phase_channels)
     data = profiles.data.copy()
-    data[bins.start:bins.stop, frames] += steering_correction(
-        spec.scene, spec.radar, tx, bins, frames, n_fft=profiles.n_fft)
+    data[bins.start:bins.stop, frames] += render_profiles(
+        spec.scene, spec.radar, bins, frames, profiles.n_fft, tx_weights=tx,
+        gain_offset=1.0)
     return dataclasses.replace(profiles, data=data)
+
+
+def _profile_rows(spec: ScenarioSpec, n_fft: int) -> int:
+    """Range bins a run reads, from bin 0: those at or below
+    ``max_range_m`` (the heatmap's) plus half a phase window beyond the
+    last, so a target localized there keeps its channels; at most the
+    whole one-sided profile."""
+    full = n_fft // 2 + 1
+    near = int(np.count_nonzero(
+        np.arange(full) * range_bin_width(spec.radar, n_fft)
+        <= spec.max_range_m))
+    return min(near + max(spec.num_phase_channels // 2, 0), full)
 
 
 def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
@@ -339,15 +363,15 @@ def run_scenario(
     timings = result.timings_ms
 
     try:
+        with _stage(timings, "range_fft"):
+            n_fft = check_n_fft(cfg, spec.n_fft)
+            num_rows = _profile_rows(spec, n_fft)
         with _stage(timings, "simulate"):
-            cube = synthesize_cube(spec.scene, cfg, tx_weights=None,
-                                   snr_db=spec.snr_db, seed=noise_ss)
+            profiles = range_profiles(spec.scene, cfg, num_rows, n_fft,
+                                      snr_db=spec.snr_db, seed=noise_ss)
             detections = synthesize_detections(
                 spec.scene, spec.camera, frame_rate=cfg.frame_rate,
                 seed=det_ss)
-        with _stage(timings, "range_fft"):
-            profiles = range_fft(cube, n_fft=spec.n_fft)
-            del cube                    # no later stage reads the raw cube
         with _stage(timings, "heatmap"):
             heatmap = aoa.range_angle_heatmap(
                 profiles, angles_deg=aoa.default_angle_grid(spec.num_angle_bins),

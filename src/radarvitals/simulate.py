@@ -1,4 +1,4 @@
-"""Synthetic FMCW radar-cube and camera-detection generation.
+"""Synthetic FMCW radar data and camera detections.
 
 The simulator evaluates the dechirped baseband model directly: each
 scatterer contributes a complex tone across fast time (beat frequency
@@ -10,13 +10,20 @@ linear phase ramp across the virtual receive array.  Cubes are indexed
 Transmit beamforming is modeled as a per-scatterer illumination gain: with
 steering weights ``w`` the field hitting a scatterer at azimuth theta scales
 by ``w^H a_tx(theta)``, where ``a_tx`` is the transmit-array steering vector.
-:func:`synthesize_cube` renders a whole cube with that gain, a block of
-``RENDER_BLOCK_ROWS`` fast-time rows at a time so that no temporary is
-larger than a block.  Because every return is linear in its gain and the
-noise does not depend on it, :func:`steering_correction` gives the steered
-range profiles at a few bins and slow samples as the unsteered ones plus a
-noise-free term, without a second render; both share one per-scatterer
-signal model (``_returns``).
+
+Two renderers share one per-scatterer signal model (``_returns``):
+
+* :func:`synthesize_cube` renders the raw cube, a block of
+  ``RENDER_BLOCK_ROWS`` fast-time rows at a time so that no temporary is
+  larger than a block; it is the reference the range-domain renderer is
+  tested against.
+* :func:`render_profiles` renders the range profiles (the cube's fast-time
+  FFT) directly at chosen bins and slow samples, noise included, and
+  :func:`range_profiles` wraps its first bins as :class:`RangeProfiles`.
+  Every return is linear in its gain and the noise does not depend on it,
+  so the same renderer with the gain offset by one and no noise gives the
+  steered-minus-unsteered difference that transmit steering adds to
+  unsteered profiles.
 """
 from __future__ import annotations
 
@@ -27,6 +34,7 @@ import numpy as np
 from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
                      VitalTarget)
 from .fusion import Box, DetectionFrame
+from .rangefft import RangeProfiles, check_n_fft, range_bin_width
 
 # Fast-time rows :func:`synthesize_cube` renders at a time: 16 rows of the
 # default 2400 x 8 slow-antenna plane are ~5 MB of complex samples.
@@ -207,42 +215,83 @@ def synthesize_cube(
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
 
-def steering_correction(scene: Scene, cfg: RadarConfig, tx_weights, bins,
-                        slow_idx, n_fft: int | None = None) -> np.ndarray:
-    """Steered minus unsteered range profiles at ``bins`` x ``slow_idx``.
+def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
+                    n_fft: int | None = None, tx_weights=None,
+                    gain_offset: float = 0.0, snr_db: float | None = None,
+                    seed=None) -> np.ndarray:
+    """Range profiles of a scene at range ``bins`` x slow samples ``slow_idx``.
 
-    Rendered with the same noise seed, ``synthesize_cube(..., tx_weights)``
-    and the unsteered cube differ only by the noise-free
-    ``sum_i (g_i - 1) * return_i``, which is the scene rendered with gain
-    ``g - 1``.  The unwindowed range FFT is linear, so this returns that
-    difference's ``n_fft``-point spectrum at the given range bins and slow
-    samples only, shaped ``(len(bins), len(slow_idx), num_virtual)``: add it
-    to the unsteered profiles there to get the steered ones.  The beat
-    limit is checked only at those slow samples; the unsteered render
-    checks the whole capture.
+    Without noise this equals ``range_fft(synthesize_cube(scene, cfg,
+    tx_weights), n_fft).data`` at those bins and samples, up to rounding,
+    shaped ``(len(bins), S, num_virtual)``, but no cube is formed: each
+    scatterer's fast-time factor (``_returns``) is transformed once along
+    fast time and kept at ``bins``, then multiplied by its slow-antenna
+    factor.  The illumination gain is that of ``tx_weights`` minus
+    ``gain_offset``, so ``gain_offset=1`` gives what steering adds to the
+    unsteered profiles.  The beat limit is checked at ``slow_idx`` only.
+
+    ``snr_db`` adds the range transform of the cube's circular white noise,
+    drawn from ``seed``.  With ``n_fft == samples_per_chirp`` the DFT of
+    i.i.d. circular Gaussian samples is i.i.d. across bins with
+    ``samples_per_chirp`` times their variance, so the noise is drawn in the
+    bin domain, only at ``bins`` and ``slow_idx``.  A zero-padded ``n_fft``
+    correlates neighbouring bins, so the fast-time noise of the selected
+    slow samples is drawn as :func:`synthesize_cube` draws it and
+    transformed.
     """
     n_fast = cfg.samples_per_chirp
-    n_fft = n_fast if n_fft is None else int(n_fft)
-    if n_fft < n_fast:
-        raise ValueError(
-            f"n_fft ({n_fft}) must be >= samples_per_chirp ({n_fast})")
+    n_fft = check_n_fft(cfg, n_fft)
     bins = np.asarray(bins, dtype=np.int64)
     if bins.size and (bins.min() < 0 or bins.max() > n_fft // 2):
         raise ValueError(
             f"range bins must lie in [0, {n_fft // 2}] for n_fft={n_fft}")
     _, slow_t = _slow_times(cfg, scene.duration)
-    slow_t = slow_t[np.asarray(slow_idx)]
-    # DFT rows of the range bins; the integer product is reduced mod n_fft
-    # first so the exponent stays small and exact.
-    dft = np.exp(-2j * np.pi / n_fft
-                 * (np.outer(bins, np.arange(n_fast)) % n_fft))
+    slow_t = slow_t[slow_idx]
     out = np.zeros((bins.size, slow_t.size, cfg.num_virtual),
                    dtype=np.complex128)
     for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
-                                        gain_offset=1.0):
-        tone = np.einsum("bn,ns->bs", dft, fast_slow)
+                                        gain_offset=gain_offset):
+        tone = np.fft.fft(fast_slow, n=n_fft, axis=0)[bins]
         out += tone[:, :, None] * slow_ant[None, :, :]
+
+    if snr_db is not None:
+        rng = np.random.default_rng(seed)
+        sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+        if n_fft == n_fast:
+            sigma *= np.sqrt(n_fast)
+            out.real += sigma * rng.standard_normal(out.shape)
+            out.imag += sigma * rng.standard_normal(out.shape)
+        else:
+            # Transformed 256 slow samples at a time, so no temporary is
+            # larger than the drawn noise.
+            shape = (n_fast,) + out.shape[1:]
+            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+            for start in range(0, shape[1], 256):
+                cols = slice(start, start + 256)
+                block = np.fft.fft(re[:, cols] + 1j * im[:, cols], n=n_fft,
+                                   axis=0)
+                out[:, cols] += sigma * block[bins]
     return out
+
+
+def range_profiles(scene: Scene, cfg: RadarConfig, num_rows: int,
+                   n_fft: int | None = None, snr_db: float | None = None,
+                   seed=None) -> RangeProfiles:
+    """The first ``num_rows`` bins of the scene's range profiles at every
+    slow sample, rendered by :func:`render_profiles`.
+
+    The rows ``range_fft(synthesize_cube(scene, cfg, snr_db=snr_db,
+    seed=seed), n_fft)`` would hold, with the same signal up to rounding
+    and a noise realisation of their own.
+    """
+    n_fft = check_n_fft(cfg, n_fft)
+    frame_t, _ = _slow_times(cfg, scene.duration)
+    bins = np.arange(num_rows)
+    data = render_profiles(scene, cfg, bins, slice(None), n_fft,
+                           snr_db=snr_db, seed=seed)
+    return RangeProfiles(data=data,
+                         range_axis=bins * range_bin_width(cfg, n_fft),
+                         n_fft=n_fft, config=cfg, frame_timestamps=frame_t)
 
 
 def target_track_ids(scene: Scene) -> dict[str, VitalTarget]:

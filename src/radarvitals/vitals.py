@@ -18,6 +18,9 @@ Stages, in the order the pipeline runs them:
 """
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +50,8 @@ def phase_window(profiles, center_bin: int,
     Returns the ``num_channels`` bins centered on ``center_bin`` and the
     index of the first chirp of every frame.  The window is checked before
     anyone indexes with it: a ValueError names a channel count that is not
-    a positive odd number, or bins that leave the profile.
+    a positive odd number, bins that leave the full one-sided profile, or
+    bins inside it but past the rows ``profiles`` holds.
     """
     if num_channels < 1 or num_channels % 2 == 0:
         raise ValueError("num_channels must be a positive odd number")
@@ -57,6 +61,11 @@ def phase_window(profiles, center_bin: int,
         raise ValueError(
             f"channels [{lo}, {hi}] fall outside the {profiles.num_bins}-bin "
             "range profile")
+    rows = profiles.data.shape[0]
+    if hi >= rows:
+        raise ValueError(
+            f"channels [{lo}, {hi}] lie past the {rows} rendered rows of the "
+            f"{profiles.num_bins}-bin range profile")
     frames = (np.arange(len(profiles.frame_timestamps))
               * profiles.config.chirps_per_frame)
     return range(lo, hi + 1), frames
@@ -120,6 +129,55 @@ def adaptive_weights(samples: np.ndarray) -> ChannelWeights:
 # ---------------------------------------------------------------------------
 # model-order selection
 
+# (getter, setter) symbol pairs of OpenBLAS's thread count, by build.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, looked
+    up through numpy's own extension module, or None when not found."""
+    core = getattr(np, "_core", None) or np.core
+    try:
+        lib = ctypes.CDLL(core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get = getattr(lib, get_name, None)
+        set_ = getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread and restore the count after,
+    also on an exception; without OpenBLAS's setter the block runs as is.
+
+    A woken OpenBLAS worker keeps spinning for ~100 ms of CPU after the
+    call that woke it, which costs more than the small SSA Gram matrix
+    and eigensolve gain from a second thread.
+    """
+    api = _openblas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def select_mode_count(
     signal: np.ndarray,
     window_len: int | None = None,
@@ -148,7 +206,8 @@ def select_mode_count(
         raise ValueError("power_fraction must lie in (0, 1]")
     traj = np.lib.stride_tricks.sliding_window_view(
         x, n - window_len + 1)[:window_len]
-    ev = np.linalg.eigvalsh(traj @ traj.T)[::-1]
+    with _one_blas_thread():
+        ev = np.linalg.eigvalsh(traj @ traj.T)[::-1]
     ev = np.clip(ev, 0.0, None)
     total = ev.sum()
     if total <= 0:

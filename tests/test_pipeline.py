@@ -87,6 +87,9 @@ class TestRunScenario:
     @pytest.mark.parametrize("override, stage", [
         ({"n_fft": 8}, "range_fft"),
         ({"num_phase_channels": 4}, "vitals"),
+        # a scatterer past the beat Nyquist limit (19.19 m here)
+        ({"scene": rv.Scene(statics=(rv.PointReflector(25.0, 0.0),),
+                            duration=8.0)}, "simulate"),
     ])
     def test_stage_failure_is_named(self, quick_spec, override, stage):
         spec = dataclasses.replace(quick_spec, beamforming=False, **override)
@@ -104,6 +107,16 @@ class TestRunScenario:
         res = run_scenario(dataclasses.replace(quick_spec, max_range_m=-1.0))
         assert res.report["failure_stage"] == "localize"
         assert res.report["error"] == "no range bins at or below max_range"
+
+    def test_target_at_the_last_heatmap_row_keeps_its_channels(
+            self, quick_spec):
+        """With max_range_m 2.0 the heatmap ends at bin 6 and the target
+        (bin 7) is localized there; the profiles reach half a phase window
+        past that row, so all five channels around it are read."""
+        res = run_scenario(dataclasses.replace(quick_spec, max_range_m=2.0))
+        assert not res.failed, res.report["error"]
+        (entry,) = res.report["targets"]
+        assert (entry["range_bin"], entry["true_range_bin"]) == (6, 7)
 
     @pytest.mark.parametrize("range_m, max_range_m", [(0.3, 10.0),
                                                       (18.9, 20.0)])
@@ -379,16 +392,25 @@ class TestBench:
     def test_reuses_the_run(self, quick_spec, monkeypatch, beamforming,
                             renders):
         spec = dataclasses.replace(quick_spec, beamforming=beamforming)
-        steered = []
-        render = pipeline.synthesize_cube
+        calls = {"range_profiles": [], "render_profiles": [],
+                 "synthesize_cube": [], "range_fft": []}
 
-        def counted(*args, **kwargs):
-            steered.append(kwargs.get("tx_weights") is not None)
-            return render(*args, **kwargs)
+        def counted(name):
+            fn = getattr(pipeline, name)
 
-        monkeypatch.setattr(pipeline, "synthesize_cube", counted)
+            def wrapper(*args, **kwargs):
+                calls[name].append(kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(pipeline, name, counted(name))
         rows = bench_acceleration(spec, n_keep_values=[40], repeats=1)
-        assert steered == [False] * renders      # steering adds no render
+        assert len(calls["range_profiles"]) == renders
+        # steering adds one noise-free correction in the phase window
+        assert ([kw["gain_offset"] for kw in calls["render_profiles"]]
+                == [1.0] * beamforming)
+        assert calls["synthesize_cube"] == calls["range_fft"] == []
         monkeypatch.undo()
         (entry,) = run_scenario(spec, n_keep=None).report["targets"]
         full = {r["n_keep"]: r for r in rows}["full"]
@@ -443,32 +465,36 @@ class TestSteeredProfiles:
 
 class TestDeterminism:
     def test_reports_match_a_single_blas_thread_process(self, tmp_path):
-        """Steered reports are byte-identical in-process and in a fresh
-        process with one BLAS thread."""
-        cases = [(name, i) for name in ("clean", "range_overlap")
-                 for i in range(2)]
+        """Reports of every bundled scenario, steered and not, are
+        byte-identical twice in-process and in a fresh process with one
+        BLAS thread."""
+        cases = [(name, bf) for name in ("clean", "range_overlap",
+                                         "fusion_stress", "bench")
+                 for bf in (True, False)]
         script = (
             "import sys\n"
             "from pathlib import Path\n"
             "from radarvitals.pipeline import (ScenarioSpec, run_scenario,\n"
             "                                  write_run_outputs)\n"
             "out, root = Path(sys.argv[1]), Path(sys.argv[2])\n"
-            f"for name, i in {cases!r}:\n"
+            f"for name, bf in {cases!r}:\n"
             "    spec = ScenarioSpec.from_json(root / f'{name}.json')\n"
-            "    res = run_scenario(spec, seed=spec.seed + i, beamforming=True)\n"
-            "    write_run_outputs(res, out / f'{name}-{i}')\n")
+            "    res = run_scenario(spec, beamforming=bf)\n"
+            "    write_run_outputs(res, out / f'{name}-{bf}')\n")
         src = str(Path(rv.__file__).resolve().parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join(
                        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
         subprocess.run([sys.executable, "-c", script, str(tmp_path / "one"),
                         str(SCENARIOS)], env=env, check=True, timeout=300)
-        for name, i in cases:
+        for name, bf in cases:
             spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-            res = run_scenario(spec, seed=spec.seed + i, beamforming=True)
-            here = write_run_outputs(res, tmp_path / "here" / f"{name}-{i}")
-            there = tmp_path / "one" / f"{name}-{i}" / "report.json"
-            assert here.read_bytes() == there.read_bytes(), (name, i)
+            blobs = [write_run_outputs(run_scenario(spec, beamforming=bf),
+                                       tmp_path / f"here-{i}" / f"{name}-{bf}"
+                                       ).read_bytes() for i in range(2)]
+            there = tmp_path / "one" / f"{name}-{bf}" / "report.json"
+            assert blobs[0] == blobs[1], (name, bf)
+            assert blobs[0] == there.read_bytes(), (name, bf)
 
 
 def test_write_run_outputs(tmp_path, quick_spec):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import simulate
+from radarvitals import pipeline, simulate
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
@@ -184,9 +184,11 @@ def test_illumination_gain_scales_scatterer(cfg):
 
 
 class TestSteeringCorrection:
+    """The renderer with the gain offset by one: what steering adds."""
+
     def test_zero_without_steering(self, cfg, small_scene):
-        corr = simulate.steering_correction(small_scene, cfg, None,
-                                            range(3, 6), np.arange(8))
+        corr = simulate.render_profiles(small_scene, cfg, range(3, 6),
+                                        np.arange(8), gain_offset=1.0)
         assert corr.shape == (3, 8, cfg.num_virtual)
         assert np.all(corr == 0)
 
@@ -197,8 +199,89 @@ class TestSteeringCorrection:
                                           n_fft):
         tx = np.ones(cfg.num_tx)
         with pytest.raises(ValueError):
-            simulate.steering_correction(small_scene, cfg, tx, bins,
-                                         np.arange(8), n_fft=n_fft)
+            simulate.render_profiles(small_scene, cfg, bins, np.arange(8),
+                                     n_fft, tx_weights=tx, gain_offset=1.0)
+
+
+@pytest.fixture(scope="module", params=["clean", "range_overlap",
+                                        "fusion_stress", "bench"])
+def noiseless_cubes(request):
+    """A bundled scenario with its noiseless cubes, unsteered and steered
+    at its target."""
+    spec = ScenarioSpec.from_json(SCENARIOS / f"{request.param}.json")
+    cfg = spec.radar
+    tx = tx_weights(spec.scene.targets[0].angle_deg, cfg.wavelength,
+                    num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
+    plain = simulate.synthesize_cube(spec.scene, cfg)
+    steered = simulate.synthesize_cube(spec.scene, cfg, tx_weights=tx)
+    return spec, tx, plain, steered
+
+
+class TestRenderProfiles:
+    """The range-domain renderer against ``range_fft`` of the cube."""
+
+    @pytest.mark.parametrize("n_fft", [None, 256])
+    @pytest.mark.parametrize("steer, gain_offset", [(False, 0.0),
+                                                    (True, 0.0),
+                                                    (True, 1.0)])
+    def test_matches_the_cube_fft_at_the_rendered_bins(
+            self, noiseless_cubes, steer, gain_offset, n_fft):
+        spec, tx, plain, steered = noiseless_cubes
+        cfg = spec.radar
+        n = n_fft or cfg.samples_per_chirp
+        bins = np.arange(pipeline._profile_rows(spec, n))
+        want = range_fft(steered if steer else plain, n_fft=n_fft).data
+        if gain_offset:
+            want = want - range_fft(plain, n_fft=n_fft).data
+        want = want[bins]
+        got = simulate.render_profiles(spec.scene, cfg, bins, slice(None),
+                                       n_fft, tx_weights=tx if steer else None,
+                                       gain_offset=gain_offset)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_range_profiles_wrap_the_first_rows(self, cfg, small_scene):
+        prof = simulate.range_profiles(small_scene, cfg, 20)
+        ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
+        assert prof.data.shape == (20,) + ref.data.shape[1:]
+        assert prof.num_bins == ref.num_bins == 65
+        assert np.array_equal(prof.range_axis, ref.range_axis[:20])
+        assert np.array_equal(prof.frame_timestamps, ref.frame_timestamps)
+        err = np.abs(prof.data - ref.data[:20]).max()
+        assert err <= 1e-12 * np.abs(ref.data).max()
+
+    def test_bin_domain_noise_is_white(self, cfg):
+        """n_fft == samples_per_chirp: every bin carries N times the
+        per-sample noise power, uncorrelated across bins and antennas."""
+        snr_db, n_bins = 10.0, 6
+        noise = simulate.render_profiles(
+            rv.Scene(duration=2.0), cfg, np.arange(n_bins), slice(None),
+            snr_db=snr_db, seed=np.random.SeedSequence(3))
+        power = cfg.samples_per_chirp * 10.0 ** (-snr_db / 10.0)
+        # Each statistic below is a mean of m unit-variance terms, so five
+        # standard errors are 5 / sqrt(m).
+        for rows in (noise.reshape(n_bins, -1),
+                     noise.transpose(2, 0, 1).reshape(cfg.num_virtual, -1)):
+            m = rows.shape[1]
+            cov = rows @ rows.conj().T / m / power
+            assert np.abs(np.diag(cov) - 1.0).max() <= 5.0 / np.sqrt(m)
+            off = cov[~np.eye(len(rows), dtype=bool)]
+            assert np.abs(off).max() <= 5.0 / np.sqrt(m)
+            # circular: no correlation between real and imaginary parts
+            assert np.abs(np.mean(rows ** 2, axis=1) / power).max() <= (
+                5.0 / np.sqrt(m))
+
+    def test_zero_padded_noise_is_the_cube_noise(self, cfg, small_scene):
+        """A zero-padded n_fft draws the cube's own fast-time noise, so
+        the noisy render equals the noisy cube's FFT."""
+        seed = np.random.SeedSequence(4)
+        bins = np.arange(40)
+        got = simulate.render_profiles(small_scene, cfg, bins, slice(None),
+                                       256, snr_db=15.0, seed=seed)
+        cube = simulate.synthesize_cube(small_scene, cfg, snr_db=15.0,
+                                        seed=seed)
+        want = range_fft(cube, n_fft=256).data[bins]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDetections:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import radarvitals as rv
 from radarvitals import vitals
 from radarvitals.rangefft import RangeProfiles
+from test_acceptance import _svd_mode_count
 
 
 def _profiles_with_phase(phase, cfg=None, num_bins=9):
@@ -47,6 +48,17 @@ class TestExtractPhase:
         prof = _profiles_with_phase(np.zeros(32), num_bins=5)
         with pytest.raises(ValueError):
             vitals.extract_phase(prof, center_bin=1, num_channels=5)
+
+    def test_rejects_channels_past_the_rendered_rows(self):
+        """A window inside the 65-bin profile but past the 9 rows held
+        raises; it never reads a short slice."""
+        prof = _profiles_with_phase(np.zeros(32))
+        assert prof.num_bins == 65 and prof.data.shape[0] == 9
+        with pytest.raises(ValueError, match="past the 9 rendered rows of "
+                                             "the 65-bin range profile"):
+            vitals.phase_window(prof, center_bin=8, num_channels=3)
+        assert vitals.phase_window(prof, center_bin=7, num_channels=3)[0] \
+            == range(6, 9)
 
 
 class TestAdaptiveWeights:
@@ -109,6 +121,54 @@ class TestModeCount:
     def test_rejects_too_short(self):
         with pytest.raises(ValueError):
             vitals.select_mode_count(np.ones(4))
+
+    @pytest.mark.parametrize("n", [200, 600, 2000])
+    def test_matches_the_svd_oracle(self, n):
+        t = np.arange(n) / 20.0
+        x = (np.sin(2 * np.pi * 0.25 * t) + 0.3 * np.sin(2 * np.pi * 1.2 * t)
+             + 0.05 * np.random.default_rng(n).standard_normal(n))
+        assert vitals.select_mode_count(x) == _svd_mode_count(x)
+
+
+class TestModeCountBlasThreads:
+    """select_mode_count runs on one OpenBLAS thread and restores the
+    count after."""
+
+    SIGNAL = np.sin(2 * np.pi * 0.25 * np.arange(600) / 20.0)
+
+    @pytest.fixture
+    def blas_threads(self):
+        api = vitals._openblas_threads()
+        if api is None:
+            pytest.skip("numpy's OpenBLAS exposes no thread-count setter")
+        get, set_ = api
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_one_thread_inside_and_restored_after(self, blas_threads,
+                                                  monkeypatch):
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            seen.append(blas_threads())
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        assert vitals.select_mode_count(self.SIGNAL) == 2
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_restored_after_an_exception(self, blas_threads, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("no convergence")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(np.linalg.LinAlgError):
+            vitals.select_mode_count(self.SIGNAL)
+        assert blas_threads() == 2
 
 
 class TestSpectra:
