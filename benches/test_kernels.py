@@ -5,12 +5,14 @@ Run from the repository root (not part of the Tier-1 tests, which collect
 
     PYTHONPATH=src python -m pytest benches --benchmark-only
 
-Each kernel is timed alone on inputs built once per module: the clean
-scene's noisy cube, its range profiles, and the unsteered phase channels
-of its localized target.  ``synthesize_cube`` and ``range_fft`` are the
-reference path; the pipeline renders with ``range_profiles``.  Timings of the BLAS-backed calls
-(``select_mode_count``) depend on whether the BLAS worker threads are
-awake, so they move with what ran just before them.
+Each kernel is timed alone on inputs built once per module, as a run
+builds them: the clean scene's noisy range profiles at the rows the
+pipeline renders (``range_profiles`` at ``pipeline._profile_rows``), and
+the unsteered phase channels of its localized target.
+``synthesize_cube`` and ``range_fft`` are timed as the reference path the
+renderer is tested against; the pipeline never calls them.  Timings of
+the BLAS-backed calls (``select_mode_count``) depend on whether the BLAS
+worker threads are awake, so they move with what ran just before them.
 """
 from __future__ import annotations
 
@@ -35,9 +37,16 @@ def _render(spec):
                                     snr_db=spec.snr_db, seed=spec.seed)
 
 
+def _profiles(spec):
+    n_fft = rangefft.check_n_fft(spec.radar, spec.n_fft)
+    return simulate.range_profiles(spec.scene, spec.radar,
+                                   pipeline._profile_rows(spec, n_fft), n_fft,
+                                   snr_db=spec.snr_db, seed=spec.seed)
+
+
 @pytest.fixture(scope="module")
 def profiles(spec):
-    return rangefft.range_fft(_render(spec), n_fft=spec.n_fft)
+    return _profiles(spec)
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +76,10 @@ def test_range_fft(benchmark, spec):
     assert out.num_bins == out.n_fft // 2 + 1
 
 
-def test_render_profiles(benchmark, spec):
+def test_render_profiles(benchmark, spec, profiles):
     """The pipeline's render: the bins it reads, at every slow sample."""
-    n_fft = rangefft.check_n_fft(spec.radar, spec.n_fft)
-    rows = pipeline._profile_rows(spec, n_fft)
-    out = benchmark(simulate.range_profiles, spec.scene, spec.radar, rows,
-                    n_fft, snr_db=spec.snr_db, seed=spec.seed)
-    assert out.data.shape[0] == rows
+    out = benchmark(_profiles, spec)
+    assert out.data.shape == profiles.data.shape
 
 
 @pytest.mark.parametrize("near", [False, True], ids=["all_bins", "near"])

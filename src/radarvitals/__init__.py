@@ -1,6 +1,6 @@
 """Simulated FMCW radar vital-sign sensing.
 
-Synthesizes raw radar cubes for rooms containing still people, clutter and
+Renders the range profiles of rooms containing still people, clutter and
 moving interferers, localizes the people by fusing camera boxes with MVDR
 range-angle heatmaps, steers transmit/receive beams at them, and reads
 breathing and heart rates out of the slow-time phase via an adaptively

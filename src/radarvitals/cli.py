@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -28,15 +29,52 @@ from .pipeline import ScenarioFailed, ScenarioSpec, bench_acceleration, \
     run_scenario, run_suite, write_run_outputs
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _checked(kind, ok, what: str):
+    """An argparse ``type=`` that parses with ``kind`` and admits only the
+    values ``ok`` holds for."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {what}, not {text!r}")
+    return parse
+
+
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf,
+                           "a finite number > 0")
+_ANGLE = _checked(float, lambda v: -90 <= v <= 90,
+                  "an angle in [-90, 90] degrees")
+_N_KEEP = _checked(int, lambda v: v >= 4, "an integer >= 4 or 'full'")
+
+
 def _parse_n_keep(text: str):
     if text == "spec":            # argparse converts string defaults too
         return text
     if text.lower() in ("full", "none", "all"):
         return None
-    value = int(text)
-    if value < 4:
-        raise argparse.ArgumentTypeError("--n-keep must be >= 4 (or 'full')")
-    return value
+    return _N_KEEP(text)
+
+
+def _parse_n_keep_list(text: str) -> list:
+    """``bench --n-keep``: comma-separated :func:`_parse_n_keep` values
+    other than 'spec'."""
+    values = [_parse_n_keep(v) for v in text.split(",") if v]
+    if "spec" in values:
+        raise argparse.ArgumentTypeError(
+            f"must list integers >= 4 or 'full', not {text!r}")
+    return values
 
 
 def _add_common(p: argparse.ArgumentParser,
@@ -45,7 +83,7 @@ def _add_common(p: argparse.ArgumentParser,
                    help=scenario_help)
     p.add_argument("--out", required=True, type=Path,
                    help="output directory")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_NON_NEGATIVE_INT, default=None,
                    help="override the scenario seed")
     p.add_argument("--no-beamforming", action="store_true",
                    help="skip transmit/receive steering; read phase from "
@@ -56,7 +94,7 @@ def _add_common(p: argparse.ArgumentParser,
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="radarvitals",
         description="Simulated FMCW radar vital-sign sensing pipeline")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -67,12 +105,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite = sub.add_parser("suite", help="run repeated seeded repetitions")
     _add_common(p_suite,
                 scenario_help="scenario JSON file, or a directory of them")
-    p_suite.add_argument("--repetitions", type=int, default=20)
+    p_suite.add_argument("--repetitions", type=_POSITIVE_INT, default=20)
 
     p_bench = sub.add_parser("bench", help="time the decomposition stage")
     p_bench.add_argument("--scenario", required=True, type=Path)
     p_bench.add_argument("--out", required=True, type=Path)
-    p_bench.add_argument("--n-keep", default="100,full",
+    p_bench.add_argument("--n-keep", type=_parse_n_keep_list,
+                         default="100,full",
                          help="comma-separated truncation lengths "
                               "(integers or 'full')")
     p_bench.add_argument("--repeats", type=int, default=5,
@@ -80,15 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pat = sub.add_parser("pattern", help="export a steered beam pattern")
     p_pat.add_argument("--role", choices=("tx", "rx"), required=True)
-    p_pat.add_argument("--steer", type=float, required=True,
+    p_pat.add_argument("--steer", type=_ANGLE, required=True,
                        help="steering angle in degrees")
-    p_pat.add_argument("--elements", type=int, default=None,
+    p_pat.add_argument("--elements", type=_POSITIVE_INT, default=None,
                        help="element count (default: 3 tx / 8 rx)")
-    p_pat.add_argument("--spacing-wl", type=float, default=None,
+    p_pat.add_argument("--spacing-wl", type=_POSITIVE_FLOAT, default=None,
                        help="element spacing in wavelengths "
                             "(default: 1.0 tx / 0.5 rx)")
-    p_pat.add_argument("--carrier-ghz", type=float, default=77.0)
-    p_pat.add_argument("--step", type=float, default=0.25,
+    p_pat.add_argument("--carrier-ghz", type=_POSITIVE_FLOAT, default=77.0)
+    p_pat.add_argument("--step", type=_POSITIVE_FLOAT, default=0.25,
                        help="angle grid step in degrees")
     p_pat.add_argument("--out", required=True, type=Path,
                        help="output CSV file")
@@ -167,10 +206,9 @@ def _cmd_bench(args) -> int:
     spec = _load(args.scenario)
     if spec is None:
         return 2
-    values = [_parse_n_keep(v) for v in str(args.n_keep).split(",") if v]
     args.out.mkdir(parents=True, exist_ok=True)
     try:
-        rows = bench_acceleration(spec, n_keep_values=values,
+        rows = bench_acceleration(spec, n_keep_values=args.n_keep,
                                   repeats=args.repeats,
                                   out_path=args.out / "bench.csv")
     except ScenarioFailed as e:

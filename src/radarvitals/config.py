@@ -16,6 +16,7 @@ import types
 import typing
 from dataclasses import MISSING, dataclass, field, fields
 
+import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
 
 
@@ -39,7 +40,8 @@ def check_keys(owner: str, d, allowed, required=()) -> None:
 def _admits(hint, value) -> bool:
     """Whether ``value`` is of the evaluated annotation ``hint``.
 
-    An int passes for a float; a bool passes only for a bool.
+    An int passes for a float; a bool passes only for a bool; NaN passes
+    for nothing.
     """
     origin = typing.get_origin(hint)
     if origin in (typing.Union, types.UnionType):
@@ -54,7 +56,8 @@ def _admits(hint, value) -> bool:
         return value is None
     if hint in (int, float):
         kind = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
+        return (isinstance(value, kind) and not isinstance(value, bool)
+                and value == value)         # NaN != NaN
     return isinstance(value, hint)
 
 
@@ -309,19 +312,16 @@ class MovingReflector(Record):
                            _records(BodyMotion, self.body_motion))
 
     def range_at(self, t):
-        import numpy as np
         times = [w[0] for w in self.waypoints]
         ranges = [w[1] for w in self.waypoints]
         return np.interp(t, times, ranges)
 
     def angle_at(self, t):
-        import numpy as np
         times = [w[0] for w in self.waypoints]
         angles = [w[2] for w in self.waypoints]
         return np.interp(t, times, angles)
 
     def amplitude_at(self, t):
-        import numpy as np
         if isinstance(self.amplitude, (int, float)):
             return np.full_like(np.asarray(t, dtype=float), float(self.amplitude))
         times = [p[0] for p in self.amplitude]
@@ -344,20 +344,6 @@ class Scene(Record):
                           ("targets", VitalTarget),
                           ("movers", MovingReflector)):
             object.__setattr__(self, name, _records(cls, getattr(self, name)))
-
-    def max_range(self) -> float:
-        """Largest nominal range any scatterer reaches (trajectory endpoints
-        sampled densely for movers)."""
-        import numpy as np
-        r = 0.0
-        for s in self.statics:
-            r = max(r, s.range_m)
-        for t in self.targets:
-            r = max(r, t.range_m)
-        for m in self.movers:
-            ts = np.linspace(0.0, self.duration, 257)
-            r = max(r, float(np.max(m.range_at(ts))))
-        return r
 
 
 @dataclass(frozen=True)

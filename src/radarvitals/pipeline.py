@@ -39,8 +39,8 @@ from typing import Literal
 import numpy as np
 
 from . import aoa, beamform, fusion, vitals
-from .config import (CameraConfig, RadarConfig, Record, Scene, as_record,
-                     check_keys, check_types)
+from .config import (CameraConfig, RadarConfig, Record, Scene, _require,
+                     as_record, check_keys, check_types)
 from .rangefft import (RangeProfiles, check_n_fft, range_bin_of,
                        range_bin_width)
 from .simulate import (range_profiles, render_profiles,
@@ -96,8 +96,13 @@ class ScenarioSpec(Record):
                           ("camera", CameraConfig)):
             object.__setattr__(self, name, as_record(cls, getattr(self, name)))
         check_types(self)
+        _require(self.seed >= 0,
+                 f"ScenarioSpec: seed must be >= 0, not {self.seed}")
         for name in ("rr_band", "hr_band"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            band = tuple(getattr(self, name))
+            _require(band[0] < band[1], f"ScenarioSpec: {name} must be a "
+                     f"(lo, hi) band with lo < hi, not {list(band)}")
+            object.__setattr__(self, name, band)
 
     def to_dict(self) -> dict:
         """JSON-ready dict with the processing knobs nested under
@@ -559,16 +564,11 @@ def bench_acceleration(
 
     rows = []
     baseline = None
-    values = [v if v is None else max(4, min(int(v), full.n_bins))
-              for v in n_keep_values]
-    if None not in values:
-        values.append(None)
-    for keep in sorted(set(values),
-                       key=lambda v: ((full.n_bins, 1) if v is None
-                                      else (v, 0)),
-                       reverse=True):
+    kept = {max(4, min(int(v), full.n_bins))
+            for v in n_keep_values if v is not None}
+    for keep in [None, *sorted(kept, reverse=True)]:
         spectra = (full if keep is None
-                   else vitals.truncate_spectrum(full, int(keep)))
+                   else vitals.truncate_spectrum(full, keep))
         decompose = _decompose(spec, spectra, chain.weights.weights, chain.k)
         best = np.inf
         modes = None
@@ -579,7 +579,7 @@ def bench_acceleration(
         rates = vitals.estimate_rates(modes, rr_band=spec.rr_band,
                                       hr_band=spec.hr_band)
         row = {
-            "n_keep": "full" if keep is None else int(keep),
+            "n_keep": "full" if keep is None else keep,
             "n_bins": spectra.n_bins,
             "wall_ms": best * 1e3,
             "iterations": modes.iterations,

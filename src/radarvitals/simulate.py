@@ -13,10 +13,9 @@ by ``w^H a_tx(theta)``, where ``a_tx`` is the transmit-array steering vector.
 
 Two renderers share one per-scatterer signal model (``_returns``):
 
-* :func:`synthesize_cube` renders the raw cube, a block of
-  ``RENDER_BLOCK_ROWS`` fast-time rows at a time so that no temporary is
-  larger than a block; it is the reference the range-domain renderer is
-  tested against.
+* :func:`synthesize_cube` renders the raw cube, one whole-cube product
+  per scatterer; the pipeline never calls it, it is the reference the
+  range-domain renderer is tested against.
 * :func:`render_profiles` renders the range profiles (the cube's fast-time
   FFT) directly at chosen bins and slow samples, noise included, and
   :func:`range_profiles` wraps its first bins as :class:`RangeProfiles`.
@@ -35,10 +34,6 @@ from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
                      VitalTarget)
 from .fusion import Box, DetectionFrame
 from .rangefft import RangeProfiles, check_n_fft, range_bin_width
-
-# Fast-time rows :func:`synthesize_cube` renders at a time: 16 rows of the
-# default 2400 x 8 slow-antenna plane are ~5 MB of complex samples.
-RENDER_BLOCK_ROWS = 16
 
 
 def chest_displacement(t, vitals: VitalParams):
@@ -70,10 +65,6 @@ class RadarCube:
     data: np.ndarray
     config: RadarConfig
     frame_timestamps: np.ndarray
-
-    @property
-    def num_frames(self) -> int:
-        return len(self.frame_timestamps)
 
 
 def _slow_times(cfg: RadarConfig, duration: float):
@@ -187,30 +178,16 @@ def synthesize_cube(
         Noise randomness; ignored when ``snr_db`` is None.
     """
     frame_t, slow_t = _slow_times(cfg, scene.duration)
-    n_fast = cfg.samples_per_chirp
-    cube = np.zeros((n_fast, slow_t.size, cfg.num_virtual),
+    cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
                     dtype=np.complex128)
-    blocks = [slice(i, min(i + RENDER_BLOCK_ROWS, n_fast))
-              for i in range(0, n_fast, RENDER_BLOCK_ROWS)]
-    # Each term is added one row block at a time, so its temporary is one
-    # block; every sample sees the same operations in the same order as in
-    # a whole-cube ``cube += fast_slow[:, :, None] * slow_ant[None]``.
     for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
-        for rows in blocks:
-            cube[rows] += fast_slow[rows, :, None] * slow_ant[None, :, :]
+        cube += fast_slow[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
-        # The blocks are drawn in C order, all of the real part first, so
-        # the draws are those of one whole-cube standard_normal per part.
         rng = np.random.default_rng(seed)
         sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-        noise = np.empty(cube[:RENDER_BLOCK_ROWS].shape)
-        for part in (cube.real, cube.imag):
-            for rows in blocks:
-                out = noise[:rows.stop - rows.start]
-                rng.standard_normal(out=out)
-                out *= sigma
-                part[rows] += out
+        cube.real += sigma * rng.standard_normal(cube.shape)
+        cube.imag += sigma * rng.standard_normal(cube.shape)
 
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
@@ -262,15 +239,10 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
             out.real += sigma * rng.standard_normal(out.shape)
             out.imag += sigma * rng.standard_normal(out.shape)
         else:
-            # Transformed 256 slow samples at a time, so no temporary is
-            # larger than the drawn noise.
             shape = (n_fast,) + out.shape[1:]
-            re, im = rng.standard_normal(shape), rng.standard_normal(shape)
-            for start in range(0, shape[1], 256):
-                cols = slice(start, start + 256)
-                block = np.fft.fft(re[:, cols] + 1j * im[:, cols], n=n_fft,
-                                   axis=0)
-                out[:, cols] += sigma * block[bins]
+            re = rng.standard_normal(shape)
+            noise = re + 1j * rng.standard_normal(shape)
+            out += sigma * np.fft.fft(noise, n=n_fft, axis=0)[bins]
     return out
 
 

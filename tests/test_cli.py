@@ -139,6 +139,24 @@ class TestInvalidScenario:
         assert str(path) in line and f"{key} must be" in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, value", [
+        (None, "seed", -3),
+        (None, "snr_db", float("nan")),         # json writes it as NaN
+        ("processing", "rr_band", [0.5, 0.1]),
+    ])
+    def test_unsurvivable_value_exits_2(self, scenario_path, tmp_path,
+                                        capsys, block, key, value):
+        blob = json.loads(scenario_path.read_text())
+        (blob if block is None else blob[block])[key] = value
+        path = tmp_path / "unsurvivable.json"
+        path.write_text(json.dumps(blob))
+        rc = main(["run", "--scenario", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(path) in line and f"{key} must be" in line
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_files(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"
         bad_json.write_text("{not json")
@@ -252,6 +270,39 @@ class TestPatternVerb:
         text = capsys.readouterr().out
         assert "8 elements" in text
         assert "peak at -30.00 deg" in text
+
+
+BAD_FLAGS = [
+    ["run", "--seed", "-1"],
+    ["suite", "--repetitions", "0"],
+    ["bench", "--n-keep", "abc"],
+    ["bench", "--n-keep", "2"],
+    ["bench", "--n-keep", "40,spec"],
+    ["pattern", "--steer", "100"],
+    ["pattern", "--elements", "0"],
+    ["pattern", "--spacing-wl", "-1"],
+    ["pattern", "--step", "0"],
+    ["pattern", "--carrier-ghz", "0"],
+]
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("verb, flag, value", BAD_FLAGS,
+                             ids=[" ".join(a) for a in BAD_FLAGS])
+    def test_bad_flag_exits_2_with_one_line(self, scenario_path, tmp_path,
+                                            capsys, verb, flag, value):
+        out = tmp_path / "out"
+        if verb == "pattern":
+            argv = ["pattern", "--role", "rx", "--steer", "10"]
+        else:
+            argv = [verb, "--scenario", str(scenario_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(out), flag, value])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"radarvitals {verb}: error: argument {flag}: ")
+        assert repr(value) in line
+        assert not out.exists()
 
 
 class TestArgParsing:

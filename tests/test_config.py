@@ -95,12 +95,12 @@ class TestScene:
         with pytest.raises(ValueError):
             rv.PointReflector(2.0, 120.0)
 
-    def test_max_range_covers_mover_path(self):
-        s = rv.Scene(
-            movers=(rv.MovingReflector(
-                waypoints=((0.0, 1.0, 0.0), (5.0, 6.0, 0.0), (10.0, 2.0, 0.0))),),
-            duration=10.0)
-        assert s.max_range() == pytest.approx(6.0)
+    def test_mover_range_follows_waypoints(self):
+        m = rv.MovingReflector(
+            waypoints=((0.0, 1.0, 0.0), (5.0, 6.0, 0.0), (10.0, 2.0, 0.0)))
+        assert m.range_at(5.0) == pytest.approx(6.0)
+        assert m.range_at(7.5) == pytest.approx(4.0)
+        assert m.range_at(12.0) == pytest.approx(2.0)
 
 
 @given(st.floats(0.05, 0.5), st.floats(0.8, 3.0))

@@ -219,6 +219,18 @@ WRONG_TYPED_SCALARS = [
 ]
 
 
+# A value of the right type that no run survives, and what the error says.
+UNSURVIVABLE_VALUES = [
+    ("seed", -3, "seed must be >= 0"),
+    ("snr_db", float("nan"), "snr_db must be"),
+    ("alpha", float("nan"), "alpha must be"),
+    ("max_range_m", float("nan"), "max_range_m must be"),
+    ("rr_band", [float("nan"), 0.5], "rr_band must be"),
+    ("rr_band", [0.5, 0.1], r"rr_band must be a \(lo, hi\) band"),
+    ("hr_band", [1.2, 1.2], r"hr_band must be a \(lo, hi\) band"),
+]
+
+
 def _scalar_node(d: dict, key: str) -> dict:
     return d if key in pipeline._TOP_LEVEL_FIELDS else d["processing"]
 
@@ -277,6 +289,15 @@ class TestStrictKeys:
         d = _scenario_with_every_level()
         _scalar_node(d, key)[key] = value
         with pytest.raises(ValueError, match=f"ScenarioSpec: {key} must be"):
+            ScenarioSpec.from_dict(d)
+
+    @pytest.mark.parametrize("key, value, message", UNSURVIVABLE_VALUES,
+                             ids=[f"{k}={v!r}" for k, v, _ in
+                                  UNSURVIVABLE_VALUES])
+    def test_unsurvivable_value_is_rejected(self, key, value, message):
+        d = _scenario_with_every_level()
+        _scalar_node(d, key)[key] = value
+        with pytest.raises(ValueError, match=f"ScenarioSpec: {message}"):
             ScenarioSpec.from_dict(d)
 
     def test_an_int_passes_for_a_float_unconverted(self):

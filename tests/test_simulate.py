@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +65,7 @@ class TestCubeGeometry:
         cube = simulate.synthesize_cube(scene, cfg)
         prof = range_fft(cube)
         rb = range_bin_of(2.0, cfg, prof.n_fft)
-        idx = np.arange(cube.num_frames) * cfg.chirps_per_frame
+        idx = np.arange(len(cube.frame_timestamps)) * cfg.chirps_per_frame
         phase = np.unwrap(np.angle(prof.data[rb, idx, 0]))
         swing = phase.max() - phase.min()
         expected = 2 * 4 * np.pi * 4e-3 / cfg.wavelength
@@ -80,7 +79,7 @@ class TestCubeGeometry:
         prof = range_fft(cube)
         first = int(np.argmax(np.abs(prof.data[:, 0, 0])))
         last = int(np.argmax(np.abs(prof.data[:, -1, 0])))
-        t_last = ((cube.num_frames - 1) * cfg.frame_period
+        t_last = ((len(cube.frame_timestamps) - 1) * cfg.frame_period
                   + (cfg.chirps_per_frame - 1) * cfg.pri)
         assert first == range_bin_of(2.0, cfg, prof.n_fft)
         assert last == range_bin_of(float(mover.range_at(t_last)), cfg,
@@ -124,52 +123,6 @@ class TestNoiseAndLimits:
 
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
-
-
-def _whole_cube_render(scene, cfg, tx, snr_db, seed):
-    """The straightforward render: one full-cube product per scatterer,
-    then one full-cube noise draw per part."""
-    _, slow_t = simulate._slow_times(cfg, scene.duration)
-    cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
-                    dtype=np.complex128)
-    for fast_slow, slow_ant in simulate._returns(scene, cfg, slow_t, tx):
-        cube += fast_slow[:, :, None] * slow_ant[None, :, :]
-    if snr_db is not None:
-        rng = np.random.default_rng(seed)
-        sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-        cube.real += sigma * rng.standard_normal(cube.shape)
-        cube.imag += sigma * rng.standard_normal(cube.shape)
-    return cube
-
-
-class TestRowBlockRender:
-    """The row-block render equals the whole-cube render bit for bit."""
-
-    @staticmethod
-    def _assert_same_render(scene, cfg, snr_db):
-        tx = tx_weights(20.0, cfg.wavelength, num_elements=cfg.num_tx,
-                        spacing=cfg.tx_spacing)
-        seed = np.random.SeedSequence(5)
-        cube = simulate.synthesize_cube(scene, cfg, tx_weights=tx,
-                                        snr_db=snr_db, seed=seed)
-        ref = _whole_cube_render(scene, cfg, tx, snr_db, seed)
-        assert np.array_equal(cube.data.view(float), ref.view(float))
-
-    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "noiseless"])
-    @pytest.mark.parametrize("name", ["clean", "range_overlap",
-                                      "fusion_stress", "bench"])
-    def test_bundled_scenarios(self, name, noisy):
-        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        self._assert_same_render(spec.scene, spec.radar,
-                                 spec.snr_db if noisy else None)
-
-    @pytest.mark.parametrize("snr_db", [10.0, None])
-    def test_rows_not_a_multiple_of_the_block(self, small_scene, snr_db):
-        cfg = rv.RadarConfig(samples_per_chirp=100)
-        assert cfg.samples_per_chirp % simulate.RENDER_BLOCK_ROWS
-        scene = dataclasses.replace(small_scene, movers=(rv.MovingReflector(
-            waypoints=((0.0, 3.0, -20.0), (6.0, 5.0, 20.0))),))
-        self._assert_same_render(scene, cfg, snr_db)
 
 
 def test_illumination_gain_scales_scatterer(cfg):
