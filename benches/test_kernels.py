@@ -8,7 +8,9 @@ Run from the repository root (not part of the Tier-1 tests, which collect
 Each kernel is timed alone on inputs built once per module, as a run
 builds them: the clean scene's noisy range profiles at the rows the
 pipeline renders (``range_profiles`` at ``pipeline._profile_rows``), and
-the unsteered phase channels of its localized target.
+the unsteered phase channels of its localized target.  The decomposition
+is timed at two sizes: the clean chain's 100 kept bins and the bench
+scenario's full 1001-bin spectrum.
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
 renderer is tested against; the pipeline never calls them.  Timings of
 the BLAS-backed calls (``select_mode_count``) depend on whether the BLAS
@@ -97,6 +99,19 @@ def test_select_mode_count(benchmark, chain_inputs):
 
 
 def test_multichannel_vmd(benchmark, spec, chain_inputs):
+    """The clean chain at the scenario's ``n_keep`` (100 bins)."""
     _, weights, k, spectra = chain_inputs
     modes = benchmark(pipeline._decompose(spec, spectra, weights, k))
+    assert modes.converged
+
+
+def test_multichannel_vmd_full_spectrum(benchmark):
+    """The bench scenario's chain on its full spectrum (5 channels x 1001
+    bins, k = 4), as the full row of ``bench_acceleration`` decomposes it."""
+    spec = ScenarioSpec.from_json(SCENARIOS / "bench.json")
+    res = pipeline.run_scenario(spec, n_keep=None)
+    chain = res.chains[res.locations[0][0]]
+    assert chain.spectra.spectra.shape == (5, 1001) and chain.k == 4
+    modes = benchmark(pipeline._decompose(spec, chain.spectra,
+                                          chain.weights.weights, chain.k))
     assert modes.converged

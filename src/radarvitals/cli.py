@@ -56,6 +56,9 @@ _POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf,
                            "a finite number > 0")
 _ANGLE = _checked(float, lambda v: -90 <= v <= 90,
                   "an angle in [-90, 90] degrees")
+# At most 180 001 angles in a beam pattern's grid.
+_ANGLE_STEP = _checked(float, lambda v: 0.001 <= v < math.inf,
+                       "a finite step >= 0.001 degrees")
 _N_KEEP = _checked(int, lambda v: v >= 4, "an integer >= 4 or 'full'")
 
 
@@ -114,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                          default="100,full",
                          help="comma-separated truncation lengths "
                               "(integers or 'full')")
-    p_bench.add_argument("--repeats", type=int, default=5,
+    p_bench.add_argument("--repeats", type=_POSITIVE_INT, default=5,
                          help="timing repetitions per row (best kept)")
 
     p_pat = sub.add_parser("pattern", help="export a steered beam pattern")
@@ -127,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="element spacing in wavelengths "
                             "(default: 1.0 tx / 0.5 rx)")
     p_pat.add_argument("--carrier-ghz", type=_POSITIVE_FLOAT, default=77.0)
-    p_pat.add_argument("--step", type=_POSITIVE_FLOAT, default=0.25,
+    p_pat.add_argument("--step", type=_ANGLE_STEP, default=0.25,
                        help="angle grid step in degrees")
     p_pat.add_argument("--out", required=True, type=Path,
                        help="output CSV file")
@@ -214,6 +217,9 @@ def _cmd_bench(args) -> int:
     except ScenarioFailed as e:
         print(f"FAILED at stage {e.stage}: {e.error}", file=sys.stderr)
         return 1
+    except ValueError as e:
+        print(f"{args.scenario}: cannot bench: {e}", file=sys.stderr)
+        return 2
     print(f"{'n_keep':>8} {'bins':>6} {'ms':>10} {'speedup':>8} "
           f"{'RR rpm':>8} {'HR bpm':>8}")
     for row in rows:

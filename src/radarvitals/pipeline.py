@@ -187,45 +187,17 @@ def _stage(timings: dict, name: str):
                          + (time.perf_counter() - t0) * 1e3)
 
 
-def _band_seeded_init(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
-                      num_modes: int,
-                      bands: tuple[tuple[float, float], ...]) -> np.ndarray:
-    """Center-frequency init with one mode pinned to each band of interest.
-
-    Vital phase spectra are wildly unbalanced (breathing carries orders of
-    magnitude more power than heartbeat), so a purely power-ranked init
-    would spend every mode on the strongest line and its leakage skirt.
-    Seeding the strongest in-band peak per configured band guarantees each
-    band starts with a dedicated mode; leftover modes spread evenly over
-    the kept spectrum.
-    """
-    mag = np.abs(weights @ spectra.spectra)
-    freqs = spectra.freqs_hz
-    seeds: list[float] = []
-    for lo, hi in bands:
-        if len(seeds) == num_modes:
-            break
-        sel = np.flatnonzero((freqs >= lo) & (freqs <= hi))
-        if sel.size:
-            seeds.append(float(freqs[sel[np.argmax(mag[sel])]]))
-    for f in np.linspace(freqs[0], freqs[-1], num_modes - len(seeds) + 2)[1:-1]:
-        if len(seeds) == num_modes:
-            break
-        seeds.append(float(f))
-    while len(seeds) < num_modes:
-        seeds.append(float(freqs[-1]))
-    return np.asarray(sorted(seeds))
-
-
 def _decompose(spec: ScenarioSpec, spectra: vitals.AnalyticSpectra,
                weights: np.ndarray, k: int):
     """The decomposition of ``spectra`` as a zero-argument call.
 
-    The band-seeded init is computed here, so calling the result runs
-    ``multichannel_vmd`` alone (which the benchmark times).
+    The band-seeded init (:func:`vitals.band_seeded_init`) is computed
+    here, so calling the result runs ``multichannel_vmd`` alone (which the
+    benchmark times).  The call looks ``vitals.multichannel_vmd`` up when
+    it runs, so a tool that wraps that attribute sees every decomposition.
     """
-    init = _band_seeded_init(spectra, weights, k,
-                             bands=(spec.rr_band, spec.hr_band))
+    init = vitals.band_seeded_init(spectra, weights, k,
+                                   bands=(spec.rr_band, spec.hr_band))
     return lambda: vitals.multichannel_vmd(
         spectra, k, weights=weights, alpha=spec.alpha, eta=spec.eta,
         tol=spec.tol, max_iter=spec.max_iter, init=init)
@@ -554,7 +526,8 @@ def bench_acceleration(
     for each ``n_keep`` value (None = full spectrum), ``repeats`` timed
     times each (best time kept), so rows differ only in spectrum length.
     Rate deltas are reported against the full-spectrum row.  A failed run
-    raises :class:`ScenarioFailed`.
+    raises :class:`ScenarioFailed`; an ``n_keep`` that keeps fewer than two
+    bins per mode raises ``ValueError`` naming it, before any row is timed.
     """
     res = run_scenario(spec, n_keep=None)
     if res.failed:
@@ -562,10 +535,18 @@ def bench_acceleration(
     chain = res.chains[res.locations[0][0]]
     full = chain.spectra
 
+    kept = set()
+    for v in n_keep_values:
+        if v is not None:
+            keep = max(4, min(int(v), full.n_bins))
+            if keep < 2 * chain.k:
+                raise ValueError(
+                    f"n_keep {v} keeps {keep} spectrum bins, fewer than the "
+                    f"{2 * chain.k} that {chain.k} modes need")
+            kept.add(keep)
+
     rows = []
     baseline = None
-    kept = {max(4, min(int(v), full.n_bins))
-            for v in n_keep_values if v is not None}
     for keep in [None, *sorted(kept, reverse=True)]:
         spectra = (full if keep is None
                    else vitals.truncate_spectrum(full, keep))

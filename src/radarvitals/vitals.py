@@ -11,8 +11,9 @@ Stages, in the order the pipeline runs them:
 4. :func:`analytic_spectrum` / :func:`truncate_spectrum` - one-sided
    spectra, optionally truncated to the low-frequency band that actually
    contains vital signals (this is what buys the speedup).
-5. :func:`multichannel_vmd` - variational mode decomposition run on the
-   weighted multi-channel spectrum.
+5. :func:`band_seeded_init` / :func:`multichannel_vmd` - variational mode
+   decomposition run on the weighted multi-channel spectrum, its center
+   frequencies seeded one per vital band.
 6. :func:`estimate_rates` - breathing / heart rates from the band-matched
    modes.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -162,8 +164,11 @@ def _one_blas_thread():
     also on an exception; without OpenBLAS's setter the block runs as is.
 
     A woken OpenBLAS worker keeps spinning for ~100 ms of CPU after the
-    call that woke it, which costs more than the small SSA Gram matrix
-    and eigensolve gain from a second thread.
+    call that woke it, which costs more than a second thread gains on the
+    small products of the vitals chain: the SSA Gram matrix and eigensolve
+    of :func:`select_mode_count`, and the channel fusion and the iteration
+    of :func:`multichannel_vmd` (also the fusion behind
+    :func:`band_seeded_init`).
     """
     api = _openblas_threads()
     if api is None:
@@ -346,6 +351,44 @@ class ModeSet:
         return self.modes.sum(axis=0)
 
 
+def _fuse_channels(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The weighted channel sum ``sum_l w_l S_l`` of (L, n_bins) spectra,
+    computed on one OpenBLAS thread."""
+    with _one_blas_thread():
+        return np.matmul(weights, spectra)
+
+
+def band_seeded_init(spectra: AnalyticSpectra, weights: np.ndarray,
+                     num_modes: int,
+                     bands: tuple[tuple[float, float], ...]) -> np.ndarray:
+    """Center-frequency init (Hz) with one mode pinned to each band of
+    interest, for :func:`multichannel_vmd`'s ``init``.
+
+    Vital phase spectra are wildly unbalanced (breathing carries orders of
+    magnitude more power than heartbeat), so a purely power-ranked init
+    would spend every mode on the strongest line and its leakage skirt.
+    Seeding the strongest in-band peak of the weighted channel sum per
+    configured band guarantees each band starts with a dedicated mode;
+    leftover modes spread evenly over the kept spectrum.
+    """
+    mag = np.abs(_fuse_channels(spectra.spectra, weights))
+    freqs = spectra.freqs_hz
+    seeds: list[float] = []
+    for lo, hi in bands:
+        if len(seeds) == num_modes:
+            break
+        sel = np.flatnonzero((freqs >= lo) & (freqs <= hi))
+        if sel.size:
+            seeds.append(float(freqs[sel[np.argmax(mag[sel])]]))
+    for f in np.linspace(freqs[0], freqs[-1], num_modes - len(seeds) + 2)[1:-1]:
+        if len(seeds) == num_modes:
+            break
+        seeds.append(float(f))
+    while len(seeds) < num_modes:
+        seeds.append(float(freqs[-1]))
+    return np.asarray(sorted(seeds))
+
+
 def multichannel_vmd(
     spec: AnalyticSpectra,
     num_modes: int,
@@ -367,6 +410,7 @@ def multichannel_vmd(
     per channel is ascended against that channel's own residual
     ``w_l S_l - sum_k u_k``, tightening reconstruction on clean data; with
     one channel and ``eta = 0`` the scheme is exactly classic VMD on ``S``.
+    The fusion and the iteration run on one OpenBLAS thread.
 
     Parameters
     ----------
@@ -419,7 +463,6 @@ def multichannel_vmd(
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
 
-    combined = w @ s_all                             # (nb,)
     nu = np.arange(nb) / n                           # cycles per sample
     if isinstance(init, str):
         if init != "uniform":
@@ -431,46 +474,55 @@ def multichannel_vmd(
         if omega.shape != (num_modes,):
             raise ValueError("init array must provide one frequency per mode")
 
+    combined = _fuse_channels(s_all, w)              # (nb,)
     u = np.zeros((num_modes, nb), dtype=np.complex128)
     u_prev = np.empty_like(u)
     lam = np.zeros((n_ch, nb), dtype=np.complex128)
+    base = combined + 0.5 * lam.sum(axis=0)
     den = np.empty((num_modes, nb))
     total = np.zeros(nb, dtype=np.complex128)
+    power = np.empty((num_modes, nb))
+    imag_sq = np.empty((num_modes, nb))
+    diff = np.empty_like(u)
+    rows = tuple(zip(u, den))                        # (u_k, den_k) views
+    prev_power = 0.0                                 # power of u_prev
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
-        np.subtract(nu[None, :], omega[:, None], out=den)
-        den *= den
-        den *= 2.0 * alpha
-        den += 1.0
-        base = combined + 0.5 * lam.sum(axis=0)
-        np.copyto(u_prev, u)
-        u.sum(axis=0, out=total)
-        for k in range(num_modes):
-            total -= u[k]
-            np.subtract(base, total, out=u[k])
-            u[k] /= den[k]
-            total += u[k]
-        power = (u.real ** 2 + u.imag ** 2)
-        mode_power = power.sum(axis=1)
-        prev_power = (u_prev.real ** 2 + u_prev.imag ** 2).sum()
-        nz = mode_power > 0
-        omega[nz] = (power @ nu)[nz] / mode_power[nz]
-        if eta != 0.0:
-            lam += eta * (w[:, None] * s_all - total[None, :])
-        if not np.isfinite(mode_power.sum()):
-            raise FloatingPointError(
-                "mode decomposition diverged (non-finite spectra); check "
-                "channel weights or reduce alpha")
-        diff = u - u_prev
-        change = np.einsum("kn,kn->", diff, diff.conj()).real
-        if prev_power > 0:
-            if change / prev_power < tol:
+    with _one_blas_thread():
+        for it in range(1, max_iter + 1):
+            np.subtract(nu[None, :], omega[:, None], out=den)
+            den *= den
+            den *= 2.0 * alpha
+            den += 1.0
+            np.copyto(u_prev, u)
+            u.sum(axis=0, out=total)
+            for uk, dk in rows:
+                total -= uk
+                np.subtract(base, total, out=uk)
+                uk /= dk
+                total += uk
+            np.multiply(u.real, u.real, out=power)
+            power += np.multiply(u.imag, u.imag, out=imag_sq)
+            mode_power = power.sum(axis=1)
+            np.divide(power @ nu, mode_power, out=omega,
+                      where=mode_power > 0)
+            if eta != 0.0:
+                lam += eta * (w[:, None] * s_all - total[None, :])
+                base = combined + 0.5 * lam.sum(axis=0)
+            if not math.isfinite(mode_power.sum()):
+                raise FloatingPointError(
+                    "mode decomposition diverged (non-finite spectra); "
+                    "check channel weights or reduce alpha")
+            np.subtract(u, u_prev, out=diff)
+            change = np.vdot(diff, diff).real
+            if prev_power > 0:
+                if change / prev_power < tol:
+                    converged = True
+                    break
+            elif change == 0.0:
                 converged = True
                 break
-        elif change == 0.0:
-            converged = True
-            break
+            prev_power = power.sum()
 
     order = np.argsort(omega, kind="stable")
     u = u[order]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -249,6 +250,21 @@ class TestBenchVerb:
         assert line.startswith("FAILED at stage localize: ")
         assert "no stationary detection track" in line
 
+    def test_too_few_bins_for_the_modes_is_one_line(self, scenario_path,
+                                                    tmp_path, capsys):
+        """With 4 modes, n_keep 4 keeps fewer than the 8 bins needed."""
+        path = tmp_path / "four_modes.json"
+        spec = ScenarioSpec.from_json(scenario_path)
+        dataclasses.replace(spec, num_modes=4).to_json(path)
+        rc = main(["bench", "--scenario", str(path),
+                   "--out", str(tmp_path / "b"), "--n-keep", "4,full",
+                   "--repeats", "1"])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"{path}: cannot bench: n_keep 4 keeps 4 spectrum "
+                        "bins, fewer than the 8 that 4 modes need")
+        assert not (tmp_path / "b" / "bench.csv").exists()
+
 
 class TestPatternVerb:
     def test_tx_pattern_csv(self, tmp_path, capsys):
@@ -278,10 +294,14 @@ BAD_FLAGS = [
     ["bench", "--n-keep", "abc"],
     ["bench", "--n-keep", "2"],
     ["bench", "--n-keep", "40,spec"],
+    ["bench", "--repeats", "0"],
+    ["bench", "--repeats", "-2"],
     ["pattern", "--steer", "100"],
     ["pattern", "--elements", "0"],
     ["pattern", "--spacing-wl", "-1"],
     ["pattern", "--step", "0"],
+    ["pattern", "--step", "1e-9"],
+    ["pattern", "--step", "0.0009"],
     ["pattern", "--carrier-ghz", "0"],
 ]
 

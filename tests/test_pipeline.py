@@ -10,11 +10,11 @@ import pytest
 
 import radarvitals as rv
 from radarvitals import beamform, pipeline, vitals
-from radarvitals.pipeline import (ScenarioSpec, _band_seeded_init,
-                                  bench_acceleration, run_scenario,
-                                  run_suite, write_run_outputs)
+from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
+                                  run_scenario, run_suite, write_run_outputs)
 from radarvitals.rangefft import range_bin_of, range_fft
 from radarvitals.simulate import synthesize_cube
+from radarvitals.vitals import band_seeded_init
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -339,16 +339,16 @@ class TestBandSeededInit:
         t = np.arange(n) / fs
         s = 10 * np.sin(2 * np.pi * 0.25 * t) + 0.5 * np.sin(2 * np.pi * 1.2 * t)
         spec = vitals.analytic_spectrum(s, fs)
-        init = _band_seeded_init(spec, np.ones(1), 2,
-                                 bands=((0.1, 0.5), (0.8, 2.5)))
+        init = band_seeded_init(spec, np.ones(1), 2,
+                                bands=((0.1, 0.5), (0.8, 2.5)))
         assert init[0] == pytest.approx(0.25, abs=0.05)
         assert init[1] == pytest.approx(1.2, abs=0.05)
 
     def test_extra_modes_spread(self):
         spec = vitals.analytic_spectrum(np.random.default_rng(0)
                                         .standard_normal(600), 20.0)
-        init = _band_seeded_init(spec, np.ones(1), 6,
-                                 bands=((0.1, 0.5), (0.8, 2.5)))
+        init = band_seeded_init(spec, np.ones(1), 6,
+                                bands=((0.1, 0.5), (0.8, 2.5)))
         assert init.size == 6
         assert np.all(np.diff(init) >= 0)
         assert init[-1] <= spec.freqs_hz[-1]
@@ -356,8 +356,8 @@ class TestBandSeededInit:
     def test_band_outside_kept_spectrum_skipped(self):
         spec = vitals.truncate_spectrum(
             vitals.analytic_spectrum(np.ones(600), 20.0), 30)
-        init = _band_seeded_init(spec, np.ones(1), 2,
-                                 bands=((5.0, 8.0), (0.1, 0.5)))
+        init = band_seeded_init(spec, np.ones(1), 2,
+                                bands=((5.0, 8.0), (0.1, 0.5)))
         assert init.size == 2
         assert np.all(init <= spec.freqs_hz[-1])
 
@@ -438,6 +438,27 @@ class TestBench:
         assert full["iterations"] == entry["iterations"]
         assert full["breaths_per_min"] == entry["breaths_per_min"]
         assert full["beats_per_min"] == entry["beats_per_min"]
+
+    def test_too_few_bins_for_the_modes_raises_before_timing(
+            self, quick_spec, monkeypatch):
+        """A kept length under 2 x k bins is refused after the run's own
+        decomposition and before any row is timed."""
+        spec = dataclasses.replace(quick_spec, num_modes=4)
+        calls = []
+        vmd = vitals.multichannel_vmd
+
+        def counted(spectra, *args, **kwargs):
+            calls.append(spectra.n_bins)
+            return vmd(spectra, *args, **kwargs)
+
+        monkeypatch.setattr(vitals, "multichannel_vmd", counted)
+        for values in ([4, None], [40, 5], [2]):
+            calls.clear()
+            with pytest.raises(ValueError, match=r"^n_keep \d+ keeps [45] "
+                               r"spectrum bins, fewer than the 8 that 4 "
+                               r"modes need$"):
+                bench_acceleration(spec, n_keep_values=values, repeats=1)
+            assert calls == [81]
 
     def test_oversized_keep_is_clipped(self, quick_spec):
         rows = bench_acceleration(quick_spec, n_keep_values=[10_000],

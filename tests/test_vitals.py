@@ -340,6 +340,212 @@ class TestDecomposition:
         assert ms.center_freqs_hz[0] == pytest.approx(0.5, abs=0.05)
 
 
+def _reference_multichannel_vmd(spec, num_modes, weights=None,
+                                alpha=2000.0, eta=0.0, tol=1e-7,
+                                max_iter=500, init="uniform"):
+    """The decomposition loop as written before its buffers were reused,
+    kept to pin :func:`vitals.multichannel_vmd` to the same bits: ``base``
+    and the previous power recomputed every iteration, fresh arrays for
+    the power and the difference, a masked center-frequency update and an
+    einsum for the change.
+
+    Call it on one OpenBLAS thread: threaded, OpenBLAS splits the channel
+    fusion of a 1001-bin spectrum over the threads and rounds some bins
+    differently."""
+    s_all = np.asarray(spec.spectra, dtype=np.complex128)
+    n_ch, nb = s_all.shape
+    n, fs = spec.n_samples, spec.sample_rate
+    w = (np.full(n_ch, 1.0 / n_ch) if weights is None
+         else np.asarray(weights, dtype=float))
+    combined = w @ s_all
+    nu = np.arange(nb) / n
+    if isinstance(init, str):
+        omega = (np.arange(1, num_modes + 1) / num_modes
+                 * min(0.25, nu[-1]))
+    else:
+        omega = np.sort(np.asarray(init, dtype=float)) / fs
+
+    u = np.zeros((num_modes, nb), dtype=np.complex128)
+    u_prev = np.empty_like(u)
+    lam = np.zeros((n_ch, nb), dtype=np.complex128)
+    den = np.empty((num_modes, nb))
+    total = np.zeros(nb, dtype=np.complex128)
+    converged = False
+    it = 0
+    for it in range(1, max_iter + 1):
+        np.subtract(nu[None, :], omega[:, None], out=den)
+        den *= den
+        den *= 2.0 * alpha
+        den += 1.0
+        base = combined + 0.5 * lam.sum(axis=0)
+        np.copyto(u_prev, u)
+        u.sum(axis=0, out=total)
+        for k in range(num_modes):
+            total -= u[k]
+            np.subtract(base, total, out=u[k])
+            u[k] /= den[k]
+            total += u[k]
+        power = (u.real ** 2 + u.imag ** 2)
+        mode_power = power.sum(axis=1)
+        prev_power = (u_prev.real ** 2 + u_prev.imag ** 2).sum()
+        nz = mode_power > 0
+        omega[nz] = (power @ nu)[nz] / mode_power[nz]
+        if eta != 0.0:
+            lam += eta * (w[:, None] * s_all - total[None, :])
+        if not np.isfinite(mode_power.sum()):
+            raise FloatingPointError("mode decomposition diverged")
+        diff = u - u_prev
+        change = np.einsum("kn,kn->", diff, diff.conj()).real
+        if prev_power > 0:
+            if change / prev_power < tol:
+                converged = True
+                break
+        elif change == 0.0:
+            converged = True
+            break
+
+    order = np.argsort(omega, kind="stable")
+    u = u[order]
+    omega = omega[order]
+    padded = np.zeros((num_modes, n), dtype=np.complex128)
+    padded[:, :nb] = u
+    modes = np.fft.ifft(padded, axis=1).real
+    return vitals.ModeSet(modes=modes, center_freqs_hz=omega * fs,
+                          mode_spectra=u, sample_rate=fs, iterations=it,
+                          converged=converged)
+
+
+def _vital_channels(num_channels, fs=25.0, n=2000, seed=0):
+    """Phase-like channels: breathing, a weak heartbeat, per-channel noise."""
+    t = np.arange(n) / fs
+    rng = np.random.default_rng(seed)
+    clean = np.sin(2 * np.pi * 0.27 * t) + 0.05 * np.sin(2 * np.pi * 1.2 * t)
+    return clean + 0.2 * rng.standard_normal((num_channels, n))
+
+
+class TestDecompositionBits:
+    """multichannel_vmd gives the reference loop's bits: modes, spectra,
+    center frequencies, iteration count and convergence flag."""
+
+    FS = 25.0
+
+    @pytest.fixture(scope="class")
+    def spectra(self):
+        """(full spectrum, channel weights) for 1 and 5 channels."""
+        out = {}
+        for channels in (1, 5):
+            samples = _vital_channels(channels, fs=self.FS)
+            weights = vitals.adaptive_weights(samples).weights
+            out[channels] = (vitals.analytic_spectrum(samples, self.FS),
+                             weights)
+        return out
+
+    @staticmethod
+    def _assert_same(got, want):
+        for name in ("modes", "center_freqs_hz", "mode_spectra"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (got.iterations, got.converged) == (want.iterations,
+                                                   want.converged)
+
+    @pytest.mark.parametrize("init", ["uniform", "bands"])
+    @pytest.mark.parametrize("n_bins", [100, 1001])
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_same_bits_as_the_reference(self, spectra, eta, k, channels,
+                                        n_bins, init):
+        full, weights = spectra[channels]
+        spec = (full if n_bins == full.n_bins
+                else vitals.truncate_spectrum(full, n_bins))
+        assert spec.n_bins == n_bins
+        if init == "bands":
+            init = vitals.band_seeded_init(
+                spec, weights, k,
+                bands=(vitals.DEFAULT_RR_BAND, vitals.DEFAULT_HR_BAND))
+        kwargs = dict(weights=weights, eta=eta, max_iter=200, init=init)
+        got = vitals.multichannel_vmd(spec, k, **kwargs)
+        with vitals._one_blas_thread():
+            want = _reference_multichannel_vmd(spec, k, **kwargs)
+        self._assert_same(got, want)
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_all_zero_input(self, eta):
+        spec = vitals.analytic_spectrum(np.zeros((5, 200)), self.FS)
+        got = vitals.multichannel_vmd(spec, 3, eta=eta)
+        self._assert_same(got, _reference_multichannel_vmd(spec, 3, eta=eta))
+        assert got.converged and got.iterations == 1
+
+
+class TestDecompositionBlasThreads:
+    """The channel fusion of multichannel_vmd and band_seeded_init, and the
+    iteration of multichannel_vmd, run on one OpenBLAS thread; the count is
+    restored after, also on an exception."""
+
+    @pytest.fixture
+    def blas_threads(self):
+        api = vitals._openblas_threads()
+        if api is None:
+            pytest.skip("numpy's OpenBLAS exposes no thread-count setter")
+        get, set_ = api
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    @pytest.fixture(scope="class")
+    def spec(self):
+        spec = vitals.analytic_spectrum(_vital_channels(5), 25.0)
+        assert spec.spectra.shape == (5, 1001)
+        return spec
+
+    def _spy_on_fusion(self, monkeypatch, blas_threads, fail=False):
+        """Thread counts seen by the fusion of a 5 x 1001 spectrum."""
+        seen = []
+        matmul = np.matmul
+
+        def spy(a, b, *args, **kwargs):
+            if np.shape(b) == (5, 1001):
+                seen.append(blas_threads())
+                if fail:
+                    raise FloatingPointError("spy")
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return seen
+
+    def test_one_thread_inside_and_restored_after(self, spec, blas_threads,
+                                                  monkeypatch):
+        fused = self._spy_on_fusion(monkeypatch, blas_threads)
+        iterated = []
+        vdot = np.vdot
+
+        def spy(a, b):
+            iterated.append(blas_threads())
+            return vdot(a, b)
+
+        monkeypatch.setattr(np, "vdot", spy)
+        weights = np.full(5, 0.2)
+        init = vitals.band_seeded_init(spec, weights, 2,
+                                       bands=((0.1, 0.5), (0.8, 2.5)))
+        assert fused == [1] and blas_threads() == 2
+        ms = vitals.multichannel_vmd(spec, 2, weights=weights, init=init)
+        assert fused == [1, 1]
+        assert iterated == [1] * ms.iterations
+        assert blas_threads() == 2
+
+    def test_restored_after_an_exception(self, spec, blas_threads,
+                                         monkeypatch):
+        self._spy_on_fusion(monkeypatch, blas_threads, fail=True)
+        with pytest.raises(FloatingPointError, match="spy"):
+            vitals.multichannel_vmd(spec, 2)
+        assert blas_threads() == 2
+        monkeypatch.undo()
+        with pytest.raises(FloatingPointError, match="diverged"):
+            with np.errstate(all="ignore"):
+                vitals.multichannel_vmd(spec, 2, weights=[1e200] * 5)
+        assert blas_threads() == 2
+
+
 def _mode_set(freqs, amps, fs=20.0, n=600):
     t = np.arange(n) / fs
     modes = np.stack([a * np.sin(2 * np.pi * f * t)
