@@ -151,7 +151,9 @@ def _cmd_run(args) -> int:
     spec = _load(args.scenario)
     if spec is None:
         return 2
-    res = run_scenario(spec, seed=args.seed,
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+    res = run_scenario(spec,
                        beamforming=False if args.no_beamforming else None,
                        n_keep=args.n_keep)
     path = write_run_outputs(res, args.out)

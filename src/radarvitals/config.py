@@ -6,11 +6,16 @@ frozen dataclasses defined here.  All of them derive from :class:`Record`
 and round-trip through plain dicts, so scenario files can be written as
 JSON: ``to_dict`` walks the fields in order, and ``from_dict`` rejects an
 unknown or missing key with a ``ValueError`` naming the class and the key.
-Each class's ``__post_init__`` is the one place nested dicts become records.
-:func:`check_types` checks a record's fields against their annotations.
+``Record.__post_init__`` checks every field of every record, at every
+level, against its annotation: a dict becomes the annotated record, a list
+a tuple, and a value of the wrong type (or NaN) raises a ``ValueError``
+naming the record and the field.  Each class's own ``__post_init__`` adds
+only its value checks.
 """
 from __future__ import annotations
 
+import functools
+import math
 import numbers
 import types
 import typing
@@ -28,48 +33,50 @@ def _require(cond: bool, msg: str) -> None:
 def check_keys(owner: str, d, allowed, required=()) -> None:
     """Reject a non-dict ``d``, or a key of it outside ``allowed``, or a
     ``required`` key it lacks, with a ``ValueError`` naming ``owner``."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{owner}: expected an object, not "
-                         f"{type(d).__name__}")
+    _require(isinstance(d, dict),
+             f"{owner}: expected an object, not {type(d).__name__}")
     for key in d:
         _require(key in allowed, f"{owner}: unknown key {key!r}")
     for key in required:
         _require(key in d, f"{owner}: missing key {key!r}")
 
 
-def _admits(hint, value) -> bool:
-    """Whether ``value`` is of the evaluated annotation ``hint``.
+_REJECT = object()
 
-    An int passes for a float; a bool passes only for a bool; NaN passes
-    for nothing.
-    """
-    origin = typing.get_origin(hint)
+
+def _conform(hint, value):
+    """``value`` as the evaluated annotation ``hint`` admits it, else
+    ``_REJECT``.  A dict becomes the annotated record (through
+    ``from_dict``, so unknown and missing keys are still rejected) and a
+    list a tuple; every other value is kept as written.  An int passes for
+    a float; a bool passes only for a bool; NaN passes for nothing."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return any(_admits(h, value) for h in typing.get_args(hint))
+        return next((out for out in (_conform(h, value) for h in args)
+                     if out is not _REJECT), _REJECT)
     if origin is typing.Literal:
-        return value in typing.get_args(hint)
+        return value if value in args else _REJECT
     if origin is tuple:
-        args = typing.get_args(hint)
-        return (isinstance(value, (tuple, list)) and len(value) == len(args)
-                and all(_admits(h, v) for h, v in zip(args, value)))
-    if hint is type(None):
-        return value is None
+        if not isinstance(value, (tuple, list)):
+            return _REJECT
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        out = tuple(map(_conform, args, value))
+        return (out if len(args) == len(value) and _REJECT not in out
+                else _REJECT)
+    if isinstance(value, dict) and issubclass(hint, Record):
+        return hint.from_dict(value)
     if hint in (int, float):
         kind = numbers.Integral if hint is int else numbers.Real
-        return (isinstance(value, kind) and not isinstance(value, bool)
-                and value == value)         # NaN != NaN
-    return isinstance(value, hint)
+        ok = (isinstance(value, kind) and not isinstance(value, bool)
+              and value == value)           # NaN != NaN
+    else:
+        ok = isinstance(value, hint)
+    return value if ok else _REJECT
 
 
-def check_types(record) -> None:
-    """Reject a field whose value is not of its annotated type with a
-    ``ValueError`` naming the record and the field; no value is converted."""
-    hints = typing.get_type_hints(type(record))
-    for f in fields(record):
-        value = getattr(record, f.name)
-        _require(_admits(hints[f.name], value),
-                 f"{type(record).__name__}: {f.name} must be {f.type}, "
-                 f"not {value!r}")
+# Each record class's evaluated annotations, resolved once.
+_hints = functools.cache(typing.get_type_hints)
 
 
 def _plain(value):
@@ -81,7 +88,20 @@ def _plain(value):
 
 
 class Record:
-    """Plain-dict round trip shared by the config dataclasses."""
+    """Plain-dict round trip and field check shared by the config
+    dataclasses."""
+
+    def __post_init__(self) -> None:
+        """Check every field against its annotation (:func:`_conform`); a
+        value it does not admit raises ``ValueError`` naming the record,
+        the field and the annotation."""
+        hints = _hints(type(self))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out = _conform(hints[f.name], value)
+            _require(out is not _REJECT, f"{type(self).__name__}: {f.name} "
+                     f"must be {f.type}, not {value!r}")
+            object.__setattr__(self, f.name, out)
 
     def to_dict(self) -> dict:
         """Fields in order; nested records become dicts, tuples lists."""
@@ -89,24 +109,12 @@ class Record:
 
     @classmethod
     def from_dict(cls, d: dict):
-        """Build from a dict with only known keys and every required one;
-        a value of the wrong type also raises ``ValueError``."""
+        """Build from a dict with only known keys and every required one."""
         fs = fields(cls)
         check_keys(cls.__name__, d, {f.name for f in fs},
                    [f.name for f in fs if f.default is MISSING
                     and f.default_factory is MISSING])
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ValueError(f"{cls.__name__}: {e}") from e
-
-
-def as_record(cls, value):
-    return value if isinstance(value, cls) else cls.from_dict(value)
-
-
-def _records(cls, values) -> tuple:
-    return tuple(as_record(cls, v) for v in values)
+        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -157,6 +165,7 @@ class RadarConfig(Record):
     rx_spacing: float = SPEED_OF_LIGHT / 77e9 / 2
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.carrier_freq > 0, "carrier_freq must be positive")
         _require(self.bandwidth > 0, "bandwidth must be positive")
         _require(self.chirp_duration > 0, "chirp_duration must be positive")
@@ -219,6 +228,7 @@ class BodyMotion(Record):
     stop: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.freq > 0, "body motion freq must be positive")
         _require(self.amp >= 0, "body motion amp must be non-negative")
         _require(self.stop > self.start, "body motion window must be non-empty")
@@ -236,14 +246,13 @@ class VitalParams(Record):
     body_motion: tuple[BodyMotion, ...] = ()
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(0 < self.breath_freq < self.heart_freq,
                  "need 0 < breath_freq < heart_freq")
         _require(self.heart_amp < self.breath_amp,
                  "heart displacement must be smaller than breathing displacement")
         _require(self.breath_amp > 0 and self.heart_amp >= 0,
                  "amplitudes must be non-negative (breath_amp > 0)")
-        object.__setattr__(self, "body_motion",
-                           _records(BodyMotion, self.body_motion))
 
 
 def _check_angle(angle: float, what: str) -> None:
@@ -259,6 +268,7 @@ class PointReflector(Record):
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.range_m > 0, "static reflector range must be positive")
         _check_angle(self.angle_deg, "static reflector")
 
@@ -273,9 +283,9 @@ class VitalTarget(Record):
     vitals: VitalParams = field(default_factory=VitalParams)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         _require(self.range_m > 0, "target range must be positive")
         _check_angle(self.angle_deg, "target")
-        object.__setattr__(self, "vitals", as_record(VitalParams, self.vitals))
 
 
 @dataclass(frozen=True)
@@ -293,40 +303,27 @@ class MovingReflector(Record):
     body_motion: tuple[BodyMotion, ...] = ()
 
     def __post_init__(self) -> None:
-        wps = tuple(tuple(float(v) for v in w) for w in self.waypoints)
-        _require(len(wps) >= 1, "mover needs at least one waypoint")
-        _require(all(len(w) == 3 for w in wps),
-                 "waypoints must be (time, range_m, angle_deg) triples")
-        times = [w[0] for w in wps]
+        super().__post_init__()
+        _require(len(self.waypoints) >= 1, "mover needs at least one waypoint")
+        times = [w[0] for w in self.waypoints]
         _require(times == sorted(times), "waypoint times must be sorted")
-        for _, r, a in wps:
+        for _, r, a in self.waypoints:
             _require(r > 0, "mover range must be positive")
             _check_angle(a, "mover")
-        object.__setattr__(self, "waypoints", wps)
-        if not isinstance(self.amplitude, (int, float)):
-            amp = tuple(tuple(float(v) for v in p) for p in self.amplitude)
-            _require(all(len(p) == 2 for p in amp),
-                     "amplitude profile must be (time, value) pairs")
-            object.__setattr__(self, "amplitude", amp)
-        object.__setattr__(self, "body_motion",
-                           _records(BodyMotion, self.body_motion))
 
     def range_at(self, t):
-        times = [w[0] for w in self.waypoints]
-        ranges = [w[1] for w in self.waypoints]
+        times, ranges, _ = zip(*self.waypoints)
         return np.interp(t, times, ranges)
 
     def angle_at(self, t):
-        times = [w[0] for w in self.waypoints]
-        angles = [w[2] for w in self.waypoints]
+        times, _, angles = zip(*self.waypoints)
         return np.interp(t, times, angles)
 
     def amplitude_at(self, t):
-        if isinstance(self.amplitude, (int, float)):
+        if not isinstance(self.amplitude, tuple):
             return np.full_like(np.asarray(t, dtype=float), float(self.amplitude))
-        times = [p[0] for p in self.amplitude]
-        vals = [p[1] for p in self.amplitude]
-        return np.interp(t, times, vals)
+        times, values = zip(*self.amplitude)
+        return np.interp(t, times, values)
 
 
 @dataclass(frozen=True)
@@ -339,11 +336,9 @@ class Scene(Record):
     duration: float = 30.0
 
     def __post_init__(self) -> None:
-        _require(self.duration > 0, "scene duration must be positive")
-        for name, cls in (("statics", PointReflector),
-                          ("targets", VitalTarget),
-                          ("movers", MovingReflector)):
-            object.__setattr__(self, name, _records(cls, getattr(self, name)))
+        super().__post_init__()
+        _require(0 < self.duration < math.inf, "Scene: duration must be a "
+                 f"finite number > 0, not {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -363,6 +358,9 @@ class CameraConfig(Record):
     box_height_px: float = 500.0
 
     def __post_init__(self) -> None:
+        super().__post_init__()
+        _require(self.fps is None or 0 < self.fps < math.inf, "CameraConfig: "
+                 f"fps must be None or a finite number > 0, not {self.fps!r}")
         _require(self.image_width > 0 and self.image_height > 0,
                  "image dimensions must be positive")
         _require(0 < self.afov_deg <= 90, "afov_deg must lie in (0, 90]")

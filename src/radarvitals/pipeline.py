@@ -40,7 +40,7 @@ import numpy as np
 
 from . import aoa, beamform, fusion, vitals
 from .config import (CameraConfig, RadarConfig, Record, Scene, _require,
-                     as_record, check_keys, check_types)
+                     check_keys)
 from .rangefft import (RangeProfiles, check_n_fft, range_bin_of,
                        range_bin_width)
 from .simulate import (range_profiles, render_profiles,
@@ -62,9 +62,10 @@ _TOP_LEVEL_FIELDS = frozenset(
 class ScenarioSpec(Record):
     """Complete description of one simulated capture and its processing.
 
-    Every field is checked against its annotation on construction
-    (:func:`config.check_types`): a wrong-typed value raises ``ValueError``
-    naming the field.
+    On construction every field, and every field of the records nested in
+    it, is checked against its annotation (``config.Record``): a
+    wrong-typed or NaN value raises ``ValueError`` naming the record and
+    the field, and a dict or list becomes the annotated record or tuple.
     """
 
     name: str
@@ -92,17 +93,13 @@ class ScenarioSpec(Record):
     hr_band: tuple[float, float] = vitals.DEFAULT_HR_BAND
 
     def __post_init__(self) -> None:
-        for name, cls in (("radar", RadarConfig), ("scene", Scene),
-                          ("camera", CameraConfig)):
-            object.__setattr__(self, name, as_record(cls, getattr(self, name)))
-        check_types(self)
+        super().__post_init__()
         _require(self.seed >= 0,
                  f"ScenarioSpec: seed must be >= 0, not {self.seed}")
         for name in ("rr_band", "hr_band"):
-            band = tuple(getattr(self, name))
-            _require(band[0] < band[1], f"ScenarioSpec: {name} must be a "
-                     f"(lo, hi) band with lo < hi, not {list(band)}")
-            object.__setattr__(self, name, band)
+            lo, hi = getattr(self, name)
+            _require(lo < hi, f"ScenarioSpec: {name} must be a (lo, hi) "
+                     f"band with lo < hi, not {[lo, hi]}")
 
     def to_dict(self) -> dict:
         """JSON-ready dict with the processing knobs nested under
@@ -257,6 +254,11 @@ def _profile_rows(spec: ScenarioSpec, n_fft: int) -> int:
     return min(near + max(spec.num_phase_channels // 2, 0), full)
 
 
+def _kept_bins(n_keep: int, n_bins: int) -> int:
+    """Spectrum bins an ``n_keep`` keeps: at least 4, at most ``n_bins``."""
+    return min(max(int(n_keep), 4), n_bins)
+
+
 def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
                   beamforming: bool, n_keep: int | None,
                   timings: dict) -> VitalsChain:
@@ -293,8 +295,8 @@ def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
     with _stage(timings, "spectrum"):
         spectra = vitals.analytic_spectrum(phase.samples, phase.sample_rate)
         if n_keep is not None:
-            keep = int(np.clip(n_keep, 4, spectra.n_bins))
-            spectra = vitals.truncate_spectrum(spectra, keep)
+            spectra = vitals.truncate_spectrum(
+                spectra, _kept_bins(n_keep, spectra.n_bins))
     with _stage(timings, "decompose"):
         modes = _decompose(spec, spectra, cw.weights, k)()
     with _stage(timings, "rates"):
@@ -448,8 +450,7 @@ def run_suite(
     counted separately.  Writes per-run reports plus ``suite_summary.json``
     and CDF CSVs when ``out_dir`` is given.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    _require(repetitions >= 1, "repetitions must be >= 1")
     rr_errors: list[float] = []
     hr_errors: list[float] = []
     failed_runs = 0
@@ -526,9 +527,11 @@ def bench_acceleration(
     for each ``n_keep`` value (None = full spectrum), ``repeats`` timed
     times each (best time kept), so rows differ only in spectrum length.
     Rate deltas are reported against the full-spectrum row.  A failed run
-    raises :class:`ScenarioFailed`; an ``n_keep`` that keeps fewer than two
-    bins per mode raises ``ValueError`` naming it, before any row is timed.
+    raises :class:`ScenarioFailed`; ``repeats`` < 1, or an ``n_keep`` that
+    keeps fewer than two bins per mode, raises ``ValueError`` before any
+    row is timed.
     """
+    _require(repeats >= 1, "repeats must be >= 1")
     res = run_scenario(spec, n_keep=None)
     if res.failed:
         raise ScenarioFailed(res.report["failure_stage"], res.report["error"])
@@ -538,11 +541,10 @@ def bench_acceleration(
     kept = set()
     for v in n_keep_values:
         if v is not None:
-            keep = max(4, min(int(v), full.n_bins))
-            if keep < 2 * chain.k:
-                raise ValueError(
-                    f"n_keep {v} keeps {keep} spectrum bins, fewer than the "
-                    f"{2 * chain.k} that {chain.k} modes need")
+            keep = _kept_bins(v, full.n_bins)
+            _require(keep >= 2 * chain.k,
+                     f"n_keep {v} keeps {keep} spectrum bins, fewer than the "
+                     f"{2 * chain.k} that {chain.k} modes need")
             kept.add(keep)
 
     rows = []
@@ -553,7 +555,7 @@ def bench_acceleration(
         decompose = _decompose(spec, spectra, chain.weights.weights, chain.k)
         best = np.inf
         modes = None
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             modes = decompose()
             best = min(best, time.perf_counter() - t0)

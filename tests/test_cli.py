@@ -2,12 +2,16 @@ import dataclasses
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
 import radarvitals as rv
 from radarvitals.cli import _parse_n_keep, build_parser, main
 from radarvitals.pipeline import ScenarioSpec
+
+FUSION_STRESS = (Path(__file__).parents[1] / "scenarios"
+                 / "fusion_stress.json")
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,18 @@ class TestRunVerb:
                   "--out", str(out), "--seed", seed])
             blobs.append((out / "report.json").read_bytes())
         assert blobs[0] != blobs[1]
+
+    def test_seed_writes_the_same_report_as_suite(self, scenario_path,
+                                                  tmp_path, capsys):
+        assert main(["run", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "run"), "--seed", "7"]) == 0
+        assert main(["suite", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "suite"), "--seed", "7",
+                     "--repetitions", "1"]) == 0
+        report = (tmp_path / "run" / "report.json").read_bytes()
+        assert report == (tmp_path / "suite" / "run-000"
+                          / "report.json").read_bytes()
+        assert json.loads(report)["scenario"]["seed"] == 7
 
     def test_no_beamforming_flag(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "nobf"
@@ -156,6 +172,30 @@ class TestInvalidScenario:
         assert rc == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert str(path) in line and f"{key} must be" in line
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path, key, value, record", [
+        (("radar",), "num_tx", 2.0, "RadarConfig"),
+        (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
+        (("scene", "statics", 0), "amplitude", float("nan"),
+         "PointReflector"),
+        (("scene",), "duration", float("inf"), "Scene"),  # JSON Infinity
+        (("camera",), "fps", float("inf"), "CameraConfig"),
+    ])
+    def test_bad_nested_value_exits_2(self, tmp_path, capsys, path, key,
+                                      value, record):
+        blob = json.loads(FUSION_STRESS.read_text())
+        node = blob
+        for step in path:
+            node = node[step]
+        node[key] = value
+        scenario = tmp_path / "nested.json"
+        scenario.write_text(json.dumps(blob))
+        rc = main(["run", "--scenario", str(scenario),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert str(scenario) in line and f"{record}: {key} must be" in line
         assert not (tmp_path / "out").exists()
 
     def test_unreadable_files(self, tmp_path, capsys):

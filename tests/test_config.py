@@ -111,6 +111,33 @@ def test_vitals_accept_any_ordered_bands(fb, fh):
     assert d.heart_freq == v.heart_freq
 
 
+class TestFieldTypes:
+    def test_wrong_type_names_record_and_field(self):
+        with pytest.raises(ValueError, match="^RadarConfig: num_tx must be"):
+            rv.RadarConfig(num_tx=2.0)
+        with pytest.raises(ValueError,
+                           match="^PointReflector: amplitude must be"):
+            rv.PointReflector(2.0, 0.0, float("nan"))
+
+    def test_dicts_and_lists_become_records_and_tuples(self):
+        target = rv.VitalTarget(2.0, 0.0, vitals={"body_motion": [
+            {"freq": 1.0, "amp": 1e-3, "start": 0.0, "stop": 1.0}]})
+        assert target.vitals.body_motion == (
+            rv.BodyMotion(1.0, 1e-3, 0.0, 1.0),)
+        assert rv.Scene(statics=[rv.PointReflector(2.0, 0.0)]).statics == (
+            rv.PointReflector(2.0, 0.0),)
+
+    @pytest.mark.parametrize("make", [
+        lambda: rv.Scene(duration=float("inf")),
+        lambda: rv.Scene(duration=0.0),
+        lambda: rv.CameraConfig(fps=float("inf")),
+        lambda: rv.CameraConfig(fps=0.0),
+    ], ids=["duration=inf", "duration=0", "fps=inf", "fps=0"])
+    def test_rejects_non_finite_or_non_positive_times(self, make):
+        with pytest.raises(ValueError, match="must be .*finite number > 0"):
+            make()
+
+
 def test_camera_round_trip():
     cam = rv.CameraConfig(image_width=640, afov_deg=45.0, jitter_px=0.0)
     assert rv.CameraConfig.from_dict(cam.to_dict()) == cam

@@ -198,6 +198,22 @@ SCENARIO_LEVELS = {
 }
 
 
+# The record at each scenario level, and a float field of it.
+LEVEL_FIELDS = {
+    "top": ("ScenarioSpec", "snr_db"),
+    "processing": ("ScenarioSpec", "alpha"),
+    "radar": ("RadarConfig", "carrier_freq"),
+    "camera": ("CameraConfig", "afov_deg"),
+    "scene": ("Scene", "duration"),
+    "static": ("PointReflector", "amplitude"),
+    "target": ("VitalTarget", "range_m"),
+    "vitals": ("VitalParams", "breath_freq"),
+    "body_motion": ("BodyMotion", "freq"),
+    "mover": ("MovingReflector", "amplitude"),
+    "mover_body_motion": ("BodyMotion", "amp"),
+}
+
+
 # A wrong-typed value for top-level scalars and processing knobs.
 WRONG_TYPED_SCALARS = [
     ("max_iter", "x"),
@@ -271,6 +287,60 @@ class TestStrictKeys:
         d["n_keep"] = d["processing"].pop("n_keep")
         with pytest.raises(ValueError, match="unknown key 'n_keep'"):
             ScenarioSpec.from_dict(d)
+
+    def test_every_level_has_a_checked_field(self):
+        assert LEVEL_FIELDS.keys() == SCENARIO_LEVELS.keys()
+
+    @pytest.mark.parametrize("value", ["x", True, float("nan")],
+                             ids=["str", "bool", "nan"])
+    @pytest.mark.parametrize("level", SCENARIO_LEVELS)
+    def test_bad_float_is_rejected_at_every_level(self, level, value):
+        record, key = LEVEL_FIELDS[level]
+        d = _scenario_with_every_level()
+        _node(d, SCENARIO_LEVELS[level])[key] = value
+        with pytest.raises(ValueError, match=f"^{record}: {key} must be "):
+            ScenarioSpec.from_dict(d)
+
+    @pytest.mark.parametrize("path, key, value, record", [
+        (("radar",), "num_tx", 2.0, "RadarConfig"),
+        (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
+        (("camera",), "image_width", 640.0, "CameraConfig"),
+        (("scene", "movers", 0), "waypoints", [[0.0, 2.0]],
+         "MovingReflector"),
+        (("scene", "movers", 0), "amplitude", [[0.0, 1.0, 2.0]],
+         "MovingReflector"),
+        (("scene",), "statics", ["wall"], "Scene"),
+        (("scene", "targets", 0, "vitals"), "body_motion", {},
+         "VitalParams"),
+    ])
+    def test_nested_wrong_type_names_the_record(self, path, key, value,
+                                                record):
+        d = _scenario_with_every_level()
+        _node(d, path)[key] = value
+        with pytest.raises(ValueError, match=f"^{record}: {key} must be "):
+            ScenarioSpec.from_dict(d)
+
+    @pytest.mark.parametrize("path, key, record", [
+        (("scene",), "duration", "Scene"),
+        (("camera",), "fps", "CameraConfig"),
+    ])
+    def test_infinity_is_rejected(self, path, key, record):
+        d = _scenario_with_every_level()
+        _node(d, path)[key] = float("inf")
+        with pytest.raises(ValueError,
+                           match=f"^{record}: {key} must be .*finite"):
+            ScenarioSpec.from_dict(d)
+
+    def test_nested_lists_become_tuples_ints_kept(self):
+        d = _scenario_with_every_level()
+        d["scene"]["movers"][0]["waypoints"] = [[0, 2, -40], [10, 3, 40]]
+        d["scene"]["movers"][0]["amplitude"] = [[0, 1], [10.0, 2]]
+        mover = ScenarioSpec.from_dict(d).scene.movers[0]
+        assert mover.waypoints == ((0, 2, -40), (10, 3, 40))
+        assert type(mover.waypoints[0][0]) is int
+        assert mover.amplitude == ((0, 1), (10.0, 2))
+        assert isinstance(mover.body_motion[0], rv.BodyMotion)
+        assert ScenarioSpec.from_dict(d).to_dict() == d
 
     def test_wrong_types_raise_value_error(self):
         d = _scenario_with_every_level()
@@ -459,6 +529,17 @@ class TestBench:
                                r"modes need$"):
                 bench_acceleration(spec, n_keep_values=values, repeats=1)
             assert calls == [81]
+
+    @pytest.mark.parametrize("repeats", [0, -5])
+    def test_rejects_repeats_below_one(self, quick_spec, repeats):
+        with pytest.raises(ValueError, match="repeats must be >= 1"):
+            bench_acceleration(quick_spec, n_keep_values=[40],
+                               repeats=repeats)
+
+    @pytest.mark.parametrize("n_keep, n_bins, kept", [
+        (2, 81, 4), (40, 81, 40), (10_000, 81, 81), (81, 81, 81)])
+    def test_kept_bins(self, n_keep, n_bins, kept):
+        assert pipeline._kept_bins(n_keep, n_bins) == kept
 
     def test_oversized_keep_is_clipped(self, quick_spec):
         rows = bench_acceleration(quick_spec, n_keep_values=[10_000],
