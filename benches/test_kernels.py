@@ -1,4 +1,5 @@
-"""Micro-benchmarks of the hot kernels on the bundled ``clean`` scenario.
+"""Micro-benchmarks of the hot kernels, mostly on the bundled ``clean``
+scenario.
 
 Run from the repository root (not part of the Tier-1 tests, which collect
 ``tests/`` only)::
@@ -8,7 +9,9 @@ Run from the repository root (not part of the Tier-1 tests, which collect
 Each kernel is timed alone on inputs built once per module, as a run
 builds them: the clean scene's noisy range profiles at the rows the
 pipeline renders (``range_profiles`` at ``pipeline._profile_rows``), and
-the unsteered phase channels of its localized target.  The decomposition
+the unsteered phase channels of its localized target.  The noiseless
+render (the signal model without the noise draws) is also timed on
+``range_overlap``, the only scene with a mover.  The decomposition
 is timed at two sizes: the clean chain's 100 kept bins and the bench
 scenario's full 1001-bin spectrum.
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
@@ -82,6 +85,18 @@ def test_render_profiles(benchmark, spec, profiles):
     """The pipeline's render: the bins it reads, at every slow sample."""
     out = benchmark(_profiles, spec)
     assert out.data.shape == profiles.data.shape
+
+
+@pytest.mark.parametrize("name", ["clean", "range_overlap"])
+def test_render_profiles_noiseless(benchmark, name):
+    """The pipeline's rows at every slow sample, without noise."""
+    scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+    cfg = scenario.radar
+    n_fft = rangefft.check_n_fft(cfg, scenario.n_fft)
+    bins = np.arange(pipeline._profile_rows(scenario, n_fft))
+    out = benchmark(simulate.render_profiles, scenario.scene, cfg, bins,
+                    slice(None), n_fft)
+    assert out.shape[0] == bins.size and out.shape[2] == cfg.num_virtual
 
 
 @pytest.mark.parametrize("near", [False, True], ids=["all_bins", "near"])

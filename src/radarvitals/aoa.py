@@ -22,7 +22,11 @@ def default_angle_grid(num_bins: int = DEFAULT_NUM_ANGLE_BINS) -> np.ndarray:
 
 def steering_matrix(angles_deg, num_elements: int, spacing: float,
                     wavelength: float) -> np.ndarray:
-    """Array response vectors, one column per angle: shape (K, A)."""
+    """Array response vectors, one column per angle: shape (K, A).
+
+    The one uniform-linear-array response of the package: the simulator's
+    transmit and receive ramps and the beam weights and patterns use it
+    too."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
     phase = (2.0 * np.pi * spacing / wavelength
              * np.outer(np.arange(num_elements), np.sin(np.deg2rad(angles))))

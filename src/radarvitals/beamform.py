@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aoa import steering_matrix
+
 
 @dataclass(frozen=True)
 class BeamWeights:
@@ -36,9 +38,8 @@ def _steer(steer_deg: float, num_elements: int, spacing: float,
         raise ValueError("spacing and wavelength must be positive")
     if not -90.0 <= steer_deg <= 90.0:
         raise ValueError("steer angle must lie in [-90, 90] degrees")
-    phase = (2.0 * np.pi * spacing / wavelength * np.sin(np.deg2rad(steer_deg))
-             * np.arange(num_elements))
-    return BeamWeights(weights=np.exp(1j * phase), steer_deg=steer_deg,
+    w = steering_matrix(steer_deg, num_elements, spacing, wavelength)[:, 0]
+    return BeamWeights(weights=w, steer_deg=steer_deg,
                        spacing=spacing, wavelength=wavelength, role=role)
 
 
@@ -98,10 +99,8 @@ def beam_pattern(bw: BeamWeights, angles_deg=None,
     if angles_deg is None:
         angles_deg = np.arange(-90.0, 90.0 + 0.5 * step_deg, step_deg)
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    phase = (2.0 * np.pi * bw.spacing / bw.wavelength
-             * np.outer(np.sin(np.deg2rad(angles_deg)),
-                        np.arange(len(bw))))
-    gain = np.abs(np.exp(1j * phase) @ bw.weights.conj())
+    gain = np.abs(combine(steering_matrix(angles_deg, len(bw), bw.spacing,
+                                          bw.wavelength).T, bw))
     gain_db = 20.0 * np.log10(np.maximum(gain / len(bw), 1e-12))
     return BeamPattern(angles_deg=angles_deg, gain_db=gain_db,
                        steer_deg=bw.steer_deg, role=bw.role)

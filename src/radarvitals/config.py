@@ -8,9 +8,10 @@ JSON: ``to_dict`` walks the fields in order, and ``from_dict`` rejects an
 unknown or missing key with a ``ValueError`` naming the class and the key.
 ``Record.__post_init__`` checks every field of every record, at every
 level, against its annotation: a dict becomes the annotated record, a list
-a tuple, and a value of the wrong type (or NaN) raises a ``ValueError``
-naming the record and the field.  Each class's own ``__post_init__`` adds
-only its value checks.
+a tuple, and a value of the wrong type (or NaN or +-inf) raises a
+``ValueError`` naming the record and the field.  Each class's own
+``_check`` adds only its value checks; a failing one is raised with the
+record's name in front.
 """
 from __future__ import annotations
 
@@ -49,7 +50,8 @@ def _conform(hint, value):
     ``_REJECT``.  A dict becomes the annotated record (through
     ``from_dict``, so unknown and missing keys are still rejected) and a
     list a tuple; every other value is kept as written.  An int passes for
-    a float; a bool passes only for a bool; NaN passes for nothing."""
+    a float; a bool passes only for a bool; NaN and +-inf pass for
+    nothing."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return next((out for out in (_conform(h, value) for h in args)
@@ -69,7 +71,7 @@ def _conform(hint, value):
     if hint in (int, float):
         kind = numbers.Integral if hint is int else numbers.Real
         ok = (isinstance(value, kind) and not isinstance(value, bool)
-              and value == value)           # NaN != NaN
+              and abs(value) < math.inf)    # False for NaN too
     else:
         ok = isinstance(value, hint)
     return value if ok else _REJECT
@@ -92,16 +94,24 @@ class Record:
     dataclasses."""
 
     def __post_init__(self) -> None:
-        """Check every field against its annotation (:func:`_conform`); a
-        value it does not admit raises ``ValueError`` naming the record,
-        the field and the annotation."""
+        """Check every field against its annotation (:func:`_conform`),
+        then run the record's value checks (:meth:`_check`).  A failure
+        raises ``ValueError`` starting with the record's name."""
+        name = type(self).__name__
         hints = _hints(type(self))
         for f in fields(self):
             value = getattr(self, f.name)
             out = _conform(hints[f.name], value)
-            _require(out is not _REJECT, f"{type(self).__name__}: {f.name} "
-                     f"must be {f.type}, not {value!r}")
+            _require(out is not _REJECT, f"{name}: {f.name} must be "
+                     f"{f.type} (finite), not {value!r}")
             object.__setattr__(self, f.name, out)
+        try:
+            self._check()
+        except ValueError as e:
+            raise ValueError(f"{name}: {e}") from None
+
+    def _check(self) -> None:
+        """Value checks beyond the annotations; none by default."""
 
     def to_dict(self) -> dict:
         """Fields in order; nested records become dicts, tuples lists."""
@@ -164,8 +174,7 @@ class RadarConfig(Record):
     tx_spacing: float = SPEED_OF_LIGHT / 77e9
     rx_spacing: float = SPEED_OF_LIGHT / 77e9 / 2
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _check(self) -> None:
         _require(self.carrier_freq > 0, "carrier_freq must be positive")
         _require(self.bandwidth > 0, "bandwidth must be positive")
         _require(self.chirp_duration > 0, "chirp_duration must be positive")
@@ -185,9 +194,9 @@ class RadarConfig(Record):
             "chirps of one frame must fit inside the frame period",
         )
         _require(self.num_tx >= 1 and self.num_rx >= 1,
-                 "antenna counts must be >= 1")
+                 "num_tx and num_rx must be >= 1")
         _require(self.tx_spacing > 0 and self.rx_spacing > 0,
-                 "antenna spacings must be positive")
+                 "tx_spacing and rx_spacing must be positive")
 
     @property
     def wavelength(self) -> float:
@@ -227,11 +236,11 @@ class BodyMotion(Record):
     start: float
     stop: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(self.freq > 0, "body motion freq must be positive")
-        _require(self.amp >= 0, "body motion amp must be non-negative")
-        _require(self.stop > self.start, "body motion window must be non-empty")
+    def _check(self) -> None:
+        _require(self.freq > 0, "freq must be positive")
+        _require(self.amp >= 0, "amp must be non-negative")
+        _require(self.stop > self.start,
+                 "window [start, stop) must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -245,8 +254,7 @@ class VitalParams(Record):
     heart_amp: float = 3e-4
     body_motion: tuple[BodyMotion, ...] = ()
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
+    def _check(self) -> None:
         _require(0 < self.breath_freq < self.heart_freq,
                  "need 0 < breath_freq < heart_freq")
         _require(self.heart_amp < self.breath_amp,
@@ -255,8 +263,10 @@ class VitalParams(Record):
                  "amplitudes must be non-negative (breath_amp > 0)")
 
 
-def _check_angle(angle: float, what: str) -> None:
-    _require(-90.0 <= angle <= 90.0, f"{what} angle must lie in [-90, 90] deg")
+def _check_position(range_m: float, angle_deg: float) -> None:
+    _require(range_m > 0, f"range_m must be positive, not {range_m!r}")
+    _require(-90.0 <= angle_deg <= 90.0,
+             f"angle_deg must lie in [-90, 90], not {angle_deg!r}")
 
 
 @dataclass(frozen=True)
@@ -267,10 +277,8 @@ class PointReflector(Record):
     angle_deg: float
     amplitude: float = 1.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(self.range_m > 0, "static reflector range must be positive")
-        _check_angle(self.angle_deg, "static reflector")
+    def _check(self) -> None:
+        _check_position(self.range_m, self.angle_deg)
 
 
 @dataclass(frozen=True)
@@ -282,10 +290,8 @@ class VitalTarget(Record):
     amplitude: float = 1.0
     vitals: VitalParams = field(default_factory=VitalParams)
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(self.range_m > 0, "target range must be positive")
-        _check_angle(self.angle_deg, "target")
+    def _check(self) -> None:
+        _check_position(self.range_m, self.angle_deg)
 
 
 @dataclass(frozen=True)
@@ -302,14 +308,12 @@ class MovingReflector(Record):
     amplitude: float | tuple[tuple[float, float], ...] = 1.0
     body_motion: tuple[BodyMotion, ...] = ()
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(len(self.waypoints) >= 1, "mover needs at least one waypoint")
+    def _check(self) -> None:
+        _require(len(self.waypoints) >= 1, "needs at least one waypoint")
         times = [w[0] for w in self.waypoints]
         _require(times == sorted(times), "waypoint times must be sorted")
         for _, r, a in self.waypoints:
-            _require(r > 0, "mover range must be positive")
-            _check_angle(a, "mover")
+            _check_position(r, a)
 
     def range_at(self, t):
         times, ranges, _ = zip(*self.waypoints)
@@ -335,10 +339,9 @@ class Scene(Record):
     movers: tuple[MovingReflector, ...] = ()
     duration: float = 30.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(0 < self.duration < math.inf, "Scene: duration must be a "
-                 f"finite number > 0, not {self.duration!r}")
+    def _check(self) -> None:
+        _require(self.duration > 0,
+                 f"duration must be > 0, not {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -357,10 +360,9 @@ class CameraConfig(Record):
     box_width_px: float = 150.0
     box_height_px: float = 500.0
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(self.fps is None or 0 < self.fps < math.inf, "CameraConfig: "
-                 f"fps must be None or a finite number > 0, not {self.fps!r}")
+    def _check(self) -> None:
+        _require(self.fps is None or self.fps > 0,
+                 f"fps must be None or > 0, not {self.fps!r}")
         _require(self.image_width > 0 and self.image_height > 0,
                  "image dimensions must be positive")
         _require(0 < self.afov_deg <= 90, "afov_deg must lie in (0, 90]")

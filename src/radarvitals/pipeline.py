@@ -64,8 +64,9 @@ class ScenarioSpec(Record):
 
     On construction every field, and every field of the records nested in
     it, is checked against its annotation (``config.Record``): a
-    wrong-typed or NaN value raises ``ValueError`` naming the record and
-    the field, and a dict or list becomes the annotated record or tuple.
+    wrong-typed, NaN or infinite value raises ``ValueError`` naming the
+    record and the field, and a dict or list becomes the annotated record
+    or tuple.
     """
 
     name: str
@@ -92,14 +93,12 @@ class ScenarioSpec(Record):
     rr_band: tuple[float, float] = vitals.DEFAULT_RR_BAND
     hr_band: tuple[float, float] = vitals.DEFAULT_HR_BAND
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        _require(self.seed >= 0,
-                 f"ScenarioSpec: seed must be >= 0, not {self.seed}")
+    def _check(self) -> None:
+        _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
         for name in ("rr_band", "hr_band"):
             lo, hi = getattr(self, name)
-            _require(lo < hi, f"ScenarioSpec: {name} must be a (lo, hi) "
-                     f"band with lo < hi, not {[lo, hi]}")
+            _require(lo < hi, f"{name} must be a (lo, hi) band with lo < hi, "
+                     f"not {[lo, hi]}")
 
     def to_dict(self) -> dict:
         """JSON-ready dict with the processing knobs nested under

@@ -1,15 +1,19 @@
 """Synthetic FMCW radar data and camera detections.
 
-The simulator evaluates the dechirped baseband model directly: each
-scatterer contributes a complex tone across fast time (beat frequency
-proportional to range), a phase history across slow time (carrying the
-two-way path length, including chest micro-motion for vital targets), and a
-linear phase ramp across the virtual receive array.  Cubes are indexed
-``[fast_sample, slow_sample, virtual_antenna]``.
+The simulator evaluates the dechirped baseband model directly.  Every
+scatterer is one tuple ``(beat range, phase range, angle, amplitude)``,
+each entry a scalar or an array over slow time (``_scatterers``): a static
+is all scalars; a vital target beats at its nominal range while its phase
+range adds the chest micro-motion; a mover is arrays along its path.  It
+contributes a complex tone across fast time (beat frequency proportional
+to the beat range) times a slow-time factor carrying the amplitude, the
+two-way carrier phase of the phase range and the receive-array response.
+Cubes are indexed ``[fast_sample, slow_sample, virtual_antenna]``.
 
 Transmit beamforming is modeled as a per-scatterer illumination gain: with
 steering weights ``w`` the field hitting a scatterer at azimuth theta scales
-by ``w^H a_tx(theta)``, where ``a_tx`` is the transmit-array steering vector.
+by ``w^H a_tx(theta)``.  Every array response, transmit and receive, is
+:func:`aoa.steering_matrix`.
 
 Two renderers share one per-scatterer signal model (``_returns``):
 
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aoa import steering_matrix
 from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
                      VitalTarget)
 from .fusion import Box, DetectionFrame
@@ -78,19 +83,17 @@ def _slow_times(cfg: RadarConfig, duration: float):
 
 
 def _illumination(angles_deg, tx_weights, cfg: RadarConfig):
-    """Transmit-array gain ``w^H a_tx(theta)`` per scatterer angle."""
+    """Transmit-array gain ``w^H a_tx(theta)``, one per angle (1-D)."""
+    angles_deg = np.atleast_1d(angles_deg)
     if tx_weights is None:
-        return np.ones_like(np.asarray(angles_deg, dtype=float),
-                            dtype=np.complex128)
+        return np.ones(angles_deg.shape, dtype=np.complex128)
     w = np.asarray(getattr(tx_weights, "weights", tx_weights),
                    dtype=np.complex128)
     if w.shape != (cfg.num_tx,):
         raise ValueError(
             f"tx_weights must have length num_tx={cfg.num_tx}, got {w.shape}")
-    sin_t = np.sin(np.deg2rad(np.asarray(angles_deg, dtype=float)))
-    phase = (2.0 * np.pi * cfg.tx_spacing / cfg.wavelength
-             * np.outer(sin_t, np.arange(cfg.num_tx)))
-    return np.exp(1j * phase) @ w.conj()
+    return w.conj() @ steering_matrix(angles_deg, cfg.num_tx, cfg.tx_spacing,
+                                      cfg.wavelength)
 
 
 def _check_beat(cfg: RadarConfig, r_max: float) -> None:
@@ -100,61 +103,46 @@ def _check_beat(cfg: RadarConfig, r_max: float) -> None:
             f"the fast-time Nyquist limit ({cfg.max_unambiguous_range:.2f} m)")
 
 
+def _scatterers(scene: Scene, slow_t: np.ndarray):
+    """``(beat range, phase range, angle, amplitude)`` of every scatterer,
+    each a scalar or an array over ``slow_t``: scalars for a static; the
+    nominal range as beat range and the range plus chest displacement as
+    phase range for a vital target; arrays along its path for a mover."""
+    for s in scene.statics:
+        yield s.range_m, s.range_m, s.angle_deg, s.amplitude
+    for tgt in scene.targets:
+        phase_r = tgt.range_m + chest_displacement(slow_t, tgt.vitals)
+        yield tgt.range_m, phase_r, tgt.angle_deg, tgt.amplitude
+    for mv in scene.movers:
+        r_m = mv.range_at(slow_t) + motion_displacement(slow_t, mv.body_motion)
+        yield r_m, r_m, mv.angle_at(slow_t), mv.amplitude_at(slow_t)
+
+
 def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights,
              gain_offset: float = 0.0):
     """Noise-free return of every scatterer at slow times ``slow_t``.
 
-    Yields one ``(fast_slow, slow_ant)`` pair per scatterer, shaped
-    ``(samples_per_chirp, S)`` and ``(S, num_virtual)`` with ``S`` either
-    ``slow_t.size`` or 1 (constant over slow time); the scatterer adds
-    ``fast_slow[:, :, None] * slow_ant[None, :, :]`` to the cube.
-    ``fast_slow`` holds the fast-time beat tone and, for statics and vital
-    targets, the amplitude, carrier phase and illumination gain;
-    ``slow_ant`` holds the antenna phase ramp and, for movers, the
-    time-varying amplitude, carrier phase and gain.  The gain is the
-    illumination gain of ``tx_weights`` minus ``gain_offset``; every return
-    is linear in it.
+    Yields one ``(fast, slow_ant)`` pair per scatterer tuple of
+    :func:`_scatterers`, shaped ``(samples_per_chirp, 1 or S)`` and
+    ``(1 or S, num_virtual)`` with ``S = slow_t.size``; the scatterer adds
+    ``fast[:, :, None] * slow_ant[None, :, :]`` to the cube.  ``fast`` is
+    the fast-time beat tone of the beat range; ``slow_ant`` holds the
+    amplitude, the carrier phase of the phase range, the illumination gain
+    and the receive-array response (:func:`aoa.steering_matrix`).  The gain
+    is the illumination gain of ``tx_weights`` minus ``gain_offset``; every
+    return is linear in it.
     """
-    n_fast = cfg.samples_per_chirp
     lam = cfg.wavelength
-    alpha = cfg.chirp_slope_factor
-    fast_t = np.arange(n_fast) * cfg.adc_interval
-    k = np.arange(cfg.num_virtual)
-    ant_factor = 2.0 * np.pi * cfg.rx_spacing / lam
-
-    def gain(angles_deg):
-        return _illumination(angles_deg, tx_weights, cfg) - gain_offset
-
-    for s in scene.statics:
-        _check_beat(cfg, s.range_m)
-        g = complex(gain([s.angle_deg])[0])
-        fast = np.exp(2j * np.pi * alpha * s.range_m * fast_t)
-        ant = np.exp(1j * ant_factor * np.sin(np.deg2rad(s.angle_deg)) * k)
-        amp = s.amplitude * g * np.exp(4j * np.pi * s.range_m / lam)
-        yield (amp * fast)[:, None], ant[None, :]
-
-    for tgt in scene.targets:
-        _check_beat(cfg, tgt.range_m)
-        g = complex(gain([tgt.angle_deg])[0])
-        fast = np.exp(2j * np.pi * alpha * tgt.range_m * fast_t)
-        dr = chest_displacement(slow_t, tgt.vitals)
-        slow = np.exp(4j * np.pi * (tgt.range_m + dr) / lam)
-        ant = np.exp(1j * ant_factor * np.sin(np.deg2rad(tgt.angle_deg)) * k)
-        yield (tgt.amplitude * g) * np.multiply.outer(fast, slow), ant[None, :]
-
-    for mv in scene.movers:
-        r_m = np.asarray(mv.range_at(slow_t), dtype=float)
-        r_m = r_m + motion_displacement(slow_t, mv.body_motion)
-        _check_beat(cfg, float(np.max(r_m)))
-        th_m = np.asarray(mv.angle_at(slow_t), dtype=float)
-        a_m = np.asarray(mv.amplitude_at(slow_t), dtype=float)
-        g_m = gain(th_m)
-        fast_slow = np.exp(2j * np.pi * alpha * cfg.adc_interval
-                           * np.outer(np.arange(n_fast), r_m))
-        ant_slow = np.exp(1j * ant_factor
-                          * np.outer(np.sin(np.deg2rad(th_m)), k))
-        ant_slow *= (a_m * g_m * np.exp(4j * np.pi * r_m / lam))[:, None]
-        yield fast_slow, ant_slow
+    fast_t = np.arange(cfg.samples_per_chirp) * cfg.adc_interval
+    for beat_r, phase_r, angle, amp in _scatterers(scene, slow_t):
+        beat_r = np.atleast_1d(beat_r)
+        _check_beat(cfg, float(beat_r.max()))
+        fast = np.exp((2j * np.pi * cfg.chirp_slope_factor)
+                      * np.multiply.outer(fast_t, beat_r))
+        gain = _illumination(angle, tx_weights, cfg) - gain_offset
+        coef = amp * gain * np.exp((4j * np.pi / lam) * phase_r)
+        ant = steering_matrix(angle, cfg.num_virtual, cfg.rx_spacing, lam)
+        yield fast, coef[:, None] * ant.T
 
 
 def synthesize_cube(
@@ -180,8 +168,8 @@ def synthesize_cube(
     frame_t, slow_t = _slow_times(cfg, scene.duration)
     cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
                     dtype=np.complex128)
-    for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
-        cube += fast_slow[:, :, None] * slow_ant[None, :, :]
+    for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
+        cube += fast[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
         rng = np.random.default_rng(seed)
@@ -226,9 +214,9 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
     slow_t = slow_t[slow_idx]
     out = np.zeros((bins.size, slow_t.size, cfg.num_virtual),
                    dtype=np.complex128)
-    for fast_slow, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
-                                        gain_offset=gain_offset):
-        tone = np.fft.fft(fast_slow, n=n_fft, axis=0)[bins]
+    for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
+                                   gain_offset=gain_offset):
+        tone = np.fft.fft(fast, n=n_fft, axis=0)[bins]
         out += tone[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:

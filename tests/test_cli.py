@@ -14,6 +14,26 @@ FUSION_STRESS = (Path(__file__).parents[1] / "scenarios"
                  / "fusion_stress.json")
 
 
+def _run_with(tmp_path, capsys, path, key, value) -> str:
+    """``run`` on fusion_stress.json with the value at ``path``/``key``
+    replaced; asserts exit status 2, no output directory and one stderr
+    line naming the scenario file, and returns that line."""
+    blob = json.loads(FUSION_STRESS.read_text())
+    node = blob
+    for step in path:
+        node = node[step]
+    node[key] = value
+    scenario = tmp_path / "nested.json"
+    scenario.write_text(json.dumps(blob))
+    rc = main(["run", "--scenario", str(scenario),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert str(scenario) in line
+    assert not (tmp_path / "out").exists()
+    return line
+
+
 @pytest.fixture(scope="module")
 def scenario_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "tiny.json"
@@ -181,22 +201,25 @@ class TestInvalidScenario:
          "PointReflector"),
         (("scene",), "duration", float("inf"), "Scene"),  # JSON Infinity
         (("camera",), "fps", float("inf"), "CameraConfig"),
+        (("radar",), "carrier_freq", float("inf"), "RadarConfig"),
+        (("scene", "statics", 0), "amplitude", float("inf"),
+         "PointReflector"),
+        (("processing",), "mvdr_loading", float("inf"), "ScenarioSpec"),
     ])
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, path, key,
                                       value, record):
-        blob = json.loads(FUSION_STRESS.read_text())
-        node = blob
-        for step in path:
-            node = node[step]
-        node[key] = value
-        scenario = tmp_path / "nested.json"
-        scenario.write_text(json.dumps(blob))
-        rc = main(["run", "--scenario", str(scenario),
-                   "--out", str(tmp_path / "out")])
-        assert rc == 2
-        (line,) = capsys.readouterr().err.splitlines()
-        assert str(scenario) in line and f"{record}: {key} must be" in line
-        assert not (tmp_path / "out").exists()
+        line = _run_with(tmp_path, capsys, path, key, value)
+        assert f"{record}: {key} must be" in line
+
+    @pytest.mark.parametrize("path, key, value, record", [
+        (("radar",), "num_tx", 0, "RadarConfig"),
+        (("scene", "statics", 0), "range_m", -1, "PointReflector"),
+        (("scene", "targets", 0, "vitals"), "breath_freq", 2.0,
+         "VitalParams"),
+    ])
+    def test_failed_value_check_names_its_record(self, tmp_path, capsys,
+                                                 path, key, value, record):
+        assert f"{record}: " in _run_with(tmp_path, capsys, path, key, value)
 
     def test_unreadable_files(self, tmp_path, capsys):
         bad_json = tmp_path / "bad.json"

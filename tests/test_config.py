@@ -127,14 +127,17 @@ class TestFieldTypes:
         assert rv.Scene(statics=[rv.PointReflector(2.0, 0.0)]).statics == (
             rv.PointReflector(2.0, 0.0),)
 
-    @pytest.mark.parametrize("make", [
-        lambda: rv.Scene(duration=float("inf")),
-        lambda: rv.Scene(duration=0.0),
-        lambda: rv.CameraConfig(fps=float("inf")),
-        lambda: rv.CameraConfig(fps=0.0),
+    @pytest.mark.parametrize("make, pattern", [
+        (lambda: rv.Scene(duration=float("inf")),
+         "^Scene: duration must be .*finite"),
+        (lambda: rv.Scene(duration=0.0), "^Scene: duration must be > 0"),
+        (lambda: rv.CameraConfig(fps=float("inf")),
+         "^CameraConfig: fps must be .*finite"),
+        (lambda: rv.CameraConfig(fps=0.0),
+         "^CameraConfig: fps must be None or > 0"),
     ], ids=["duration=inf", "duration=0", "fps=inf", "fps=0"])
-    def test_rejects_non_finite_or_non_positive_times(self, make):
-        with pytest.raises(ValueError, match="must be .*finite number > 0"):
+    def test_rejects_non_finite_or_non_positive_times(self, make, pattern):
+        with pytest.raises(ValueError, match=pattern):
             make()
 
 

@@ -323,6 +323,9 @@ class TestStrictKeys:
     @pytest.mark.parametrize("path, key, record", [
         (("scene",), "duration", "Scene"),
         (("camera",), "fps", "CameraConfig"),
+        (("radar",), "carrier_freq", "RadarConfig"),
+        (("scene", "statics", 0), "amplitude", "PointReflector"),
+        (("processing",), "mvdr_loading", "ScenarioSpec"),
     ])
     def test_infinity_is_rejected(self, path, key, record):
         d = _scenario_with_every_level()

@@ -136,6 +136,34 @@ def test_illumination_gain_scales_scatterer(cfg):
     assert ratio == pytest.approx(cfg.num_tx, rel=1e-9)
 
 
+def test_mover_follows_its_angle_and_amplitude(cfg):
+    """At the first and last slow sample a mover's antenna phase step is
+    2*pi*d_r/lambda*sin(theta(t)), its magnitude is amplitude_at(t), and
+    transmit weights scale that magnitude by |w^H a_tx(theta(t))|."""
+    mover = rv.MovingReflector(
+        waypoints=((0.0, 2.0, -30.0), (1.0, 3.0, 40.0)),
+        amplitude=((0.0, 0.5), (1.0, 2.0)))
+    scene = rv.Scene(movers=(mover,), duration=1.0)
+    tx = tx_weights(10.0, cfg.wavelength, num_elements=cfg.num_tx,
+                    spacing=cfg.tx_spacing)
+    plain = simulate.synthesize_cube(scene, cfg).data
+    steered = simulate.synthesize_cube(scene, cfg, tx_weights=tx).data
+    _, slow_t = simulate._slow_times(cfg, scene.duration)
+    for s in (0, -1):
+        sin_t = np.sin(np.deg2rad(mover.angle_at(slow_t[s])))
+        amp = mover.amplitude_at(slow_t[s])
+        snap = plain[0, s, :]
+        step = np.angle(snap[1:] * snap[:-1].conj())
+        assert np.allclose(step, 2 * np.pi * cfg.rx_spacing / cfg.wavelength
+                           * sin_t, atol=1e-9)
+        assert np.allclose(np.abs(plain[:, s, :]), amp, rtol=1e-12)
+        a_tx = np.exp(2j * np.pi * cfg.tx_spacing / cfg.wavelength * sin_t
+                      * np.arange(cfg.num_tx))
+        gain = abs(np.vdot(tx.weights, a_tx))
+        assert 0.1 < gain < cfg.num_tx - 0.1
+        assert np.allclose(np.abs(steered[:, s, :]), gain * amp, rtol=1e-9)
+
+
 class TestSteeringCorrection:
     """The renderer with the gain offset by one: what steering adds."""
 
