@@ -8,8 +8,8 @@ Run from the repository root (not part of the Tier-1 tests, which collect
 
 Each kernel is timed alone on inputs built once per module, as a run
 builds them: the clean scene's noisy range profiles at the rows the
-pipeline renders (``range_profiles`` at ``pipeline._profile_rows``), and
-the unsteered phase channels of its localized target.  The noiseless
+pipeline renders (``range_profiles``), and the unsteered phase channels
+of its localized target.  The noiseless
 render (the signal model without the noise draws) is also timed on
 ``range_overlap``, the only scene with a mover.  The decomposition
 is timed at two sizes: the clean chain's 100 kept bins and the bench
@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radarvitals import aoa, pipeline, rangefft, simulate, vitals
+from radarvitals import aoa, fusion, pipeline, rangefft, simulate, vitals
 from radarvitals.pipeline import ScenarioSpec
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -43,9 +43,7 @@ def _render(spec):
 
 
 def _profiles(spec):
-    n_fft = rangefft.check_n_fft(spec.radar, spec.n_fft)
     return simulate.range_profiles(spec.scene, spec.radar,
-                                   pipeline._profile_rows(spec, n_fft), n_fft,
                                    snr_db=spec.snr_db, seed=spec.seed)
 
 
@@ -60,8 +58,7 @@ def chain_inputs(spec, profiles):
     clean scene's target, read off the unsteered profiles."""
     res = pipeline.run_scenario(spec, beamforming=False)
     _, _, loc = res.locations[0]
-    phase = vitals.extract_phase(profiles, loc.range_bin,
-                                 num_channels=spec.num_phase_channels)
+    phase = vitals.extract_phase(profiles, loc.range_bin)
     cw = vitals.adaptive_weights(phase.samples)
     k = vitals.select_mode_count(cw.weights @ phase.samples)
     spectra = vitals.truncate_spectrum(
@@ -77,8 +74,8 @@ def test_synthesize_cube(benchmark, spec):
 
 def test_range_fft(benchmark, spec):
     cube = _render(spec)
-    out = benchmark(rangefft.range_fft, cube, n_fft=spec.n_fft)
-    assert out.num_bins == out.n_fft // 2 + 1
+    out = benchmark(rangefft.range_fft, cube)
+    assert out.data.shape[0] == out.num_bins
 
 
 def test_render_profiles(benchmark, spec, profiles):
@@ -92,19 +89,14 @@ def test_render_profiles_noiseless(benchmark, name):
     """The pipeline's rows at every slow sample, without noise."""
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
     cfg = scenario.radar
-    n_fft = rangefft.check_n_fft(cfg, scenario.n_fft)
-    bins = np.arange(pipeline._profile_rows(scenario, n_fft))
-    out = benchmark(simulate.render_profiles, scenario.scene, cfg, bins,
-                    slice(None), n_fft)
-    assert out.shape[0] == bins.size and out.shape[2] == cfg.num_virtual
+    out = benchmark(simulate.range_profiles, scenario.scene, cfg)
+    assert out.data.shape[2] == cfg.num_virtual
 
 
 @pytest.mark.parametrize("near", [False, True], ids=["all_bins", "near"])
-def test_range_angle_heatmap(benchmark, spec, profiles, near):
-    kwargs = {"max_range": spec.max_range_m} if near else {}
-    hm = benchmark(aoa.range_angle_heatmap, profiles,
-                   angles_deg=aoa.default_angle_grid(spec.num_angle_bins),
-                   loading=spec.mvdr_loading, **kwargs)
+def test_range_angle_heatmap(benchmark, profiles, near):
+    kwargs = {"max_range": fusion.MAX_RANGE_M} if near else {}
+    hm = benchmark(aoa.range_angle_heatmap, profiles, **kwargs)
     assert np.all(np.isfinite(hm.power))
 
 
@@ -113,10 +105,10 @@ def test_select_mode_count(benchmark, chain_inputs):
     assert benchmark(vitals.select_mode_count, weights @ phase.samples) == k
 
 
-def test_multichannel_vmd(benchmark, spec, chain_inputs):
+def test_multichannel_vmd(benchmark, chain_inputs):
     """The clean chain at the scenario's ``n_keep`` (100 bins)."""
     _, weights, k, spectra = chain_inputs
-    modes = benchmark(pipeline._decompose(spec, spectra, weights, k))
+    modes = benchmark(pipeline._decompose(spectra, weights, k))
     assert modes.converged
 
 
@@ -127,6 +119,6 @@ def test_multichannel_vmd_full_spectrum(benchmark):
     res = pipeline.run_scenario(spec, n_keep=None)
     chain = res.chains[res.locations[0][0]]
     assert chain.spectra.spectra.shape == (5, 1001) and chain.k == 4
-    modes = benchmark(pipeline._decompose(spec, chain.spectra,
+    modes = benchmark(pipeline._decompose(chain.spectra,
                                           chain.weights.weights, chain.k))
     assert modes.converged

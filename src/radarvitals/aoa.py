@@ -13,6 +13,8 @@ import numpy as np
 from .rangefft import RangeProfiles
 
 DEFAULT_NUM_ANGLE_BINS = 121
+# Diagonal loading of every MVDR covariance, as a fraction of trace/K.
+DEFAULT_LOADING = 1e-3
 
 
 def default_angle_grid(num_bins: int = DEFAULT_NUM_ANGLE_BINS) -> np.ndarray:
@@ -43,7 +45,7 @@ def _loaded(cov: np.ndarray, loading: float) -> np.ndarray:
 
 
 def spatial_covariance(snapshots: np.ndarray,
-                       loading: float = 1e-3) -> np.ndarray:
+                       loading: float = DEFAULT_LOADING) -> np.ndarray:
     """Diagonally loaded sample covariance from (K, S) snapshots.
 
     The estimate is Hermitian-symmetrized, then loaded with
@@ -88,7 +90,7 @@ class Heatmap:
 def range_angle_heatmap(
     profiles: RangeProfiles,
     angles_deg=None,
-    loading: float = 1e-3,
+    loading: float = DEFAULT_LOADING,
     start: int = 0,
     count: int | None = None,
     max_range: float | None = None,
@@ -126,8 +128,9 @@ class AngleSpectrum:
 
 
 def spatial_fft_spectrum(snapshots: np.ndarray, spacing: float,
-                         wavelength: float, n_fft: int = 512) -> AngleSpectrum:
-    """Zero-padded FFT across the array, averaged over snapshots.
+                         wavelength: float, size: int = 512) -> AngleSpectrum:
+    """Zero-padded ``size``-point FFT across the array, averaged over
+    snapshots.
 
     FFT bins are mapped back to azimuth through sin(theta) = f * lambda / d;
     bins falling outside visible space are discarded.  This is the
@@ -138,11 +141,11 @@ def spatial_fft_spectrum(snapshots: np.ndarray, spacing: float,
     if x.ndim == 1:
         x = x[:, None]
     k = x.shape[0]
-    if n_fft < k:
-        raise ValueError("n_fft must be at least the element count")
-    spec = np.fft.fft(x, n=n_fft, axis=0)
+    if size < k:
+        raise ValueError("size must be at least the element count")
+    spec = np.fft.fft(x, n=size, axis=0)
     power = np.mean(np.abs(spec) ** 2, axis=1)
-    sin_theta = np.fft.fftfreq(n_fft) * wavelength / spacing
+    sin_theta = np.fft.fftfreq(size) * wavelength / spacing
     visible = np.abs(sin_theta) <= 1.0
     angles = np.rad2deg(np.arcsin(sin_theta[visible]))
     order = np.argsort(angles)

@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Farthest range (m) the localizer searches, and so the heatmap computes.
+MAX_RANGE_M = 10.0
+# Trailing time (s) over which a box must stay still to count as stationary.
+STATIONARY_WINDOW_S = 3.0
+
 
 @dataclass
 class Box:
@@ -67,7 +72,7 @@ def filter_stationary(
     image_width: int,
     x_threshold: float | None = None,
     w_threshold: float | None = None,
-    window: float = 3.0,
+    window: float = STATIONARY_WINDOW_S,
 ) -> list[TrackedBox]:
     """Keep tracks whose box barely moved over the trailing time window.
 
@@ -130,7 +135,7 @@ class TargetLocation:
 
 
 def localize(heatmap, window: tuple[int, int],
-             max_range: float = 10.0) -> TargetLocation:
+             max_range: float = MAX_RANGE_M) -> TargetLocation:
     """Strongest heatmap cell inside an angle window, ranges <= max_range.
 
     Ties resolve to the smaller range bin, then the smaller angle bin.

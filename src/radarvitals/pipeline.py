@@ -1,15 +1,15 @@
 """End-to-end scenario runner: one stage chain from scene to rates.
 
-A :class:`ScenarioSpec` bundles the radar, scene, camera and processing
-parameters (JSON-serializable, see ``scenarios/``).  :func:`run_scenario`
-executes one seeded repetition as a single chain of timed stages:
+A :class:`ScenarioSpec` bundles the radar, scene and camera parameters
+and the two processing knobs a run varies (JSON-serializable, see
+``scenarios/``); every other processing setting is its stage's own
+default.  :func:`run_scenario` executes one seeded repetition as a single
+chain of timed stages:
 
-* scene stages - ``range_fft`` (the transform size and the range bins the
-  later stages read: those at or below ``max_range_m`` plus half a phase
-  window), ``simulate`` (the range profiles rendered directly at those
-  bins and every slow sample, see :func:`simulate.range_profiles`, and the
-  camera boxes), ``heatmap`` (the bins at or below ``max_range_m``),
-  ``localize``;
+* scene stages - ``simulate`` (the range profiles rendered directly at the
+  bins the later stages read and every slow sample, see
+  :func:`simulate.range_profiles`, and the camera boxes), ``heatmap`` (the
+  bins at or below :data:`fusion.MAX_RANGE_M`), ``localize``;
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit steering added to the unsteered profiles at the bins and
   samples the phase stage reads, by the same renderer, plus receive
@@ -41,8 +41,7 @@ import numpy as np
 from . import aoa, beamform, fusion, vitals
 from .config import (CameraConfig, RadarConfig, Record, Scene, _require,
                      check_keys)
-from .rangefft import (RangeProfiles, check_n_fft, range_bin_of,
-                       range_bin_width)
+from .rangefft import RangeProfiles, range_bin_of
 from .simulate import (range_profiles, render_profiles,
                        synthesize_detections, target_track_ids)
 # Not called by the pipeline; tools that trace a run wrap the reference
@@ -62,11 +61,13 @@ _TOP_LEVEL_FIELDS = frozenset(
 class ScenarioSpec(Record):
     """Complete description of one simulated capture and its processing.
 
-    On construction every field, and every field of the records nested in
-    it, is checked against its annotation (``config.Record``): a
-    wrong-typed, NaN or infinite value raises ``ValueError`` naming the
-    record and the field, and a dict or list becomes the annotated record
-    or tuple.
+    The processing knobs are ``num_modes`` (an int, or ``"auto"`` to pick
+    the mode count per target) and ``n_keep`` (the spectrum bins the
+    decomposition keeps; None keeps the full spectrum).  On construction
+    every field, and every field of the records nested in it, is checked
+    against its annotation (``config.Record``): a wrong-typed, NaN or
+    infinite value raises ``ValueError`` naming the record and the field,
+    and a dict or list becomes the annotated record or tuple.
     """
 
     name: str
@@ -76,33 +77,15 @@ class ScenarioSpec(Record):
     snr_db: float | None = 20.0
     seed: int = 0
     beamforming: bool = True
-    n_fft: int | None = None
-    num_angle_bins: int = aoa.DEFAULT_NUM_ANGLE_BINS
-    mvdr_loading: float = 1e-3
-    stationary_window_s: float = 3.0
-    x_threshold_px: float | None = None       # default: 2% of image width
-    w_threshold_px: float | None = None
-    max_range_m: float = 10.0
-    num_phase_channels: int = 5
     num_modes: int | Literal["auto"] = "auto"
-    alpha: float = 2000.0
-    eta: float = 0.0
-    tol: float = 1e-7
-    max_iter: int = 500
     n_keep: int | None = 100
-    rr_band: tuple[float, float] = vitals.DEFAULT_RR_BAND
-    hr_band: tuple[float, float] = vitals.DEFAULT_HR_BAND
 
     def _check(self) -> None:
         _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
-        for name in ("rr_band", "hr_band"):
-            lo, hi = getattr(self, name)
-            _require(lo < hi, f"{name} must be a (lo, hi) band with lo < hi, "
-                     f"not {[lo, hi]}")
 
     def to_dict(self) -> dict:
         """JSON-ready dict with the processing knobs nested under
-        ``"processing"``; tuple fields (the rate bands) become lists."""
+        ``"processing"``."""
         flat = super().to_dict()
         top = {k: v for k, v in flat.items() if k in _TOP_LEVEL_FIELDS}
         return {**top, "processing": {k: v for k, v in flat.items()
@@ -183,8 +166,8 @@ def _stage(timings: dict, name: str):
                          + (time.perf_counter() - t0) * 1e3)
 
 
-def _decompose(spec: ScenarioSpec, spectra: vitals.AnalyticSpectra,
-               weights: np.ndarray, k: int):
+def _decompose(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
+               k: int):
     """The decomposition of ``spectra`` as a zero-argument call.
 
     The band-seeded init (:func:`vitals.band_seeded_init`) is computed
@@ -192,32 +175,26 @@ def _decompose(spec: ScenarioSpec, spectra: vitals.AnalyticSpectra,
     benchmark times).  The call looks ``vitals.multichannel_vmd`` up when
     it runs, so a tool that wraps that attribute sees every decomposition.
     """
-    init = vitals.band_seeded_init(spectra, weights, k,
-                                   bands=(spec.rr_band, spec.hr_band))
-    return lambda: vitals.multichannel_vmd(
-        spectra, k, weights=weights, alpha=spec.alpha, eta=spec.eta,
-        tol=spec.tol, max_iter=spec.max_iter, init=init)
+    init = vitals.band_seeded_init(spectra, weights, k)
+    return lambda: vitals.multichannel_vmd(spectra, k, weights=weights,
+                                           init=init)
 
 
 def _localize(spec: ScenarioSpec, detections, heatmap: aoa.Heatmap,
               report: dict) -> list:
     """(track_id, angle window, Localization) of every stationary track."""
     tracks = fusion.build_tracks(detections)
-    stationary = fusion.filter_stationary(
-        tracks, spec.camera.image_width,
-        x_threshold=spec.x_threshold_px,
-        w_threshold=spec.w_threshold_px,
-        window=spec.stationary_window_s)
+    stationary = fusion.filter_stationary(tracks, spec.camera.image_width)
     report["num_stationary_tracks"] = len(stationary)
     if not stationary:
         raise ValueError("no stationary detection track to localize")
     located = []
     for tr in stationary:
-        sel = tr.times >= tr.times[-1] - spec.stationary_window_s
+        sel = tr.times >= tr.times[-1] - fusion.STATIONARY_WINDOW_S
         window = fusion.pixel_to_angle_window(
             float(np.mean(tr.xs[sel])), float(np.mean(tr.ws[sel])),
-            spec.camera.image_width, spec.num_angle_bins)
-        loc = fusion.localize(heatmap, window, max_range=spec.max_range_m)
+            spec.camera.image_width, heatmap.angle_axis.size)
+        loc = fusion.localize(heatmap, window)
         located.append((tr.id, window, loc))
     return located
 
@@ -232,25 +209,11 @@ def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
     in that window, so the phase stage indexes it by absolute bin as usual.
     The window is checked first (same error as the phase stage raises).
     """
-    bins, frames = vitals.phase_window(profiles, center_bin,
-                                       spec.num_phase_channels)
+    bins, frames = vitals.phase_window(profiles, center_bin)
     data = profiles.data.copy()
     data[bins.start:bins.stop, frames] += render_profiles(
-        spec.scene, spec.radar, bins, frames, profiles.n_fft, tx_weights=tx,
-        gain_offset=1.0)
+        spec.scene, spec.radar, bins, frames, tx_weights=tx, gain_offset=1.0)
     return dataclasses.replace(profiles, data=data)
-
-
-def _profile_rows(spec: ScenarioSpec, n_fft: int) -> int:
-    """Range bins a run reads, from bin 0: those at or below
-    ``max_range_m`` (the heatmap's) plus half a phase window beyond the
-    last, so a target localized there keeps its channels; at most the
-    whole one-sided profile."""
-    full = n_fft // 2 + 1
-    near = int(np.count_nonzero(
-        np.arange(full) * range_bin_width(spec.radar, n_fft)
-        <= spec.max_range_m))
-    return min(near + max(spec.num_phase_channels // 2, 0), full)
 
 
 def _kept_bins(n_keep: int, n_bins: int) -> int:
@@ -282,9 +245,7 @@ def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
                                      num_elements=cfg.num_virtual,
                                      spacing=cfg.rx_spacing)
     with _stage(timings, "phase"):
-        phase = vitals.extract_phase(profiles, loc.range_bin,
-                                     num_channels=spec.num_phase_channels,
-                                     rx=rx)
+        phase = vitals.extract_phase(profiles, loc.range_bin, rx=rx)
     with _stage(timings, "weights"):
         cw = vitals.adaptive_weights(phase.samples)
         combined_series = cw.weights @ phase.samples
@@ -297,10 +258,9 @@ def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
             spectra = vitals.truncate_spectrum(
                 spectra, _kept_bins(n_keep, spectra.n_bins))
     with _stage(timings, "decompose"):
-        modes = _decompose(spec, spectra, cw.weights, k)()
+        modes = _decompose(spectra, cw.weights, k)()
     with _stage(timings, "rates"):
-        rates = vitals.estimate_rates(modes, rr_band=spec.rr_band,
-                                      hr_band=spec.hr_band)
+        rates = vitals.estimate_rates(modes)
     return VitalsChain(weights=cw, k=k, spectra=spectra, modes=modes,
                        rates=rates)
 
@@ -341,19 +301,15 @@ def run_scenario(
     timings = result.timings_ms
 
     try:
-        with _stage(timings, "range_fft"):
-            n_fft = check_n_fft(cfg, spec.n_fft)
-            num_rows = _profile_rows(spec, n_fft)
         with _stage(timings, "simulate"):
-            profiles = range_profiles(spec.scene, cfg, num_rows, n_fft,
-                                      snr_db=spec.snr_db, seed=noise_ss)
+            profiles = range_profiles(spec.scene, cfg, snr_db=spec.snr_db,
+                                      seed=noise_ss)
             detections = synthesize_detections(
                 spec.scene, spec.camera, frame_rate=cfg.frame_rate,
                 seed=det_ss)
         with _stage(timings, "heatmap"):
-            heatmap = aoa.range_angle_heatmap(
-                profiles, angles_deg=aoa.default_angle_grid(spec.num_angle_bins),
-                loading=spec.mvdr_loading, max_range=spec.max_range_m)
+            heatmap = aoa.range_angle_heatmap(profiles,
+                                              max_range=fusion.MAX_RANGE_M)
         with _stage(timings, "localize"):
             result.locations = _localize(spec, detections, heatmap, report)
     except _StageFailed as e:
@@ -375,8 +331,7 @@ def run_scenario(
         if tgt is not None:
             entry["true_range_m"] = tgt.range_m
             entry["true_angle_deg"] = tgt.angle_deg
-            entry["true_range_bin"] = range_bin_of(tgt.range_m, cfg,
-                                                   profiles.n_fft)
+            entry["true_range_bin"] = range_bin_of(tgt.range_m, cfg)
             entry["true_angle_bin"] = int(np.argmin(
                 np.abs(heatmap.angle_axis - tgt.angle_deg)))
             entry["range_bin_error"] = loc.range_bin - entry["true_range_bin"]
@@ -551,15 +506,14 @@ def bench_acceleration(
     for keep in [None, *sorted(kept, reverse=True)]:
         spectra = (full if keep is None
                    else vitals.truncate_spectrum(full, keep))
-        decompose = _decompose(spec, spectra, chain.weights.weights, chain.k)
+        decompose = _decompose(spectra, chain.weights.weights, chain.k)
         best = np.inf
         modes = None
         for _ in range(repeats):
             t0 = time.perf_counter()
             modes = decompose()
             best = min(best, time.perf_counter() - t0)
-        rates = vitals.estimate_rates(modes, rr_band=spec.rr_band,
-                                      hr_band=spec.hr_band)
+        rates = vitals.estimate_rates(modes)
         row = {
             "n_keep": "full" if keep is None else keep,
             "n_bins": spectra.n_bins,

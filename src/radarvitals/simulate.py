@@ -22,7 +22,8 @@ Two renderers share one per-scatterer signal model (``_returns``):
   range-domain renderer is tested against.
 * :func:`render_profiles` renders the range profiles (the cube's fast-time
   FFT) directly at chosen bins and slow samples, noise included, and
-  :func:`range_profiles` wraps its first bins as :class:`RangeProfiles`.
+  :func:`range_profiles` wraps the bins a run reads as
+  :class:`RangeProfiles`.
   Every return is linear in its gain and the noise does not depend on it,
   so the same renderer with the gain offset by one and no noise gives the
   steered-minus-unsteered difference that transmit steering adds to
@@ -37,8 +38,9 @@ import numpy as np
 from .aoa import steering_matrix
 from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
                      VitalTarget)
-from .fusion import Box, DetectionFrame
-from .rangefft import RangeProfiles, check_n_fft, range_bin_width
+from .fusion import MAX_RANGE_M, Box, DetectionFrame
+from .rangefft import RangeProfiles, range_bin_width
+from .vitals import PHASE_CHANNELS
 
 
 def chest_displacement(t, vitals: VitalParams):
@@ -181,14 +183,13 @@ def synthesize_cube(
 
 
 def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
-                    n_fft: int | None = None, tx_weights=None,
-                    gain_offset: float = 0.0, snr_db: float | None = None,
-                    seed=None) -> np.ndarray:
+                    tx_weights=None, gain_offset: float = 0.0,
+                    snr_db: float | None = None, seed=None) -> np.ndarray:
     """Range profiles of a scene at range ``bins`` x slow samples ``slow_idx``.
 
     Without noise this equals ``range_fft(synthesize_cube(scene, cfg,
-    tx_weights), n_fft).data`` at those bins and samples, up to rounding,
-    shaped ``(len(bins), S, num_virtual)``, but no cube is formed: each
+    tx_weights)).data`` at those bins and samples, up to rounding, shaped
+    ``(len(bins), S, num_virtual)``, but no cube is formed: each
     scatterer's fast-time factor (``_returns``) is transformed once along
     fast time and kept at ``bins``, then multiplied by its slow-antenna
     factor.  The illumination gain is that of ``tx_weights`` minus
@@ -196,62 +197,54 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
     unsteered profiles.  The beat limit is checked at ``slow_idx`` only.
 
     ``snr_db`` adds the range transform of the cube's circular white noise,
-    drawn from ``seed``.  With ``n_fft == samples_per_chirp`` the DFT of
-    i.i.d. circular Gaussian samples is i.i.d. across bins with
-    ``samples_per_chirp`` times their variance, so the noise is drawn in the
-    bin domain, only at ``bins`` and ``slow_idx``.  A zero-padded ``n_fft``
-    correlates neighbouring bins, so the fast-time noise of the selected
-    slow samples is drawn as :func:`synthesize_cube` draws it and
-    transformed.
+    drawn from ``seed``.  The DFT of i.i.d. circular Gaussian samples is
+    i.i.d. across bins with ``samples_per_chirp`` times their variance, so
+    the noise is drawn in the bin domain, only at ``bins`` and
+    ``slow_idx``.
     """
     n_fast = cfg.samples_per_chirp
-    n_fft = check_n_fft(cfg, n_fft)
     bins = np.asarray(bins, dtype=np.int64)
-    if bins.size and (bins.min() < 0 or bins.max() > n_fft // 2):
-        raise ValueError(
-            f"range bins must lie in [0, {n_fft // 2}] for n_fft={n_fft}")
+    if bins.size and (bins.min() < 0 or bins.max() > n_fast // 2):
+        raise ValueError(f"range bins must lie in [0, {n_fast // 2}]")
     _, slow_t = _slow_times(cfg, scene.duration)
     slow_t = slow_t[slow_idx]
     out = np.zeros((bins.size, slow_t.size, cfg.num_virtual),
                    dtype=np.complex128)
     for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
                                    gain_offset=gain_offset):
-        tone = np.fft.fft(fast, n=n_fft, axis=0)[bins]
+        tone = np.fft.fft(fast, axis=0)[bins]
         out += tone[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
         rng = np.random.default_rng(seed)
-        sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-        if n_fft == n_fast:
-            sigma *= np.sqrt(n_fast)
-            out.real += sigma * rng.standard_normal(out.shape)
-            out.imag += sigma * rng.standard_normal(out.shape)
-        else:
-            shape = (n_fast,) + out.shape[1:]
-            re = rng.standard_normal(shape)
-            noise = re + 1j * rng.standard_normal(shape)
-            out += sigma * np.fft.fft(noise, n=n_fft, axis=0)[bins]
+        sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0)) * np.sqrt(n_fast)
+        out.real += sigma * rng.standard_normal(out.shape)
+        out.imag += sigma * rng.standard_normal(out.shape)
     return out
 
 
-def range_profiles(scene: Scene, cfg: RadarConfig, num_rows: int,
-                   n_fft: int | None = None, snr_db: float | None = None,
+def range_profiles(scene: Scene, cfg: RadarConfig, snr_db: float | None = None,
                    seed=None) -> RangeProfiles:
-    """The first ``num_rows`` bins of the scene's range profiles at every
-    slow sample, rendered by :func:`render_profiles`.
+    """The range bins a run reads, at every slow sample, rendered by
+    :func:`render_profiles`.
 
-    The rows ``range_fft(synthesize_cube(scene, cfg, snr_db=snr_db,
-    seed=seed), n_fft)`` would hold, with the same signal up to rounding
-    and a noise realisation of their own.
+    These are the first bins of the one-sided profile: those at or below
+    :data:`fusion.MAX_RANGE_M` (the heatmap's) plus half a phase window
+    (:data:`vitals.PHASE_CHANNELS`) beyond the last, so a target localized
+    there keeps its channels; at most the whole profile.  They hold the
+    rows ``range_fft(synthesize_cube(scene, cfg, snr_db=snr_db,
+    seed=seed))`` would hold, with the same signal up to rounding and a
+    noise realisation of their own.
     """
-    n_fft = check_n_fft(cfg, n_fft)
     frame_t, _ = _slow_times(cfg, scene.duration)
-    bins = np.arange(num_rows)
-    data = render_profiles(scene, cfg, bins, slice(None), n_fft,
-                           snr_db=snr_db, seed=seed)
-    return RangeProfiles(data=data,
-                         range_axis=bins * range_bin_width(cfg, n_fft),
-                         n_fft=n_fft, config=cfg, frame_timestamps=frame_t)
+    full = cfg.samples_per_chirp // 2 + 1
+    axis = np.arange(full) * range_bin_width(cfg)
+    near = int(np.count_nonzero(axis <= MAX_RANGE_M))
+    bins = np.arange(min(near + PHASE_CHANNELS // 2, full))
+    data = render_profiles(scene, cfg, bins, slice(None), snr_db=snr_db,
+                           seed=seed)
+    return RangeProfiles(data=data, range_axis=axis[bins], config=cfg,
+                         frame_timestamps=frame_t)
 
 
 def target_track_ids(scene: Scene) -> dict[str, VitalTarget]:

@@ -31,6 +31,8 @@ from . import beamform
 
 DEFAULT_RR_BAND = (0.1, 0.5)
 DEFAULT_HR_BAND = (0.8, 2.5)
+# Adjacent range bins read around a target, one phase channel each.
+PHASE_CHANNELS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +48,8 @@ class PhaseMatrix:
 
 
 def phase_window(profiles, center_bin: int,
-                 num_channels: int = 5) -> tuple[range, np.ndarray]:
+                 num_channels: int = PHASE_CHANNELS
+                 ) -> tuple[range, np.ndarray]:
     """Range bins and slow-time samples that :func:`extract_phase` reads.
 
     Returns the ``num_channels`` bins centered on ``center_bin`` and the
@@ -73,7 +76,8 @@ def phase_window(profiles, center_bin: int,
     return range(lo, hi + 1), frames
 
 
-def extract_phase(profiles, center_bin: int, num_channels: int = 5,
+def extract_phase(profiles, center_bin: int,
+                  num_channels: int = PHASE_CHANNELS,
                   rx: beamform.BeamWeights | None = None) -> PhaseMatrix:
     """Slow-time phase of ``num_channels`` range bins centered on a target.
 
@@ -360,7 +364,8 @@ def _fuse_channels(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def band_seeded_init(spectra: AnalyticSpectra, weights: np.ndarray,
                      num_modes: int,
-                     bands: tuple[tuple[float, float], ...]) -> np.ndarray:
+                     bands: tuple[tuple[float, float], ...] = (
+                         DEFAULT_RR_BAND, DEFAULT_HR_BAND)) -> np.ndarray:
     """Center-frequency init (Hz) with one mode pinned to each band of
     interest, for :func:`multichannel_vmd`'s ``init``.
 

@@ -158,7 +158,7 @@ def test_criterion_04_mvdr_resolves_pair_that_spatial_fft_cannot():
     grid = aoa.default_angle_grid()
     mv = aoa.mvdr_spectrum(aoa.spatial_covariance(snapshots), lam / 2, lam,
                            grid)
-    fft = aoa.spatial_fft_spectrum(snapshots, lam / 2, lam, n_fft=512)
+    fft = aoa.spatial_fft_spectrum(snapshots, lam / 2, lam, size=512)
     assert _resolved(grid, mv, -7.5, 7.5), "MVDR failed to separate the pair"
     assert not _resolved(fft.angles_deg, fft.power, -7.5, 7.5), (
         "spatial FFT unexpectedly separated the pair")
@@ -282,15 +282,15 @@ def test_criterion_09_windowed_localization_beats_global_argmax():
     assert [tr.id for tr in stationary] == ["target-0"]
 
     track = stationary[0]
-    tail = track.times >= track.times[-1] - spec.stationary_window_s
+    tail = track.times >= track.times[-1] - fusion.STATIONARY_WINDOW_S
     window = fusion.pixel_to_angle_window(
         float(track.xs[tail].mean()), float(track.ws[tail].mean()),
-        cam.image_width, spec.num_angle_bins)
+        cam.image_width, aoa.DEFAULT_NUM_ANGLE_BINS)
 
     grid = aoa.default_angle_grid()
-    true_rbin = range_bin_of(target.range_m, cfg, profiles.n_fft)
+    true_rbin = range_bin_of(target.range_m, cfg)
     true_abin = int(np.argmin(np.abs(grid - target.angle_deg)))
-    max_row = np.searchsorted(profiles.range_axis, spec.max_range_m,
+    max_row = np.searchsorted(profiles.range_axis, fusion.MAX_RANGE_M,
                               side="right")
 
     num_frames = cube.data.shape[1] // cfg.chirps_per_frame
@@ -300,7 +300,7 @@ def test_criterion_09_windowed_localization_beats_global_argmax():
         hm = aoa.range_angle_heatmap(profiles, grid,
                                      start=f * cfg.chirps_per_frame,
                                      count=cfg.chirps_per_frame)
-        loc = fusion.localize(hm, window, max_range=spec.max_range_m)
+        loc = fusion.localize(hm, window)
         windowed_hits += (abs(loc.range_bin - true_rbin) <= 1
                           and abs(loc.angle_bin - true_abin) <= 1)
         r, a = np.unravel_index(np.argmax(hm.power[:max_row]),

@@ -69,7 +69,7 @@ class TestMvdr:
         x = _source_snapshots([-7.5, 7.5], [1.0, 1.0], 8, 20.0, 256, 5)
         grid = aoa.default_angle_grid()
         mv = aoa.mvdr_spectrum(aoa.spatial_covariance(x), LAM / 2, LAM, grid)
-        fft = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, n_fft=512)
+        fft = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         assert resolved(grid, mv, -7.5, 7.5)
         assert not resolved(fft.angles_deg, fft.power, -7.5, 7.5)
 
@@ -80,7 +80,7 @@ class TestMvdr:
         x = _source_snapshots([-15.0, 15.0], [1.0, 1.0], 8, 20.0, 256, 5)
         grid = aoa.default_angle_grid()
         mv = aoa.mvdr_spectrum(aoa.spatial_covariance(x), LAM / 2, LAM, grid)
-        fft = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, n_fft=512)
+        fft = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         assert resolved(grid, mv, -15.0, 15.0)
         assert resolved(fft.angles_deg, fft.power, -15.0, 15.0)
 
@@ -95,7 +95,7 @@ class TestHeatmap:
     def test_peak_matches_scene(self, cfg, small_profiles, small_scene):
         hm = aoa.range_angle_heatmap(small_profiles)
         tgt = small_scene.targets[0]
-        rb = range_bin_of(tgt.range_m, cfg, small_profiles.n_fft)
+        rb = range_bin_of(tgt.range_m, cfg)
         ab = int(np.argmin(np.abs(hm.angle_axis - tgt.angle_deg)))
         sub = hm.power[:int(np.searchsorted(hm.range_axis, 10.0))]
         peak = np.unravel_index(np.argmax(sub), sub.shape)
@@ -135,13 +135,13 @@ class TestHeatmap:
 class TestSpatialFft:
     def test_peak_near_source(self):
         x = _source_snapshots([30.0], [1.0], 8, 20.0, 128, 2)
-        spec = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, n_fft=512)
+        spec = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         peak = spec.angles_deg[int(np.argmax(spec.power))]
         assert peak == pytest.approx(30.0, abs=2.0)
 
     def test_rejects_short_fft(self):
         with pytest.raises(ValueError):
-            aoa.spatial_fft_spectrum(np.ones((8, 4)), LAM / 2, LAM, n_fft=4)
+            aoa.spatial_fft_spectrum(np.ones((8, 4)), LAM / 2, LAM, size=4)
 
     def test_angles_are_sorted_and_visible(self):
         spec = aoa.spatial_fft_spectrum(np.ones((8, 1)), LAM / 2, LAM)

@@ -147,6 +147,15 @@ class TestInvalidScenario:
         assert str(path) in line and "'n_kep'" in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value", [("n_fft", None),
+                                            ("alpha", 2000.0)])
+    def test_older_processing_key_exits_2(self, tmp_path, capsys, key,
+                                          value):
+        """A scenario file that still sets a processing knob the format no
+        longer has is refused at load, naming the key."""
+        line = _run_with(tmp_path, capsys, ("processing",), key, value)
+        assert f"unknown key {key!r}" in line
+
     def test_missing_target_key(self, broken_scenarios, tmp_path, capsys):
         path = broken_scenarios["no_angle"]
         rc = main(["run", "--scenario", str(path),
@@ -156,12 +165,12 @@ class TestInvalidScenario:
         assert str(path) in line and "missing key 'angle_deg'" in line
 
     @pytest.mark.parametrize("block, key, value", [
-        ("processing", "max_iter", "x"),
+        ("processing", "num_modes", "fancy"),
         ("processing", "n_keep", "abc"),
-        ("processing", "num_phase_channels", 5.5),
+        ("processing", "n_keep", 5.5),
         (None, "seed", "x"),
         (None, "snr_db", "loud"),
-        ("processing", "alpha", "big"),
+        (None, "beamforming", "yes"),
     ])
     def test_wrong_typed_scalar_exits_2(self, scenario_path, tmp_path,
                                         capsys, block, key, value):
@@ -179,7 +188,7 @@ class TestInvalidScenario:
     @pytest.mark.parametrize("block, key, value", [
         (None, "seed", -3),
         (None, "snr_db", float("nan")),         # json writes it as NaN
-        ("processing", "rr_band", [0.5, 0.1]),
+        (None, "snr_db", float("-inf")),
     ])
     def test_unsurvivable_value_exits_2(self, scenario_path, tmp_path,
                                         capsys, block, key, value):
@@ -204,7 +213,7 @@ class TestInvalidScenario:
         (("radar",), "carrier_freq", float("inf"), "RadarConfig"),
         (("scene", "statics", 0), "amplitude", float("inf"),
          "PointReflector"),
-        (("processing",), "mvdr_loading", float("inf"), "ScenarioSpec"),
+        (("processing",), "n_keep", float("inf"), "ScenarioSpec"),
     ])
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, path, key,
                                       value, record):

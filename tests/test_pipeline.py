@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import beamform, pipeline, vitals
+from radarvitals import aoa, beamform, fusion, pipeline, vitals
 from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
                                   run_scenario, run_suite, write_run_outputs)
 from radarvitals.rangefft import range_bin_of, range_fft
@@ -49,7 +50,7 @@ class TestRunScenario:
 
     def test_stage_timings_recorded(self, quick_spec):
         res = run_scenario(quick_spec)
-        for stage in ("simulate", "range_fft", "heatmap", "localize",
+        for stage in ("simulate", "heatmap", "localize",
                       "beamform", "phase", "weights", "mode_count",
                       "spectrum", "decompose", "rates"):
             assert stage in res.timings_ms
@@ -85,8 +86,11 @@ class TestRunScenario:
         assert res.report["num_stationary_tracks"] == 0
 
     @pytest.mark.parametrize("override, stage", [
-        ({"n_fft": 8}, "range_fft"),
-        ({"num_phase_channels": 4}, "vitals"),
+        # a target at bin 1: its 5-channel window starts at bin -1
+        ({"scene": rv.Scene(targets=(rv.VitalTarget(
+            0.3, 30.0, 1.0,
+            rv.VitalParams(breath_freq=0.25, heart_freq=1.2)),),
+            duration=8.0)}, "vitals"),
         # a scatterer past the beat Nyquist limit (19.19 m here)
         ({"scene": rv.Scene(statics=(rv.PointReflector(25.0, 0.0),),
                             duration=8.0)}, "simulate"),
@@ -103,31 +107,30 @@ class TestRunScenario:
             assert "phase" in res.timings_ms
             assert res.chains == {}
 
-    def test_max_range_below_bin_zero_fails_at_localize(self, quick_spec):
-        res = run_scenario(dataclasses.replace(quick_spec, max_range_m=-1.0))
-        assert res.report["failure_stage"] == "localize"
-        assert res.report["error"] == "no range bins at or below max_range"
-
     def test_target_at_the_last_heatmap_row_keeps_its_channels(
             self, quick_spec):
-        """With max_range_m 2.0 the heatmap ends at bin 6 and the target
-        (bin 7) is localized there; the profiles reach half a phase window
-        past that row, so all five channels around it are read."""
-        res = run_scenario(dataclasses.replace(quick_spec, max_range_m=2.0))
-        assert not res.failed, res.report["error"]
-        (entry,) = res.report["targets"]
-        assert (entry["range_bin"], entry["true_range_bin"]) == (6, 7)
+        """The heatmap ends at bin 33 (9.89 m), the last at or below
+        ``fusion.MAX_RANGE_M``; a target at 10.1 m (bin 34) is localized
+        there, and the profiles reach half a phase window past that row, so
+        all five channels around it are read, steered or not."""
+        target = dataclasses.replace(quick_spec.scene.targets[0],
+                                     range_m=10.1)
+        spec = dataclasses.replace(quick_spec, scene=dataclasses.replace(
+            quick_spec.scene, targets=(target,)))
+        for beamforming in (True, False):
+            res = run_scenario(spec, beamforming=beamforming)
+            assert not res.failed, res.report["error"]
+            (entry,) = res.report["targets"]
+            assert (entry["range_bin"], entry["true_range_bin"]) == (33, 34)
+            assert entry["range_m"] <= fusion.MAX_RANGE_M
 
-    @pytest.mark.parametrize("range_m, max_range_m", [(0.3, 10.0),
-                                                      (18.9, 20.0)])
-    def test_window_off_the_profile_fails_alike_steered_or_not(
-            self, range_m, max_range_m):
-        """The 5-bin window around a target at the first or last bin leaves
-        the profile: both ways it is the same named vitals failure."""
+    def test_window_off_the_profile_fails_alike_steered_or_not(self):
+        """The 5-bin window around a target at bin 1 leaves the profile:
+        both ways it is the same named vitals failure."""
         spec = ScenarioSpec(
-            name="edge", max_range_m=max_range_m,
+            name="edge",
             scene=rv.Scene(targets=(rv.VitalTarget(
-                range_m, 30.0, 1.0,
+                0.3, 30.0, 1.0,
                 rv.VitalParams(breath_freq=0.25, heart_freq=1.2)),),
                 duration=6.0))
         failures = []
@@ -198,10 +201,10 @@ SCENARIO_LEVELS = {
 }
 
 
-# The record at each scenario level, and a float field of it.
+# The record at each scenario level, and a numeric field of it.
 LEVEL_FIELDS = {
     "top": ("ScenarioSpec", "snr_db"),
-    "processing": ("ScenarioSpec", "alpha"),
+    "processing": ("ScenarioSpec", "n_keep"),
     "radar": ("RadarConfig", "carrier_freq"),
     "camera": ("CameraConfig", "afov_deg"),
     "scene": ("Scene", "duration"),
@@ -216,22 +219,20 @@ LEVEL_FIELDS = {
 
 # A wrong-typed value for top-level scalars and processing knobs.
 WRONG_TYPED_SCALARS = [
-    ("max_iter", "x"),
     ("n_keep", "abc"),
-    ("num_phase_channels", 5.5),
+    ("n_keep", 100.0),                  # a float is not an int
+    ("n_keep", True),                   # a bool is not an int
+    ("n_keep", [100]),
     ("seed", "x"),
-    ("snr_db", "loud"),
-    ("alpha", "big"),
-    ("max_iter", True),                 # a bool is not an int
     ("seed", False),
-    ("alpha", True),
+    ("seed", 1.5),
+    ("snr_db", "loud"),
+    ("snr_db", True),
     ("num_modes", "fancy"),             # an int or "auto"
     ("num_modes", 2.0),
+    ("num_modes", True),
     ("beamforming", 1),
     ("name", 7),
-    ("n_fft", 128.0),
-    ("rr_band", [0.1]),
-    ("hr_band", ["low", "high"]),
 ]
 
 
@@ -239,12 +240,30 @@ WRONG_TYPED_SCALARS = [
 UNSURVIVABLE_VALUES = [
     ("seed", -3, "seed must be >= 0"),
     ("snr_db", float("nan"), "snr_db must be"),
-    ("alpha", float("nan"), "alpha must be"),
-    ("max_range_m", float("nan"), "max_range_m must be"),
-    ("rr_band", [float("nan"), 0.5], "rr_band must be"),
-    ("rr_band", [0.5, 0.1], r"rr_band must be a \(lo, hi\) band"),
-    ("hr_band", [1.2, 1.2], r"hr_band must be a \(lo, hi\) band"),
+    ("snr_db", float("inf"), "snr_db must be"),
+    ("snr_db", float("-inf"), "snr_db must be"),
 ]
+
+
+# The processing knobs older scenario files carried, at the value every
+# bundled scenario set, and the stage parameter whose default now holds
+# that value (None for n_fft: the transform is always one chirp long).
+OLD_PROCESSING_KNOBS = {
+    "n_fft": (None, None),
+    "num_angle_bins": (121, (aoa.default_angle_grid, "num_bins")),
+    "mvdr_loading": (1e-3, (aoa.range_angle_heatmap, "loading")),
+    "stationary_window_s": (3.0, (fusion.filter_stationary, "window")),
+    "x_threshold_px": (None, (fusion.filter_stationary, "x_threshold")),
+    "w_threshold_px": (None, (fusion.filter_stationary, "w_threshold")),
+    "max_range_m": (10.0, (fusion.localize, "max_range")),
+    "num_phase_channels": (5, (vitals.extract_phase, "num_channels")),
+    "alpha": (2000.0, (vitals.multichannel_vmd, "alpha")),
+    "eta": (0.0, (vitals.multichannel_vmd, "eta")),
+    "tol": (1e-7, (vitals.multichannel_vmd, "tol")),
+    "max_iter": (500, (vitals.multichannel_vmd, "max_iter")),
+    "rr_band": ([0.1, 0.5], (vitals.estimate_rates, "rr_band")),
+    "hr_band": ([0.8, 2.5], (vitals.estimate_rates, "hr_band")),
+}
 
 
 def _scalar_node(d: dict, key: str) -> dict:
@@ -257,12 +276,17 @@ class TestStrictKeys:
         spec = ScenarioSpec.from_dict(d)
         assert spec.to_dict() == d
 
-    @pytest.mark.parametrize("path", SCENARIO_LEVELS.values(),
-                             ids=SCENARIO_LEVELS.keys())
-    def test_unknown_key_is_rejected(self, path):
+    @pytest.mark.parametrize("path, key, value", [
+        *[pytest.param(path, "n_kep", 50, id=level)
+          for level, path in SCENARIO_LEVELS.items()],
+        # processing knobs of older scenario files, at their old values
+        *[pytest.param(("processing",), key, value, id=f"processing-{key}")
+          for key, (value, _) in OLD_PROCESSING_KNOBS.items()],
+    ])
+    def test_unknown_key_is_rejected(self, path, key, value):
         d = _scenario_with_every_level()
-        _node(d, path)["n_kep"] = 50
-        with pytest.raises(ValueError, match="unknown key 'n_kep'"):
+        _node(d, path)[key] = value
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             ScenarioSpec.from_dict(d)
 
     @pytest.mark.parametrize("path,key", [
@@ -325,7 +349,8 @@ class TestStrictKeys:
         (("camera",), "fps", "CameraConfig"),
         (("radar",), "carrier_freq", "RadarConfig"),
         (("scene", "statics", 0), "amplitude", "PointReflector"),
-        (("processing",), "mvdr_loading", "ScenarioSpec"),
+        ((), "snr_db", "ScenarioSpec"),
+        (("processing",), "n_keep", "ScenarioSpec"),
     ])
     def test_infinity_is_rejected(self, path, key, record):
         d = _scenario_with_every_level()
@@ -376,11 +401,14 @@ class TestStrictKeys:
     def test_an_int_passes_for_a_float_unconverted(self):
         d = _scenario_with_every_level()
         d["snr_db"] = 20
-        d["processing"].update(alpha=2000, max_range_m=10, num_modes=3,
-                               rr_band=[0, 1])
+        d["radar"]["carrier_freq"] = 77_000_000_000
+        d["camera"]["afov_deg"] = 60
+        d["processing"].update(num_modes=3)
         spec = ScenarioSpec.from_dict(d)
-        assert type(spec.snr_db) is int and type(spec.alpha) is int
-        assert spec.num_modes == 3 and spec.rr_band == (0, 1)
+        assert type(spec.snr_db) is int
+        assert type(spec.radar.carrier_freq) is int
+        assert type(spec.camera.afov_deg) is int
+        assert spec.num_modes == 3
         assert spec.to_dict() == d
 
     def test_omitted_blocks_take_defaults(self):
@@ -404,6 +432,23 @@ class TestSpecSerialization:
             spec.to_json(tmp_path / p.name)
             assert (tmp_path / p.name).read_bytes() == p.read_bytes()
         assert {"clean", "range-overlap", "fusion-stress", "bench"} <= names
+
+    def test_processing_holds_only_the_knobs_a_run_varies(self):
+        assert ScenarioSpec(name="bare").to_dict()["processing"] == {
+            "num_modes": "auto", "n_keep": 100}
+        assert ({f.name for f in dataclasses.fields(ScenarioSpec)}
+                == pipeline._TOP_LEVEL_FIELDS | {"num_modes", "n_keep"})
+
+    @pytest.mark.parametrize("knob", [k for k, (_, stage)
+                                      in OLD_PROCESSING_KNOBS.items() if stage])
+    def test_stage_default_is_the_old_scenario_value(self, knob):
+        """A run calls every stage with its own default, so each default
+        must be the value the deleted knob held in every bundled file."""
+        value, (stage, param) = OLD_PROCESSING_KNOBS[knob]
+        default = inspect.signature(stage).parameters[param].default
+        if isinstance(value, list):
+            default = list(default)
+        assert default == value
 
 
 class TestBandSeededInit:
@@ -569,20 +614,17 @@ class TestSteeredProfiles:
                  for w in (None, tx)]
         return spec, tx, cubes
 
-    @pytest.mark.parametrize("n_fft", [None, 256])
     @pytest.mark.parametrize("where", ["target", "first_bins"])
     def test_matches_the_steered_render_in_the_read_window(
-            self, renders, n_fft, where):
+            self, renders, where):
         spec, tx, (plain, steered) = renders
-        profiles = range_fft(plain, n_fft=n_fft)
+        profiles = range_fft(plain)
         before = profiles.data.copy()
-        reference = range_fft(steered, n_fft=n_fft).data
-        center = (range_bin_of(spec.scene.targets[0].range_m, spec.radar,
-                               profiles.n_fft)
-                  if where == "target" else spec.num_phase_channels // 2)
+        reference = range_fft(steered).data
+        center = (range_bin_of(spec.scene.targets[0].range_m, spec.radar)
+                  if where == "target" else vitals.PHASE_CHANNELS // 2)
         got = pipeline._steered(spec, profiles, tx, center).data
-        bins, frames = vitals.phase_window(profiles, center,
-                                           spec.num_phase_channels)
+        bins, frames = vitals.phase_window(profiles, center)
         want = reference[bins.start:bins.stop][:, frames]
         err = np.abs(got[bins.start:bins.stop][:, frames] - want)
         assert err.max() <= 1e-12 * np.abs(want).max()

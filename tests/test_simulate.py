@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import pipeline, simulate
+from radarvitals import fusion, simulate, vitals
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
@@ -43,7 +43,7 @@ class TestCubeGeometry:
         cube = simulate.synthesize_cube(scene, cfg)
         prof = range_fft(cube)
         peak = int(np.argmax(np.abs(prof.data[:, 0, 0])))
-        assert peak == range_bin_of(5.0, cfg, prof.n_fft)
+        assert peak == range_bin_of(5.0, cfg)
 
     def test_antenna_phase_ramp_matches_steering(self, cfg):
         angle = 25.0
@@ -64,7 +64,7 @@ class TestCubeGeometry:
                          duration=8.0)
         cube = simulate.synthesize_cube(scene, cfg)
         prof = range_fft(cube)
-        rb = range_bin_of(2.0, cfg, prof.n_fft)
+        rb = range_bin_of(2.0, cfg)
         idx = np.arange(len(cube.frame_timestamps)) * cfg.chirps_per_frame
         phase = np.unwrap(np.angle(prof.data[rb, idx, 0]))
         swing = phase.max() - phase.min()
@@ -81,9 +81,8 @@ class TestCubeGeometry:
         last = int(np.argmax(np.abs(prof.data[:, -1, 0])))
         t_last = ((len(cube.frame_timestamps) - 1) * cfg.frame_period
                   + (cfg.chirps_per_frame - 1) * cfg.pri)
-        assert first == range_bin_of(2.0, cfg, prof.n_fft)
-        assert last == range_bin_of(float(mover.range_at(t_last)), cfg,
-                                    prof.n_fft)
+        assert first == range_bin_of(2.0, cfg)
+        assert last == range_bin_of(float(mover.range_at(t_last)), cfg)
 
 
 class TestNoiseAndLimits:
@@ -173,67 +172,68 @@ class TestSteeringCorrection:
         assert corr.shape == (3, 8, cfg.num_virtual)
         assert np.all(corr == 0)
 
-    @pytest.mark.parametrize("bins, n_fft", [([-1, 0, 1], None),
-                                             ([63, 64, 65], None),
-                                             ([3], 64)])
-    def test_rejects_bins_off_the_profile(self, cfg, small_scene, bins,
-                                          n_fft):
+    @pytest.mark.parametrize("bins", [[-1, 0, 1], [63, 64, 65]])
+    def test_rejects_bins_off_the_profile(self, cfg, small_scene, bins):
         tx = np.ones(cfg.num_tx)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"range bins must lie in \[0, 64\]"):
             simulate.render_profiles(small_scene, cfg, bins, np.arange(8),
-                                     n_fft, tx_weights=tx, gain_offset=1.0)
+                                     tx_weights=tx, gain_offset=1.0)
 
 
 @pytest.fixture(scope="module", params=["clean", "range_overlap",
                                         "fusion_stress", "bench"])
 def noiseless_cubes(request):
     """A bundled scenario with its noiseless cubes, unsteered and steered
-    at its target."""
+    at its target, and the range bins a run of it reads."""
     spec = ScenarioSpec.from_json(SCENARIOS / f"{request.param}.json")
     cfg = spec.radar
     tx = tx_weights(spec.scene.targets[0].angle_deg, cfg.wavelength,
                     num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
     plain = simulate.synthesize_cube(spec.scene, cfg)
     steered = simulate.synthesize_cube(spec.scene, cfg, tx_weights=tx)
-    return spec, tx, plain, steered
+    bins = np.arange(simulate.range_profiles(spec.scene, cfg).data.shape[0])
+    return spec, tx, plain, steered, bins
 
 
 class TestRenderProfiles:
     """The range-domain renderer against ``range_fft`` of the cube."""
 
-    @pytest.mark.parametrize("n_fft", [None, 256])
     @pytest.mark.parametrize("steer, gain_offset", [(False, 0.0),
                                                     (True, 0.0),
                                                     (True, 1.0)])
     def test_matches_the_cube_fft_at_the_rendered_bins(
-            self, noiseless_cubes, steer, gain_offset, n_fft):
-        spec, tx, plain, steered = noiseless_cubes
+            self, noiseless_cubes, steer, gain_offset):
+        spec, tx, plain, steered, bins = noiseless_cubes
         cfg = spec.radar
-        n = n_fft or cfg.samples_per_chirp
-        bins = np.arange(pipeline._profile_rows(spec, n))
-        want = range_fft(steered if steer else plain, n_fft=n_fft).data
+        want = range_fft(steered if steer else plain).data
         if gain_offset:
-            want = want - range_fft(plain, n_fft=n_fft).data
+            want = want - range_fft(plain).data
         want = want[bins]
         got = simulate.render_profiles(spec.scene, cfg, bins, slice(None),
-                                       n_fft, tx_weights=tx if steer else None,
+                                       tx_weights=tx if steer else None,
                                        gain_offset=gain_offset)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_range_profiles_wrap_the_first_rows(self, cfg, small_scene):
-        prof = simulate.range_profiles(small_scene, cfg, 20)
+    def test_range_profiles_wrap_the_read_rows(self, cfg, small_scene):
+        """The rows at or below the localizer's range, plus half a phase
+        window beyond them: 34 + 2 of the 65 bins here."""
+        prof = simulate.range_profiles(small_scene, cfg)
         ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
-        assert prof.data.shape == (20,) + ref.data.shape[1:]
+        near = int(np.count_nonzero(ref.range_axis <= fusion.MAX_RANGE_M))
+        rows = near + vitals.PHASE_CHANNELS // 2
+        assert (near, rows) == (34, 36)
+        assert prof.data.shape == (rows,) + ref.data.shape[1:]
         assert prof.num_bins == ref.num_bins == 65
-        assert np.array_equal(prof.range_axis, ref.range_axis[:20])
+        assert np.array_equal(prof.range_axis, ref.range_axis[:rows])
         assert np.array_equal(prof.frame_timestamps, ref.frame_timestamps)
-        err = np.abs(prof.data - ref.data[:20]).max()
+        err = np.abs(prof.data - ref.data[:rows]).max()
         assert err <= 1e-12 * np.abs(ref.data).max()
 
     def test_bin_domain_noise_is_white(self, cfg):
-        """n_fft == samples_per_chirp: every bin carries N times the
-        per-sample noise power, uncorrelated across bins and antennas."""
+        """Every bin carries N = samples_per_chirp times the per-sample
+        noise power, uncorrelated across bins and antennas."""
         snr_db, n_bins = 10.0, 6
         noise = simulate.render_profiles(
             rv.Scene(duration=2.0), cfg, np.arange(n_bins), slice(None),
@@ -251,18 +251,6 @@ class TestRenderProfiles:
             # circular: no correlation between real and imaginary parts
             assert np.abs(np.mean(rows ** 2, axis=1) / power).max() <= (
                 5.0 / np.sqrt(m))
-
-    def test_zero_padded_noise_is_the_cube_noise(self, cfg, small_scene):
-        """A zero-padded n_fft draws the cube's own fast-time noise, so
-        the noisy render equals the noisy cube's FFT."""
-        seed = np.random.SeedSequence(4)
-        bins = np.arange(40)
-        got = simulate.render_profiles(small_scene, cfg, bins, slice(None),
-                                       256, snr_db=15.0, seed=seed)
-        cube = simulate.synthesize_cube(small_scene, cfg, snr_db=15.0,
-                                        seed=seed)
-        want = range_fft(cube, n_fft=256).data[bins]
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 class TestDetections:

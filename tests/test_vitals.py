@@ -19,8 +19,8 @@ def _profiles_with_phase(phase, cfg=None, num_bins=9):
     for b in range(num_bins):
         data[b, idx, :] = np.exp(1j * phase)[:, None]
     return RangeProfiles(
-        data=data, range_axis=np.arange(num_bins) * 0.3, n_fft=128,
-        config=cfg, frame_timestamps=np.arange(frames) / cfg.frame_rate)
+        data=data, range_axis=np.arange(num_bins) * 0.3, config=cfg,
+        frame_timestamps=np.arange(frames) / cfg.frame_rate)
 
 
 class TestExtractPhase:
