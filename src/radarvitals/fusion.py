@@ -13,10 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Farthest range (m) the localizer searches, and so the heatmap computes.
-MAX_RANGE_M = 10.0
 # Trailing time (s) over which a box must stay still to count as stationary.
 STATIONARY_WINDOW_S = 3.0
+# Largest max-minus-min span of a still box's x and of its width over that
+# window, as a fraction of the image width.
+STILL_SPAN_FRACTION = 0.02
 
 
 @dataclass
@@ -67,38 +68,28 @@ def build_tracks(frames: list[DetectionFrame]) -> list[TrackedBox]:
     return tracks
 
 
-def filter_stationary(
-    tracks: list[TrackedBox],
-    image_width: int,
-    x_threshold: float | None = None,
-    w_threshold: float | None = None,
-    window: float = STATIONARY_WINDOW_S,
-) -> list[TrackedBox]:
+def filter_stationary(tracks: list[TrackedBox],
+                      image_width: int) -> list[TrackedBox]:
     """Keep tracks whose box barely moved over the trailing time window.
 
-    A track counts as stationary when, over the last ``window`` seconds of
-    its samples, both the horizontal position and the width stay inside a
-    max-minus-min span of the respective threshold.  Thresholds default to
-    2% of the image width.  Tracks with fewer than two samples in the
-    window are dropped (no evidence of stillness).
+    A track counts as stationary when, over the last
+    :data:`STATIONARY_WINDOW_S` seconds of its samples, both the horizontal
+    position and the width stay inside a max-minus-min span of
+    :data:`STILL_SPAN_FRACTION` of the image width.  Tracks with fewer than
+    two samples in the window are dropped (no evidence of stillness).
     """
-    if x_threshold is None:
-        x_threshold = 0.02 * image_width
-    if w_threshold is None:
-        w_threshold = 0.02 * image_width
-    if window <= 0:
-        raise ValueError("window must be positive")
+    threshold = STILL_SPAN_FRACTION * image_width
     out = []
     for tr in tracks:
         if len(tr) < 2:
             continue
         t_end = tr.times[-1]
-        sel = tr.times >= t_end - window
+        sel = tr.times >= t_end - STATIONARY_WINDOW_S
         if np.count_nonzero(sel) < 2:
             continue
         x_span = float(np.ptp(tr.xs[sel]))
         w_span = float(np.ptp(tr.ws[sel]))
-        if x_span <= x_threshold and w_span <= w_threshold:
+        if x_span <= threshold and w_span <= threshold:
             out.append(tr)
     return out
 
@@ -134,26 +125,22 @@ class TargetLocation:
     power: float
 
 
-def localize(heatmap, window: tuple[int, int],
-             max_range: float = MAX_RANGE_M) -> TargetLocation:
-    """Strongest heatmap cell inside an angle window, ranges <= max_range.
+def localize(heatmap, window: tuple[int, int]) -> TargetLocation:
+    """Strongest heatmap cell inside an angle window.
 
     Ties resolve to the smaller range bin, then the smaller angle bin.
     ``heatmap`` needs ``power`` (R x A), ``range_axis`` and ``angle_axis``
-    attributes (see :func:`radarvitals.aoa.range_angle_heatmap`).
+    attributes (see :func:`radarvitals.aoa.range_angle_heatmap`, whose rows
+    stop at :data:`radarvitals.aoa.MAX_RANGE_M`).
     """
     lo, hi = window
     power = np.asarray(heatmap.power)
-    n_r, n_a = power.shape
+    n_a = power.shape[1]
     if not (0 <= lo <= hi < n_a):
         raise ValueError("angle window lies outside the heatmap grid")
-    r_sel = np.flatnonzero(heatmap.range_axis <= max_range)
-    if r_sel.size == 0:
-        raise ValueError("no range bins at or below max_range")
-    sub = power[np.ix_(r_sel, np.arange(lo, hi + 1))]
+    sub = power[:, lo:hi + 1]
     flat = int(np.argmax(sub))            # first occurrence: row-major order
-    ri, ai = divmod(flat, sub.shape[1])   # -> smaller range, then angle
-    rbin = int(r_sel[ri])
+    rbin, ai = divmod(flat, sub.shape[1])  # -> smaller range, then angle
     abin = lo + ai
     return TargetLocation(
         range_bin=rbin, angle_bin=abin,

@@ -2,14 +2,14 @@
 
 A :class:`ScenarioSpec` bundles the radar, scene and camera parameters
 and the two processing knobs a run varies (JSON-serializable, see
-``scenarios/``); every other processing setting is its stage's own
-default.  :func:`run_scenario` executes one seeded repetition as a single
+``scenarios/``); every other processing setting is fixed in its stage's
+module.  :func:`run_scenario` executes one seeded repetition as a single
 chain of timed stages:
 
 * scene stages - ``simulate`` (the range profiles rendered directly at the
   bins the later stages read and every slow sample, see
   :func:`simulate.range_profiles`, and the camera boxes), ``heatmap`` (the
-  bins at or below :data:`fusion.MAX_RANGE_M`), ``localize``;
+  bins at or below :data:`aoa.MAX_RANGE_M`), ``localize``;
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit steering added to the unsteered profiles at the bins and
   samples the phase stage reads, by the same renderer, plus receive
@@ -63,11 +63,11 @@ class ScenarioSpec(Record):
 
     The processing knobs are ``num_modes`` (an int, or ``"auto"`` to pick
     the mode count per target) and ``n_keep`` (the spectrum bins the
-    decomposition keeps; None keeps the full spectrum).  On construction
-    every field, and every field of the records nested in it, is checked
-    against its annotation (``config.Record``): a wrong-typed, NaN or
-    infinite value raises ``ValueError`` naming the record and the field,
-    and a dict or list becomes the annotated record or tuple.
+    decomposition keeps, at least 4; None keeps the full spectrum).  On
+    construction every field, and every field of the records nested in it,
+    is checked against its annotation (``config.Record``): a wrong-typed,
+    NaN or infinite value raises ``ValueError`` naming the record and the
+    field, and a dict or list becomes the annotated record or tuple.
     """
 
     name: str
@@ -82,6 +82,8 @@ class ScenarioSpec(Record):
 
     def _check(self) -> None:
         _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
+        _require(self.n_keep is None or self.n_keep >= 4,
+                 f"n_keep must be >= 4 or null, not {self.n_keep}")
 
     def to_dict(self) -> dict:
         """JSON-ready dict with the processing knobs nested under
@@ -308,8 +310,7 @@ def run_scenario(
                 spec.scene, spec.camera, frame_rate=cfg.frame_rate,
                 seed=det_ss)
         with _stage(timings, "heatmap"):
-            heatmap = aoa.range_angle_heatmap(profiles,
-                                              max_range=fusion.MAX_RANGE_M)
+            heatmap = aoa.range_angle_heatmap(profiles)
         with _stage(timings, "localize"):
             result.locations = _localize(spec, detections, heatmap, report)
     except _StageFailed as e:

@@ -35,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoa import steering_matrix
+from .aoa import MAX_RANGE_M, steering_matrix
 from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
                      VitalTarget)
-from .fusion import MAX_RANGE_M, Box, DetectionFrame
+from .fusion import Box, DetectionFrame
 from .rangefft import RangeProfiles, range_bin_width
 from .vitals import PHASE_CHANNELS
 
@@ -229,7 +229,7 @@ def range_profiles(scene: Scene, cfg: RadarConfig, snr_db: float | None = None,
     :func:`render_profiles`.
 
     These are the first bins of the one-sided profile: those at or below
-    :data:`fusion.MAX_RANGE_M` (the heatmap's) plus half a phase window
+    :data:`aoa.MAX_RANGE_M` (the heatmap's) plus half a phase window
     (:data:`vitals.PHASE_CHANNELS`) beyond the last, so a target localized
     there keeps its channels; at most the whole profile.  They hold the
     rows ``range_fft(synthesize_cube(scene, cfg, snr_db=snr_db,

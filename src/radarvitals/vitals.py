@@ -31,8 +31,17 @@ from . import beamform
 
 DEFAULT_RR_BAND = (0.1, 0.5)
 DEFAULT_HR_BAND = (0.8, 2.5)
-# Adjacent range bins read around a target, one phase channel each.
+# Adjacent range bins read around a target, one phase channel each (odd).
 PHASE_CHANNELS = 5
+# Mode-count rule of select_mode_count: the energy share the leading
+# eigenvalues must cover, the ratio within which the next one still counts
+# (keeps sinusoid pairs whole), and the clamp on the result.
+MODE_POWER_FRACTION = 0.70
+MODE_TIE_RATIO = 0.8
+MIN_MODES = 2
+MAX_MODES = 8
+# Zero-padding factor of the rate read-out's peak search.
+PEAK_REFINE = 16
 
 
 # ---------------------------------------------------------------------------
@@ -47,20 +56,16 @@ class PhaseMatrix:
     range_bins: tuple[int, ...]
 
 
-def phase_window(profiles, center_bin: int,
-                 num_channels: int = PHASE_CHANNELS
-                 ) -> tuple[range, np.ndarray]:
+def phase_window(profiles, center_bin: int) -> tuple[range, np.ndarray]:
     """Range bins and slow-time samples that :func:`extract_phase` reads.
 
-    Returns the ``num_channels`` bins centered on ``center_bin`` and the
-    index of the first chirp of every frame.  The window is checked before
-    anyone indexes with it: a ValueError names a channel count that is not
-    a positive odd number, bins that leave the full one-sided profile, or
-    bins inside it but past the rows ``profiles`` holds.
+    Returns the :data:`PHASE_CHANNELS` bins centered on ``center_bin`` and
+    the index of the first chirp of every frame.  The window is checked
+    before anyone indexes with it: a ValueError names bins that leave the
+    full one-sided profile, or bins inside it but past the rows
+    ``profiles`` holds.
     """
-    if num_channels < 1 or num_channels % 2 == 0:
-        raise ValueError("num_channels must be a positive odd number")
-    half = num_channels // 2
+    half = PHASE_CHANNELS // 2
     lo, hi = center_bin - half, center_bin + half
     if lo < 0 or hi >= profiles.num_bins:
         raise ValueError(
@@ -77,9 +82,9 @@ def phase_window(profiles, center_bin: int,
 
 
 def extract_phase(profiles, center_bin: int,
-                  num_channels: int = PHASE_CHANNELS,
                   rx: beamform.BeamWeights | None = None) -> PhaseMatrix:
-    """Slow-time phase of ``num_channels`` range bins centered on a target.
+    """Slow-time phase of :data:`PHASE_CHANNELS` range bins centered on a
+    target.
 
     One sample per frame is used (the first chirp), so the sample rate is
     the frame rate; :func:`phase_window` gives the bins and samples read.
@@ -88,7 +93,7 @@ def extract_phase(profiles, center_bin: int,
     antenna; the phase is unwrapped along time and the per-channel mean
     removed.
     """
-    bins, frames = phase_window(profiles, center_bin, num_channels)
+    bins, frames = phase_window(profiles, center_bin)
     block = profiles.data[bins.start:bins.stop][:, frames, :]   # (L, frames, K)
     if rx is None:
         series = block[:, :, 0]
@@ -106,7 +111,6 @@ def extract_phase(profiles, center_bin: int,
 @dataclass(frozen=True)
 class ChannelWeights:
     weights: np.ndarray
-    correlation: np.ndarray
 
 
 def adaptive_weights(samples: np.ndarray) -> ChannelWeights:
@@ -129,7 +133,7 @@ def adaptive_weights(samples: np.ndarray) -> ChannelWeights:
     total = u.sum()
     if not np.isfinite(total) or total == 0:
         raise ValueError("channel correlation matrix is too ill-conditioned")
-    return ChannelWeights(weights=u / total, correlation=corr)
+    return ChannelWeights(weights=u / total)
 
 
 # ---------------------------------------------------------------------------
@@ -187,32 +191,22 @@ def _one_blas_thread():
         set_(before)
 
 
-def select_mode_count(
-    signal: np.ndarray,
-    window_len: int | None = None,
-    power_fraction: float = 0.70,
-    min_modes: int = 2,
-    max_modes: int = 8,
-    tie_ratio: float = 0.8,
-) -> int:
+def select_mode_count(signal: np.ndarray) -> int:
     """Number of oscillatory components suggested by a singular-value scan.
 
     The signal is folded into a Hankel trajectory matrix (window length
-    N//3 by default) and the eigenvalues of its Gram matrix are accumulated
-    until ``power_fraction`` of the energy is covered.  Because each real
-    sinusoid contributes a *pair* of comparable eigenvalues, the count is
-    extended while the next eigenvalue is within ``tie_ratio`` of the last
-    one included, so pairs are never split.  The result is clamped to
-    [min_modes, max_modes].
+    N//3) and the eigenvalues of its Gram matrix are accumulated until
+    :data:`MODE_POWER_FRACTION` of the energy is covered.  Because each
+    real sinusoid contributes a *pair* of comparable eigenvalues, the count
+    is extended while the next eigenvalue is within :data:`MODE_TIE_RATIO`
+    of the last one included, so pairs are never split.  The result is
+    clamped to [:data:`MIN_MODES`, :data:`MAX_MODES`].
     """
     x = np.asarray(signal, dtype=float).ravel()
     n = x.size
-    if window_len is None:
-        window_len = n // 3
+    window_len = n // 3
     if window_len < 2 or n - window_len + 1 < 2:
         raise ValueError("signal too short for the trajectory window")
-    if not 0 < power_fraction <= 1:
-        raise ValueError("power_fraction must lie in (0, 1]")
     traj = np.lib.stride_tricks.sliding_window_view(
         x, n - window_len + 1)[:window_len]
     with _one_blas_thread():
@@ -222,11 +216,12 @@ def select_mode_count(
     if total <= 0:
         raise ValueError("signal carries no energy; cannot select mode count")
     cum = np.cumsum(ev) / total
-    k = int(np.searchsorted(cum, power_fraction)) + 1
+    k = int(np.searchsorted(cum, MODE_POWER_FRACTION)) + 1
     floor = 1e-10 * ev[0]
-    while k < ev.size and ev[k] > floor and ev[k] >= tie_ratio * ev[k - 1]:
+    while (k < ev.size and ev[k] > floor
+           and ev[k] >= MODE_TIE_RATIO * ev[k - 1]):
         k += 1
-    return int(np.clip(k, min_modes, max_modes))
+    return int(np.clip(k, MIN_MODES, MAX_MODES))
 
 
 # ---------------------------------------------------------------------------
@@ -298,41 +293,6 @@ def truncate_spectrum(spec: AnalyticSpectra, n_keep: int) -> AnalyticSpectra:
                            sample_rate=spec.sample_rate)
 
 
-def spectral_entropy(spectrum: np.ndarray) -> float:
-    """Shannon entropy (nats) of a spectrum's normalized power profile."""
-    x = np.asarray(spectrum).ravel()
-    if x.size == 0:
-        raise ValueError("empty spectrum")
-    p = np.abs(x) ** 2 / x.size
-    total = p.sum()
-    if total <= 0 or not np.isfinite(total):
-        raise ValueError("spectrum carries no finite energy")
-    p = p / total
-    nz = p > 0
-    return float(-np.sum(p[nz] * np.log(p[nz])))
-
-
-def mirror_extend(samples: np.ndarray) -> np.ndarray:
-    """Reflect each channel about its endpoints, doubling its length.
-
-    The classic edge treatment for variational decompositions: the first
-    half is prepended reversed and the second half appended reversed, so
-    the extension is continuous and the interesting content sits in the
-    middle.  Use :func:`crop_mirrored` to undo it on the modes.
-    """
-    s = np.asarray(samples)
-    n = s.shape[-1]
-    h = n // 2
-    return np.concatenate(
-        [s[..., :h][..., ::-1], s, s[..., h:][..., ::-1]], axis=-1)
-
-
-def crop_mirrored(modes: np.ndarray, n_original: int) -> np.ndarray:
-    """Cut the center ``n_original`` samples back out of mirrored output."""
-    h = n_original // 2
-    return modes[..., h:h + n_original]
-
-
 # ---------------------------------------------------------------------------
 # variational mode decomposition on weighted multi-channel spectra
 
@@ -347,13 +307,6 @@ class ModeSet:
     iterations: int
     converged: bool
 
-    @property
-    def num_modes(self) -> int:
-        return self.modes.shape[0]
-
-    def reconstruction(self) -> np.ndarray:
-        return self.modes.sum(axis=0)
-
 
 def _fuse_channels(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """The weighted channel sum ``sum_l w_l S_l`` of (L, n_bins) spectra,
@@ -363,23 +316,22 @@ def _fuse_channels(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 def band_seeded_init(spectra: AnalyticSpectra, weights: np.ndarray,
-                     num_modes: int,
-                     bands: tuple[tuple[float, float], ...] = (
-                         DEFAULT_RR_BAND, DEFAULT_HR_BAND)) -> np.ndarray:
+                     num_modes: int) -> np.ndarray:
     """Center-frequency init (Hz) with one mode pinned to each band of
     interest, for :func:`multichannel_vmd`'s ``init``.
 
     Vital phase spectra are wildly unbalanced (breathing carries orders of
     magnitude more power than heartbeat), so a purely power-ranked init
     would spend every mode on the strongest line and its leakage skirt.
-    Seeding the strongest in-band peak of the weighted channel sum per
-    configured band guarantees each band starts with a dedicated mode;
-    leftover modes spread evenly over the kept spectrum.
+    Seeding the strongest in-band peak of the weighted channel sum in the
+    breathing band, then in the heart band, guarantees each band starts
+    with a dedicated mode; leftover modes spread evenly over the kept
+    spectrum.
     """
     mag = np.abs(_fuse_channels(spectra.spectra, weights))
     freqs = spectra.freqs_hz
     seeds: list[float] = []
-    for lo, hi in bands:
+    for lo, hi in (DEFAULT_RR_BAND, DEFAULT_HR_BAND):
         if len(seeds) == num_modes:
             break
         sel = np.flatnonzero((freqs >= lo) & (freqs <= hi))
@@ -550,11 +502,11 @@ class VitalRates:
     heart_mode: int | None
 
 
-def _refined_peak_hz(mode: np.ndarray, fs: float, band: tuple[float, float],
-                     refine: int = 16) -> float | None:
-    n = mode.size
-    spec = np.abs(np.fft.rfft(mode, n * refine))
-    freqs = np.arange(spec.size) * fs / (n * refine)
+def _refined_peak_hz(mode: np.ndarray, fs: float,
+                     band: tuple[float, float]) -> float | None:
+    n_fft = mode.size * PEAK_REFINE
+    spec = np.abs(np.fft.rfft(mode, n_fft))
+    freqs = np.arange(spec.size) * fs / n_fft
     sel = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
     if sel.size == 0:
         return None
@@ -565,16 +517,14 @@ def _refined_peak_hz(mode: np.ndarray, fs: float, band: tuple[float, float],
         delta = 0.0 if denom == 0 else np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
     else:
         delta = 0.0
-    return float((i + delta) * fs / (n * refine))
+    return float((i + delta) * fs / n_fft)
 
 
-def estimate_rates(modes: ModeSet,
-                   rr_band: tuple[float, float] = DEFAULT_RR_BAND,
-                   hr_band: tuple[float, float] = DEFAULT_HR_BAND,
-                   refine: int = 16) -> VitalRates:
+def estimate_rates(modes: ModeSet) -> VitalRates:
     """Breathing and heart rates from band-matched modes.
 
-    For each band the in-band mode with the greatest time-domain energy is
+    For each of :data:`DEFAULT_RR_BAND` and :data:`DEFAULT_HR_BAND` the
+    in-band mode with the greatest time-domain energy is
     chosen; its rate is the interpolated spectral peak (zero-padded FFT
     plus parabolic refinement) in cycles/min.  A band with no matching mode
     yields None.
@@ -588,12 +538,12 @@ def estimate_rates(modes: ModeSet,
         if in_band.size == 0:
             return None, None
         k = int(in_band[np.argmax(energies[in_band])])
-        f = _refined_peak_hz(modes.modes[k], modes.sample_rate, band, refine)
+        f = _refined_peak_hz(modes.modes[k], modes.sample_rate, band)
         if f is None:
             return None, None
         return f * 60.0, k
 
-    rr, kb = band_rate(rr_band)
-    hr, kh = band_rate(hr_band)
+    rr, kb = band_rate(DEFAULT_RR_BAND)
+    hr, kh = band_rate(DEFAULT_HR_BAND)
     return VitalRates(breaths_per_min=rr, beats_per_min=hr,
                       breath_mode=kb, heart_mode=kh)

@@ -22,6 +22,7 @@ one pass/fail line per criterion:
 All checks are seeded and deterministic.  Scenario inputs live in
 ``scenarios/``.
 """
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -36,6 +37,8 @@ from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
                                   run_scenario, write_run_outputs)
 from radarvitals.rangefft import range_bin_of, range_fft
 
+from reference_aoa import spatial_covariance, spatial_fft_spectrum
+from reference_spectra import crop_mirrored, mirror_extend, spectral_entropy
 from reference_vmd import plain_vmd
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -156,9 +159,8 @@ def test_criterion_04_mvdr_resolves_pair_that_spatial_fft_cannot():
     snapshots = a @ sig + noise
 
     grid = aoa.default_angle_grid()
-    mv = aoa.mvdr_spectrum(aoa.spatial_covariance(snapshots), lam / 2, lam,
-                           grid)
-    fft = aoa.spatial_fft_spectrum(snapshots, lam / 2, lam, size=512)
+    mv = aoa.mvdr_spectrum(spatial_covariance(snapshots), lam / 2, lam)
+    fft = spatial_fft_spectrum(snapshots, lam / 2, lam, size=512)
     assert _resolved(grid, mv, -7.5, 7.5), "MVDR failed to separate the pair"
     assert not _resolved(fft.angles_deg, fft.power, -7.5, 7.5), (
         "spatial FFT unexpectedly separated the pair")
@@ -179,13 +181,13 @@ def test_criterion_05_decomposition_matches_truth_and_reference():
         s = (amps[:, None] * np.sin(2 * np.pi * f[:, None] * t
                                     + phases[:, None])).sum(axis=0)
 
-        ext = vitals.mirror_extend(s)
+        ext = mirror_extend(s)
         spec = vitals.analytic_spectrum(ext, fs)
         modes = vitals.multichannel_vmd(spec, 2, eta=1.0, tol=1e-7,
                                         max_iter=1000)
         got = np.sort(modes.center_freqs_hz)
         freq_errs.append(np.abs(got - f).max())
-        recon = vitals.crop_mirrored(modes.reconstruction(), n)
+        recon = crop_mirrored(modes.modes.sum(axis=0), n)
         recon_errs.append(np.linalg.norm(recon - s) / np.linalg.norm(s))
 
         _, ref_f = plain_vmd(s, 2, fs, tau=1.0, max_iter=1000, init_hz=f)
@@ -252,8 +254,8 @@ def test_criterion_08_entropy_preserved_and_decomposition_accelerated():
 
     full = vitals.analytic_spectrum(phase, fs)
     kept = vitals.truncate_spectrum(full, 100)
-    ratio = (vitals.spectral_entropy(kept.spectra[0])
-             / vitals.spectral_entropy(full.spectra[0]))
+    ratio = (spectral_entropy(kept.spectra[0])
+             / spectral_entropy(full.spectra[0]))
     assert ratio >= 0.95, f"entropy ratio {ratio:.3f}"
 
     spec = ScenarioSpec.from_json(SCENARIOS / "bench.json")
@@ -290,16 +292,17 @@ def test_criterion_09_windowed_localization_beats_global_argmax():
     grid = aoa.default_angle_grid()
     true_rbin = range_bin_of(target.range_m, cfg)
     true_abin = int(np.argmin(np.abs(grid - target.angle_deg)))
-    max_row = np.searchsorted(profiles.range_axis, fusion.MAX_RANGE_M,
+    max_row = np.searchsorted(profiles.range_axis, aoa.MAX_RANGE_M,
                               side="right")
 
     num_frames = cube.data.shape[1] // cfg.chirps_per_frame
     windowed_hits = 0
     global_hits = 0
     for f in range(num_frames):
-        hm = aoa.range_angle_heatmap(profiles, grid,
-                                     start=f * cfg.chirps_per_frame,
-                                     count=cfg.chirps_per_frame)
+        cols = slice(f * cfg.chirps_per_frame,
+                     (f + 1) * cfg.chirps_per_frame)
+        hm = aoa.range_angle_heatmap(
+            dataclasses.replace(profiles, data=profiles.data[:, cols]))
         loc = fusion.localize(hm, window)
         windowed_hits += (abs(loc.range_bin - true_rbin) <= 1
                           and abs(loc.angle_bin - true_abin) <= 1)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import radarvitals as rv
 from radarvitals import aoa, simulate
 from radarvitals.rangefft import range_bin_of, range_fft
+from reference_aoa import spatial_covariance, spatial_fft_spectrum
 
 LAM = rv.RadarConfig().wavelength
 
@@ -42,34 +45,34 @@ def resolved(angles, power, a1, a2, dip_db=3.0, slack=4.0):
 class TestCovariance:
     def test_hermitian_and_loaded(self):
         x = _source_snapshots([10.0], [1.0], 8, 20.0, 64, 0)
-        cov = aoa.spatial_covariance(x)
+        cov = spatial_covariance(x)
         assert np.allclose(cov, cov.conj().T)
         evals = np.linalg.eigvalsh(cov)
         assert evals.min() > 0
 
     def test_rank_one_still_invertible(self):
         a = aoa.steering_matrix([5.0], 8, LAM / 2, LAM)
-        cov = aoa.spatial_covariance(a)     # single snapshot, no noise
+        cov = spatial_covariance(a)     # single snapshot, no noise
         spec = aoa.mvdr_spectrum(cov, LAM / 2, LAM)
         assert np.all(np.isfinite(spec))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
-            aoa.spatial_covariance(np.ones(8))
+            spatial_covariance(np.ones(8))
 
 
 class TestMvdr:
     def test_peak_at_single_source(self):
         x = _source_snapshots([20.0], [1.0], 8, 20.0, 128, 1)
-        spec = aoa.mvdr_spectrum(aoa.spatial_covariance(x), LAM / 2, LAM)
+        spec = aoa.mvdr_spectrum(spatial_covariance(x), LAM / 2, LAM)
         grid = aoa.default_angle_grid()
         assert grid[int(np.argmax(spec))] == pytest.approx(20.0, abs=1.0)
 
     def test_resolves_close_pair_where_fft_cannot(self):
         x = _source_snapshots([-7.5, 7.5], [1.0, 1.0], 8, 20.0, 256, 5)
         grid = aoa.default_angle_grid()
-        mv = aoa.mvdr_spectrum(aoa.spatial_covariance(x), LAM / 2, LAM, grid)
-        fft = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
+        mv = aoa.mvdr_spectrum(spatial_covariance(x), LAM / 2, LAM)
+        fft = spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         assert resolved(grid, mv, -7.5, 7.5)
         assert not resolved(fft.angles_deg, fft.power, -7.5, 7.5)
 
@@ -79,8 +82,8 @@ class TestMvdr:
         Rayleigh limit (see test above)."""
         x = _source_snapshots([-15.0, 15.0], [1.0, 1.0], 8, 20.0, 256, 5)
         grid = aoa.default_angle_grid()
-        mv = aoa.mvdr_spectrum(aoa.spatial_covariance(x), LAM / 2, LAM, grid)
-        fft = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
+        mv = aoa.mvdr_spectrum(spatial_covariance(x), LAM / 2, LAM)
+        fft = spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         assert resolved(grid, mv, -15.0, 15.0)
         assert resolved(fft.angles_deg, fft.power, -15.0, 15.0)
 
@@ -105,46 +108,46 @@ class TestHeatmap:
         hm = aoa.range_angle_heatmap(small_profiles)
         rb = 7
         snaps = small_profiles.data[rb].T
-        spec = aoa.mvdr_spectrum(aoa.spatial_covariance(snaps),
+        spec = aoa.mvdr_spectrum(spatial_covariance(snaps),
                                  small_profiles.config.rx_spacing,
                                  small_profiles.config.wavelength)
         assert np.allclose(hm.power[rb], spec, rtol=1e-10)
 
     def test_snapshot_slicing(self, small_profiles):
-        hm = aoa.range_angle_heatmap(small_profiles, start=0, count=4)
-        assert hm.power.shape == (small_profiles.num_bins, 121)
-        with pytest.raises(ValueError):
-            aoa.range_angle_heatmap(small_profiles, start=0, count=10 ** 9)
+        """The heatmap of profiles cut to a few chirps averages over exactly
+        those snapshots (criterion 9 builds per-frame heatmaps this way)."""
+        part = dataclasses.replace(small_profiles,
+                                   data=small_profiles.data[:, 4:8])
+        hm = aoa.range_angle_heatmap(part)
+        rb = 7
+        spec = aoa.mvdr_spectrum(spatial_covariance(part.data[rb].T),
+                                 part.config.rx_spacing, part.config.wavelength)
+        assert hm.power.shape == (34, 121)
+        assert np.allclose(hm.power[rb], spec, rtol=1e-10)
 
     def test_max_range_keeps_the_near_rows(self, small_profiles):
-        full = aoa.range_angle_heatmap(small_profiles)
-        near = aoa.range_angle_heatmap(small_profiles, max_range=5.0)
-        n = near.power.shape[0]
-        assert n == np.count_nonzero(full.range_axis <= 5.0)
-        assert 0 < n < full.power.shape[0]
-        assert np.all(near.range_axis <= 5.0)
-        assert np.array_equal(near.range_axis, full.range_axis[:n])
-        assert np.allclose(near.power, full.power[:n], rtol=1e-10)
-
-    def test_max_range_below_bin_zero_keeps_no_row(self, small_profiles):
-        hm = aoa.range_angle_heatmap(small_profiles, max_range=-1.0)
-        assert hm.power.shape == (0, 121)
-        assert hm.range_axis.size == 0
+        """The 65-bin profile keeps its 34 rows at or below 10 m."""
+        hm = aoa.range_angle_heatmap(small_profiles)
+        n = int(np.count_nonzero(small_profiles.range_axis
+                                 <= aoa.MAX_RANGE_M))
+        assert (n, small_profiles.data.shape[0]) == (34, 65)
+        assert hm.power.shape == (n, aoa.DEFAULT_NUM_ANGLE_BINS)
+        assert np.array_equal(hm.range_axis, small_profiles.range_axis[:n])
 
 
 class TestSpatialFft:
     def test_peak_near_source(self):
         x = _source_snapshots([30.0], [1.0], 8, 20.0, 128, 2)
-        spec = aoa.spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
+        spec = spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         peak = spec.angles_deg[int(np.argmax(spec.power))]
         assert peak == pytest.approx(30.0, abs=2.0)
 
     def test_rejects_short_fft(self):
         with pytest.raises(ValueError):
-            aoa.spatial_fft_spectrum(np.ones((8, 4)), LAM / 2, LAM, size=4)
+            spatial_fft_spectrum(np.ones((8, 4)), LAM / 2, LAM, size=4)
 
     def test_angles_are_sorted_and_visible(self):
-        spec = aoa.spatial_fft_spectrum(np.ones((8, 1)), LAM / 2, LAM)
+        spec = spatial_fft_spectrum(np.ones((8, 1)), LAM / 2, LAM)
         assert np.all(np.diff(spec.angles_deg) > 0)
         assert spec.angles_deg[0] >= -90 and spec.angles_deg[-1] <= 90
 

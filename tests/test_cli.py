@@ -189,6 +189,9 @@ class TestInvalidScenario:
         (None, "seed", -3),
         (None, "snr_db", float("nan")),         # json writes it as NaN
         (None, "snr_db", float("-inf")),
+        ("processing", "n_keep", -5),           # as --n-keep: at least 4
+        ("processing", "n_keep", 0),
+        ("processing", "n_keep", 3),
     ])
     def test_unsurvivable_value_exits_2(self, scenario_path, tmp_path,
                                         capsys, block, key, value):

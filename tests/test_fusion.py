@@ -72,8 +72,7 @@ class TestTracks:
         xs = [300 + 20 * i for i in range(30)] + [900.0] * 40
         frames = [_frame(0.1 * i, [_box("settled", x)])
                   for i, x in enumerate(xs)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames), 1920,
-                                        window=3.0)
+        kept = fusion.filter_stationary(fusion.build_tracks(frames), 1920)
         assert [t.id for t in kept] == ["settled"]
 
     def test_width_changes_disqualify(self):
@@ -121,18 +120,6 @@ class TestLocalize:
         loc = fusion.localize(_heatmap(p), (40, 60))
         assert (loc.range_bin, loc.angle_bin) == (9, 48)
 
-    def test_max_range_excludes_far_bins(self):
-        p = np.zeros((60, 121))
-        p[50, 60] = 9.0             # 15 m: beyond the 10 m search
-        p[10, 60] = 1.0
-        loc = fusion.localize(_heatmap(p), (55, 65), max_range=10.0)
-        assert loc.range_bin == 10
-
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
             fusion.localize(_heatmap(np.ones((10, 121))), (100, 200))
-
-    def test_rejects_empty_range_selection(self):
-        hm = _heatmap(np.ones((10, 121)))
-        with pytest.raises(ValueError):
-            fusion.localize(hm, (0, 5), max_range=-1.0)

@@ -110,7 +110,7 @@ class TestRunScenario:
     def test_target_at_the_last_heatmap_row_keeps_its_channels(
             self, quick_spec):
         """The heatmap ends at bin 33 (9.89 m), the last at or below
-        ``fusion.MAX_RANGE_M``; a target at 10.1 m (bin 34) is localized
+        ``aoa.MAX_RANGE_M``; a target at 10.1 m (bin 34) is localized
         there, and the profiles reach half a phase window past that row, so
         all five channels around it are read, steered or not."""
         target = dataclasses.replace(quick_spec.scene.targets[0],
@@ -122,7 +122,7 @@ class TestRunScenario:
             assert not res.failed, res.report["error"]
             (entry,) = res.report["targets"]
             assert (entry["range_bin"], entry["true_range_bin"]) == (33, 34)
-            assert entry["range_m"] <= fusion.MAX_RANGE_M
+            assert entry["range_m"] <= aoa.MAX_RANGE_M
 
     def test_window_off_the_profile_fails_alike_steered_or_not(self):
         """The 5-bin window around a target at bin 1 leaves the profile:
@@ -242,27 +242,32 @@ UNSURVIVABLE_VALUES = [
     ("snr_db", float("nan"), "snr_db must be"),
     ("snr_db", float("inf"), "snr_db must be"),
     ("snr_db", float("-inf"), "snr_db must be"),
+    ("n_keep", -5, "n_keep must be >= 4"),
+    ("n_keep", 0, "n_keep must be >= 4"),
+    ("n_keep", 3, "n_keep must be >= 4"),
 ]
 
 
 # The processing knobs older scenario files carried, at the value every
-# bundled scenario set, and the stage parameter whose default now holds
-# that value (None for n_fft: the transform is always one chirp long).
+# bundled scenario set, and where that value now lives: a module constant,
+# or a stage parameter's default, with the value it must hold there (None
+# for n_fft: the transform is always one chirp long).  The pixel
+# thresholds' None meant 2 % of the image width.
 OLD_PROCESSING_KNOBS = {
     "n_fft": (None, None),
-    "num_angle_bins": (121, (aoa.default_angle_grid, "num_bins")),
-    "mvdr_loading": (1e-3, (aoa.range_angle_heatmap, "loading")),
-    "stationary_window_s": (3.0, (fusion.filter_stationary, "window")),
-    "x_threshold_px": (None, (fusion.filter_stationary, "x_threshold")),
-    "w_threshold_px": (None, (fusion.filter_stationary, "w_threshold")),
-    "max_range_m": (10.0, (fusion.localize, "max_range")),
-    "num_phase_channels": (5, (vitals.extract_phase, "num_channels")),
-    "alpha": (2000.0, (vitals.multichannel_vmd, "alpha")),
-    "eta": (0.0, (vitals.multichannel_vmd, "eta")),
-    "tol": (1e-7, (vitals.multichannel_vmd, "tol")),
-    "max_iter": (500, (vitals.multichannel_vmd, "max_iter")),
-    "rr_band": ([0.1, 0.5], (vitals.estimate_rates, "rr_band")),
-    "hr_band": ([0.8, 2.5], (vitals.estimate_rates, "hr_band")),
+    "num_angle_bins": (121, (aoa, "DEFAULT_NUM_ANGLE_BINS", 121)),
+    "mvdr_loading": (1e-3, (aoa, "DEFAULT_LOADING", 1e-3)),
+    "stationary_window_s": (3.0, (fusion, "STATIONARY_WINDOW_S", 3.0)),
+    "x_threshold_px": (None, (fusion, "STILL_SPAN_FRACTION", 0.02)),
+    "w_threshold_px": (None, (fusion, "STILL_SPAN_FRACTION", 0.02)),
+    "max_range_m": (10.0, (aoa, "MAX_RANGE_M", 10.0)),
+    "num_phase_channels": (5, (vitals, "PHASE_CHANNELS", 5)),
+    "alpha": (2000.0, (vitals.multichannel_vmd, "alpha", 2000.0)),
+    "eta": (0.0, (vitals.multichannel_vmd, "eta", 0.0)),
+    "tol": (1e-7, (vitals.multichannel_vmd, "tol", 1e-7)),
+    "max_iter": (500, (vitals.multichannel_vmd, "max_iter", 500)),
+    "rr_band": ([0.1, 0.5], (vitals, "DEFAULT_RR_BAND", (0.1, 0.5))),
+    "hr_band": ([0.8, 2.5], (vitals, "DEFAULT_HR_BAND", (0.8, 2.5))),
 }
 
 
@@ -442,13 +447,12 @@ class TestSpecSerialization:
     @pytest.mark.parametrize("knob", [k for k, (_, stage)
                                       in OLD_PROCESSING_KNOBS.items() if stage])
     def test_stage_default_is_the_old_scenario_value(self, knob):
-        """A run calls every stage with its own default, so each default
-        must be the value the deleted knob held in every bundled file."""
-        value, (stage, param) = OLD_PROCESSING_KNOBS[knob]
-        default = inspect.signature(stage).parameters[param].default
-        if isinstance(value, list):
-            default = list(default)
-        assert default == value
+        """A run uses every stage's own constants and defaults, so each must
+        hold the value the deleted knob held in every bundled file."""
+        _, (owner, name, value) = OLD_PROCESSING_KNOBS[knob]
+        held = (getattr(owner, name) if inspect.ismodule(owner)
+                else inspect.signature(owner).parameters[name].default)
+        assert held == value
 
 
 class TestBandSeededInit:
@@ -457,25 +461,24 @@ class TestBandSeededInit:
         t = np.arange(n) / fs
         s = 10 * np.sin(2 * np.pi * 0.25 * t) + 0.5 * np.sin(2 * np.pi * 1.2 * t)
         spec = vitals.analytic_spectrum(s, fs)
-        init = band_seeded_init(spec, np.ones(1), 2,
-                                bands=((0.1, 0.5), (0.8, 2.5)))
+        init = band_seeded_init(spec, np.ones(1), 2)
         assert init[0] == pytest.approx(0.25, abs=0.05)
         assert init[1] == pytest.approx(1.2, abs=0.05)
 
     def test_extra_modes_spread(self):
         spec = vitals.analytic_spectrum(np.random.default_rng(0)
                                         .standard_normal(600), 20.0)
-        init = band_seeded_init(spec, np.ones(1), 6,
-                                bands=((0.1, 0.5), (0.8, 2.5)))
+        init = band_seeded_init(spec, np.ones(1), 6)
         assert init.size == 6
         assert np.all(np.diff(init) >= 0)
         assert init[-1] <= spec.freqs_hz[-1]
 
     def test_band_outside_kept_spectrum_skipped(self):
+        """20 kept bins end at 0.63 Hz, below the heart band."""
         spec = vitals.truncate_spectrum(
-            vitals.analytic_spectrum(np.ones(600), 20.0), 30)
-        init = band_seeded_init(spec, np.ones(1), 2,
-                                bands=((5.0, 8.0), (0.1, 0.5)))
+            vitals.analytic_spectrum(np.ones(600), 20.0), 20)
+        assert spec.freqs_hz[-1] < vitals.DEFAULT_HR_BAND[0]
+        init = band_seeded_init(spec, np.ones(1), 2)
         assert init.size == 2
         assert np.all(init <= spec.freqs_hz[-1])
 

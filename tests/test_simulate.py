@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import fusion, simulate, vitals
+from radarvitals import aoa, simulate, vitals
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
@@ -221,7 +221,7 @@ class TestRenderProfiles:
         window beyond them: 34 + 2 of the 65 bins here."""
         prof = simulate.range_profiles(small_scene, cfg)
         ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
-        near = int(np.count_nonzero(ref.range_axis <= fusion.MAX_RANGE_M))
+        near = int(np.count_nonzero(ref.range_axis <= aoa.MAX_RANGE_M))
         rows = near + vitals.PHASE_CHANNELS // 2
         assert (near, rows) == (34, 36)
         assert prof.data.shape == (rows,) + ref.data.shape[1:]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 import radarvitals as rv
 from radarvitals import vitals
 from radarvitals.rangefft import RangeProfiles
+from reference_spectra import crop_mirrored, mirror_extend, spectral_entropy
 from test_acceptance import _svd_mode_count
 
 
@@ -27,27 +28,22 @@ class TestExtractPhase:
     def test_unwraps_beyond_pi(self):
         ramp = np.linspace(0, 6 * np.pi, 80)      # wraps three times
         prof = _profiles_with_phase(ramp)
-        pm = vitals.extract_phase(prof, center_bin=4, num_channels=3)
+        pm = vitals.extract_phase(prof, center_bin=4)
         expected = ramp - ramp.mean()
-        assert np.allclose(pm.samples[1], expected, atol=1e-9)
+        assert np.allclose(pm.samples[2], expected, atol=1e-9)
         assert pm.sample_rate == prof.config.frame_rate
-        assert pm.range_bins == (3, 4, 5)
+        assert pm.range_bins == (2, 3, 4, 5, 6)
 
     def test_mean_removed_per_channel(self):
         prof = _profiles_with_phase(np.random.default_rng(0).uniform(
             -0.5, 0.5, 64))
-        pm = vitals.extract_phase(prof, center_bin=4, num_channels=5)
+        pm = vitals.extract_phase(prof, center_bin=4)
         assert np.allclose(pm.samples.mean(axis=1), 0.0, atol=1e-12)
-
-    def test_rejects_even_channel_count(self):
-        prof = _profiles_with_phase(np.zeros(32))
-        with pytest.raises(ValueError):
-            vitals.extract_phase(prof, center_bin=4, num_channels=4)
 
     def test_rejects_channels_outside_profile(self):
         prof = _profiles_with_phase(np.zeros(32), num_bins=5)
         with pytest.raises(ValueError):
-            vitals.extract_phase(prof, center_bin=1, num_channels=5)
+            vitals.extract_phase(prof, center_bin=1)
 
     def test_rejects_channels_past_the_rendered_rows(self):
         """A window inside the 65-bin profile but past the 9 rows held
@@ -56,9 +52,8 @@ class TestExtractPhase:
         assert prof.num_bins == 65 and prof.data.shape[0] == 9
         with pytest.raises(ValueError, match="past the 9 rendered rows of "
                                              "the 65-bin range profile"):
-            vitals.phase_window(prof, center_bin=8, num_channels=3)
-        assert vitals.phase_window(prof, center_bin=7, num_channels=3)[0] \
-            == range(6, 9)
+            vitals.phase_window(prof, center_bin=7)
+        assert vitals.phase_window(prof, center_bin=6)[0] == range(4, 9)
 
 
 class TestAdaptiveWeights:
@@ -109,7 +104,7 @@ class TestModeCount:
         t = np.arange(600) / 20.0
         x = sum(np.sin(2 * np.pi * f * t)
                 for f in (0.3, 0.9, 1.5, 2.1, 2.7, 3.3, 3.9, 4.5, 5.1))
-        assert vitals.select_mode_count(x, max_modes=8) == 8
+        assert vitals.select_mode_count(x) == vitals.MAX_MODES == 8
 
     def test_clamped_to_min(self):
         assert vitals.select_mode_count(np.ones(300)) == 2
@@ -214,46 +209,46 @@ class TestSpectra:
 
 class TestSpectralEntropy:
     def test_flat_spectrum_maxes_out(self):
-        assert vitals.spectral_entropy(np.ones(50)) == pytest.approx(
+        assert spectral_entropy(np.ones(50)) == pytest.approx(
             np.log(50))
 
     def test_single_line_is_zero(self):
         x = np.zeros(50)
         x[7] = 3.0
-        assert vitals.spectral_entropy(x) == 0.0
+        assert spectral_entropy(x) == 0.0
 
     def test_scale_invariant(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal(64) + 1j * rng.standard_normal(64)
-        assert vitals.spectral_entropy(x) == pytest.approx(
-            vitals.spectral_entropy(100.0 * x))
+        assert spectral_entropy(x) == pytest.approx(
+            spectral_entropy(100.0 * x))
 
     def test_rejects_empty_and_zero(self):
         with pytest.raises(ValueError):
-            vitals.spectral_entropy(np.array([]))
+            spectral_entropy(np.array([]))
         with pytest.raises(ValueError):
-            vitals.spectral_entropy(np.zeros(10))
+            spectral_entropy(np.zeros(10))
 
 
 class TestMirror:
     @pytest.mark.parametrize("n", [64, 65])
     def test_round_trip(self, n):
         x = np.random.default_rng(5).standard_normal(n)
-        m = vitals.mirror_extend(x)
+        m = mirror_extend(x)
         assert m.size == 2 * n
-        assert np.array_equal(vitals.crop_mirrored(m, n), x)
+        assert np.array_equal(crop_mirrored(m, n), x)
 
     def test_edges_are_reflections(self):
         x = np.arange(6.0)
-        m = vitals.mirror_extend(x)
+        m = mirror_extend(x)
         assert np.array_equal(m[:3], [2.0, 1.0, 0.0])
         assert np.array_equal(m[-3:], [5.0, 4.0, 3.0])
 
     def test_two_dimensional(self):
         x = np.arange(12.0).reshape(2, 6)
-        m = vitals.mirror_extend(x)
+        m = mirror_extend(x)
         assert m.shape == (2, 12)
-        assert np.array_equal(vitals.crop_mirrored(m, 6), x)
+        assert np.array_equal(crop_mirrored(m, 6), x)
 
 
 class TestDecomposition:
@@ -264,7 +259,7 @@ class TestDecomposition:
         spec = vitals.analytic_spectrum(s, fs)
         ms = vitals.multichannel_vmd(spec, 1)
         assert ms.center_freqs_hz[0] == pytest.approx(1.0, abs=1e-3)
-        assert np.allclose(ms.reconstruction(), s, atol=1e-2)
+        assert np.allclose(ms.modes.sum(axis=0), s, atol=1e-2)
         assert ms.converged
 
     def test_modes_ordered_by_frequency(self):
@@ -305,12 +300,12 @@ class TestDecomposition:
         t = np.arange(n) / fs
         s = (1.3 * np.sin(2 * np.pi * 0.4 * t + 0.3)
              + 0.8 * np.sin(2 * np.pi * 1.7 * t + 1.1))
-        sm = vitals.mirror_extend(s)
+        sm = mirror_extend(s)
         spec = vitals.analytic_spectrum(sm, fs)
         loose = vitals.multichannel_vmd(spec, 2, eta=0.0)
         tight = vitals.multichannel_vmd(spec, 2, eta=1.0, max_iter=1000)
         err = lambda ms: np.linalg.norm(
-            vitals.crop_mirrored(ms.reconstruction(), n) - s)
+            crop_mirrored(ms.modes.sum(axis=0), n) - s)
         assert err(tight) < err(loose)
 
     def test_divergence_raises(self):
@@ -459,9 +454,7 @@ class TestDecompositionBits:
                 else vitals.truncate_spectrum(full, n_bins))
         assert spec.n_bins == n_bins
         if init == "bands":
-            init = vitals.band_seeded_init(
-                spec, weights, k,
-                bands=(vitals.DEFAULT_RR_BAND, vitals.DEFAULT_HR_BAND))
+            init = vitals.band_seeded_init(spec, weights, k)
         kwargs = dict(weights=weights, eta=eta, max_iter=200, init=init)
         got = vitals.multichannel_vmd(spec, k, **kwargs)
         with vitals._one_blas_thread():
@@ -525,8 +518,7 @@ class TestDecompositionBlasThreads:
 
         monkeypatch.setattr(np, "vdot", spy)
         weights = np.full(5, 0.2)
-        init = vitals.band_seeded_init(spec, weights, 2,
-                                       bands=((0.1, 0.5), (0.8, 2.5)))
+        init = vitals.band_seeded_init(spec, weights, 2)
         assert fused == [1] and blas_threads() == 2
         ms = vitals.multichannel_vmd(spec, 2, weights=weights, init=init)
         assert fused == [1, 1]
