@@ -9,15 +9,14 @@ weighted multi-channel variational mode decomposition.
 
 __version__ = "0.1.0"
 
-from .config import (BodyMotion, CameraConfig, MovingReflector,
-                     PointReflector, RadarConfig, Scene, VitalParams,
-                     VitalTarget)
+from .config import (BodyMotion, MovingReflector, PointReflector, RadarConfig,
+                     Scene, VitalParams, VitalTarget)
 from .pipeline import (RunResult, ScenarioSpec, bench_acceleration,
                        run_scenario, run_suite, write_run_outputs)
 
 __all__ = [
-    "BodyMotion", "CameraConfig", "MovingReflector", "PointReflector",
-    "RadarConfig", "Scene", "VitalParams", "VitalTarget",
+    "BodyMotion", "MovingReflector", "PointReflector", "RadarConfig",
+    "Scene", "VitalParams", "VitalTarget",
     "RunResult", "ScenarioSpec", "bench_acceleration", "run_scenario",
     "run_suite", "write_run_outputs", "__version__",
 ]

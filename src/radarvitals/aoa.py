@@ -13,6 +13,9 @@ import numpy as np
 from .rangefft import RangeProfiles
 
 DEFAULT_NUM_ANGLE_BINS = 121
+# Half-span (degrees) of the angle grid, which is also the camera's
+# half field of view: image columns map linearly onto the grid.
+MAX_ANGLE_DEG = 60.0
 # Diagonal loading of every MVDR covariance, as a fraction of trace/K.
 DEFAULT_LOADING = 1e-3
 # Farthest range (m) the heatmap computes, and so the localizer searches.
@@ -21,8 +24,8 @@ MAX_RANGE_M = 10.0
 
 def default_angle_grid() -> np.ndarray:
     """Uniform azimuth grid of :data:`DEFAULT_NUM_ANGLE_BINS` over
-    [-60, +60] degrees."""
-    return np.linspace(-60.0, 60.0, DEFAULT_NUM_ANGLE_BINS)
+    [-:data:`MAX_ANGLE_DEG`, +:data:`MAX_ANGLE_DEG`]."""
+    return np.linspace(-MAX_ANGLE_DEG, MAX_ANGLE_DEG, DEFAULT_NUM_ANGLE_BINS)
 
 
 def steering_matrix(angles_deg, num_elements: int, spacing: float,

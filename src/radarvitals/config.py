@@ -343,29 +343,3 @@ class Scene(Record):
         _require(self.duration > 0,
                  f"duration must be > 0, not {self.duration!r}")
 
-
-@dataclass(frozen=True)
-class CameraConfig(Record):
-    """Synthetic detection-stream geometry.
-
-    The camera shares the radar boresight; azimuth maps linearly from
-    [-afov_deg, +afov_deg] onto image columns [0, image_width].
-    """
-
-    image_width: int = 1920
-    image_height: int = 1080
-    afov_deg: float = 60.0
-    fps: float | None = None          # default: radar frame rate
-    jitter_px: float = 2.0
-    box_width_px: float = 150.0
-    box_height_px: float = 500.0
-
-    def _check(self) -> None:
-        _require(self.fps is None or self.fps > 0,
-                 f"fps must be None or > 0, not {self.fps!r}")
-        _require(self.image_width > 0 and self.image_height > 0,
-                 "image dimensions must be positive")
-        _require(0 < self.afov_deg <= 90, "afov_deg must lie in (0, 90]")
-        _require(self.jitter_px >= 0, "jitter_px must be non-negative")
-        _require(self.box_width_px > 0 and self.box_height_px > 0,
-                 "box dimensions must be positive")

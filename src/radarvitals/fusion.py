@@ -4,7 +4,8 @@ The camera side of the system is reduced to its essentials: per-frame 2-D
 bounding boxes in pixel coordinates.  This module tracks boxes over time,
 keeps only the ones that have stopped moving, converts their horizontal
 pixel extent into a window of angle bins, and picks the strongest
-range-angle cell inside that window.
+range-angle cell inside that window.  The image's columns span the angle
+grid, so the camera's field of view is +-:data:`aoa.MAX_ANGLE_DEG`.
 """
 from __future__ import annotations
 
@@ -13,6 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .aoa import DEFAULT_NUM_ANGLE_BINS
+
+# Width (pixels) of the camera image; its columns span the angle grid.
+IMAGE_WIDTH_PX = 1920
 # Trailing time (s) over which a box must stay still to count as stationary.
 STATIONARY_WINDOW_S = 3.0
 # Largest max-minus-min span of a still box's x and of its width over that
@@ -34,7 +39,6 @@ class Box:
 @dataclass
 class DetectionFrame:
     timestamp: float
-    image_width: int
     boxes: list[Box] = field(default_factory=list)
 
 
@@ -45,9 +49,7 @@ class TrackedBox:
     id: str
     times: np.ndarray
     xs: np.ndarray
-    ys: np.ndarray
     ws: np.ndarray
-    hs: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
@@ -55,30 +57,28 @@ class TrackedBox:
 
 def build_tracks(frames: list[DetectionFrame]) -> list[TrackedBox]:
     """Group boxes by identity across frames (ids come from the detector)."""
-    acc: dict[str, list[tuple[float, float, float, float, float]]] = {}
+    acc: dict[str, list[tuple[float, float, float]]] = {}
     for fr in frames:
         for b in fr.boxes:
-            acc.setdefault(b.id, []).append((fr.timestamp, b.x, b.y, b.w, b.h))
+            acc.setdefault(b.id, []).append((fr.timestamp, b.x, b.w))
     tracks = []
     for bid in sorted(acc):
         rows = np.asarray(acc[bid], dtype=float)
-        tracks.append(TrackedBox(
-            id=bid, times=rows[:, 0], xs=rows[:, 1], ys=rows[:, 2],
-            ws=rows[:, 3], hs=rows[:, 4]))
+        tracks.append(TrackedBox(id=bid, times=rows[:, 0], xs=rows[:, 1],
+                                 ws=rows[:, 2]))
     return tracks
 
 
-def filter_stationary(tracks: list[TrackedBox],
-                      image_width: int) -> list[TrackedBox]:
+def filter_stationary(tracks: list[TrackedBox]) -> list[TrackedBox]:
     """Keep tracks whose box barely moved over the trailing time window.
 
     A track counts as stationary when, over the last
     :data:`STATIONARY_WINDOW_S` seconds of its samples, both the horizontal
     position and the width stay inside a max-minus-min span of
-    :data:`STILL_SPAN_FRACTION` of the image width.  Tracks with fewer than
-    two samples in the window are dropped (no evidence of stillness).
+    :data:`STILL_SPAN_FRACTION` of :data:`IMAGE_WIDTH_PX`.  Tracks with fewer
+    than two samples in the window are dropped (no evidence of stillness).
     """
-    threshold = STILL_SPAN_FRACTION * image_width
+    threshold = STILL_SPAN_FRACTION * IMAGE_WIDTH_PX
     out = []
     for tr in tracks:
         if len(tr) < 2:
@@ -94,23 +94,21 @@ def filter_stationary(tracks: list[TrackedBox],
     return out
 
 
-def pixel_to_angle_window(
-    x: float, w: float, image_width: int, num_angle_bins: int,
-) -> tuple[int, int]:
+def pixel_to_angle_window(x: float, w: float) -> tuple[int, int]:
     """Map a box's horizontal pixel span to an inclusive angle-bin window.
 
-    Columns [0, image_width] correspond linearly to the angle grid
-    [0, num_angle_bins]; the window is widened outward to whole bins
-    (floor on the left edge, ceil on the right) and clamped to the grid.
+    Columns [0, :data:`IMAGE_WIDTH_PX`] correspond linearly to the angle
+    grid's bins [0, :data:`aoa.DEFAULT_NUM_ANGLE_BINS`]; the window is
+    widened outward to whole bins (floor on the left edge, ceil on the
+    right) and clamped to the grid.
     """
     if w <= 0:
         raise ValueError("box width must be positive")
-    if image_width <= 0 or num_angle_bins <= 0:
-        raise ValueError("image_width and num_angle_bins must be positive")
-    lo = math.floor(x * num_angle_bins / image_width)
-    hi = math.ceil((x + w) * num_angle_bins / image_width)
-    lo = max(0, min(lo, num_angle_bins - 1))
-    hi = max(0, min(hi, num_angle_bins - 1))
+    n = DEFAULT_NUM_ANGLE_BINS
+    lo = math.floor(x * n / IMAGE_WIDTH_PX)
+    hi = math.ceil((x + w) * n / IMAGE_WIDTH_PX)
+    lo = max(0, min(lo, n - 1))
+    hi = max(0, min(hi, n - 1))
     if hi < lo:
         lo, hi = hi, lo
     return lo, hi

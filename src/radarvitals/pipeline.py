@@ -1,10 +1,11 @@
 """End-to-end scenario runner: one stage chain from scene to rates.
 
-A :class:`ScenarioSpec` bundles the radar, scene and camera parameters
-and the two processing knobs a run varies (JSON-serializable, see
-``scenarios/``); every other processing setting is fixed in its stage's
-module.  :func:`run_scenario` executes one seeded repetition as a single
-chain of timed stages:
+A :class:`ScenarioSpec` bundles the radar and scene parameters and the two
+processing knobs a run varies (JSON-serializable, see ``scenarios/``);
+every other setting is fixed in its stage's module, the camera's too (its
+field of view is the angle grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs
+at the radar frame rate).  :func:`run_scenario` executes one seeded
+repetition as a single chain of timed stages:
 
 * scene stages - ``simulate`` (the range profiles rendered directly at the
   bins the later stages read and every slow sample, see
@@ -39,8 +40,7 @@ from typing import Literal
 import numpy as np
 
 from . import aoa, beamform, fusion, vitals
-from .config import (CameraConfig, RadarConfig, Record, Scene, _require,
-                     check_keys)
+from .config import RadarConfig, Record, Scene, _require, check_keys
 from .rangefft import RangeProfiles, range_bin_of
 from .simulate import (range_profiles, render_profiles,
                        synthesize_detections, target_track_ids)
@@ -54,7 +54,7 @@ _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
 # ScenarioSpec fields stored at the top level of a scenario JSON; every other
 # field is a processing knob stored under "processing".
 _TOP_LEVEL_FIELDS = frozenset(
-    {"name", "radar", "scene", "camera", "snr_db", "seed", "beamforming"})
+    {"name", "radar", "scene", "snr_db", "seed", "beamforming"})
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,6 @@ class ScenarioSpec(Record):
     name: str
     radar: RadarConfig = field(default_factory=RadarConfig)
     scene: Scene = field(default_factory=Scene)
-    camera: CameraConfig = field(default_factory=CameraConfig)
     snr_db: float | None = 20.0
     seed: int = 0
     beamforming: bool = True
@@ -182,11 +181,10 @@ def _decompose(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
                                            init=init)
 
 
-def _localize(spec: ScenarioSpec, detections, heatmap: aoa.Heatmap,
-              report: dict) -> list:
+def _localize(detections, heatmap: aoa.Heatmap, report: dict) -> list:
     """(track_id, angle window, Localization) of every stationary track."""
     tracks = fusion.build_tracks(detections)
-    stationary = fusion.filter_stationary(tracks, spec.camera.image_width)
+    stationary = fusion.filter_stationary(tracks)
     report["num_stationary_tracks"] = len(stationary)
     if not stationary:
         raise ValueError("no stationary detection track to localize")
@@ -194,8 +192,7 @@ def _localize(spec: ScenarioSpec, detections, heatmap: aoa.Heatmap,
     for tr in stationary:
         sel = tr.times >= tr.times[-1] - fusion.STATIONARY_WINDOW_S
         window = fusion.pixel_to_angle_window(
-            float(np.mean(tr.xs[sel])), float(np.mean(tr.ws[sel])),
-            spec.camera.image_width, heatmap.angle_axis.size)
+            float(np.mean(tr.xs[sel])), float(np.mean(tr.ws[sel])))
         loc = fusion.localize(heatmap, window)
         located.append((tr.id, window, loc))
     return located
@@ -219,12 +216,11 @@ def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
 
 
 def _kept_bins(n_keep: int, n_bins: int) -> int:
-    """Spectrum bins an ``n_keep`` keeps: at least 4, at most ``n_bins``."""
-    return min(max(int(n_keep), 4), n_bins)
+    """Spectrum bins an ``n_keep`` keeps: at most ``n_bins``."""
+    return min(n_keep, n_bins)
 
 
 def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
-                  beamforming: bool, n_keep: int | None,
                   timings: dict) -> VitalsChain:
     """beamform -> phase -> weights -> mode_count -> spectrum -> decompose
     -> rates for one localized target.
@@ -237,7 +233,7 @@ def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
     """
     cfg = spec.radar
     rx = None
-    if beamforming:
+    if spec.beamforming:
         with _stage(timings, "beamform"):
             tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
                                      num_elements=cfg.num_tx,
@@ -256,9 +252,9 @@ def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
              if spec.num_modes == "auto" else int(spec.num_modes))
     with _stage(timings, "spectrum"):
         spectra = vitals.analytic_spectrum(phase.samples, phase.sample_rate)
-        if n_keep is not None:
+        if spec.n_keep is not None:
             spectra = vitals.truncate_spectrum(
-                spectra, _kept_bins(n_keep, spectra.n_bins))
+                spectra, _kept_bins(spec.n_keep, spectra.n_bins))
     with _stage(timings, "decompose"):
         modes = _decompose(spectra, cw.weights, k)()
     with _stage(timings, "rates"):
@@ -276,24 +272,27 @@ def run_scenario(
     """Execute one seeded end-to-end repetition of a scenario.
 
     ``seed`` / ``beamforming`` / ``n_keep`` override the scenario when given
-    (``n_keep=None`` means keep the full spectrum).  The returned report is
-    a plain JSON-ready dict; identical inputs give byte-identical reports.
+    (``n_keep=None`` means keep the full spectrum), through the
+    :class:`ScenarioSpec` checks: a bad value raises ``ValueError`` before
+    any stage.  ``report["scenario"]`` is ``spec`` as given; identical
+    inputs give byte-identical reports.
     Stage failures are recorded instead of raised: a scene stage (e.g. no
     stationary box to localize) ends the run with that stage as
     ``report["failure_stage"]``; a target whose vitals chain fails carries
     a ``"failure"`` entry and sets ``failure_stage`` to ``"vitals"``.
     """
-    eff_seed = spec.seed if seed is None else int(seed)
-    eff_bf = spec.beamforming if beamforming is None else bool(beamforming)
-    eff_keep = spec.n_keep if n_keep == "spec" else n_keep
-    cfg = spec.radar
-    noise_ss, det_ss = np.random.SeedSequence(eff_seed).spawn(2)
+    run = dataclasses.replace(
+        spec, seed=spec.seed if seed is None else seed,
+        beamforming=spec.beamforming if beamforming is None else beamforming,
+        n_keep=spec.n_keep if n_keep == "spec" else n_keep)
+    cfg = run.radar
+    noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
 
     report: dict = {
         "scenario": spec.to_dict(),
-        "seed": eff_seed,
-        "beamforming": eff_bf,
-        "n_keep": eff_keep,
+        "seed": run.seed,
+        "beamforming": run.beamforming,
+        "n_keep": run.n_keep,
         "failure_stage": None,
         "error": None,
         "num_stationary_tracks": 0,
@@ -304,21 +303,20 @@ def run_scenario(
 
     try:
         with _stage(timings, "simulate"):
-            profiles = range_profiles(spec.scene, cfg, snr_db=spec.snr_db,
+            profiles = range_profiles(run.scene, cfg, snr_db=run.snr_db,
                                       seed=noise_ss)
-            detections = synthesize_detections(
-                spec.scene, spec.camera, frame_rate=cfg.frame_rate,
-                seed=det_ss)
+            detections = synthesize_detections(run.scene, cfg.frame_rate,
+                                               seed=det_ss)
         with _stage(timings, "heatmap"):
             heatmap = aoa.range_angle_heatmap(profiles)
         with _stage(timings, "localize"):
-            result.locations = _localize(spec, detections, heatmap, report)
+            result.locations = _localize(detections, heatmap, report)
     except _StageFailed as e:
         report["failure_stage"] = e.stage
         report["error"] = str(e)
         return result
 
-    truth = target_track_ids(spec.scene)
+    truth = target_track_ids(run.scene)
     for track_id, window, loc in result.locations:
         entry: dict = {
             "track_id": track_id,
@@ -342,8 +340,7 @@ def run_scenario(
         report["targets"].append(entry)
 
         try:
-            chain = _vitals_chain(spec, profiles, loc, eff_bf, eff_keep,
-                                  timings)
+            chain = _vitals_chain(run, profiles, loc, timings)
         except _StageFailed as e:
             entry["failure"] = str(e)
             report["failure_stage"] = report["failure_stage"] or "vitals"

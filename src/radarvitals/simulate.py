@@ -35,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoa import MAX_RANGE_M, steering_matrix
-from .config import (BodyMotion, CameraConfig, RadarConfig, Scene, VitalParams,
-                     VitalTarget)
-from .fusion import Box, DetectionFrame
+from .aoa import MAX_ANGLE_DEG, MAX_RANGE_M, steering_matrix
+from .config import BodyMotion, RadarConfig, Scene, VitalParams, VitalTarget
+from .fusion import IMAGE_WIDTH_PX, Box, DetectionFrame
 from .rangefft import RangeProfiles, range_bin_width
 from .vitals import PHASE_CHANNELS
 
@@ -247,50 +246,49 @@ def range_profiles(scene: Scene, cfg: RadarConfig, snr_db: float | None = None,
                          frame_timestamps=frame_t)
 
 
+# Camera image height, person box size and box corner jitter (sigma), in
+# pixels; the image width and field of view are the fusion's.
+IMAGE_HEIGHT_PX = 1080
+BOX_WIDTH_PX = 150.0
+BOX_HEIGHT_PX = 500.0
+JITTER_PX = 2.0
+
+
 def target_track_ids(scene: Scene) -> dict[str, VitalTarget]:
     """Each vital target by the track id its camera boxes carry."""
     return {f"target-{i}": tgt for i, tgt in enumerate(scene.targets)}
 
 
-def synthesize_detections(
-    scene: Scene,
-    camera: CameraConfig,
-    frame_rate: float | None = None,
-    seed=None,
-) -> list[DetectionFrame]:
-    """Generate per-frame bounding boxes for every person-like scatterer.
+def synthesize_detections(scene: Scene, frame_rate: float,
+                          seed=None) -> list[DetectionFrame]:
+    """Generate per-frame bounding boxes for every person-like scatterer,
+    ``frame_rate`` frames per second.
 
     Vital targets and movers whose azimuth falls inside the camera field of
-    view get one box each; box centers follow the true azimuth through the
-    linear angle-to-column map, with Gaussian pixel jitter on the corner
-    coordinates.  Identities are stable (:func:`target_track_ids`, and
-    ``mover-<i>``), mimicking an upstream tracker.  Static clutter produces
-    no boxes.
+    view (+-:data:`aoa.MAX_ANGLE_DEG`) get one box each; box centers follow
+    the true azimuth through the linear angle-to-column map, with Gaussian
+    pixel jitter (:data:`JITTER_PX`) on the corner coordinates.  Identities
+    are stable (:func:`target_track_ids`, and ``mover-<i>``), mimicking an
+    upstream tracker.  Static clutter produces no boxes.
     """
-    fps = camera.fps if camera.fps is not None else frame_rate
-    if fps is None or fps <= 0:
-        raise ValueError("camera fps (or frame_rate fallback) must be positive")
     rng = np.random.default_rng(seed)
-    n_frames = int(round(scene.duration * fps))
-    width, height = camera.image_width, camera.image_height
-    afov = camera.afov_deg
-    bw, bh = camera.box_width_px, camera.box_height_px
-    y_base = 0.5 * (height - bh)
+    n_frames = int(round(scene.duration * frame_rate))
+    y_base = 0.5 * (IMAGE_HEIGHT_PX - BOX_HEIGHT_PX)
 
     def make_box(bid: str, angle: float) -> Box | None:
-        if not (-afov <= angle <= afov):
+        if not (-MAX_ANGLE_DEG <= angle <= MAX_ANGLE_DEG):
             return None
-        cx = (angle + afov) / (2.0 * afov) * width
-        x = cx - 0.5 * bw + rng.normal(0.0, camera.jitter_px)
-        y = y_base + rng.normal(0.0, camera.jitter_px)
-        x = float(min(max(x, 0.0), width - bw))
-        y = float(min(max(y, 0.0), height - bh))
-        return Box(id=bid, x=x, y=y, w=bw, h=bh)
+        cx = (angle + MAX_ANGLE_DEG) / (2.0 * MAX_ANGLE_DEG) * IMAGE_WIDTH_PX
+        x = cx - 0.5 * BOX_WIDTH_PX + rng.normal(0.0, JITTER_PX)
+        y = y_base + rng.normal(0.0, JITTER_PX)
+        x = float(min(max(x, 0.0), IMAGE_WIDTH_PX - BOX_WIDTH_PX))
+        y = float(min(max(y, 0.0), IMAGE_HEIGHT_PX - BOX_HEIGHT_PX))
+        return Box(id=bid, x=x, y=y, w=BOX_WIDTH_PX, h=BOX_HEIGHT_PX)
 
     targets = target_track_ids(scene)
     frames = []
     for f in range(n_frames):
-        t = f / fps
+        t = f / frame_rate
         boxes = []
         for bid, tgt in targets.items():
             b = make_box(bid, tgt.angle_deg)
@@ -300,6 +298,5 @@ def synthesize_detections(
             b = make_box(f"mover-{i}", float(mv.angle_at(t)))
             if b is not None:
                 boxes.append(b)
-        frames.append(DetectionFrame(timestamp=t, image_width=width,
-                                     boxes=boxes))
+        frames.append(DetectionFrame(timestamp=t, boxes=boxes))
     return frames

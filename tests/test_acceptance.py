@@ -269,25 +269,23 @@ def test_criterion_08_entropy_preserved_and_decomposition_accelerated():
 
 def test_criterion_09_windowed_localization_beats_global_argmax():
     spec = ScenarioSpec.from_json(SCENARIOS / "fusion_stress.json")
-    cfg, scene, cam = spec.radar, spec.scene, spec.camera
+    cfg, scene = spec.radar, spec.scene
     target = scene.targets[0]
     noise_ss, det_ss = np.random.SeedSequence(spec.seed).spawn(2)
 
     cube = simulate.synthesize_cube(scene, cfg, snr_db=spec.snr_db,
                                     seed=noise_ss)
     profiles = range_fft(cube)
-    frames = simulate.synthesize_detections(scene, cam,
-                                            frame_rate=cfg.frame_rate,
+    frames = simulate.synthesize_detections(scene, cfg.frame_rate,
                                             seed=det_ss)
     tracks = fusion.build_tracks(frames)
-    stationary = fusion.filter_stationary(tracks, cam.image_width)
+    stationary = fusion.filter_stationary(tracks)
     assert [tr.id for tr in stationary] == ["target-0"]
 
     track = stationary[0]
     tail = track.times >= track.times[-1] - fusion.STATIONARY_WINDOW_S
     window = fusion.pixel_to_angle_window(
-        float(track.xs[tail].mean()), float(track.ws[tail].mean()),
-        cam.image_width, aoa.DEFAULT_NUM_ANGLE_BINS)
+        float(track.xs[tail].mean()), float(track.ws[tail].mean()))
 
     grid = aoa.default_angle_grid()
     true_rbin = range_bin_of(target.range_m, cfg)

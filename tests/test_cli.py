@@ -147,13 +147,18 @@ class TestInvalidScenario:
         assert str(path) in line and "'n_kep'" in line
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key, value", [("n_fft", None),
-                                            ("alpha", 2000.0)])
-    def test_older_processing_key_exits_2(self, tmp_path, capsys, key,
+    @pytest.mark.parametrize("path, key, value", [
+        pytest.param(("processing",), "n_fft", None, id="n_fft-None"),
+        pytest.param(("processing",), "alpha", 2000.0, id="alpha-2000.0"),
+        # a field of view off the angle grid's, which misplaced the window
+        pytest.param((), "camera", {"afov_deg": 45.0}, id="camera"),
+    ])
+    def test_older_processing_key_exits_2(self, tmp_path, capsys, path, key,
                                           value):
-        """A scenario file that still sets a processing knob the format no
-        longer has is refused at load, naming the key."""
-        line = _run_with(tmp_path, capsys, ("processing",), key, value)
+        """A scenario file that still sets a processing knob, or the camera
+        block, that the format no longer has is refused at load, naming the
+        key."""
+        line = _run_with(tmp_path, capsys, path, key, value)
         assert f"unknown key {key!r}" in line
 
     def test_missing_target_key(self, broken_scenarios, tmp_path, capsys):
@@ -212,7 +217,7 @@ class TestInvalidScenario:
         (("scene", "statics", 0), "amplitude", float("nan"),
          "PointReflector"),
         (("scene",), "duration", float("inf"), "Scene"),  # JSON Infinity
-        (("camera",), "fps", float("inf"), "CameraConfig"),
+        (("radar",), "frame_rate", float("inf"), "RadarConfig"),
         (("radar",), "carrier_freq", float("inf"), "RadarConfig"),
         (("scene", "statics", 0), "amplitude", float("inf"),
          "PointReflector"),

@@ -131,18 +131,8 @@ class TestFieldTypes:
         (lambda: rv.Scene(duration=float("inf")),
          "^Scene: duration must be .*finite"),
         (lambda: rv.Scene(duration=0.0), "^Scene: duration must be > 0"),
-        (lambda: rv.CameraConfig(fps=float("inf")),
-         "^CameraConfig: fps must be .*finite"),
-        (lambda: rv.CameraConfig(fps=0.0),
-         "^CameraConfig: fps must be None or > 0"),
-    ], ids=["duration=inf", "duration=0", "fps=inf", "fps=0"])
+    ], ids=["duration=inf", "duration=0"])
     def test_rejects_non_finite_or_non_positive_times(self, make, pattern):
         with pytest.raises(ValueError, match=pattern):
             make()
 
-
-def test_camera_round_trip():
-    cam = rv.CameraConfig(image_width=640, afov_deg=45.0, jitter_px=0.0)
-    assert rv.CameraConfig.from_dict(cam.to_dict()) == cam
-    with pytest.raises(ValueError):
-        rv.CameraConfig(afov_deg=0.0)

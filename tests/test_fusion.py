@@ -8,7 +8,7 @@ from radarvitals.aoa import Heatmap
 
 
 def _frame(t, boxes):
-    return fusion.DetectionFrame(timestamp=t, image_width=1920, boxes=boxes)
+    return fusion.DetectionFrame(timestamp=t, boxes=boxes)
 
 
 def _box(bid, x, w=150.0, y=300.0, h=500.0):
@@ -18,27 +18,27 @@ def _box(bid, x, w=150.0, y=300.0, h=500.0):
 class TestWindow:
     def test_frozen_mapping(self):
         """x=480, w=240 on a 1920-px image against 121 angle bins."""
-        assert fusion.pixel_to_angle_window(480, 240, 1920, 121) == (30, 46)
+        assert fusion.pixel_to_angle_window(480, 240) == (30, 46)
 
     def test_full_width_box_covers_grid(self):
-        assert fusion.pixel_to_angle_window(0, 1920, 1920, 121) == (0, 120)
+        assert fusion.pixel_to_angle_window(0, 1920) == (0, 120)
 
     def test_clamps_overhanging_box(self):
-        lo, hi = fusion.pixel_to_angle_window(1900, 200, 1920, 121)
+        lo, hi = fusion.pixel_to_angle_window(1900, 200)
         assert hi == 120 and lo <= hi
 
     def test_rejects_empty_box(self):
         with pytest.raises(ValueError):
-            fusion.pixel_to_angle_window(100, 0, 1920, 121)
+            fusion.pixel_to_angle_window(100, 0)
 
     @given(st.floats(0, 1919), st.floats(1, 500))
     def test_window_always_valid(self, x, w):
-        lo, hi = fusion.pixel_to_angle_window(x, w, 1920, 121)
+        lo, hi = fusion.pixel_to_angle_window(x, w)
         assert 0 <= lo <= hi <= 120
 
     def test_window_contains_box_center_bin(self):
         for x, w in ((0, 10), (960, 5), (1300, 321)):
-            lo, hi = fusion.pixel_to_angle_window(x, w, 1920, 121)
+            lo, hi = fusion.pixel_to_angle_window(x, w)
             center_bin = (x + w / 2) * 121 / 1920
             assert lo <= center_bin <= hi + 1
 
@@ -58,13 +58,13 @@ class TestTracks:
         frames = [_frame(0.1 * i, [_box("still", 800 + (i % 2))])
                   for i in range(50)]
         tracks = fusion.build_tracks(frames)
-        kept = fusion.filter_stationary(tracks, 1920)
+        kept = fusion.filter_stationary(tracks)
         assert [t.id for t in kept] == ["still"]
 
     def test_stationary_drops_walker(self):
         frames = [_frame(0.1 * i, [_box("walk", 300 + 20 * i)])
                   for i in range(50)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames), 1920)
+        kept = fusion.filter_stationary(fusion.build_tracks(frames))
         assert kept == []
 
     def test_only_trailing_window_matters(self):
@@ -72,13 +72,13 @@ class TestTracks:
         xs = [300 + 20 * i for i in range(30)] + [900.0] * 40
         frames = [_frame(0.1 * i, [_box("settled", x)])
                   for i, x in enumerate(xs)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames), 1920)
+        kept = fusion.filter_stationary(fusion.build_tracks(frames))
         assert [t.id for t in kept] == ["settled"]
 
     def test_width_changes_disqualify(self):
         frames = [_frame(0.1 * i, [_box("zoom", 800, w=150 + 3 * i)])
                   for i in range(50)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames), 1920)
+        kept = fusion.filter_stationary(fusion.build_tracks(frames))
         assert kept == []
 
     def test_threshold_is_two_percent_by_default(self):
@@ -87,14 +87,12 @@ class TestTracks:
                      for i in range(8)]
         frames_bad = [_frame(0.5 * i, [_box("edge", 800 + (span + 1) * (i % 2))])
                       for i in range(8)]
-        assert fusion.filter_stationary(
-            fusion.build_tracks(frames_ok), 1920)
-        assert not fusion.filter_stationary(
-            fusion.build_tracks(frames_bad), 1920)
+        assert fusion.filter_stationary(fusion.build_tracks(frames_ok))
+        assert not fusion.filter_stationary(fusion.build_tracks(frames_bad))
 
     def test_single_sample_tracks_are_dropped(self):
         kept = fusion.filter_stationary(
-            fusion.build_tracks([_frame(0.0, [_box("blip", 100)])]), 1920)
+            fusion.build_tracks([_frame(0.0, [_box("blip", 100)])]))
         assert kept == []
 
 

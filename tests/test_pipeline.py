@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import aoa, beamform, fusion, pipeline, vitals
+from radarvitals import aoa, beamform, fusion, pipeline, simulate, vitals
 from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
                                   run_scenario, run_suite, write_run_outputs)
 from radarvitals.rangefft import range_bin_of, range_fft
@@ -31,7 +31,6 @@ def quick_spec():
                 2.0, 30.0, 1.0,
                 rv.VitalParams(breath_freq=0.25, heart_freq=1.2)),),
             duration=8.0),
-        camera=rv.CameraConfig(),
         snr_db=20.0, seed=0)
 
 
@@ -65,6 +64,22 @@ class TestRunScenario:
     def test_seed_override_recorded(self, quick_spec):
         res = run_scenario(quick_spec, seed=123)
         assert res.report["seed"] == 123
+
+    @pytest.mark.parametrize("override, message", [
+        ({"n_keep": -5}, "n_keep must be >= 4"),
+        ({"seed": -3}, "seed must be >= 0"),
+    ], ids=["n_keep=-5", "seed=-3"])
+    def test_override_is_checked_before_any_stage(self, monkeypatch,
+                                                  override, message):
+        """An override no scenario file could hold is refused with the
+        scenario's own check, before anything is rendered."""
+        spec = ScenarioSpec.from_json(SCENARIOS / "clean.json")
+        renders = []
+        monkeypatch.setattr(pipeline, "range_profiles",
+                            lambda *args, **kwargs: renders.append(args))
+        with pytest.raises(ValueError, match=f"^ScenarioSpec: {message}"):
+            run_scenario(spec, **override)
+        assert renders == []
 
     def test_empty_room_fails_at_localize(self):
         spec = ScenarioSpec(name="empty", scene=rv.Scene(duration=5.0),
@@ -190,7 +205,6 @@ SCENARIO_LEVELS = {
     "top": (),
     "processing": ("processing",),
     "radar": ("radar",),
-    "camera": ("camera",),
     "scene": ("scene",),
     "static": ("scene", "statics", 0),
     "target": ("scene", "targets", 0),
@@ -206,7 +220,6 @@ LEVEL_FIELDS = {
     "top": ("ScenarioSpec", "snr_db"),
     "processing": ("ScenarioSpec", "n_keep"),
     "radar": ("RadarConfig", "carrier_freq"),
-    "camera": ("CameraConfig", "afov_deg"),
     "scene": ("Scene", "duration"),
     "static": ("PointReflector", "amplitude"),
     "target": ("VitalTarget", "range_m"),
@@ -271,6 +284,14 @@ OLD_PROCESSING_KNOBS = {
 }
 
 
+# The camera block every bundled scenario carried; its values are now the
+# constants of ``aoa``, ``fusion`` and ``simulate``, and the camera runs at
+# the radar frame rate.
+OLD_CAMERA_BLOCK = {"afov_deg": 60.0, "box_height_px": 500.0,
+                    "box_width_px": 150.0, "fps": None, "image_height": 1080,
+                    "image_width": 1920, "jitter_px": 2.0}
+
+
 def _scalar_node(d: dict, key: str) -> dict:
     return d if key in pipeline._TOP_LEVEL_FIELDS else d["processing"]
 
@@ -287,6 +308,8 @@ class TestStrictKeys:
         # processing knobs of older scenario files, at their old values
         *[pytest.param(("processing",), key, value, id=f"processing-{key}")
           for key, (value, _) in OLD_PROCESSING_KNOBS.items()],
+        # the camera block older scenario files carried, at its old values
+        pytest.param((), "camera", OLD_CAMERA_BLOCK, id="camera"),
     ])
     def test_unknown_key_is_rejected(self, path, key, value):
         d = _scenario_with_every_level()
@@ -333,7 +356,7 @@ class TestStrictKeys:
     @pytest.mark.parametrize("path, key, value, record", [
         (("radar",), "num_tx", 2.0, "RadarConfig"),
         (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
-        (("camera",), "image_width", 640.0, "CameraConfig"),
+        (("radar",), "samples_per_chirp", 128.0, "RadarConfig"),
         (("scene", "movers", 0), "waypoints", [[0.0, 2.0]],
          "MovingReflector"),
         (("scene", "movers", 0), "amplitude", [[0.0, 1.0, 2.0]],
@@ -351,7 +374,7 @@ class TestStrictKeys:
 
     @pytest.mark.parametrize("path, key, record", [
         (("scene",), "duration", "Scene"),
-        (("camera",), "fps", "CameraConfig"),
+        (("radar",), "frame_rate", "RadarConfig"),
         (("radar",), "carrier_freq", "RadarConfig"),
         (("scene", "statics", 0), "amplitude", "PointReflector"),
         ((), "snr_db", "ScenarioSpec"),
@@ -407,12 +430,12 @@ class TestStrictKeys:
         d = _scenario_with_every_level()
         d["snr_db"] = 20
         d["radar"]["carrier_freq"] = 77_000_000_000
-        d["camera"]["afov_deg"] = 60
+        d["scene"]["duration"] = 20
         d["processing"].update(num_modes=3)
         spec = ScenarioSpec.from_dict(d)
         assert type(spec.snr_db) is int
         assert type(spec.radar.carrier_freq) is int
-        assert type(spec.camera.afov_deg) is int
+        assert type(spec.scene.duration) is int
         assert spec.num_modes == 3
         assert spec.to_dict() == d
 
@@ -453,6 +476,21 @@ class TestSpecSerialization:
         held = (getattr(owner, name) if inspect.ismodule(owner)
                 else inspect.signature(owner).parameters[name].default)
         assert held == value
+
+    @pytest.mark.parametrize("key, owner, name", [
+        ("afov_deg", aoa, "MAX_ANGLE_DEG"),
+        ("image_width", fusion, "IMAGE_WIDTH_PX"),
+        ("image_height", simulate, "IMAGE_HEIGHT_PX"),
+        ("box_width_px", simulate, "BOX_WIDTH_PX"),
+        ("box_height_px", simulate, "BOX_HEIGHT_PX"),
+        ("jitter_px", simulate, "JITTER_PX"),
+    ])
+    def test_camera_constant_is_the_old_scenario_value(self, key, owner,
+                                                       name):
+        """Each field of the deleted camera block is a module constant
+        holding the value every bundled file set (``fps`` was null: the
+        camera runs at the radar frame rate)."""
+        assert getattr(owner, name) == OLD_CAMERA_BLOCK[key]
 
 
 class TestBandSeededInit:
@@ -575,11 +613,19 @@ class TestBench:
         monkeypatch.setattr(vitals, "multichannel_vmd", counted)
         for values in ([4, None], [40, 5], [2]):
             calls.clear()
-            with pytest.raises(ValueError, match=r"^n_keep \d+ keeps [45] "
+            with pytest.raises(ValueError, match=r"^n_keep \d+ keeps [245] "
                                r"spectrum bins, fewer than the 8 that 4 "
                                r"modes need$"):
                 bench_acceleration(spec, n_keep_values=values, repeats=1)
             assert calls == [81]
+
+    def test_two_bins_are_refused_not_widened(self):
+        """n_keep 2 keeps 2 bins, not a silently widened 4, and so is
+        refused for clean's two modes."""
+        spec = ScenarioSpec.from_json(SCENARIOS / "clean.json")
+        with pytest.raises(ValueError, match=r"^n_keep 2 keeps 2 spectrum "
+                           r"bins, fewer than the 4 that 2 modes need$"):
+            bench_acceleration(spec, n_keep_values=(2,), repeats=1)
 
     @pytest.mark.parametrize("repeats", [0, -5])
     def test_rejects_repeats_below_one(self, quick_spec, repeats):
@@ -588,7 +634,7 @@ class TestBench:
                                repeats=repeats)
 
     @pytest.mark.parametrize("n_keep, n_bins, kept", [
-        (2, 81, 4), (40, 81, 40), (10_000, 81, 81), (81, 81, 81)])
+        (2, 81, 2), (40, 81, 40), (10_000, 81, 81), (81, 81, 81)])
     def test_kept_bins(self, n_keep, n_bins, kept):
         assert pipeline._kept_bins(n_keep, n_bins) == kept
 

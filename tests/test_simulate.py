@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import aoa, simulate, vitals
+from radarvitals import aoa, fusion, simulate, vitals
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
@@ -254,14 +254,16 @@ class TestRenderProfiles:
 
 
 class TestDetections:
+    # Five standard deviations of the simulated box jitter.
+    TOL_PX = 5 * simulate.JITTER_PX
+
     def test_center_mapping_is_linear(self):
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 30.0),), duration=1.0)
-        cam = rv.CameraConfig(jitter_px=0.0)
-        frames = simulate.synthesize_detections(scene, cam, frame_rate=20.0,
-                                                seed=0)
+        frames = simulate.synthesize_detections(scene, 20.0, seed=0)
         box = frames[0].boxes[0]
         expected_center = (30.0 + 60.0) / 120.0 * 1920
-        assert box.x + box.w / 2 == pytest.approx(expected_center)
+        assert box.x + box.w / 2 == pytest.approx(expected_center,
+                                                   abs=self.TOL_PX)
         assert box.id == "target-0"
 
     def test_out_of_view_scatterers_make_no_boxes(self):
@@ -269,29 +271,42 @@ class TestDetections:
                          movers=(rv.MovingReflector(
                              waypoints=((0.0, 3.0, 80.0),)),),
                          duration=1.0)
-        cam = rv.CameraConfig(afov_deg=60.0, jitter_px=0.0)
-        frames = simulate.synthesize_detections(scene, cam, frame_rate=20.0,
-                                                seed=0)
+        frames = simulate.synthesize_detections(scene, 20.0, seed=0)
         assert all(len(f.boxes) == 1 for f in frames)
 
     def test_mover_box_follows_trajectory(self):
+        """The box moves 96 px a frame, far beyond the jitter."""
         scene = rv.Scene(movers=(rv.MovingReflector(
             waypoints=((0.0, 3.0, -30.0), (1.0, 3.0, 30.0))),), duration=1.0)
-        cam = rv.CameraConfig(jitter_px=0.0)
-        frames = simulate.synthesize_detections(scene, cam, frame_rate=10.0,
-                                                seed=0)
+        frames = simulate.synthesize_detections(scene, 10.0, seed=0)
         xs = [f.boxes[0].x for f in frames]
         assert xs == sorted(xs)
+        for f in frames:
+            center = (f.timestamp * 60.0 - 30.0 + 60.0) / 120.0 * 1920
+            assert f.boxes[0].x + f.boxes[0].w / 2 == pytest.approx(
+                center, abs=self.TOL_PX)
         assert frames[0].boxes[0].id == "mover-0"
 
     def test_jitter_is_seeded(self):
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 0.0),), duration=2.0)
-        cam = rv.CameraConfig(jitter_px=2.0)
-        a = simulate.synthesize_detections(scene, cam, frame_rate=20.0, seed=5)
-        b = simulate.synthesize_detections(scene, cam, frame_rate=20.0, seed=5)
+        a = simulate.synthesize_detections(scene, 20.0, seed=5)
+        b = simulate.synthesize_detections(scene, 20.0, seed=5)
         assert all(x.boxes[0].x == y.boxes[0].x for x, y in zip(a, b))
 
-    def test_requires_a_frame_rate(self):
-        with pytest.raises(ValueError):
-            simulate.synthesize_detections(rv.Scene(duration=1.0),
-                                           rv.CameraConfig(), seed=0)
+    def test_box_window_contains_the_target_bin_across_the_view(self):
+        """The camera's field of view is the angle grid's: for a target
+        anywhere in +-MAX_ANGLE_DEG, every box's angle window holds the
+        grid bin nearest the target."""
+        grid = aoa.default_angle_grid()
+        angles = np.arange(-aoa.MAX_ANGLE_DEG, aoa.MAX_ANGLE_DEG + 0.25, 0.5)
+        checked = 0
+        for i, angle in enumerate(angles):
+            scene = rv.Scene(targets=(rv.VitalTarget(2.0, float(angle)),),
+                             duration=2.0)
+            true_bin = int(np.argmin(np.abs(grid - angle)))
+            for f in simulate.synthesize_detections(scene, 20.0, seed=i):
+                (box,) = f.boxes
+                lo, hi = fusion.pixel_to_angle_window(box.x, box.w)
+                assert lo <= true_bin <= hi, (angle, f.timestamp, lo, hi)
+                checked += 1
+        assert checked == angles.size * 40 == 9640
