@@ -48,10 +48,11 @@ _REJECT = object()
 def _conform(hint, value):
     """``value`` as the evaluated annotation ``hint`` admits it, else
     ``_REJECT``.  A dict becomes the annotated record (through
-    ``from_dict``, so unknown and missing keys are still rejected) and a
-    list a tuple; every other value is kept as written.  An int passes for
-    a float; a bool passes only for a bool; NaN and +-inf pass for
-    nothing."""
+    ``from_dict``, so unknown and missing keys are still rejected), a list
+    a tuple and a numpy number the Python number it holds (so ``json`` can
+    write it); every other value is kept as written.  An int passes for a
+    float; a bool (not a numpy bool) passes only for a bool; NaN and +-inf
+    pass for nothing."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return next((out for out in (_conform(h, value) for h in args)
@@ -72,6 +73,8 @@ def _conform(hint, value):
         kind = numbers.Integral if hint is int else numbers.Real
         ok = (isinstance(value, kind) and not isinstance(value, bool)
               and abs(value) < math.inf)    # False for NaN too
+        if ok and isinstance(value, np.generic):
+            value = value.item()
     else:
         ok = isinstance(value, hint)
     return value if ok else _REJECT

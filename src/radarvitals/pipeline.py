@@ -9,13 +9,15 @@ repetition as a single chain of timed stages:
 
 * scene stages - ``simulate`` (the range profiles rendered directly at the
   bins the later stages read and every slow sample, see
-  :func:`simulate.range_profiles`, and the camera boxes), ``heatmap`` (the
-  bins at or below :data:`aoa.MAX_RANGE_M`), ``localize``;
+  :func:`simulate.range_profiles`, their noise drawn on one helper thread
+  while the signal renders; and the camera boxes, their jitter one
+  vectorized draw), ``heatmap`` (the bins at or below
+  :data:`aoa.MAX_RANGE_M`), ``localize``;
 * per localized target, the vitals chain - ``beamform`` (when beamforming
-  is on: transmit steering added to the unsteered profiles at the bins and
-  samples the phase stage reads, by the same renderer, plus receive
-  weights), ``phase``, ``weights``, ``mode_count``, ``spectrum``,
-  ``decompose``, ``rates``.
+  is on: transmit steering added to a copy of the unsteered profiles up
+  to the phase window, at the bins and samples the phase stage reads, by
+  the same renderer, plus receive weights), ``phase``, ``weights``,
+  ``mode_count``, ``spectrum``, ``decompose``, ``rates``.
 
 No raw cube is rendered: :func:`simulate.synthesize_cube` and
 :func:`rangefft.range_fft` remain the reference the renderer is tested
@@ -203,16 +205,18 @@ def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
     """``profiles`` as if rendered with transmit weights ``tx``, exact only
     at the bins and slow samples the phase stage reads.
 
-    A copy of the unsteered profiles with the steering difference
-    (:func:`render_profiles` with the gain offset by one, no noise) added
-    in that window, so the phase stage indexes it by absolute bin as usual.
-    The window is checked first (same error as the phase stage raises).
+    A copy of the unsteered profiles up to the window's last bin, with the
+    steering difference (:func:`render_profiles` with the gain offset by
+    one, no noise) added in that window, so the phase stage indexes it by
+    absolute bin as usual.  The window is checked first (same error as the
+    phase stage raises).
     """
     bins, frames = vitals.phase_window(profiles, center_bin)
-    data = profiles.data.copy()
-    data[bins.start:bins.stop, frames] += render_profiles(
+    data = profiles.data[:bins.stop].copy()
+    data[bins.start:, frames] += render_profiles(
         spec.scene, spec.radar, bins, frames, tx_weights=tx, gain_offset=1.0)
-    return dataclasses.replace(profiles, data=data)
+    return dataclasses.replace(profiles, data=data,
+                               range_axis=profiles.range_axis[:bins.stop])
 
 
 def _kept_bins(n_keep: int, n_bins: int) -> int:

@@ -31,6 +31,8 @@ Two renderers share one per-scatterer signal model (``_returns``):
 """
 from __future__ import annotations
 
+import os
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,6 +183,31 @@ def synthesize_cube(
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
 
+def _start_noise_worker() -> None:
+    """Create :data:`_NOISE_DRAW`: one worker, since a render's noise is one
+    seeded stream, drawn in order on its thread while the calling thread
+    renders the signal (numpy's fill releases the GIL).  Renders from
+    several threads queue their draws there.  A forked child gets a worker
+    of its own; the parent's thread does not exist in it."""
+    global _NOISE_DRAW
+    _NOISE_DRAW = futures.ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="radarvitals-noise")
+
+
+_start_noise_worker()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_start_noise_worker)
+
+
+def _draw_noise(rng: np.random.Generator, planes: np.ndarray,
+                sigma: float) -> None:
+    """Fill each plane of ``planes`` in turn with ``sigma`` times standard
+    normal draws of ``rng``."""
+    for plane in planes:
+        rng.standard_normal(out=plane)
+        plane *= sigma
+
+
 def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
                     tx_weights=None, gain_offset: float = 0.0,
                     snr_db: float | None = None, seed=None) -> np.ndarray:
@@ -199,7 +226,9 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
     drawn from ``seed``.  The DFT of i.i.d. circular Gaussian samples is
     i.i.d. across bins with ``samples_per_chirp`` times their variance, so
     the noise is drawn in the bin domain, only at ``bins`` and
-    ``slow_idx``.
+    ``slow_idx``.  It is drawn on :data:`_NOISE_DRAW`'s thread while this
+    one renders the signal, then added: the same draws in the same order,
+    and the same one addition per sample, as a serial draw.
     """
     n_fast = cfg.samples_per_chirp
     bins = np.asarray(bins, dtype=np.int64)
@@ -209,16 +238,27 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
     slow_t = slow_t[slow_idx]
     out = np.zeros((bins.size, slow_t.size, cfg.num_virtual),
                    dtype=np.complex128)
-    for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
-                                   gain_offset=gain_offset):
-        tone = np.fft.fft(fast, axis=0)[bins]
-        out += tone[:, :, None] * slow_ant[None, :, :]
-
+    draw = None
     if snr_db is not None:
-        rng = np.random.default_rng(seed)
         sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0)) * np.sqrt(n_fast)
-        out.real += sigma * rng.standard_normal(out.shape)
-        out.imag += sigma * rng.standard_normal(out.shape)
+        noise = np.empty((2,) + out.shape)      # real plane, imaginary plane
+        draw = _NOISE_DRAW.submit(_draw_noise, np.random.default_rng(seed),
+                                  noise, sigma)
+    try:
+        for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
+                                       gain_offset=gain_offset):
+            tone = np.fft.fft(fast, axis=0)[bins]
+            # Row by row, so no whole-profile temporary sits beside the
+            # noise planes.
+            for row, t in zip(out, tone):
+                row += t[:, None] * slow_ant
+    finally:
+        if draw is not None:
+            futures.wait((draw,))
+    if draw is not None:
+        draw.result()
+        out.real += noise[0]
+        out.imag += noise[1]
     return out
 
 
@@ -270,33 +310,33 @@ def synthesize_detections(scene: Scene, frame_rate: float,
     pixel jitter (:data:`JITTER_PX`) on the corner coordinates.  Identities
     are stable (:func:`target_track_ids`, and ``mover-<i>``), mimicking an
     upstream tracker.  Static clutter produces no boxes.
+
+    The jitter of all boxes is one ``(boxes, 2)`` draw of x and y in
+    frame-major order, the stream of one x and one y draw per box.
     """
     rng = np.random.default_rng(seed)
     n_frames = int(round(scene.duration * frame_rate))
+    times = [f / frame_rate for f in range(n_frames)]
+    ids = [*target_track_ids(scene),
+           *(f"mover-{i}" for i in range(len(scene.movers)))]
+    # Azimuth of every entity (column) in every frame (row).
+    angles = np.empty((n_frames, len(ids)))
+    angles[:, :len(scene.targets)] = [t.angle_deg for t in scene.targets]
+    for i, mv in enumerate(scene.movers, start=len(scene.targets)):
+        angles[:, i] = mv.angle_at(np.asarray(times))
+    seen = (-MAX_ANGLE_DEG <= angles) & (angles <= MAX_ANGLE_DEG)
+    frame_of, entity_of = np.nonzero(seen)          # frame-major
+    jitter = rng.normal(0.0, JITTER_PX, (frame_of.size, 2))
+    cx = ((angles[seen] + MAX_ANGLE_DEG) / (2.0 * MAX_ANGLE_DEG)
+          * IMAGE_WIDTH_PX)
     y_base = 0.5 * (IMAGE_HEIGHT_PX - BOX_HEIGHT_PX)
-
-    def make_box(bid: str, angle: float) -> Box | None:
-        if not (-MAX_ANGLE_DEG <= angle <= MAX_ANGLE_DEG):
-            return None
-        cx = (angle + MAX_ANGLE_DEG) / (2.0 * MAX_ANGLE_DEG) * IMAGE_WIDTH_PX
-        x = cx - 0.5 * BOX_WIDTH_PX + rng.normal(0.0, JITTER_PX)
-        y = y_base + rng.normal(0.0, JITTER_PX)
-        x = float(min(max(x, 0.0), IMAGE_WIDTH_PX - BOX_WIDTH_PX))
-        y = float(min(max(y, 0.0), IMAGE_HEIGHT_PX - BOX_HEIGHT_PX))
-        return Box(id=bid, x=x, y=y, w=BOX_WIDTH_PX, h=BOX_HEIGHT_PX)
-
-    targets = target_track_ids(scene)
-    frames = []
-    for f in range(n_frames):
-        t = f / frame_rate
-        boxes = []
-        for bid, tgt in targets.items():
-            b = make_box(bid, tgt.angle_deg)
-            if b is not None:
-                boxes.append(b)
-        for i, mv in enumerate(scene.movers):
-            b = make_box(f"mover-{i}", float(mv.angle_at(t)))
-            if b is not None:
-                boxes.append(b)
-        frames.append(DetectionFrame(timestamp=t, boxes=boxes))
+    xs = np.minimum(np.maximum(cx - 0.5 * BOX_WIDTH_PX + jitter[:, 0], 0.0),
+                    IMAGE_WIDTH_PX - BOX_WIDTH_PX)
+    ys = np.minimum(np.maximum(y_base + jitter[:, 1], 0.0),
+                    IMAGE_HEIGHT_PX - BOX_HEIGHT_PX)
+    frames = [DetectionFrame(timestamp=t) for t in times]
+    for f, i, x, y in zip(frame_of.tolist(), entity_of.tolist(),
+                          xs.tolist(), ys.tolist()):
+        frames[f].boxes.append(Box(id=ids[i], x=x, y=y, w=BOX_WIDTH_PX,
+                                   h=BOX_HEIGHT_PX))
     return frames

@@ -127,6 +127,20 @@ class TestFieldTypes:
         assert rv.Scene(statics=[rv.PointReflector(2.0, 0.0)]).statics == (
             rv.PointReflector(2.0, 0.0),)
 
+    def test_numpy_numbers_become_python_numbers(self):
+        """A numpy integer or float is stored as the Python number, so the
+        record stays writable as JSON."""
+        spec = rv.ScenarioSpec(name="x", seed=np.int64(1),
+                            snr_db=np.float32(12.5))
+        assert (type(spec.seed), type(spec.snr_db)) == (int, float)
+        assert json.loads(json.dumps(spec.to_dict()))["seed"] == 1
+        assert type(rv.Scene(duration=np.int32(3)).duration) is int
+
+    def test_numpy_bool_is_refused_for_a_bool(self):
+        with pytest.raises(ValueError,
+                           match="^ScenarioSpec: beamforming must be"):
+            rv.ScenarioSpec(name="x", beamforming=np.True_)
+
     @pytest.mark.parametrize("make, pattern", [
         (lambda: rv.Scene(duration=float("inf")),
          "^Scene: duration must be .*finite"),

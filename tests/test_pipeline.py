@@ -89,6 +89,23 @@ class TestRunScenario:
         assert res.report["failure_stage"] == "localize"
         assert res.report["error"]
 
+    def test_noise_draw_failure_is_named_simulate(self, quick_spec,
+                                                  monkeypatch):
+        """A draw that fails on the helper thread fails the simulate stage
+        with its own message."""
+        def broken(*args):
+            raise ValueError("draw failed")
+        monkeypatch.setattr(simulate, "_draw_noise", broken)
+        res = run_scenario(quick_spec)
+        assert res.report["failure_stage"] == "simulate"
+        assert res.report["error"] == "draw failed"
+
+    def test_numpy_seed_override_writes_a_report(self, quick_spec, tmp_path):
+        res = run_scenario(quick_spec, seed=np.int64(1))
+        assert type(res.report["seed"]) is int
+        path = write_run_outputs(res, tmp_path)
+        assert json.loads(path.read_text())["seed"] == 1
+
     def test_walking_only_scene_has_no_stationary_track(self):
         spec = ScenarioSpec(
             name="walkers",
@@ -678,6 +695,21 @@ class TestSteeredProfiles:
         err = np.abs(got[bins.start:bins.stop][:, frames] - want)
         assert err.max() <= 1e-12 * np.abs(want).max()
         assert np.array_equal(profiles.data, before)    # input untouched
+
+    def test_copies_only_the_rows_up_to_the_window(self, renders):
+        """The rows below the window are the unsteered ones, none past it
+        is kept, and the range axis matches the rows held."""
+        spec, tx, (plain, _) = renders
+        profiles = range_fft(plain)
+        center = range_bin_of(spec.scene.targets[0].range_m, spec.radar)
+        got = pipeline._steered(spec, profiles, tx, center)
+        bins, _ = vitals.phase_window(profiles, center)
+        assert got.data.shape == (bins.stop,) + profiles.data.shape[1:]
+        assert np.array_equal(got.data[:bins.start],
+                              profiles.data[:bins.start])
+        assert np.array_equal(got.range_axis, profiles.range_axis[:bins.stop])
+        assert got.num_bins == profiles.num_bins
+        assert not np.shares_memory(got.data, profiles.data)
 
 
 class TestDeterminism:

@@ -1,3 +1,9 @@
+import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +14,7 @@ from radarvitals import aoa, fusion, simulate, vitals
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
+from reference_camera import synthesize_detections as scalar_detections
 
 
 def test_chest_displacement_frozen_value():
@@ -253,6 +260,124 @@ class TestRenderProfiles:
                 5.0 / np.sqrt(m))
 
 
+@pytest.fixture(scope="module")
+def overlap_scene():
+    """range_overlap's scene, cut to 2 s: clutter, a target and a mover."""
+    spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
+    return dataclasses.replace(spec.scene, duration=2.0)
+
+
+NOISY_SNR_DB = 20.0
+
+
+def render_noisy(cfg, scene, seed):
+    """The first 36 range rows of ``scene`` with noise drawn from ``seed``."""
+    return simulate.render_profiles(scene, cfg, np.arange(36), slice(None),
+                                    snr_db=NOISY_SNR_DB, seed=seed)
+
+
+class TestNoiseDraw:
+    """The noise is drawn on a helper thread while the signal renders."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_is_the_serial_stream_added_to_the_signal(self, cfg,
+                                                       overlap_scene, seed):
+        """The noiseless render plus sigma times the real draw, then the
+        imaginary draw, of ``default_rng(seed)``, bit for bit."""
+        want = simulate.render_profiles(overlap_scene, cfg, np.arange(36),
+                                        slice(None))
+        rng = np.random.default_rng(seed)
+        sigma = (np.sqrt(0.5 * 10.0 ** (-NOISY_SNR_DB / 10.0))
+                 * np.sqrt(cfg.samples_per_chirp))
+        want.real += sigma * rng.standard_normal(want.shape)
+        want.imag += sigma * rng.standard_normal(want.shape)
+        assert np.array_equal(render_noisy(cfg, overlap_scene, seed), want)
+
+    def test_concurrent_callers_get_their_serial_arrays(self, cfg,
+                                                        overlap_scene):
+        """Four threads (more than this machine's cores, at a short switch
+        interval) render four seeds at once, three times over."""
+        seeds = (3, 4, 5, 6)
+        serial = [render_noisy(cfg, overlap_scene, s) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                start = threading.Barrier(len(seeds))
+                got = {}
+
+                def render(seed):
+                    start.wait()
+                    got[seed] = render_noisy(cfg, overlap_scene, seed)
+
+                threads = [threading.Thread(target=render, args=(s,))
+                           for s in seeds]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for s, want in zip(seeds, serial):
+                    assert np.array_equal(got[s], want), s
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.fixture
+    def draw_log(self, monkeypatch):
+        """Records when each draw ends; each draw takes at least 50 ms."""
+        log = []
+        draw = simulate._draw_noise
+
+        def slow_draw(*args):
+            time.sleep(0.05)
+            draw(*args)
+            log.append("drawn")
+        monkeypatch.setattr(simulate, "_draw_noise", slow_draw)
+        return log
+
+    def test_failed_signal_raises_after_the_draw(self, cfg, draw_log):
+        bad = rv.Scene(statics=(rv.PointReflector(
+            cfg.max_unambiguous_range + 1.0, 0.0),), duration=0.5)
+        with pytest.raises(ValueError, match="Nyquist"):
+            render_noisy(cfg, bad, 0)
+        assert draw_log == ["drawn"]
+
+    def test_failed_returns_raise_after_the_draw(self, cfg, small_scene,
+                                                 draw_log, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("no returns")
+            yield
+        monkeypatch.setattr(simulate, "_returns", broken)
+        with pytest.raises(ValueError, match="^no returns$"):
+            render_noisy(cfg, small_scene, 0)
+        assert draw_log == ["drawn"]
+
+    def test_draw_error_is_raised_as_itself(self, cfg, small_scene,
+                                            monkeypatch):
+        def broken(*args):
+            raise MemoryError("no room for the noise")
+        monkeypatch.setattr(simulate, "_draw_noise", broken)
+        with pytest.raises(MemoryError, match="no room for the noise"):
+            render_noisy(cfg, small_scene, 0)
+
+    def test_noiseless_render_does_not_draw(self, cfg, small_scene,
+                                            monkeypatch):
+        monkeypatch.setattr(simulate, "_NOISE_DRAW", None)
+        out = simulate.render_profiles(small_scene, cfg, np.arange(4),
+                                       slice(None))
+        assert np.abs(out).max() > 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_draws_on_its_own_worker(self, cfg, small_scene):
+        """A child forked after the parent's worker started renders the
+        parent's array instead of waiting on a thread it does not have."""
+        want = render_noisy(cfg, small_scene, 5)
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(1) as pool:
+            got = pool.apply_async(render_noisy, (cfg, small_scene, 5))
+            assert np.array_equal(got.get(timeout=60), want)
+
+
 class TestDetections:
     # Five standard deviations of the simulated box jitter.
     TOL_PX = 5 * simulate.JITTER_PX
@@ -310,3 +435,50 @@ class TestDetections:
                 assert lo <= true_bin <= hi, (angle, f.timestamp, lo, hi)
                 checked += 1
         assert checked == angles.size * 40 == 9640
+
+    @staticmethod
+    def assert_same_frames(got, want):
+        """Equal frames and boxes, values and Python types."""
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.timestamp, type(g.timestamp)) == (w.timestamp,
+                                                      type(w.timestamp))
+            assert g.boxes == w.boxes
+            for a, b in zip(g.boxes, w.boxes):
+                assert ([type(v) for v in vars(a).values()]
+                        == [type(v) for v in vars(b).values()])
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", ["clean", "range_overlap",
+                                      "fusion_stress", "bench"])
+    def test_bundled_scenes_match_the_scalar_loop(self, name, seed):
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        args = (spec.scene, spec.radar.frame_rate)
+        self.assert_same_frames(simulate.synthesize_detections(*args, seed),
+                                scalar_detections(*args, seed))
+
+    def test_mover_leaving_the_view_keeps_the_draw_order(self):
+        """A mover that crosses +MAX_ANGLE_DEG mid-run drops out of later
+        frames, so the draws of the frames after it shift: frame-major
+        order is what keeps every box equal to the scalar loop's."""
+        scene = rv.Scene(
+            targets=(rv.VitalTarget(2.0, -20.0),),
+            movers=(rv.MovingReflector(waypoints=(
+                (0.0, 3.0, aoa.MAX_ANGLE_DEG - 10.0),
+                (2.0, 3.0, aoa.MAX_ANGLE_DEG + 10.0))),),
+            duration=2.0)
+        got = simulate.synthesize_detections(scene, 20.0, seed=11)
+        counts = [len(f.boxes) for f in got]
+        assert counts[0] == 2 and counts[-1] == 1 and counts == sorted(
+            counts, reverse=True)
+        self.assert_same_frames(got, scalar_detections(scene, 20.0, seed=11))
+
+    def test_no_person_makes_no_draw(self):
+        scene = rv.Scene(statics=(rv.PointReflector(3.0, 0.0),),
+                         duration=1.0)
+        rng = np.random.default_rng(2)
+        state = rng.bit_generator.state
+        got = simulate.synthesize_detections(scene, 20.0, seed=rng)
+        assert rng.bit_generator.state == state
+        assert len(got) == 20 and all(f.boxes == [] for f in got)
+        self.assert_same_frames(got, scalar_detections(scene, 20.0, seed=2))
