@@ -79,15 +79,21 @@ class Heatmap:
 
 def range_angle_heatmap(profiles: RangeProfiles) -> Heatmap:
     """MVDR spectrum of every range bin at or below :data:`MAX_RANGE_M`,
-    covariances batched in one pass over all slow-time snapshots.
+    each bin's covariance over all its slow-time snapshots.
 
     Only those rows are computed, so the localizer pays for nothing it
-    does not search.
+    does not search.  Each covariance is written into one preallocated
+    stack a row at a time, so no conjugate of the whole profile is formed.
     """
     cfg = profiles.config
     n_bins = int(np.count_nonzero(profiles.range_axis <= MAX_RANGE_M))
     x = profiles.data[:n_bins]
-    cov = _loaded(x.transpose(0, 2, 1) @ x.conj() / x.shape[1])
+    k = x.shape[2]
+    cov = np.empty((n_bins, k, k), dtype=x.dtype)
+    for row, c in zip(x, cov):
+        np.matmul(row.T, row.conj(), out=c)
+    cov /= x.shape[1]
+    cov = _loaded(cov)
     power = mvdr_spectrum(cov, cfg.rx_spacing, cfg.wavelength)
     return Heatmap(power=power, range_axis=profiles.range_axis[:n_bins].copy(),
                    angle_axis=default_angle_grid())

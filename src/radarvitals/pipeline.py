@@ -23,6 +23,17 @@ No raw cube is rendered: :func:`simulate.synthesize_cube` and
 :func:`rangefft.range_fft` remain the reference the renderer is tested
 against.
 
+Each capture is rendered once (:func:`_scene_stages`).  The scene stages'
+outputs are held in one module-level slot, keyed on the ``repr`` of what
+they read (``scene``, ``radar``, ``snr_db``, ``seed``; not
+``beamforming``, ``n_keep`` or ``num_modes``), so the unsteered run of a
+seed reuses its steered run's render, heatmap and localization.  The slot
+holds the heatmap, the locations, the stationary-track count and a
+read-only copy of the rendered rows up to the last target's phase window;
+every run's vitals chains read that copy.  A miss empties the slot before
+rendering, a failed scene stage stores nothing, and there is no option:
+the reused outputs are the ones a fresh render gives, byte for byte.
+
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
 :func:`run_suite` repeats the run across seeds and aggregates error CDFs;
@@ -200,6 +211,75 @@ def _localize(detections, heatmap: aoa.Heatmap, report: dict) -> list:
     return located
 
 
+@dataclass(frozen=True)
+class _Scene:
+    """What the vitals chains of one capture read from its scene stages.
+
+    ``profiles`` holds a read-only copy of the rendered rows up to the last
+    located target's phase window, not the whole render.
+    """
+
+    profiles: RangeProfiles
+    heatmap: aoa.Heatmap
+    locations: tuple
+    num_stationary_tracks: int
+
+
+# ``(key, _Scene)`` of the last capture whose scene stages succeeded; see
+# :func:`_scene_stages`.  It is read and replaced whole, never changed in
+# place, so concurrent runs need no lock: a race costs a render, and an
+# entry always belongs to its key.
+_LAST_SCENE: tuple[str, _Scene] | None = None
+
+
+def _scene_stages(run: ScenarioSpec, timings: dict, report: dict) -> _Scene:
+    """simulate -> heatmap -> localize for the capture ``run`` describes,
+    or their outputs of the last run of the same capture.
+
+    A capture is keyed on the ``repr`` of what these stages read:
+    ``run.scene``, ``run.radar``, ``run.snr_db`` and ``run.seed`` (so -0.0
+    and 0.0, or 30 and 30.0, are different captures).  A hit charges the
+    lookup's time to each of the three stages.  A miss empties the slot
+    before rendering, so the old entry is freed first; a failed stage
+    stores nothing.
+    """
+    global _LAST_SCENE
+    t0 = time.perf_counter()
+    key = repr((run.scene, run.radar, run.snr_db, run.seed))
+    held = _LAST_SCENE
+    if held is not None and held[0] == key:
+        ms = (time.perf_counter() - t0) * 1e3
+        for name in ("simulate", "heatmap", "localize"):
+            timings[name] = ms
+        report["num_stationary_tracks"] = held[1].num_stationary_tracks
+        return held[1]
+    held = _LAST_SCENE = None         # this frame's reference goes too
+
+    cfg = run.radar
+    noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
+    with _stage(timings, "simulate"):
+        profiles = range_profiles(run.scene, cfg, snr_db=run.snr_db,
+                                  seed=noise_ss)
+        detections = synthesize_detections(run.scene, cfg.frame_rate,
+                                           seed=det_ss)
+    with _stage(timings, "heatmap"):
+        heatmap = aoa.range_angle_heatmap(profiles)
+    with _stage(timings, "localize"):
+        locations = _localize(detections, heatmap, report)
+    rows = min(profiles.data.shape[0],
+               max(loc.range_bin for _, _, loc in locations)
+               + vitals.PHASE_CHANNELS // 2 + 1)
+    data = profiles.data[:rows].copy()
+    data.flags.writeable = False
+    scene = _Scene(
+        profiles=dataclasses.replace(profiles, data=data,
+                                     range_axis=profiles.range_axis[:rows]),
+        heatmap=heatmap, locations=tuple(locations),
+        num_stationary_tracks=report["num_stationary_tracks"])
+    _LAST_SCENE = (key, scene)
+    return scene
+
+
 def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
              center_bin: int) -> RangeProfiles:
     """``profiles`` as if rendered with transmit weights ``tx``, exact only
@@ -290,7 +370,6 @@ def run_scenario(
         beamforming=spec.beamforming if beamforming is None else beamforming,
         n_keep=spec.n_keep if n_keep == "spec" else n_keep)
     cfg = run.radar
-    noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
 
     report: dict = {
         "scenario": spec.to_dict(),
@@ -306,19 +385,12 @@ def run_scenario(
     timings = result.timings_ms
 
     try:
-        with _stage(timings, "simulate"):
-            profiles = range_profiles(run.scene, cfg, snr_db=run.snr_db,
-                                      seed=noise_ss)
-            detections = synthesize_detections(run.scene, cfg.frame_rate,
-                                               seed=det_ss)
-        with _stage(timings, "heatmap"):
-            heatmap = aoa.range_angle_heatmap(profiles)
-        with _stage(timings, "localize"):
-            result.locations = _localize(detections, heatmap, report)
+        scene = _scene_stages(run, timings, report)
     except _StageFailed as e:
         report["failure_stage"] = e.stage
         report["error"] = str(e)
         return result
+    result.locations = list(scene.locations)
 
     truth = target_track_ids(run.scene)
     for track_id, window, loc in result.locations:
@@ -336,7 +408,7 @@ def run_scenario(
             entry["true_angle_deg"] = tgt.angle_deg
             entry["true_range_bin"] = range_bin_of(tgt.range_m, cfg)
             entry["true_angle_bin"] = int(np.argmin(
-                np.abs(heatmap.angle_axis - tgt.angle_deg)))
+                np.abs(scene.heatmap.angle_axis - tgt.angle_deg)))
             entry["range_bin_error"] = loc.range_bin - entry["true_range_bin"]
             entry["angle_bin_error"] = loc.angle_bin - entry["true_angle_bin"]
             entry["true_breaths_per_min"] = tgt.vitals.breath_freq * 60.0
@@ -344,7 +416,7 @@ def run_scenario(
         report["targets"].append(entry)
 
         try:
-            chain = _vitals_chain(run, profiles, loc, timings)
+            chain = _vitals_chain(run, scene.profiles, loc, timings)
         except _StageFailed as e:
             entry["failure"] = str(e)
             report["failure_stage"] = report["failure_stage"] or "vitals"

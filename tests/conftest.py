@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import radarvitals as rv
+from radarvitals import pipeline
 
 settings.register_profile(
     "suite",
@@ -11,6 +12,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def empty_scene_slot():
+    """Start every test with no held scene, so a test that counts renders
+    or breaks a scene stage never meets an earlier test's capture."""
+    pipeline._LAST_SCENE = None
 
 
 @pytest.fixture(scope="session")

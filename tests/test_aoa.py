@@ -1,14 +1,17 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import radarvitals as rv
 from radarvitals import aoa, simulate
+from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
 from reference_aoa import spatial_covariance, spatial_fft_spectrum
 
 LAM = rv.RadarConfig().wavelength
+SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
 def _source_snapshots(angles, powers, num_el, snr_db, n_snap, seed):
@@ -124,6 +127,30 @@ class TestHeatmap:
                                  part.config.rx_spacing, part.config.wavelength)
         assert hm.power.shape == (34, 121)
         assert np.allclose(hm.power[rb], spec, rtol=1e-10)
+
+    @pytest.mark.parametrize("name", ["clean", "range_overlap",
+                                      "fusion_stress", "bench"])
+    def test_equals_the_batched_covariances_bit_for_bit(self, name):
+        """The row-at-a-time covariances give the heatmap of the batched
+        ``x^T x* / S`` exactly, on each bundled scenario's render: its
+        near rows, batches of 1, 2, 4 and 8 rows, and strided snapshots."""
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        profiles = simulate.range_profiles(spec.scene, spec.radar,
+                                           snr_db=spec.snr_db, seed=spec.seed)
+        cfg = profiles.config
+        near = int(np.count_nonzero(profiles.range_axis <= aoa.MAX_RANGE_M))
+        cases = [(rows, slice(None)) for rows in (1, 2, 4, 8, near)]
+        cases.append((near, slice(None, None, cfg.chirps_per_frame)))
+        for rows, snapshots in cases:
+            x = profiles.data[:rows, snapshots]
+            batched = aoa._loaded(x.transpose(0, 2, 1) @ x.conj()
+                                  / x.shape[1])
+            expected = aoa.mvdr_spectrum(batched, cfg.rx_spacing,
+                                         cfg.wavelength)
+            part = dataclasses.replace(
+                profiles, data=x, range_axis=profiles.range_axis[:rows])
+            got = aoa.range_angle_heatmap(part).power
+            assert np.array_equal(got, expected), (name, rows, snapshots)
 
     def test_max_range_keeps_the_near_rows(self, small_profiles):
         """The 65-bin profile keeps its 34 rows at or below 10 m."""

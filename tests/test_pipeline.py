@@ -4,6 +4,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +313,201 @@ OLD_CAMERA_BLOCK = {"afov_deg": 60.0, "box_height_px": 500.0,
 
 def _scalar_node(d: dict, key: str) -> dict:
     return d if key in pipeline._TOP_LEVEL_FIELDS else d["processing"]
+
+
+def _report_text(res) -> str:
+    """The report as :func:`write_run_outputs` writes it."""
+    return json.dumps(res.report, sort_keys=True, indent=2) + "\n"
+
+
+def _count_renders(monkeypatch) -> list:
+    """Count the pipeline's profile renders from here on."""
+    renders = []
+    render = pipeline.range_profiles
+
+    def counted(*args, **kwargs):
+        renders.append(args)
+        return render(*args, **kwargs)
+    monkeypatch.setattr(pipeline, "range_profiles", counted)
+    return renders
+
+
+def _with_angle(spec, kind: str, angle):
+    """``spec`` with its first ``kind`` ("statics" or "targets") at
+    ``angle``."""
+    scene = spec.scene
+    first = dataclasses.replace(getattr(scene, kind)[0], angle_deg=angle)
+    return dataclasses.replace(spec, scene=dataclasses.replace(
+        scene, **{kind: (first, *getattr(scene, kind)[1:])}))
+
+
+# Pairs of runs of two different captures, from quick_spec.
+OTHER_CAPTURE = {
+    "scene": lambda s: (s, dataclasses.replace(
+        s, scene=dataclasses.replace(s.scene, duration=8.5))),
+    "radar": lambda s: (s, dataclasses.replace(
+        s, radar=dataclasses.replace(s.radar, frame_rate=25.0))),
+    "snr_db": lambda s: (s, dataclasses.replace(s, snr_db=25.0)),
+    "seed": lambda s: (s, dataclasses.replace(s, seed=1)),
+    # equal under ==, different under repr
+    "zero_sign": lambda s: (_with_angle(s, "statics", 0.0),
+                            _with_angle(s, "statics", -0.0)),
+    "int_for_float": lambda s: (_with_angle(s, "targets", 30),
+                                _with_angle(s, "targets", 30.0)),
+}
+
+# Runs of quick_spec's capture with other processing.
+SAME_CAPTURE = {
+    "beamforming": lambda s: dataclasses.replace(s, beamforming=False),
+    "n_keep": lambda s: dataclasses.replace(s, n_keep=None),
+    "num_modes": lambda s: dataclasses.replace(s, num_modes=3),
+}
+
+
+class TestSceneSlot:
+    """A run reuses the scene stages of the last run of the same capture."""
+
+    @pytest.mark.parametrize("name", ["clean", "range_overlap",
+                                      "fusion_stress", "bench"])
+    def test_warm_runs_equal_cold_runs(self, name, monkeypatch):
+        """Steered then unsteered, and unsteered then steered: the second
+        run of each pair reuses the first's render and writes the bytes of
+        a run made with the slot emptied."""
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        renders = _count_renders(monkeypatch)
+        for seed in range(spec.seed, spec.seed + 3):
+            cold, warm = {}, {}
+            for first, second in ((True, False), (False, True)):
+                pipeline._LAST_SCENE = None
+                cold[first] = _report_text(
+                    run_scenario(spec, seed=seed, beamforming=first))
+                warm[second] = _report_text(
+                    run_scenario(spec, seed=seed, beamforming=second))
+            assert warm == cold, (name, seed)
+        assert len(renders) == 2 * 3
+
+    def test_the_same_capture_renders_once(self, quick_spec, monkeypatch):
+        renders = _count_renders(monkeypatch)
+        first, second = run_scenario(quick_spec), run_scenario(quick_spec)
+        assert len(renders) == 1
+        assert _report_text(first) == _report_text(second)
+        assert first.locations == second.locations
+        # the reused stages keep their timings.csv rows, charged the lookup
+        assert list(second.timings_ms) == list(first.timings_ms)
+        scene_ms = {second.timings_ms[s]
+                    for s in ("simulate", "heatmap", "localize")}
+        assert len(scene_ms) == 1
+
+    @pytest.mark.parametrize("change", OTHER_CAPTURE)
+    def test_another_capture_renders_again(self, quick_spec, monkeypatch,
+                                           change):
+        a, b = OTHER_CAPTURE[change](quick_spec)
+        renders = _count_renders(monkeypatch)
+        run_scenario(a)
+        run_scenario(b)
+        assert len(renders) == 2
+        # the last two are the same capture to ==, not to repr
+        assert (a == b) == (change in ("zero_sign", "int_for_float"))
+
+    @pytest.mark.parametrize("change", SAME_CAPTURE)
+    def test_other_processing_reuses_the_render(self, quick_spec,
+                                                monkeypatch, change):
+        other = SAME_CAPTURE[change](quick_spec)
+        renders = _count_renders(monkeypatch)
+        run_scenario(quick_spec)
+        warm = _report_text(run_scenario(other))
+        assert len(renders) == 1
+        pipeline._LAST_SCENE = None
+        assert warm == _report_text(run_scenario(other))
+
+    def test_a_failed_scene_stores_nothing(self, quick_spec, monkeypatch):
+        """A run with no person fails at localize after emptying the slot,
+        and its repeat renders again and writes the same report."""
+        empty = ScenarioSpec(name="empty", scene=rv.Scene(duration=5.0),
+                             snr_db=0.0)
+        renders = _count_renders(monkeypatch)
+        run_scenario(quick_spec)
+        assert pipeline._LAST_SCENE is not None
+        first = run_scenario(empty)
+        assert first.report["failure_stage"] == "localize"
+        assert pipeline._LAST_SCENE is None
+        second = run_scenario(empty)
+        assert pipeline._LAST_SCENE is None
+        assert _report_text(first) == _report_text(second)
+        run_scenario(quick_spec)
+        assert len(renders) == 4
+
+    def test_a_miss_frees_the_old_entry_before_rendering(self, quick_spec,
+                                                          monkeypatch):
+        run_scenario(quick_spec)
+        old = weakref.ref(pipeline._LAST_SCENE[1])
+        alive_at_render = []
+        render = pipeline.range_profiles
+
+        def checked(*args, **kwargs):
+            alive_at_render.append(old() is not None)
+            return render(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "range_profiles", checked)
+        run_scenario(quick_spec, seed=1)
+        assert alive_at_render == [False]
+
+    @pytest.mark.parametrize("range_m, center", [(2.0, 7), (10.1, 33)])
+    def test_holds_a_read_only_copy_of_the_window_rows(self, quick_spec,
+                                                       range_m, center):
+        """The held rows are the render's, up to the target's phase window
+        (at the last heatmap row, every rendered row), in an array of
+        their own that cannot be written."""
+        target = dataclasses.replace(quick_spec.scene.targets[0],
+                                     range_m=range_m)
+        spec = dataclasses.replace(quick_spec, scene=dataclasses.replace(
+            quick_spec.scene, targets=(target,)))
+        (entry,) = run_scenario(spec).report["targets"]
+        assert entry["range_bin"] == center
+        held = pipeline._LAST_SCENE[1].profiles
+        noise_ss, _ = np.random.SeedSequence(spec.seed).spawn(2)
+        full = simulate.range_profiles(spec.scene, spec.radar,
+                                       snr_db=spec.snr_db, seed=noise_ss)
+        rows = min(center + vitals.PHASE_CHANNELS // 2 + 1,
+                   full.data.shape[0])
+        assert held.data.shape == (rows,) + full.data.shape[1:]
+        assert held.data.base is None
+        assert np.array_equal(held.data, full.data[:rows])
+        assert np.array_equal(held.range_axis, full.range_axis[:rows])
+        with pytest.raises(ValueError, match="read-only"):
+            held.data[0, 0, 0] = 0.0
+
+    def test_concurrent_runs_get_their_serial_reports(self, quick_spec):
+        """Four threads (more than this machine's cores, at a short switch
+        interval), two on each of two captures, run at once, three times
+        over: each writes the report of a run made alone."""
+        seeds = (0, 0, 1, 1)
+        serial = {}
+        for seed in seeds:
+            pipeline._LAST_SCENE = None
+            serial[seed] = _report_text(run_scenario(quick_spec, seed=seed))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                pipeline._LAST_SCENE = None
+                start = threading.Barrier(len(seeds))
+                got = [None] * len(seeds)
+
+                def run(i):
+                    start.wait()
+                    got[i] = _report_text(
+                        run_scenario(quick_spec, seed=seeds[i]))
+
+                threads = [threading.Thread(target=run, args=(i,))
+                           for i in range(len(seeds))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                assert got == [serial[s] for s in seeds]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestStrictKeys:
