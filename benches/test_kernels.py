@@ -11,7 +11,11 @@ builds them: the clean scene's noisy range profiles at the rows the
 pipeline renders (``range_profiles``), and the unsteered phase channels
 of its localized target.  The noiseless
 render (the signal model without the noise draws) is also timed on
-``range_overlap``, the only scene with a mover.  The decomposition
+``range_overlap``, the only scene with a mover, twice: warm, with the
+scene's range-domain tones held as every render after a scene's first
+reads them (``simulate._tones``), and cold, with the tone slot emptied
+before each round, as the first render of a scene computes them.  The
+noisy render is timed warm from its second round on.  The decomposition
 is timed at two sizes: the clean chain's 100 kept bins and the bench
 scenario's full 1001-bin spectrum.
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
@@ -84,12 +88,24 @@ def test_render_profiles(benchmark, spec, profiles):
     assert out.data.shape == profiles.data.shape
 
 
+def _empty_tone_slot():
+    simulate._TONES = None
+
+
+@pytest.mark.parametrize("tones", ["warm", "cold"])
 @pytest.mark.parametrize("name", ["clean", "range_overlap"])
-def test_render_profiles_noiseless(benchmark, name):
-    """The pipeline's rows at every slow sample, without noise."""
+def test_render_profiles_noiseless(benchmark, name, tones):
+    """The pipeline's rows at every slow sample, without noise, with the
+    scene's tones held (warm) or computed first (cold)."""
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
     cfg = scenario.radar
-    out = benchmark(simulate.range_profiles, scenario.scene, cfg)
+    args = (scenario.scene, cfg)
+    if tones == "warm":
+        simulate.range_profiles(*args)
+        out = benchmark(simulate.range_profiles, *args)
+    else:
+        out = benchmark.pedantic(simulate.range_profiles, args=args,
+                                 setup=_empty_tone_slot, rounds=20)
     assert out.data.shape[2] == cfg.num_virtual
 
 

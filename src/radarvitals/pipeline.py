@@ -122,11 +122,6 @@ class ScenarioSpec(Record):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
 
 @dataclass
 class VitalsChain:

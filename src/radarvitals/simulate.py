@@ -23,7 +23,11 @@ Two renderers share one per-scatterer signal model (``_returns``):
 * :func:`render_profiles` renders the range profiles (the cube's fast-time
   FFT) directly at chosen bins and slow samples, noise included, and
   :func:`range_profiles` wraps the bins a run reads as
-  :class:`RangeProfiles`.
+  :class:`RangeProfiles`.  Each scatterer's range-domain tone (the FFT of
+  its fast-time factor) depends on the scene and the radar only, so it is
+  computed once per scene and held in one module-level slot
+  (:func:`_tones`): every later render of the scene, another seed's or
+  the steering correction, reuses it, byte for byte.
   Every return is linear in its gain and the noise does not depend on it,
   so the same renderer with the gain offset by one and no noise gives the
   steered-minus-unsteered difference that transmit steering adds to
@@ -121,31 +125,37 @@ def _scatterers(scene: Scene, slow_t: np.ndarray):
         yield r_m, r_m, mv.angle_at(slow_t), mv.amplitude_at(slow_t)
 
 
+def _fast_time(cfg: RadarConfig, beat_r: np.ndarray) -> np.ndarray:
+    """The fast-time beat tones of the beat ranges ``beat_r`` (1-D), shaped
+    ``(samples_per_chirp, beat_r.size)``."""
+    fast_t = np.arange(cfg.samples_per_chirp) * cfg.adc_interval
+    return np.exp((2j * np.pi * cfg.chirp_slope_factor)
+                  * np.multiply.outer(fast_t, beat_r))
+
+
 def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights,
              gain_offset: float = 0.0):
     """Noise-free return of every scatterer at slow times ``slow_t``.
 
-    Yields one ``(fast, slow_ant)`` pair per scatterer tuple of
-    :func:`_scatterers`, shaped ``(samples_per_chirp, 1 or S)`` and
-    ``(1 or S, num_virtual)`` with ``S = slow_t.size``; the scatterer adds
-    ``fast[:, :, None] * slow_ant[None, :, :]`` to the cube.  ``fast`` is
-    the fast-time beat tone of the beat range; ``slow_ant`` holds the
-    amplitude, the carrier phase of the phase range, the illumination gain
-    and the receive-array response (:func:`aoa.steering_matrix`).  The gain
-    is the illumination gain of ``tx_weights`` minus ``gain_offset``; every
-    return is linear in it.
+    Yields one ``(beat_r, slow_ant)`` pair per scatterer tuple of
+    :func:`_scatterers`, shaped ``(1 or S,)`` and ``(1 or S, num_virtual)``
+    with ``S = slow_t.size``; the scatterer adds ``fast[:, :, None] *
+    slow_ant[None, :, :]`` to the cube, where ``fast = _fast_time(cfg,
+    beat_r)`` is the fast-time beat tone of the beat range, checked against
+    the beat limit here.  ``slow_ant`` holds the amplitude, the carrier
+    phase of the phase range, the illumination gain and the receive-array
+    response (:func:`aoa.steering_matrix`).  The gain is the illumination
+    gain of ``tx_weights`` minus ``gain_offset``; every return is linear in
+    it.
     """
     lam = cfg.wavelength
-    fast_t = np.arange(cfg.samples_per_chirp) * cfg.adc_interval
     for beat_r, phase_r, angle, amp in _scatterers(scene, slow_t):
         beat_r = np.atleast_1d(beat_r)
         _check_beat(cfg, float(beat_r.max()))
-        fast = np.exp((2j * np.pi * cfg.chirp_slope_factor)
-                      * np.multiply.outer(fast_t, beat_r))
         gain = _illumination(angle, tx_weights, cfg) - gain_offset
         coef = amp * gain * np.exp((4j * np.pi / lam) * phase_r)
         ant = steering_matrix(angle, cfg.num_virtual, cfg.rx_spacing, lam)
-        yield fast, coef[:, None] * ant.T
+        yield beat_r, coef[:, None] * ant.T
 
 
 def synthesize_cube(
@@ -171,8 +181,8 @@ def synthesize_cube(
     frame_t, slow_t = _slow_times(cfg, scene.duration)
     cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
                     dtype=np.complex128)
-    for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
-        cube += fast[:, :, None] * slow_ant[None, :, :]
+    for beat_r, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
+        cube += _fast_time(cfg, beat_r)[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
         rng = np.random.default_rng(seed)
@@ -208,6 +218,53 @@ def _draw_noise(rng: np.random.Generator, planes: np.ndarray,
         plane *= sigma
 
 
+# Slow samples per block when an array-valued scatterer's tones are
+# computed, so no (samples_per_chirp, S) temporary is formed.
+TONE_BLOCK = 256
+
+# ``(key, tones)`` of the last scene :func:`_tones` computed.  It is read
+# and replaced whole, never changed in place, so concurrent renders need no
+# lock: a race costs a computation, and an entry always belongs to its key.
+_TONES: tuple[str, tuple[np.ndarray, ...]] | None = None
+
+
+def _tones(scene: Scene, cfg: RadarConfig) -> tuple[np.ndarray, ...]:
+    """Each scatterer's range-domain tone, in :func:`_scatterers` order.
+
+    A tone is the fast-time FFT of the scatterer's fast-time factor
+    (:func:`_fast_time`) at all ``samples_per_chirp // 2 + 1`` one-sided
+    bins: one column for a scalar beat range, one column per slow sample of
+    the scene for an array-valued one.  It depends on the scene and the
+    radar only, so the tones are held in :data:`_TONES`, keyed on
+    ``repr((scene, cfg))`` (so -0.0 and 0.0, or 30 and 30.0, are different
+    scenes), and every render of the scene reads them: later seeds and the
+    steering correction compute none.  The arrays are read-only.  A miss
+    empties the slot first and computes an array-valued tone
+    :data:`TONE_BLOCK` slow samples at a time; it checks no beat limit.
+    """
+    global _TONES
+    key = repr((scene, cfg))
+    held = _TONES
+    if held is not None and held[0] == key:
+        return held[1]
+    held = _TONES = None              # this frame's reference goes too
+    n_bins = cfg.samples_per_chirp // 2 + 1
+    _, slow_t = _slow_times(cfg, scene.duration)
+    tones = []
+    for beat_r, *_ in _scatterers(scene, slow_t):
+        beat_r = np.atleast_1d(beat_r)
+        tone = np.empty((n_bins, beat_r.size), dtype=np.complex128)
+        for start in range(0, beat_r.size, TONE_BLOCK):
+            cols = slice(start, start + TONE_BLOCK)
+            tone[:, cols] = np.fft.fft(_fast_time(cfg, beat_r[cols]),
+                                       axis=0)[:n_bins]
+        tone.flags.writeable = False
+        tones.append(tone)
+    tones = tuple(tones)
+    _TONES = (key, tones)
+    return tones
+
+
 def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
                     tx_weights=None, gain_offset: float = 0.0,
                     snr_db: float | None = None, seed=None) -> np.ndarray:
@@ -216,9 +273,10 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
     Without noise this equals ``range_fft(synthesize_cube(scene, cfg,
     tx_weights)).data`` at those bins and samples, up to rounding, shaped
     ``(len(bins), S, num_virtual)``, but no cube is formed: each
-    scatterer's fast-time factor (``_returns``) is transformed once along
-    fast time and kept at ``bins``, then multiplied by its slow-antenna
-    factor.  The illumination gain is that of ``tx_weights`` minus
+    scatterer's range-domain tone (:func:`_tones`, computed once per scene)
+    is read at ``bins`` and, if it varies over slow time, at ``slow_idx``,
+    then multiplied by its slow-antenna factor (``_returns``), computed per
+    call.  The illumination gain is that of ``tx_weights`` minus
     ``gain_offset``, so ``gain_offset=1`` gives what steering adds to the
     unsteered profiles.  The beat limit is checked at ``slow_idx`` only.
 
@@ -245,9 +303,12 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
         draw = _NOISE_DRAW.submit(_draw_noise, np.random.default_rng(seed),
                                   noise, sigma)
     try:
-        for fast, slow_ant in _returns(scene, cfg, slow_t, tx_weights,
-                                       gain_offset=gain_offset):
-            tone = np.fft.fft(fast, axis=0)[bins]
+        returns = _returns(scene, cfg, slow_t, tx_weights,
+                           gain_offset=gain_offset)
+        for tone, (_, slow_ant) in zip(_tones(scene, cfg), returns):
+            tone = tone[bins]
+            if tone.shape[1] > 1:
+                tone = tone[:, slow_idx]
             # Row by row, so no whole-profile temporary sits beside the
             # noise planes.
             for row, t in zip(out, tone):

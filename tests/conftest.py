@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import radarvitals as rv
-from radarvitals import pipeline
+from radarvitals import pipeline, simulate
 
 settings.register_profile(
     "suite",
@@ -16,9 +16,11 @@ settings.load_profile("suite")
 
 @pytest.fixture(autouse=True)
 def empty_scene_slot():
-    """Start every test with no held scene, so a test that counts renders
-    or breaks a scene stage never meets an earlier test's capture."""
+    """Start every test with no held scene and no held tones, so a test
+    that counts renders or breaks a scene stage or a render never meets an
+    earlier test's capture or scene."""
     pipeline._LAST_SCENE = None
+    simulate._TONES = None
 
 
 @pytest.fixture(scope="session")

@@ -9,6 +9,7 @@ import pytest
 import radarvitals as rv
 from radarvitals.cli import _parse_n_keep, build_parser, main
 from radarvitals.pipeline import ScenarioSpec
+from scenario_files import write_spec
 
 FUSION_STRESS = (Path(__file__).parents[1] / "scenarios"
                  / "fusion_stress.json")
@@ -37,21 +38,21 @@ def _run_with(tmp_path, capsys, path, key, value) -> str:
 @pytest.fixture(scope="module")
 def scenario_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "tiny.json"
-    ScenarioSpec(
+    write_spec(ScenarioSpec(
         name="tiny",
         scene=rv.Scene(
             statics=(rv.PointReflector(4.0, -10.0, 0.8),),
             targets=(rv.VitalTarget(2.0, 30.0, 1.0, rv.VitalParams()),),
             duration=8.0),
-        seed=3).to_json(path)
+        seed=3), path)
     return path
 
 
 @pytest.fixture(scope="module")
 def empty_scenario_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("scenario") / "empty.json"
-    ScenarioSpec(name="void", scene=rv.Scene(duration=5.0),
-                 snr_db=0.0).to_json(path)
+    write_spec(ScenarioSpec(name="void", scene=rv.Scene(duration=5.0),
+                            snr_db=0.0), path)
     return path
 
 
@@ -288,8 +289,9 @@ class TestSuiteVerb:
         scen_dir.mkdir()
         for stem in ("one", "two"):
             spec = ScenarioSpec.from_json(scenario_path)
-            ScenarioSpec.from_dict({**spec.to_dict(), "name": stem}) \
-                .to_json(scen_dir / f"{stem}.json")
+            write_spec(ScenarioSpec.from_dict({**spec.to_dict(),
+                                               "name": stem}),
+                       scen_dir / f"{stem}.json")
         out = tmp_path / "multi"
         rc = main(["suite", "--scenario", str(scen_dir), "--out", str(out),
                    "--repetitions", "1"])
@@ -335,7 +337,7 @@ class TestBenchVerb:
         """With 4 modes, n_keep 4 keeps fewer than the 8 bins needed."""
         path = tmp_path / "four_modes.json"
         spec = ScenarioSpec.from_json(scenario_path)
-        dataclasses.replace(spec, num_modes=4).to_json(path)
+        write_spec(dataclasses.replace(spec, num_modes=4), path)
         rc = main(["bench", "--scenario", str(path),
                    "--out", str(tmp_path / "b"), "--n-keep", "4,full",
                    "--repeats", "1"])

@@ -18,6 +18,7 @@ from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
 from radarvitals.rangefft import range_bin_of, range_fft
 from radarvitals.simulate import synthesize_cube
 from radarvitals.vitals import band_seeded_init
+from scenario_files import write_spec
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -661,7 +662,7 @@ class TestStrictKeys:
 class TestSpecSerialization:
     def test_json_round_trip(self, quick_spec, tmp_path):
         path = tmp_path / "spec.json"
-        quick_spec.to_json(path)
+        write_spec(quick_spec, path)
         again = ScenarioSpec.from_json(path)
         assert again.to_dict() == quick_spec.to_dict()
         assert again == quick_spec          # bands come back as tuples
@@ -671,7 +672,7 @@ class TestSpecSerialization:
         for p in sorted(SCENARIOS.glob("*.json")):
             spec = ScenarioSpec.from_json(p)
             names.add(spec.name)
-            spec.to_json(tmp_path / p.name)
+            write_spec(spec, tmp_path / p.name)
             assert (tmp_path / p.name).read_bytes() == p.read_bytes()
         assert {"clean", "range-overlap", "fusion-stress", "bench"} <= names
 

@@ -378,6 +378,208 @@ class TestNoiseDraw:
             assert np.array_equal(got.get(timeout=60), want)
 
 
+def _count_tone_computations(monkeypatch) -> list:
+    """Count the fast-time tone computations from here on: a render whose
+    scene's tones are held computes none."""
+    calls = []
+    fast_time = simulate._fast_time
+
+    def counted(cfg, beat_r):
+        calls.append(beat_r.size)
+        return fast_time(cfg, beat_r)
+    monkeypatch.setattr(simulate, "_fast_time", counted)
+    return calls
+
+
+def _static_at(range_m, angle_deg):
+    return rv.Scene(statics=(rv.PointReflector(range_m, angle_deg, 0.8),),
+                    duration=1.0)
+
+
+# (first, second) (scene, radar) pairs whose tones differ.
+TONES_RECOMPUTED = {
+    "scene": lambda s, c: ((s, c), (dataclasses.replace(s, duration=1.5), c)),
+    "radar": lambda s, c: ((s, c),
+                           (s, dataclasses.replace(c, frame_rate=25.0))),
+    # equal under ==, different under repr
+    "zero_sign": lambda s, c: ((_static_at(4.0, 0.0), c),
+                               (_static_at(4.0, -0.0), c)),
+    "int_for_float": lambda s, c: ((_static_at(4, 0.0), c),
+                                   (_static_at(4.0, 0.0), c)),
+}
+# render_profiles arguments a second render of the same scene changes.
+ROWS = dict(bins=np.arange(36), slow_idx=slice(None), snr_db=20.0, seed=1)
+TONES_REUSED = {
+    "seed": dict(seed=2),
+    "snr_db": dict(snr_db=5.0),
+    "tx_weights": dict(tx_weights=np.array([1.0, 1j])),
+    "gain_offset": dict(gain_offset=1.0),
+    "bins": dict(bins=[3, 9, 64]),
+    "slow_idx": dict(slow_idx=np.arange(5, 160, 4)),
+}
+
+
+class TestToneSlot:
+    """Each scatterer's range-domain tone is computed once per scene."""
+
+    @staticmethod
+    def target_window(spec):
+        """(noisy profiles at ``spec.seed``, steering weights at the
+        target, the phase window's bins and frames at its range bin)."""
+        cfg = spec.radar
+        tgt = spec.scene.targets[0]
+        prof = simulate.range_profiles(spec.scene, cfg, snr_db=spec.snr_db,
+                                       seed=spec.seed)
+        tx = tx_weights(tgt.angle_deg, cfg.wavelength,
+                        num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
+        bins, frames = vitals.phase_window(prof,
+                                           range_bin_of(tgt.range_m, cfg))
+        return prof, tx, np.arange(bins.start, bins.stop), frames
+
+    @pytest.mark.parametrize("name", ["clean", "range_overlap",
+                                      "fusion_stress", "bench"])
+    def test_warm_renders_equal_cold_renders(self, name):
+        """The noisy profiles and the steering correction at the target's
+        window, each rendered with the slot emptied, equal those rendered
+        after another render of the scene filled it: another seed's
+        profiles, or the correction at the window's frames only."""
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        scene, cfg = spec.scene, spec.radar
+
+        def profiles(seed):
+            return simulate.range_profiles(scene, cfg, snr_db=spec.snr_db,
+                                           seed=seed).data
+
+        prof, tx, bins, frames = self.target_window(spec)
+
+        def correction():
+            return simulate.render_profiles(scene, cfg, bins, frames,
+                                            tx_weights=tx, gain_offset=1.0)
+
+        simulate._TONES = None
+        cold_correction = correction()
+        assert np.abs(cold_correction).max() > 0
+        # warmed at the window's frames only, then the whole profile
+        assert np.array_equal(profiles(spec.seed), prof.data)
+        simulate._TONES = None
+        profiles(spec.seed + 1)
+        assert np.array_equal(correction(), cold_correction)
+        assert np.array_equal(profiles(spec.seed), prof.data)
+
+    @pytest.mark.parametrize("block", [simulate.TONE_BLOCK, 101, 37])
+    @pytest.mark.parametrize("name", ["range_overlap", "fusion_stress"])
+    def test_blocked_tones_equal_one_whole_computation(self, name, block,
+                                                       monkeypatch):
+        """A mover's tone, computed a block of slow samples at a time, is
+        the FFT of its whole fast-time factor, bit for bit; neither scene's
+        slow-sample count is a multiple of a block."""
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        scene, cfg = spec.scene, spec.radar
+        monkeypatch.setattr(simulate, "TONE_BLOCK", block)
+        _, slow_t = simulate._slow_times(cfg, scene.duration)
+        assert slow_t.size % block != 0
+        tones = simulate._tones(scene, cfg)
+        scatterers = list(simulate._scatterers(scene, slow_t))
+        assert len(tones) == len(scatterers) and scene.movers
+        for tone, (beat_r, *_) in zip(tones, scatterers):
+            beat_r = np.atleast_1d(beat_r)
+            whole = np.fft.fft(simulate._fast_time(cfg, beat_r), axis=0)
+            assert tone.shape == (cfg.samples_per_chirp // 2 + 1,
+                                  beat_r.size)
+            assert np.array_equal(tone, whole[:tone.shape[0]])
+
+    @pytest.mark.parametrize("change", TONES_RECOMPUTED)
+    def test_another_scene_or_radar_recomputes(self, cfg, overlap_scene,
+                                               monkeypatch, change):
+        first, second = TONES_RECOMPUTED[change](overlap_scene, cfg)
+        calls = _count_tone_computations(monkeypatch)
+        for scene_radar in (first, second):
+            del calls[:]
+            simulate.render_profiles(*scene_radar, np.arange(36),
+                                     slice(None))
+            assert calls
+        # the last two are the same scene and radar to ==, not to repr
+        assert (first == second) == (change in ("zero_sign",
+                                                "int_for_float"))
+
+    @pytest.mark.parametrize("change", TONES_REUSED)
+    def test_other_render_arguments_reuse_the_tones(self, cfg, overlap_scene,
+                                                    monkeypatch, change):
+        calls = _count_tone_computations(monkeypatch)
+        simulate.render_profiles(overlap_scene, cfg, **ROWS)
+        assert sum(calls) == 2 + 40 * 4     # two scalars, one mover
+        del calls[:]
+        second = {**ROWS, **TONES_REUSED[change]}
+        warm = simulate.render_profiles(overlap_scene, cfg, **second)
+        assert calls == []
+        simulate._TONES = None
+        assert np.array_equal(
+            warm, simulate.render_profiles(overlap_scene, cfg, **second))
+
+    def test_held_tones_are_read_only(self, cfg, overlap_scene):
+        simulate.render_profiles(overlap_scene, cfg, np.arange(4),
+                                 slice(None))
+        key, tones = simulate._TONES
+        assert key == repr((overlap_scene, cfg))
+        assert [t.shape[1] for t in tones] == [1, 1, 160]
+        for tone in tones:
+            with pytest.raises(ValueError, match="read-only"):
+                tone[0, 0] = 1.0
+        assert tones is simulate._tones(overlap_scene, cfg)
+
+    def test_beat_limit_is_checked_at_the_rendered_samples_only(self, cfg):
+        """A mover that leaves the unambiguous range in its last frames
+        renders at the earlier samples, before and after its tones are
+        held, and fails at the later ones either way."""
+        r_max = cfg.max_unambiguous_range
+        scene = rv.Scene(movers=(rv.MovingReflector(waypoints=(
+            (0.0, 2.0, 0.0), (0.5, r_max - 0.5, 0.0),
+            (1.0, r_max + 2.0, 0.0))),), duration=1.0)
+        early, late = np.arange(40), np.arange(40, 80)   # t < 0.5, t >= 0.5
+        bins = np.arange(8)
+        for held in (False, True):
+            if not held:
+                simulate._TONES = None
+            assert np.abs(simulate.render_profiles(
+                scene, cfg, bins, early)).max() > 0
+            with pytest.raises(ValueError, match="Nyquist"):
+                simulate.render_profiles(scene, cfg, bins, late)
+        with pytest.raises(ValueError, match="Nyquist"):
+            simulate.render_profiles(scene, cfg, bins, slice(None))
+
+    def test_concurrent_renders_of_two_scenes_get_their_serial_arrays(
+            self, cfg, overlap_scene):
+        """Four threads, two per scene, render at a short switch interval,
+        so each keeps replacing the other scene's tones."""
+        scenes = (overlap_scene,
+                  dataclasses.replace(overlap_scene, duration=1.5))
+        jobs = [(scenes[i % 2], 3 + i) for i in range(4)]
+        serial = [render_noisy(cfg, s, seed) for s, seed in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(3):
+                simulate._TONES = None
+                start = threading.Barrier(len(jobs))
+                got = {}
+
+                def render(i):
+                    start.wait()
+                    got[i] = render_noisy(cfg, *jobs[i])
+
+                threads = [threading.Thread(target=render, args=(i,))
+                           for i in range(len(jobs))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+                for i, want in enumerate(serial):
+                    assert np.array_equal(got[i], want), i
+        finally:
+            sys.setswitchinterval(interval)
+
+
 class TestDetections:
     # Five standard deviations of the simulated box jitter.
     TOL_PX = 5 * simulate.JITTER_PX
