@@ -7,17 +7,14 @@ Run from the repository root (not part of the Tier-1 tests, which collect
     PYTHONPATH=src python -m pytest benches --benchmark-only
 
 Each kernel is timed alone on inputs built once per module, as a run
-builds them: the clean scene's noisy range profiles at the rows the
-pipeline renders (``range_profiles``), and the unsteered phase channels
-of its localized target.  The noiseless
-render (the signal model without the noise draws) is also timed on
-``range_overlap``, the only scene with a mover, twice: warm, with the
-scene's range-domain tones held as every render after a scene's first
-reads them (``simulate._tones``), and cold, with the tone slot emptied
-before each round, as the first render of a scene computes them.  The
-noisy render is timed warm from its second round on.  The decomposition
-is timed at two sizes: the clean chain's 100 kept bins and the bench
-scenario's full 1001-bin spectrum.
+builds them: the clean scene's noisy heatmap rows at the still window's
+frames (``range_profiles``), and the unsteered phase channels of its
+localized target.  The pipeline's two on-demand renders, noise included,
+are timed on ``clean`` and on ``range_overlap``, the scene with a mover:
+the heatmap's rows at the still window's frames (``range_profiles``) and
+the target's phase window at every frame, steered (``window_profiles``).
+The decomposition is timed at two sizes: the clean chain's 100 kept bins
+and the bench scenario's full 1001-bin spectrum.
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
 renderer is tested against; the pipeline never calls them.  Timings of
 the BLAS-backed calls (``select_mode_count``) depend on whether the BLAS
@@ -30,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radarvitals import aoa, pipeline, rangefft, simulate, vitals
+from radarvitals import aoa, beamform, pipeline, rangefft, simulate, vitals
 from radarvitals.pipeline import ScenarioSpec
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -57,12 +54,14 @@ def profiles(spec):
 
 
 @pytest.fixture(scope="module")
-def chain_inputs(spec, profiles):
+def chain_inputs(spec):
     """(phase channels, channel weights, mode count, kept spectra) of the
-    clean scene's target, read off the unsteered profiles."""
+    clean scene's target, read off its unsteered phase window."""
     res = pipeline.run_scenario(spec, beamforming=False)
     _, _, loc = res.locations[0]
-    phase = vitals.extract_phase(profiles, loc.range_bin)
+    window = simulate.window_profiles(spec.scene, spec.radar, loc.range_bin,
+                                      snr_db=spec.snr_db, seed=spec.seed)
+    phase = vitals.extract_phase(window, loc.range_bin)
     cw = vitals.adaptive_weights(phase.samples)
     k = vitals.select_mode_count(cw.weights @ phase.samples)
     spectra = vitals.truncate_spectrum(
@@ -82,37 +81,33 @@ def test_range_fft(benchmark, spec):
     assert out.data.shape[0] == out.num_bins
 
 
-def test_render_profiles(benchmark, spec, profiles):
-    """The pipeline's render: the bins it reads, at every slow sample."""
-    out = benchmark(_profiles, spec)
-    assert out.data.shape == profiles.data.shape
-
-
-def _empty_tone_slot():
-    simulate._TONES = None
-
-
-@pytest.mark.parametrize("tones", ["warm", "cold"])
 @pytest.mark.parametrize("name", ["clean", "range_overlap"])
-def test_render_profiles_noiseless(benchmark, name, tones):
-    """The pipeline's rows at every slow sample, without noise, with the
-    scene's tones held (warm) or computed first (cold)."""
+def test_render_heatmap_rows(benchmark, name):
+    """The heatmap's rows at the still window's frames, noise included."""
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-    cfg = scenario.radar
-    args = (scenario.scene, cfg)
-    if tones == "warm":
-        simulate.range_profiles(*args)
-        out = benchmark(simulate.range_profiles, *args)
-    else:
-        out = benchmark.pedantic(simulate.range_profiles, args=args,
-                                 setup=_empty_tone_slot, rounds=20)
-    assert out.data.shape[2] == cfg.num_virtual
+    out = benchmark(_profiles, scenario)
+    assert out.data.shape == (34, 60, scenario.radar.num_virtual)
+
+
+@pytest.mark.parametrize("name", ["clean", "range_overlap"])
+def test_render_phase_window(benchmark, name):
+    """The target's phase window at every frame, steered, noise
+    included."""
+    scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+    cfg, tgt = scenario.radar, scenario.scene.targets[0]
+    tx = beamform.tx_weights(tgt.angle_deg, cfg.wavelength,
+                             num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
+    center = rangefft.range_bin_of(tgt.range_m, cfg)
+    out = benchmark(simulate.window_profiles, scenario.scene, cfg, center,
+                    tx, snr_db=scenario.snr_db, seed=scenario.seed)
+    assert out.data.shape == (vitals.PHASE_CHANNELS, 600, cfg.num_virtual)
 
 
 def test_range_angle_heatmap(benchmark, profiles):
-    """The rows at or below ``aoa.MAX_RANGE_M``: 34 of the 36 rendered."""
+    """The rows at or below ``aoa.MAX_RANGE_M``, every row rendered, each
+    covariance over the still window's 60 snapshots."""
     hm = benchmark(aoa.range_angle_heatmap, profiles)
-    assert hm.power.shape[0] == 34 and profiles.data.shape[0] == 36
+    assert hm.power.shape[0] == profiles.data.shape[0] == 34
     assert np.all(np.isfinite(hm.power))
 
 

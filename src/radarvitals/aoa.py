@@ -79,7 +79,8 @@ class Heatmap:
 
 def range_angle_heatmap(profiles: RangeProfiles) -> Heatmap:
     """MVDR spectrum of every range bin at or below :data:`MAX_RANGE_M`,
-    each bin's covariance over all its slow-time snapshots.
+    each bin's covariance over all its slow-time snapshots (in a run, one
+    snapshot per frame over the still window).
 
     Only those rows are computed, so the localizer pays for nothing it
     does not search.  Each covariance is written into one preallocated

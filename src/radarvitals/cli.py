@@ -17,14 +17,12 @@ radarvitals pattern --role rx --steer 30 --elements 8 --out pattern.csv
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 from pathlib import Path
 
-from scipy.constants import c as SPEED_OF_LIGHT
-
 from . import beamform
+from .config import SPEED_OF_LIGHT
 from .pipeline import ScenarioFailed, ScenarioSpec, bench_acceleration, \
     run_scenario, run_suite, write_run_outputs
 
@@ -151,9 +149,7 @@ def _cmd_run(args) -> int:
     spec = _load(args.scenario)
     if spec is None:
         return 2
-    if args.seed is not None:
-        spec = dataclasses.replace(spec, seed=args.seed)
-    res = run_scenario(spec,
+    res = run_scenario(spec, seed=args.seed,
                        beamforming=False if args.no_beamforming else None,
                        n_keep=args.n_keep)
     path = write_run_outputs(res, args.out)
@@ -187,11 +183,9 @@ def _cmd_suite(args) -> int:
         return 2
     rc = 0
     for path, spec in zip(paths, specs):
-        if args.seed is not None:
-            spec = dataclasses.replace(spec, seed=args.seed)
         out = args.out / path.stem if len(paths) > 1 else args.out
         summary = run_suite(
-            spec, repetitions=args.repetitions, out_dir=out,
+            spec, repetitions=args.repetitions, out_dir=out, seed=args.seed,
             beamforming=False if args.no_beamforming else None,
             n_keep=args.n_keep)
         print(f"{spec.name}: {summary['repetitions']} runs, "

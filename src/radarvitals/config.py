@@ -23,7 +23,10 @@ import typing
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
-from scipy.constants import c as SPEED_OF_LIGHT
+
+# Speed of light in vacuum, m/s: exact by the SI definition of the metre
+# (the value of ``scipy.constants.c``, without scipy's import time).
+SPEED_OF_LIGHT = 299_792_458.0
 
 
 def _require(cond: bool, msg: str) -> None:

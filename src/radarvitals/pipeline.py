@@ -7,32 +7,23 @@ field of view is the angle grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs
 at the radar frame rate).  :func:`run_scenario` executes one seeded
 repetition as a single chain of timed stages:
 
-* scene stages - ``simulate`` (the range profiles rendered directly at the
-  bins the later stages read and every slow sample, see
-  :func:`simulate.range_profiles`, their noise drawn on one helper thread
-  while the signal renders; and the camera boxes, their jitter one
-  vectorized draw), ``heatmap`` (the bins at or below
-  :data:`aoa.MAX_RANGE_M`), ``localize``;
+* scene stages - ``simulate`` (the heatmap's rows, the bins at or below
+  :data:`aoa.MAX_RANGE_M`, rendered directly at the still window's frames,
+  the last :data:`fusion.STATIONARY_WINDOW_S` seconds, one snapshot per
+  frame, see :func:`simulate.range_profiles`; and the camera boxes, their
+  jitter one vectorized draw), ``heatmap`` (the MVDR covariance of each
+  row from one snapshot per frame over the still window), ``localize``;
 * per localized target, the vitals chain - ``beamform`` (when beamforming
-  is on: transmit steering added to a copy of the unsteered profiles up
-  to the phase window, at the bins and samples the phase stage reads, by
-  the same renderer, plus receive weights), ``phase``, ``weights``,
+  is on: transmit and receive weights steered at the target), ``phase``
+  (the phase window's rows rendered at every frame, steered when
+  beamforming, see :func:`simulate.window_profiles`), ``weights``,
   ``mode_count``, ``spectrum``, ``decompose``, ``rates``.
 
-No raw cube is rendered: :func:`simulate.synthesize_cube` and
-:func:`rangefft.range_fft` remain the reference the renderer is tested
-against.
-
-Each capture is rendered once (:func:`_scene_stages`).  The scene stages'
-outputs are held in one module-level slot, keyed on the ``repr`` of what
-they read (``scene``, ``radar``, ``snr_db``, ``seed``; not
-``beamforming``, ``n_keep`` or ``num_modes``), so the unsteered run of a
-seed reuses its steered run's render, heatmap and localization.  The slot
-holds the heatmap, the locations, the stationary-track count and a
-read-only copy of the rendered rows up to the last target's phase window;
-every run's vitals chains read that copy.  A miss empties the slot before
-rendering, a failed scene stage stores nothing, and there is no option:
-the reused outputs are the ones a fresh render gives, byte for byte.
+Each render reads only what its stage reads, and range row ``r`` draws its
+noise from a stream of its own (the ``r``-th child of the run's noise
+seed), so a sample has one value whichever stage renders it.  No raw cube
+is rendered: :func:`simulate.synthesize_cube` and :func:`rangefft.range_fft`
+remain the reference the renderer is tested against.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
@@ -54,9 +45,9 @@ import numpy as np
 
 from . import aoa, beamform, fusion, vitals
 from .config import RadarConfig, Record, Scene, _require, check_keys
-from .rangefft import RangeProfiles, range_bin_of
-from .simulate import (range_profiles, render_profiles,
-                       synthesize_detections, target_track_ids)
+from .rangefft import range_bin_of
+from .simulate import (range_profiles, synthesize_detections,
+                       target_track_ids, window_profiles)
 # Not called by the pipeline; tools that trace a run wrap the reference
 # renderer and range FFT under these names.
 from .rangefft import range_fft  # noqa: F401
@@ -206,122 +197,35 @@ def _localize(detections, heatmap: aoa.Heatmap, report: dict) -> list:
     return located
 
 
-@dataclass(frozen=True)
-class _Scene:
-    """What the vitals chains of one capture read from its scene stages.
-
-    ``profiles`` holds a read-only copy of the rendered rows up to the last
-    located target's phase window, not the whole render.
-    """
-
-    profiles: RangeProfiles
-    heatmap: aoa.Heatmap
-    locations: tuple
-    num_stationary_tracks: int
-
-
-# ``(key, _Scene)`` of the last capture whose scene stages succeeded; see
-# :func:`_scene_stages`.  It is read and replaced whole, never changed in
-# place, so concurrent runs need no lock: a race costs a render, and an
-# entry always belongs to its key.
-_LAST_SCENE: tuple[str, _Scene] | None = None
-
-
-def _scene_stages(run: ScenarioSpec, timings: dict, report: dict) -> _Scene:
-    """simulate -> heatmap -> localize for the capture ``run`` describes,
-    or their outputs of the last run of the same capture.
-
-    A capture is keyed on the ``repr`` of what these stages read:
-    ``run.scene``, ``run.radar``, ``run.snr_db`` and ``run.seed`` (so -0.0
-    and 0.0, or 30 and 30.0, are different captures).  A hit charges the
-    lookup's time to each of the three stages.  A miss empties the slot
-    before rendering, so the old entry is freed first; a failed stage
-    stores nothing.
-    """
-    global _LAST_SCENE
-    t0 = time.perf_counter()
-    key = repr((run.scene, run.radar, run.snr_db, run.seed))
-    held = _LAST_SCENE
-    if held is not None and held[0] == key:
-        ms = (time.perf_counter() - t0) * 1e3
-        for name in ("simulate", "heatmap", "localize"):
-            timings[name] = ms
-        report["num_stationary_tracks"] = held[1].num_stationary_tracks
-        return held[1]
-    held = _LAST_SCENE = None         # this frame's reference goes too
-
-    cfg = run.radar
-    noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
-    with _stage(timings, "simulate"):
-        profiles = range_profiles(run.scene, cfg, snr_db=run.snr_db,
-                                  seed=noise_ss)
-        detections = synthesize_detections(run.scene, cfg.frame_rate,
-                                           seed=det_ss)
-    with _stage(timings, "heatmap"):
-        heatmap = aoa.range_angle_heatmap(profiles)
-    with _stage(timings, "localize"):
-        locations = _localize(detections, heatmap, report)
-    rows = min(profiles.data.shape[0],
-               max(loc.range_bin for _, _, loc in locations)
-               + vitals.PHASE_CHANNELS // 2 + 1)
-    data = profiles.data[:rows].copy()
-    data.flags.writeable = False
-    scene = _Scene(
-        profiles=dataclasses.replace(profiles, data=data,
-                                     range_axis=profiles.range_axis[:rows]),
-        heatmap=heatmap, locations=tuple(locations),
-        num_stationary_tracks=report["num_stationary_tracks"])
-    _LAST_SCENE = (key, scene)
-    return scene
-
-
-def _steered(spec: ScenarioSpec, profiles: RangeProfiles, tx,
-             center_bin: int) -> RangeProfiles:
-    """``profiles`` as if rendered with transmit weights ``tx``, exact only
-    at the bins and slow samples the phase stage reads.
-
-    A copy of the unsteered profiles up to the window's last bin, with the
-    steering difference (:func:`render_profiles` with the gain offset by
-    one, no noise) added in that window, so the phase stage indexes it by
-    absolute bin as usual.  The window is checked first (same error as the
-    phase stage raises).
-    """
-    bins, frames = vitals.phase_window(profiles, center_bin)
-    data = profiles.data[:bins.stop].copy()
-    data[bins.start:, frames] += render_profiles(
-        spec.scene, spec.radar, bins, frames, tx_weights=tx, gain_offset=1.0)
-    return dataclasses.replace(profiles, data=data,
-                               range_axis=profiles.range_axis[:bins.stop])
-
-
 def _kept_bins(n_keep: int, n_bins: int) -> int:
     """Spectrum bins an ``n_keep`` keeps: at most ``n_bins``."""
     return min(n_keep, n_bins)
 
 
-def _vitals_chain(spec: ScenarioSpec, profiles: RangeProfiles, loc,
+def _vitals_chain(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
                   timings: dict) -> VitalsChain:
     """beamform -> phase -> weights -> mode_count -> spectrum -> decompose
     -> rates for one localized target.
 
-    With beamforming, transmit weights steered at the target enter as a
-    closed-form correction to the unsteered profiles in the phase window
-    (no second render: both would share one noise realisation, so they
-    differ by a noise-free term), and the phase channels are
-    receive-combined; otherwise they are read off ``profiles`` directly.
+    The phase stage renders the target's phase window at every frame
+    (:func:`simulate.window_profiles`, with the capture's row noise
+    ``noise``), with transmit weights steered at the target when
+    beamforming, and receive-combines its channels; otherwise they are
+    read off the first antenna.
     """
     cfg = spec.radar
-    rx = None
+    tx = rx = None
     if spec.beamforming:
         with _stage(timings, "beamform"):
             tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
                                      num_elements=cfg.num_tx,
                                      spacing=cfg.tx_spacing)
-            profiles = _steered(spec, profiles, tx, loc.range_bin)
             rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength,
                                      num_elements=cfg.num_virtual,
                                      spacing=cfg.rx_spacing)
     with _stage(timings, "phase"):
+        profiles = window_profiles(spec.scene, cfg, loc.range_bin, tx,
+                                   snr_db=spec.snr_db, seed=noise)
         phase = vitals.extract_phase(profiles, loc.range_bin, rx=rx)
     with _stage(timings, "weights"):
         cw = vitals.adaptive_weights(phase.samples)
@@ -379,13 +283,21 @@ def run_scenario(
     result = RunResult(report=report, timings_ms={})
     timings = result.timings_ms
 
+    noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
     try:
-        scene = _scene_stages(run, timings, report)
+        with _stage(timings, "simulate"):
+            profiles = range_profiles(run.scene, cfg, snr_db=run.snr_db,
+                                      seed=noise_ss)
+            detections = synthesize_detections(run.scene, cfg.frame_rate,
+                                               seed=det_ss)
+        with _stage(timings, "heatmap"):
+            heatmap = aoa.range_angle_heatmap(profiles)
+        with _stage(timings, "localize"):
+            result.locations = _localize(detections, heatmap, report)
     except _StageFailed as e:
         report["failure_stage"] = e.stage
         report["error"] = str(e)
         return result
-    result.locations = list(scene.locations)
 
     truth = target_track_ids(run.scene)
     for track_id, window, loc in result.locations:
@@ -403,7 +315,7 @@ def run_scenario(
             entry["true_angle_deg"] = tgt.angle_deg
             entry["true_range_bin"] = range_bin_of(tgt.range_m, cfg)
             entry["true_angle_bin"] = int(np.argmin(
-                np.abs(scene.heatmap.angle_axis - tgt.angle_deg)))
+                np.abs(heatmap.angle_axis - tgt.angle_deg)))
             entry["range_bin_error"] = loc.range_bin - entry["true_range_bin"]
             entry["angle_bin_error"] = loc.angle_bin - entry["true_angle_bin"]
             entry["true_breaths_per_min"] = tgt.vitals.breath_freq * 60.0
@@ -411,7 +323,7 @@ def run_scenario(
         report["targets"].append(entry)
 
         try:
-            chain = _vitals_chain(run, scene.profiles, loc, timings)
+            chain = _vitals_chain(run, noise_ss, loc, timings)
         except _StageFailed as e:
             entry["failure"] = str(e)
             report["failure_stage"] = report["failure_stage"] or "vitals"
@@ -463,12 +375,16 @@ def run_suite(
     spec: ScenarioSpec,
     repetitions: int,
     out_dir=None,
+    seed: int | None = None,
     beamforming: bool | None = None,
     n_keep: int | None | str = "spec",
 ) -> dict:
-    """Run ``repetitions`` seeded repetitions (seeds spec.seed + i).
+    """Run ``repetitions`` seeded repetitions, seeds ``seed + i`` (``seed``
+    defaults to ``spec.seed``).
 
-    Error CDFs pool the per-target absolute rate errors of successful
+    Like the other overrides, ``seed`` is passed to :func:`run_scenario`,
+    so run ``i`` writes the report ``run_scenario(spec, seed=seed + i)``
+    writes.  Error CDFs pool the per-target absolute rate errors of successful
     runs; failed runs and missing rates are excluded from the CDFs and
     counted separately.  Writes per-run reports plus ``suite_summary.json``
     and CDF CSVs when ``out_dir`` is given.
@@ -479,8 +395,9 @@ def run_suite(
     failed_runs = 0
     missing_rr = 0
     missing_hr = 0
+    base = spec.seed if seed is None else seed
     for i in range(repetitions):
-        res = run_scenario(spec, seed=spec.seed + i,
+        res = run_scenario(spec, seed=base + i,
                            beamforming=beamforming, n_keep=n_keep)
         if out_dir is not None:
             write_run_outputs(res, Path(out_dir) / f"run-{i:03d}")
@@ -502,7 +419,7 @@ def run_suite(
     summary = {
         "scenario": spec.name,
         "repetitions": repetitions,
-        "base_seed": spec.seed,
+        "base_seed": base,
         "beamforming": (spec.beamforming if beamforming is None
                         else beamforming),
         "failed_runs": failed_runs,

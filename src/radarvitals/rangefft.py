@@ -2,8 +2,8 @@
 
 The range transform is always one chirp long (``samples_per_chirp``
 points, no zero padding).  :func:`range_fft` transforms a whole cube;
-:func:`simulate.range_profiles` renders the same profiles directly at the
-bins a run reads, without a cube.
+:func:`simulate.render_profiles` renders the same profiles directly at the
+bins and frames a run reads, one snapshot per frame, without a cube.
 """
 from __future__ import annotations
 
@@ -22,15 +22,19 @@ if TYPE_CHECKING:
 class RangeProfiles:
     """Range spectra over slow time: shape (range_bin, slow, virtual).
 
-    ``data`` holds the first rows of the ``samples_per_chirp // 2 + 1``-bin
-    one-sided profile (every row of it when made by :func:`range_fft`);
-    ``range_axis`` gives the range of each row held.
+    ``data`` holds consecutive rows of the ``samples_per_chirp // 2 +
+    1``-bin one-sided profile, from bin ``first_bin`` on (every row of it
+    when made by :func:`range_fft`); ``range_axis`` gives the range of each
+    row held.  Its slow axis holds the same number of snapshots for each
+    frame of ``frame_timestamps``: every chirp of a cube, or one (the
+    first chirp) when rendered.
     """
 
     data: np.ndarray
     range_axis: np.ndarray
     config: RadarConfig
     frame_timestamps: np.ndarray
+    first_bin: int = 0
 
     @property
     def num_bins(self) -> int:

@@ -21,31 +21,28 @@ Two renderers share one per-scatterer signal model (``_returns``):
   per scatterer; the pipeline never calls it, it is the reference the
   range-domain renderer is tested against.
 * :func:`render_profiles` renders the range profiles (the cube's fast-time
-  FFT) directly at chosen bins and slow samples, noise included, and
-  :func:`range_profiles` wraps the bins a run reads as
-  :class:`RangeProfiles`.  Each scatterer's range-domain tone (the FFT of
-  its fast-time factor) depends on the scene and the radar only, so it is
-  computed once per scene and held in one module-level slot
-  (:func:`_tones`): every later render of the scene, another seed's or
-  the steering correction, reuses it, byte for byte.
-  Every return is linear in its gain and the noise does not depend on it,
-  so the same renderer with the gain offset by one and no noise gives the
-  steered-minus-unsteered difference that transmit steering adds to
-  unsteered profiles.
+  FFT) directly at chosen bins and frames, one snapshot per frame (the
+  frame's first chirp, the only one any stage reads), noise included.
+  Each scatterer's range tone is the closed-form DFT of its fast-time
+  factor, computed at those bins and frames only (:func:`_tones`).  Range
+  row ``r`` draws its noise from a stream of its own, the still window's
+  frames first (:func:`_row_noise`), so a sample has one value whichever
+  render draws it.  The pipeline renders through two wrappers:
+  :func:`range_profiles`, the heatmap's rows at the still window's frames,
+  and :func:`window_profiles`, the phase window's rows at every frame,
+  steered or not.
 """
 from __future__ import annotations
 
-import os
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aoa import MAX_ANGLE_DEG, MAX_RANGE_M, steering_matrix
 from .config import BodyMotion, RadarConfig, Scene, VitalParams, VitalTarget
-from .fusion import IMAGE_WIDTH_PX, Box, DetectionFrame
+from .fusion import IMAGE_WIDTH_PX, STATIONARY_WINDOW_S, Box, DetectionFrame
 from .rangefft import RangeProfiles, range_bin_width
-from .vitals import PHASE_CHANNELS
+from .vitals import channel_bins
 
 
 def chest_displacement(t, vitals: VitalParams):
@@ -133,8 +130,7 @@ def _fast_time(cfg: RadarConfig, beat_r: np.ndarray) -> np.ndarray:
                   * np.multiply.outer(fast_t, beat_r))
 
 
-def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights,
-             gain_offset: float = 0.0):
+def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights):
     """Noise-free return of every scatterer at slow times ``slow_t``.
 
     Yields one ``(beat_r, slow_ant)`` pair per scatterer tuple of
@@ -144,16 +140,13 @@ def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights,
     beat_r)`` is the fast-time beat tone of the beat range, checked against
     the beat limit here.  ``slow_ant`` holds the amplitude, the carrier
     phase of the phase range, the illumination gain and the receive-array
-    response (:func:`aoa.steering_matrix`).  The gain is the illumination
-    gain of ``tx_weights`` minus ``gain_offset``; every return is linear in
-    it.
+    response (:func:`aoa.steering_matrix`).
     """
     lam = cfg.wavelength
     for beat_r, phase_r, angle, amp in _scatterers(scene, slow_t):
         beat_r = np.atleast_1d(beat_r)
         _check_beat(cfg, float(beat_r.max()))
-        gain = _illumination(angle, tx_weights, cfg) - gain_offset
-        coef = amp * gain * np.exp((4j * np.pi / lam) * phase_r)
+        coef = amp * _illumination(angle, tx_weights, cfg) * np.exp((4j * np.pi / lam) * phase_r)
         ant = steering_matrix(angle, cfg.num_virtual, cfg.rx_spacing, lam)
         yield beat_r, coef[:, None] * ant.T
 
@@ -193,158 +186,135 @@ def synthesize_cube(
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
 
-def _start_noise_worker() -> None:
-    """Create :data:`_NOISE_DRAW`: one worker, since a render's noise is one
-    seeded stream, drawn in order on its thread while the calling thread
-    renders the signal (numpy's fill releases the GIL).  Renders from
-    several threads queue their draws there.  A forked child gets a worker
-    of its own; the parent's thread does not exist in it."""
-    global _NOISE_DRAW
-    _NOISE_DRAW = futures.ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix="radarvitals-noise")
+def _still_frames(cfg: RadarConfig, n_frames: int) -> int:
+    """Frames in the still window that ends the capture: the last
+    :data:`fusion.STATIONARY_WINDOW_S` seconds, at least one frame and at
+    most every frame."""
+    return min(max(int(round(STATIONARY_WINDOW_S * cfg.frame_rate)), 1),
+               n_frames)
 
 
-_start_noise_worker()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_start_noise_worker)
+def _tones(cfg: RadarConfig, beat_r: np.ndarray, bins: np.ndarray):
+    """The range tones of the beat ranges ``beat_r`` (1-D) at range
+    ``bins``, shaped ``(bins.size, beat_r.size)``: the DFT of the fast-time
+    factor (:func:`_fast_time`) at those bins alone.
 
-
-def _draw_noise(rng: np.random.Generator, planes: np.ndarray,
-                sigma: float) -> None:
-    """Fill each plane of ``planes`` in turn with ``sigma`` times standard
-    normal draws of ``rng``."""
-    for plane in planes:
-        rng.standard_normal(out=plane)
-        plane *= sigma
-
-
-# Slow samples per block when an array-valued scatterer's tones are
-# computed, so no (samples_per_chirp, S) temporary is formed.
-TONE_BLOCK = 256
-
-# ``(key, tones)`` of the last scene :func:`_tones` computed.  It is read
-# and replaced whole, never changed in place, so concurrent renders need no
-# lock: a race costs a computation, and an entry always belongs to its key.
-_TONES: tuple[str, tuple[np.ndarray, ...]] | None = None
-
-
-def _tones(scene: Scene, cfg: RadarConfig) -> tuple[np.ndarray, ...]:
-    """Each scatterer's range-domain tone, in :func:`_scatterers` order.
-
-    A tone is the fast-time FFT of the scatterer's fast-time factor
-    (:func:`_fast_time`) at all ``samples_per_chirp // 2 + 1`` one-sided
-    bins: one column for a scalar beat range, one column per slow sample of
-    the scene for an array-valued one.  It depends on the scene and the
-    radar only, so the tones are held in :data:`_TONES`, keyed on
-    ``repr((scene, cfg))`` (so -0.0 and 0.0, or 30 and 30.0, are different
-    scenes), and every render of the scene reads them: later seeds and the
-    steering correction compute none.  The arrays are read-only.  A miss
-    empties the slot first and computes an array-valued tone
-    :data:`TONE_BLOCK` slow samples at a time; it checks no beat limit.
+    In closed form, ``sum_n e^{2 pi i n d}`` with ``d = alpha - b/N`` the
+    offset of the beat (``alpha`` cycles per sample) from bin ``b``, that
+    is ``(1 - e^{2 pi i N d}) / (1 - e^{2 pi i d})``, written as
+    ``e^{i pi (N-1) d} N sinc(N d) / sinc(d)`` so ``d = 0`` gives its limit
+    ``N``.  Inside the beat limit ``|d| < 1``, where ``sinc(d)`` has no
+    zero.
     """
-    global _TONES
-    key = repr((scene, cfg))
-    held = _TONES
-    if held is not None and held[0] == key:
-        return held[1]
-    held = _TONES = None              # this frame's reference goes too
-    n_bins = cfg.samples_per_chirp // 2 + 1
-    _, slow_t = _slow_times(cfg, scene.duration)
-    tones = []
-    for beat_r, *_ in _scatterers(scene, slow_t):
-        beat_r = np.atleast_1d(beat_r)
-        tone = np.empty((n_bins, beat_r.size), dtype=np.complex128)
-        for start in range(0, beat_r.size, TONE_BLOCK):
-            cols = slice(start, start + TONE_BLOCK)
-            tone[:, cols] = np.fft.fft(_fast_time(cfg, beat_r[cols]),
-                                       axis=0)[:n_bins]
-        tone.flags.writeable = False
-        tones.append(tone)
-    tones = tuple(tones)
-    _TONES = (key, tones)
-    return tones
+    n = cfg.samples_per_chirp
+    alpha = (cfg.chirp_slope_factor * cfg.adc_interval) * beat_r
+    d = alpha[None, :] - bins[:, None] / n
+    return (n * np.sinc(n * d) / np.sinc(d)) * np.exp((1j * np.pi * (n - 1))
+                                                      * d)
 
 
-def render_profiles(scene: Scene, cfg: RadarConfig, bins, slow_idx,
-                    tx_weights=None, gain_offset: float = 0.0,
-                    snr_db: float | None = None, seed=None) -> np.ndarray:
-    """Range profiles of a scene at range ``bins`` x slow samples ``slow_idx``.
+def _row_noise(noise: np.random.SeedSequence, row: int, tail: int,
+               out: np.ndarray) -> None:
+    """Fill ``out`` (frames, antennas, 2) with standard normal (real,
+    imaginary) pairs of range row ``row`` at the capture's last frames.
+
+    The row's stream is the child of ``noise`` with spawn key ``row``, made
+    directly (``SeedSequence.spawn`` counts its calls, so a second caller
+    would get other streams).  It draws the last ``tail`` frames (the still
+    window) first, then the frames of ``out`` before them.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(
+        noise.entropy, spawn_key=noise.spawn_key + (row,)))
+    rng.standard_normal(out=out[-tail:])
+    rng.standard_normal(out=out[:-tail])
+
+
+def render_profiles(scene: Scene, cfg: RadarConfig, bins, frames,
+                    tx_weights=None, snr_db: float | None = None,
+                    seed=None) -> np.ndarray:
+    """Range profiles of a scene at range ``bins`` x ``frames``, one
+    snapshot per frame (its first chirp).
 
     Without noise this equals ``range_fft(synthesize_cube(scene, cfg,
-    tx_weights)).data`` at those bins and samples, up to rounding, shaped
-    ``(len(bins), S, num_virtual)``, but no cube is formed: each
-    scatterer's range-domain tone (:func:`_tones`, computed once per scene)
-    is read at ``bins`` and, if it varies over slow time, at ``slow_idx``,
-    then multiplied by its slow-antenna factor (``_returns``), computed per
-    call.  The illumination gain is that of ``tx_weights`` minus
-    ``gain_offset``, so ``gain_offset=1`` gives what steering adds to the
-    unsteered profiles.  The beat limit is checked at ``slow_idx`` only.
+    tx_weights)).data`` at those bins and the frames' first chirps, up to
+    rounding, shaped ``(len(bins), len(frames), num_virtual)``, but no cube
+    is formed: each scatterer's range tone (:func:`_tones`) is computed at
+    ``bins`` and the frames read, then multiplied by its slow-antenna
+    factor (``_returns``).  The beat limit is checked at those frames only.
 
-    ``snr_db`` adds the range transform of the cube's circular white noise,
-    drawn from ``seed``.  The DFT of i.i.d. circular Gaussian samples is
-    i.i.d. across bins with ``samples_per_chirp`` times their variance, so
-    the noise is drawn in the bin domain, only at ``bins`` and
-    ``slow_idx``.  It is drawn on :data:`_NOISE_DRAW`'s thread while this
-    one renders the signal, then added: the same draws in the same order,
-    and the same one addition per sample, as a serial draw.
+    ``snr_db`` adds the range transform of the cube's circular white noise.
+    The DFT of i.i.d. circular Gaussian samples is i.i.d. across bins with
+    ``samples_per_chirp`` times their variance, so the noise is drawn in the
+    bin domain, from ``seed`` (a ``SeedSequence``, or an int or None to make
+    one), one stream per range row (:func:`_row_noise`).  A sample's noise
+    is then the same whichever render draws it, steered or not.
     """
     n_fast = cfg.samples_per_chirp
     bins = np.asarray(bins, dtype=np.int64)
     if bins.size and (bins.min() < 0 or bins.max() > n_fast // 2):
         raise ValueError(f"range bins must lie in [0, {n_fast // 2}]")
-    _, slow_t = _slow_times(cfg, scene.duration)
-    slow_t = slow_t[slow_idx]
-    out = np.zeros((bins.size, slow_t.size, cfg.num_virtual),
+    frame_t, _ = _slow_times(cfg, scene.duration)
+    frames = np.arange(frame_t.size)[frames]
+    out = np.zeros((bins.size, frames.size, cfg.num_virtual),
                    dtype=np.complex128)
-    draw = None
+    for beat_r, slow_ant in _returns(scene, cfg, frame_t[frames], tx_weights):
+        for row, tone in zip(out, _tones(cfg, beat_r, bins)):
+            row += tone[:, None] * slow_ant
     if snr_db is not None:
         sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0)) * np.sqrt(n_fast)
-        noise = np.empty((2,) + out.shape)      # real plane, imaginary plane
-        draw = _NOISE_DRAW.submit(_draw_noise, np.random.default_rng(seed),
-                                  noise, sigma)
-    try:
-        returns = _returns(scene, cfg, slow_t, tx_weights,
-                           gain_offset=gain_offset)
-        for tone, (_, slow_ant) in zip(_tones(scene, cfg), returns):
-            tone = tone[bins]
-            if tone.shape[1] > 1:
-                tone = tone[:, slow_idx]
-            # Row by row, so no whole-profile temporary sits beside the
-            # noise planes.
-            for row, t in zip(out, tone):
-                row += t[:, None] * slow_ant
-    finally:
-        if draw is not None:
-            futures.wait((draw,))
-    if draw is not None:
-        draw.result()
-        out.real += noise[0]
-        out.imag += noise[1]
+        noise = (seed if isinstance(seed, np.random.SeedSequence)
+                 else np.random.SeedSequence(seed))
+        n_frames = frame_t.size
+        tail = _still_frames(cfg, n_frames)
+        # Draw only the still window when no frame before it is read.
+        first = (n_frames - tail
+                 if frames.size and frames.min() >= n_frames - tail else 0)
+        z = np.empty((bins.size, n_frames - first, cfg.num_virtual, 2))
+        for z_row, b in zip(z, bins.tolist()):
+            _row_noise(noise, b, tail, z_row)
+        z = z[:, frames - first]
+        out.real += sigma * z[..., 0]
+        out.imag += sigma * z[..., 1]
     return out
 
 
 def range_profiles(scene: Scene, cfg: RadarConfig, snr_db: float | None = None,
                    seed=None) -> RangeProfiles:
-    """The range bins a run reads, at every slow sample, rendered by
+    """The heatmap's rows over the still window, rendered unsteered by
     :func:`render_profiles`.
 
-    These are the first bins of the one-sided profile: those at or below
-    :data:`aoa.MAX_RANGE_M` (the heatmap's) plus half a phase window
-    (:data:`vitals.PHASE_CHANNELS`) beyond the last, so a target localized
-    there keeps its channels; at most the whole profile.  They hold the
-    rows ``range_fft(synthesize_cube(scene, cfg, snr_db=snr_db,
-    seed=seed))`` would hold, with the same signal up to rounding and a
-    noise realisation of their own.
+    The rows are the bins at or below :data:`aoa.MAX_RANGE_M`; the frames
+    are the last :data:`fusion.STATIONARY_WINDOW_S` seconds of the capture,
+    the window in which the camera finds its still subjects, one snapshot
+    per frame.
     """
     frame_t, _ = _slow_times(cfg, scene.duration)
-    full = cfg.samples_per_chirp // 2 + 1
-    axis = np.arange(full) * range_bin_width(cfg)
-    near = int(np.count_nonzero(axis <= MAX_RANGE_M))
-    bins = np.arange(min(near + PHASE_CHANNELS // 2, full))
-    data = render_profiles(scene, cfg, bins, slice(None), snr_db=snr_db,
-                           seed=seed)
+    axis = np.arange(cfg.samples_per_chirp // 2 + 1) * range_bin_width(cfg)
+    bins = np.arange(np.count_nonzero(axis <= MAX_RANGE_M))
+    still = slice(frame_t.size - _still_frames(cfg, frame_t.size), None)
+    data = render_profiles(scene, cfg, bins, still, snr_db=snr_db, seed=seed)
     return RangeProfiles(data=data, range_axis=axis[bins], config=cfg,
-                         frame_timestamps=frame_t)
+                         frame_timestamps=frame_t[still])
+
+
+def window_profiles(scene: Scene, cfg: RadarConfig, center_bin: int,
+                    tx_weights=None, snr_db: float | None = None,
+                    seed=None) -> RangeProfiles:
+    """The phase window's rows (:func:`vitals.channel_bins` around
+    ``center_bin``) at every frame, rendered by :func:`render_profiles`
+    with transmit weights ``tx_weights`` and the rows' own noise.
+
+    A window that leaves the one-sided profile raises the ``ValueError``
+    :func:`vitals.phase_window` raises, before anything is rendered.
+    """
+    bins = channel_bins(center_bin, cfg.samples_per_chirp // 2 + 1)
+    frame_t, _ = _slow_times(cfg, scene.duration)
+    data = render_profiles(scene, cfg, bins, slice(None), tx_weights,
+                           snr_db=snr_db, seed=seed)
+    return RangeProfiles(data=data,
+                         range_axis=np.asarray(bins) * range_bin_width(cfg),
+                         config=cfg, frame_timestamps=frame_t,
+                         first_bin=bins.start)
 
 
 # Camera image height, person box size and box corner jitter (sigma), in

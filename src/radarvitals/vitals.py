@@ -56,29 +56,39 @@ class PhaseMatrix:
     range_bins: tuple[int, ...]
 
 
-def phase_window(profiles, center_bin: int) -> tuple[range, np.ndarray]:
-    """Range bins and slow-time samples that :func:`extract_phase` reads.
-
-    Returns the :data:`PHASE_CHANNELS` bins centered on ``center_bin`` and
-    the index of the first chirp of every frame.  The window is checked
-    before anyone indexes with it: a ValueError names bins that leave the
-    full one-sided profile, or bins inside it but past the rows
-    ``profiles`` holds.
-    """
+def channel_bins(center_bin: int, num_bins: int) -> range:
+    """The :data:`PHASE_CHANNELS` bins centered on ``center_bin``; a
+    ValueError names bins that leave the ``num_bins``-bin one-sided
+    profile."""
     half = PHASE_CHANNELS // 2
     lo, hi = center_bin - half, center_bin + half
-    if lo < 0 or hi >= profiles.num_bins:
+    if lo < 0 or hi >= num_bins:
         raise ValueError(
-            f"channels [{lo}, {hi}] fall outside the {profiles.num_bins}-bin "
+            f"channels [{lo}, {hi}] fall outside the {num_bins}-bin "
             "range profile")
-    rows = profiles.data.shape[0]
-    if hi >= rows:
+    return range(lo, hi + 1)
+
+
+def phase_window(profiles, center_bin: int) -> tuple[range, slice]:
+    """Range bins and slow-time samples that :func:`extract_phase` reads.
+
+    Returns the :func:`channel_bins` centered on ``center_bin`` and the
+    first snapshot of every frame.  The window is checked before anyone
+    indexes with it: a ValueError names bins that leave the full one-sided
+    profile, or bins inside it but outside the rows ``profiles`` holds.
+    """
+    bins = channel_bins(center_bin, profiles.num_bins)
+    first, rows = profiles.first_bin, profiles.data.shape[0]
+    if bins.stop > first + rows:
         raise ValueError(
-            f"channels [{lo}, {hi}] lie past the {rows} rendered rows of the "
-            f"{profiles.num_bins}-bin range profile")
-    frames = (np.arange(len(profiles.frame_timestamps))
-              * profiles.config.chirps_per_frame)
-    return range(lo, hi + 1), frames
+            f"channels [{bins.start}, {bins.stop - 1}] lie past the {rows} "
+            f"rendered rows of the {profiles.num_bins}-bin range profile")
+    if bins.start < first:
+        raise ValueError(
+            f"channels [{bins.start}, {bins.stop - 1}] start before the "
+            f"first rendered row, bin {first}")
+    per_frame = profiles.data.shape[1] // len(profiles.frame_timestamps)
+    return bins, slice(None, None, per_frame)
 
 
 def extract_phase(profiles, center_bin: int,
@@ -94,7 +104,9 @@ def extract_phase(profiles, center_bin: int,
     removed.
     """
     bins, frames = phase_window(profiles, center_bin)
-    block = profiles.data[bins.start:bins.stop][:, frames, :]   # (L, frames, K)
+    rows = slice(bins.start - profiles.first_bin,
+                 bins.stop - profiles.first_bin)
+    block = profiles.data[rows, frames, :]                     # (L, frames, K)
     if rx is None:
         series = block[:, :, 0]
     else:

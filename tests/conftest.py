@@ -3,7 +3,6 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 import radarvitals as rv
-from radarvitals import pipeline, simulate
 
 settings.register_profile(
     "suite",
@@ -12,15 +11,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
-
-
-@pytest.fixture(autouse=True)
-def empty_scene_slot():
-    """Start every test with no held scene and no held tones, so a test
-    that counts renders or breaks a scene stage or a render never meets an
-    earlier test's capture or scene."""
-    pipeline._LAST_SCENE = None
-    simulate._TONES = None
 
 
 @pytest.fixture(scope="session")

@@ -91,15 +91,26 @@ class TestRunVerb:
 
     def test_seed_writes_the_same_report_as_suite(self, scenario_path,
                                                   tmp_path, capsys):
-        assert main(["run", "--scenario", str(scenario_path),
-                     "--out", str(tmp_path / "run"), "--seed", "7"]) == 0
+        """``--seed`` is a run override, as the suite's seeds are: run i of
+        a suite writes the bytes of ``run --seed <base + i>``, and the
+        report keeps the scenario as given (its seed is 3)."""
         assert main(["suite", "--scenario", str(scenario_path),
-                     "--out", str(tmp_path / "suite"), "--seed", "7",
+                     "--out", str(tmp_path / "suite"),
+                     "--repetitions", "2"]) == 0
+        assert main(["suite", "--scenario", str(scenario_path),
+                     "--out", str(tmp_path / "suite7"), "--seed", "7",
                      "--repetitions", "1"]) == 0
-        report = (tmp_path / "run" / "report.json").read_bytes()
-        assert report == (tmp_path / "suite" / "run-000"
-                          / "report.json").read_bytes()
-        assert json.loads(report)["scenario"]["seed"] == 7
+        for seed, suite_run in ((4, "suite/run-001"), (7, "suite7/run-000")):
+            out = tmp_path / f"run{seed}"
+            assert main(["run", "--scenario", str(scenario_path),
+                         "--out", str(out), "--seed", str(seed)]) == 0
+            report = (out / "report.json").read_bytes()
+            assert report == (tmp_path / suite_run / "report.json").read_bytes()
+            assert json.loads(report)["seed"] == seed
+            assert json.loads(report)["scenario"]["seed"] == 3
+        summary = json.loads((tmp_path / "suite7" / "suite_summary.json")
+                             .read_text())
+        assert summary["base_seed"] == 7
 
     def test_no_beamforming_flag(self, scenario_path, tmp_path, capsys):
         out = tmp_path / "nobf"

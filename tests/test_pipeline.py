@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -94,11 +93,11 @@ class TestRunScenario:
 
     def test_noise_draw_failure_is_named_simulate(self, quick_spec,
                                                   monkeypatch):
-        """A draw that fails on the helper thread fails the simulate stage
-        with its own message."""
+        """A failed noise draw of the heatmap's rows fails the simulate
+        stage with its own message."""
         def broken(*args):
             raise ValueError("draw failed")
-        monkeypatch.setattr(simulate, "_draw_noise", broken)
+        monkeypatch.setattr(simulate, "_row_noise", broken)
         res = run_scenario(quick_spec)
         assert res.report["failure_stage"] == "simulate"
         assert res.report["error"] == "draw failed"
@@ -203,6 +202,30 @@ class TestRunScenario:
         # full band: half the frame rate
         assert entry["kept_band_hz"] == pytest.approx(10.0, abs=0.1)
 
+    @pytest.mark.parametrize("waypoints, stage", [
+        # past the limit around t = 1 s, back well before the still window
+        (((0.0, 3.0, -40.0), (1.0, 21.0, -40.0), (2.0, 3.0, -40.0)),
+         "vitals"),
+        # past the limit from t ~ 6 s on, inside the still window
+        (((0.0, 3.0, -40.0), (7.0, 22.0, -40.0)), "simulate"),
+    ], ids=["before_the_still_window", "in_the_still_window"])
+    def test_mover_past_the_beat_limit_ends_in_a_named_stage(
+            self, quick_spec, waypoints, stage):
+        """A mover beyond the unambiguous range (19.19 m here) fails the
+        render of the frames it is beyond at: the phase window's, which
+        spans every frame, or the heatmap's, which spans the still window."""
+        spec = dataclasses.replace(quick_spec, scene=dataclasses.replace(
+            quick_spec.scene,
+            movers=(rv.MovingReflector(waypoints=waypoints),)))
+        for beamforming in (True, False):
+            res = run_scenario(spec, beamforming=beamforming)
+            assert res.report["failure_stage"] == stage
+            assert "Nyquist" in res.report["error"]
+            if stage == "vitals":
+                # the mover, still after t = 2 s, is localized as well
+                assert res.report["targets"]
+                for entry in res.report["targets"]:
+                    assert "Nyquist" in entry["failure"]
 
 def _scenario_with_every_level() -> dict:
     """range_overlap.json as a dict, with a body-motion burst added to its
@@ -322,13 +345,15 @@ def _report_text(res) -> str:
 
 
 def _count_renders(monkeypatch) -> list:
-    """Count the pipeline's profile renders from here on."""
+    """Record the pipeline's heatmap-row renders from here on, as the
+    rendered data."""
     renders = []
     render = pipeline.range_profiles
 
     def counted(*args, **kwargs):
-        renders.append(args)
-        return render(*args, **kwargs)
+        out = render(*args, **kwargs)
+        renders.append(out.data)
+        return out
     monkeypatch.setattr(pipeline, "range_profiles", counted)
     return renders
 
@@ -366,131 +391,102 @@ SAME_CAPTURE = {
 
 
 class TestSceneSlot:
-    """A run reuses the scene stages of the last run of the same capture."""
+    """No run carries a capture's scene stages to the next: each run
+    renders, heatmaps and localizes its own capture and writes the bytes of
+    a run made first."""
 
     @pytest.mark.parametrize("name", ["clean", "range_overlap",
                                       "fusion_stress", "bench"])
     def test_warm_runs_equal_cold_runs(self, name, monkeypatch):
-        """Steered then unsteered, and unsteered then steered: the second
-        run of each pair reuses the first's render and writes the bytes of
-        a run made with the slot emptied."""
+        """Steered then unsteered, and unsteered then steered, in one
+        process: each run renders its own heatmap rows and writes the bytes
+        of a run made first."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
         renders = _count_renders(monkeypatch)
         for seed in range(spec.seed, spec.seed + 3):
-            cold, warm = {}, {}
-            for first, second in ((True, False), (False, True)):
-                pipeline._LAST_SCENE = None
-                cold[first] = _report_text(
-                    run_scenario(spec, seed=seed, beamforming=first))
-                warm[second] = _report_text(
-                    run_scenario(spec, seed=seed, beamforming=second))
-            assert warm == cold, (name, seed)
-        assert len(renders) == 2 * 3
+            first, second = {}, {}
+            for a, b in ((True, False), (False, True)):
+                first[a] = _report_text(
+                    run_scenario(spec, seed=seed, beamforming=a))
+                second[b] = _report_text(
+                    run_scenario(spec, seed=seed, beamforming=b))
+            assert first == second, (name, seed)
+        assert len(renders) == 4 * 3
 
     def test_the_same_capture_renders_once(self, quick_spec, monkeypatch):
+        """Each of two runs of one capture renders its heatmap rows once
+        and its target's phase window once, and both write one report."""
         renders = _count_renders(monkeypatch)
+        windows = []
+        window = pipeline.window_profiles
+
+        def counted(*args, **kwargs):
+            windows.append(args)
+            return window(*args, **kwargs)
+        monkeypatch.setattr(pipeline, "window_profiles", counted)
         first, second = run_scenario(quick_spec), run_scenario(quick_spec)
-        assert len(renders) == 1
+        assert (len(renders), len(windows)) == (2, 2)
+        assert np.array_equal(renders[0], renders[1])
         assert _report_text(first) == _report_text(second)
         assert first.locations == second.locations
-        # the reused stages keep their timings.csv rows, charged the lookup
         assert list(second.timings_ms) == list(first.timings_ms)
-        scene_ms = {second.timings_ms[s]
-                    for s in ("simulate", "heatmap", "localize")}
-        assert len(scene_ms) == 1
 
     @pytest.mark.parametrize("change", OTHER_CAPTURE)
     def test_another_capture_renders_again(self, quick_spec, monkeypatch,
                                            change):
+        """The second capture's run, after the first's, writes the bytes of
+        its run made again."""
         a, b = OTHER_CAPTURE[change](quick_spec)
         renders = _count_renders(monkeypatch)
         run_scenario(a)
-        run_scenario(b)
-        assert len(renders) == 2
+        after_a = _report_text(run_scenario(b))
+        assert after_a == _report_text(run_scenario(b))
+        assert len(renders) == 3
         # the last two are the same capture to ==, not to repr
         assert (a == b) == (change in ("zero_sign", "int_for_float"))
 
     @pytest.mark.parametrize("change", SAME_CAPTURE)
     def test_other_processing_reuses_the_render(self, quick_spec,
                                                 monkeypatch, change):
+        """A run with other processing renders the same heatmap rows and
+        localizes alike, and writes the bytes of its run made first."""
         other = SAME_CAPTURE[change](quick_spec)
         renders = _count_renders(monkeypatch)
-        run_scenario(quick_spec)
-        warm = _report_text(run_scenario(other))
-        assert len(renders) == 1
-        pipeline._LAST_SCENE = None
-        assert warm == _report_text(run_scenario(other))
+        base = run_scenario(quick_spec)
+        warm = run_scenario(other)
+        assert len(renders) == 2
+        assert np.array_equal(renders[0], renders[1])
+        assert warm.locations == base.locations
+        assert (warm.report["num_stationary_tracks"]
+                == base.report["num_stationary_tracks"])
+        assert _report_text(warm) == _report_text(run_scenario(other))
 
     def test_a_failed_scene_stores_nothing(self, quick_spec, monkeypatch):
-        """A run with no person fails at localize after emptying the slot,
-        and its repeat renders again and writes the same report."""
+        """A run with no person fails at localize; its repeat renders again
+        and writes the same report, and the next run of another capture
+        writes the bytes of its run made first."""
         empty = ScenarioSpec(name="empty", scene=rv.Scene(duration=5.0),
                              snr_db=0.0)
         renders = _count_renders(monkeypatch)
-        run_scenario(quick_spec)
-        assert pipeline._LAST_SCENE is not None
+        before = _report_text(run_scenario(quick_spec))
         first = run_scenario(empty)
         assert first.report["failure_stage"] == "localize"
-        assert pipeline._LAST_SCENE is None
         second = run_scenario(empty)
-        assert pipeline._LAST_SCENE is None
         assert _report_text(first) == _report_text(second)
-        run_scenario(quick_spec)
+        assert _report_text(run_scenario(quick_spec)) == before
         assert len(renders) == 4
-
-    def test_a_miss_frees_the_old_entry_before_rendering(self, quick_spec,
-                                                          monkeypatch):
-        run_scenario(quick_spec)
-        old = weakref.ref(pipeline._LAST_SCENE[1])
-        alive_at_render = []
-        render = pipeline.range_profiles
-
-        def checked(*args, **kwargs):
-            alive_at_render.append(old() is not None)
-            return render(*args, **kwargs)
-        monkeypatch.setattr(pipeline, "range_profiles", checked)
-        run_scenario(quick_spec, seed=1)
-        assert alive_at_render == [False]
-
-    @pytest.mark.parametrize("range_m, center", [(2.0, 7), (10.1, 33)])
-    def test_holds_a_read_only_copy_of_the_window_rows(self, quick_spec,
-                                                       range_m, center):
-        """The held rows are the render's, up to the target's phase window
-        (at the last heatmap row, every rendered row), in an array of
-        their own that cannot be written."""
-        target = dataclasses.replace(quick_spec.scene.targets[0],
-                                     range_m=range_m)
-        spec = dataclasses.replace(quick_spec, scene=dataclasses.replace(
-            quick_spec.scene, targets=(target,)))
-        (entry,) = run_scenario(spec).report["targets"]
-        assert entry["range_bin"] == center
-        held = pipeline._LAST_SCENE[1].profiles
-        noise_ss, _ = np.random.SeedSequence(spec.seed).spawn(2)
-        full = simulate.range_profiles(spec.scene, spec.radar,
-                                       snr_db=spec.snr_db, seed=noise_ss)
-        rows = min(center + vitals.PHASE_CHANNELS // 2 + 1,
-                   full.data.shape[0])
-        assert held.data.shape == (rows,) + full.data.shape[1:]
-        assert held.data.base is None
-        assert np.array_equal(held.data, full.data[:rows])
-        assert np.array_equal(held.range_axis, full.range_axis[:rows])
-        with pytest.raises(ValueError, match="read-only"):
-            held.data[0, 0, 0] = 0.0
 
     def test_concurrent_runs_get_their_serial_reports(self, quick_spec):
         """Four threads (more than this machine's cores, at a short switch
         interval), two on each of two captures, run at once, three times
         over: each writes the report of a run made alone."""
         seeds = (0, 0, 1, 1)
-        serial = {}
-        for seed in seeds:
-            pipeline._LAST_SCENE = None
-            serial[seed] = _report_text(run_scenario(quick_spec, seed=seed))
+        serial = {seed: _report_text(run_scenario(quick_spec, seed=seed))
+                  for seed in seeds}
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(3):
-                pipeline._LAST_SCENE = None
                 start = threading.Barrier(len(seeds))
                 got = [None] * len(seeds)
 
@@ -787,14 +783,14 @@ class TestBench:
     def test_reuses_the_run(self, quick_spec, monkeypatch, beamforming,
                             renders):
         spec = dataclasses.replace(quick_spec, beamforming=beamforming)
-        calls = {"range_profiles": [], "render_profiles": [],
+        calls = {"range_profiles": [], "window_profiles": [],
                  "synthesize_cube": [], "range_fft": []}
 
         def counted(name):
             fn = getattr(pipeline, name)
 
             def wrapper(*args, **kwargs):
-                calls[name].append(kwargs)
+                calls[name].append(args)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -802,9 +798,9 @@ class TestBench:
             monkeypatch.setattr(pipeline, name, counted(name))
         rows = bench_acceleration(spec, n_keep_values=[40], repeats=1)
         assert len(calls["range_profiles"]) == renders
-        # steering adds one noise-free correction in the phase window
-        assert ([kw["gain_offset"] for kw in calls["render_profiles"]]
-                == [1.0] * beamforming)
+        # one phase window, steered with transmit weights when beamforming
+        assert ([args[3] is not None for args in calls["window_profiles"]]
+                == [beamforming])
         assert calls["synthesize_cube"] == calls["range_fft"] == []
         monkeypatch.undo()
         (entry,) = run_scenario(spec, n_keep=None).report["targets"]
@@ -861,8 +857,15 @@ class TestBench:
         assert all(r["n_bins"] <= 81 for r in rows)
 
 
+def vitals_window(spec, center, tx, noise):
+    """The phase window the vitals chain renders for a target at
+    ``center``."""
+    return simulate.window_profiles(spec.scene, spec.radar, center, tx,
+                                    snr_db=spec.snr_db, seed=noise)
+
+
 class TestSteeredProfiles:
-    """The beamform stage's steered profiles against a steered re-render."""
+    """The steered phase window against the cube renders."""
 
     @pytest.fixture(scope="class")
     def renders(self):
@@ -873,41 +876,31 @@ class TestSteeredProfiles:
         tx = beamform.tx_weights(tgt.angle_deg, cfg.wavelength,
                                  num_elements=cfg.num_tx,
                                  spacing=cfg.tx_spacing)
-        cubes = [synthesize_cube(spec.scene, cfg, tx_weights=w,
-                                 snr_db=spec.snr_db, seed=11)
+        cubes = [synthesize_cube(spec.scene, cfg, tx_weights=w)
                  for w in (None, tx)]
         return spec, tx, cubes
 
     @pytest.mark.parametrize("where", ["target", "first_bins"])
     def test_matches_the_steered_render_in_the_read_window(
             self, renders, where):
+        """The steered window equals the unsteered window plus what
+        steering adds to the cube's FFT (the steered noiseless cube's minus
+        the unsteered one's), to rounding: one noise realisation, two
+        signals."""
         spec, tx, (plain, steered) = renders
-        profiles = range_fft(plain)
-        before = profiles.data.copy()
-        reference = range_fft(steered).data
-        center = (range_bin_of(spec.scene.targets[0].range_m, spec.radar)
+        cfg = spec.radar
+        center = (range_bin_of(spec.scene.targets[0].range_m, cfg)
                   if where == "target" else vitals.PHASE_CHANNELS // 2)
-        got = pipeline._steered(spec, profiles, tx, center).data
-        bins, frames = vitals.phase_window(profiles, center)
-        want = reference[bins.start:bins.stop][:, frames]
-        err = np.abs(got[bins.start:bins.stop][:, frames] - want)
-        assert err.max() <= 1e-12 * np.abs(want).max()
-        assert np.array_equal(profiles.data, before)    # input untouched
-
-    def test_copies_only_the_rows_up_to_the_window(self, renders):
-        """The rows below the window are the unsteered ones, none past it
-        is kept, and the range axis matches the rows held."""
-        spec, tx, (plain, _) = renders
-        profiles = range_fft(plain)
-        center = range_bin_of(spec.scene.targets[0].range_m, spec.radar)
-        got = pipeline._steered(spec, profiles, tx, center)
-        bins, _ = vitals.phase_window(profiles, center)
-        assert got.data.shape == (bins.stop,) + profiles.data.shape[1:]
-        assert np.array_equal(got.data[:bins.start],
-                              profiles.data[:bins.start])
-        assert np.array_equal(got.range_axis, profiles.range_axis[:bins.stop])
-        assert got.num_bins == profiles.num_bins
-        assert not np.shares_memory(got.data, profiles.data)
+        noise = np.random.SeedSequence(11)
+        got, base = (vitals_window(spec, center, w, noise) for w in (tx, None))
+        bins = vitals.channel_bins(center, got.num_bins)
+        first_chirps = slice(None, None, cfg.chirps_per_frame)
+        difference = (range_fft(steered).data
+                      - range_fft(plain).data)[bins.start:bins.stop,
+                                               first_chirps]
+        want = base.data + difference
+        assert np.abs(got.data - want).max() <= 1e-12 * np.abs(want).max()
+        assert not np.array_equal(got.data, base.data)
 
 
 class TestDeterminism:

@@ -3,7 +3,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ import radarvitals as rv
 from radarvitals import aoa, fusion, simulate, vitals
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
-from radarvitals.rangefft import range_bin_of, range_fft
+from radarvitals.rangefft import range_bin_of, range_bin_width, range_fft
 from reference_camera import synthesize_detections as scalar_detections
 
 
@@ -171,13 +170,19 @@ def test_mover_follows_its_angle_and_amplitude(cfg):
 
 
 class TestSteeringCorrection:
-    """The renderer with the gain offset by one: what steering adds."""
+    """What steering adds to the renderer's rows, and its bins."""
 
     def test_zero_without_steering(self, cfg, small_scene):
-        corr = simulate.render_profiles(small_scene, cfg, range(3, 6),
-                                        np.arange(8), gain_offset=1.0)
-        assert corr.shape == (3, 8, cfg.num_virtual)
-        assert np.all(corr == 0)
+        """Weights on the first transmitter alone illuminate as no weights
+        do (gain ``a_tx[0] = 1``): steering adds nothing, bit for bit, noise
+        included."""
+        first_tx = np.eye(cfg.num_tx)[0]
+        plain, steered = (simulate.render_profiles(
+            small_scene, cfg, range(3, 6), np.arange(8), tx_weights=w,
+            snr_db=20.0, seed=3) for w in (None, first_tx))
+        assert steered.shape == (3, 8, cfg.num_virtual)
+        assert np.abs(plain).max() > 0
+        assert np.array_equal(steered, plain)
 
     @pytest.mark.parametrize("bins", [[-1, 0, 1], [63, 64, 65]])
     def test_rejects_bins_off_the_profile(self, cfg, small_scene, bins):
@@ -185,7 +190,7 @@ class TestSteeringCorrection:
         with pytest.raises(ValueError,
                            match=r"range bins must lie in \[0, 64\]"):
             simulate.render_profiles(small_scene, cfg, bins, np.arange(8),
-                                     tx_weights=tx, gain_offset=1.0)
+                                     tx_weights=tx)
 
 
 @pytest.fixture(scope="module", params=["clean", "range_overlap",
@@ -204,46 +209,75 @@ def noiseless_cubes(request):
 
 
 class TestRenderProfiles:
-    """The range-domain renderer against ``range_fft`` of the cube."""
+    """The range-domain renderer against ``range_fft`` of the cube, at the
+    first chirp of every frame."""
 
-    @pytest.mark.parametrize("steer, gain_offset", [(False, 0.0),
+    @pytest.mark.parametrize("steer, minus_plain", [(False, 0.0),
                                                     (True, 0.0),
                                                     (True, 1.0)])
     def test_matches_the_cube_fft_at_the_rendered_bins(
-            self, noiseless_cubes, steer, gain_offset):
+            self, noiseless_cubes, steer, minus_plain):
+        """With ``minus_plain`` 1, the steered render minus the unsteered
+        one: what steering adds to the cube's FFT."""
         spec, tx, plain, steered, bins = noiseless_cubes
         cfg = spec.radar
+
+        def render(weights):
+            return simulate.render_profiles(spec.scene, cfg, bins,
+                                            slice(None), tx_weights=weights)
+
         want = range_fft(steered if steer else plain).data
-        if gain_offset:
+        got = render(tx if steer else None)
+        if minus_plain:
             want = want - range_fft(plain).data
-        want = want[bins]
-        got = simulate.render_profiles(spec.scene, cfg, bins, slice(None),
-                                       tx_weights=tx if steer else None,
-                                       gain_offset=gain_offset)
+            got = got - render(None)
+        want = want[bins][:, ::cfg.chirps_per_frame]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_range_profiles_wrap_the_read_rows(self, cfg, small_scene):
-        """The rows at or below the localizer's range, plus half a phase
-        window beyond them: 34 + 2 of the 65 bins here."""
+        """The heatmap's rows, those at or below the localizer's range (34
+        of the 65 bins here), at the still window's frames: the last 3 s,
+        60 of the 120 frames."""
         prof = simulate.range_profiles(small_scene, cfg)
         ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
         near = int(np.count_nonzero(ref.range_axis <= aoa.MAX_RANGE_M))
-        rows = near + vitals.PHASE_CHANNELS // 2
-        assert (near, rows) == (34, 36)
-        assert prof.data.shape == (rows,) + ref.data.shape[1:]
+        frames = len(ref.frame_timestamps)
+        still = round(fusion.STATIONARY_WINDOW_S * cfg.frame_rate)
+        assert (near, frames, still) == (34, 120, 60)
+        want = ref.data[:near, (frames - still) * cfg.chirps_per_frame::
+                        cfg.chirps_per_frame]
+        assert prof.data.shape == want.shape
         assert prof.num_bins == ref.num_bins == 65
-        assert np.array_equal(prof.range_axis, ref.range_axis[:rows])
-        assert np.array_equal(prof.frame_timestamps, ref.frame_timestamps)
-        err = np.abs(prof.data - ref.data[:rows]).max()
-        assert err <= 1e-12 * np.abs(ref.data).max()
+        assert np.array_equal(prof.range_axis, ref.range_axis[:near])
+        assert np.array_equal(prof.frame_timestamps,
+                              ref.frame_timestamps[frames - still:])
+        assert np.abs(prof.data - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_window_profiles_hold_the_window_at_every_frame(self, cfg,
+                                                            small_scene):
+        """The five rows around bin 7 at every frame, held from bin 5 on,
+        read by the phase stage as the cube's FFT is read."""
+        win = simulate.window_profiles(small_scene, cfg, 7)
+        ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
+        want = ref.data[5:10, ::cfg.chirps_per_frame]
+        assert (win.first_bin, win.data.shape) == (5, want.shape)
+        assert np.array_equal(win.range_axis, ref.range_axis[5:10])
+        assert np.array_equal(win.frame_timestamps, ref.frame_timestamps)
+        assert np.abs(win.data - want).max() <= 1e-12 * np.abs(want).max()
+        got = vitals.extract_phase(win, 7).samples
+        assert np.allclose(got, vitals.extract_phase(ref, 7).samples,
+                           atol=1e-9)
+        with pytest.raises(ValueError, match="start before the first "
+                                             "rendered row, bin 5"):
+            vitals.extract_phase(win, 6)
 
     def test_bin_domain_noise_is_white(self, cfg):
         """Every bin carries N = samples_per_chirp times the per-sample
         noise power, uncorrelated across bins and antennas."""
         snr_db, n_bins = 10.0, 6
         noise = simulate.render_profiles(
-            rv.Scene(duration=2.0), cfg, np.arange(n_bins), slice(None),
+            rv.Scene(duration=8.0), cfg, np.arange(n_bins), slice(None),
             snr_db=snr_db, seed=np.random.SeedSequence(3))
         power = cfg.samples_per_chirp * 10.0 ** (-snr_db / 10.0)
         # Each statistic below is a mean of m unit-variance terms, so five
@@ -262,36 +296,68 @@ class TestRenderProfiles:
 
 @pytest.fixture(scope="module")
 def overlap_scene():
-    """range_overlap's scene, cut to 2 s: clutter, a target and a mover."""
+    """range_overlap's scene, cut to 4 s: clutter, a target and a mover;
+    its last 3 s are the still window."""
     spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
-    return dataclasses.replace(spec.scene, duration=2.0)
+    return dataclasses.replace(spec.scene, duration=4.0)
 
 
 NOISY_SNR_DB = 20.0
 
 
-def render_noisy(cfg, scene, seed):
-    """The first 36 range rows of ``scene`` with noise drawn from ``seed``."""
-    return simulate.render_profiles(scene, cfg, np.arange(36), slice(None),
+def render_noisy(cfg, scene, seed, bins=np.arange(36), frames=slice(None)):
+    """Range rows ``bins`` of ``scene`` at ``frames``, with noise drawn from
+    ``seed``."""
+    return simulate.render_profiles(scene, cfg, bins, frames,
                                     snr_db=NOISY_SNR_DB, seed=seed)
 
 
 class TestNoiseDraw:
-    """The noise is drawn on a helper thread while the signal renders."""
+    """Each range row draws its noise from a stream of its own."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     def test_is_the_serial_stream_added_to_the_signal(self, cfg,
                                                        overlap_scene, seed):
-        """The noiseless render plus sigma times the real draw, then the
-        imaginary draw, of ``default_rng(seed)``, bit for bit."""
+        """The noiseless render plus sigma times each row's stream, bit for
+        bit: row r's generator is seeded by ``SeedSequence(seed,
+        spawn_key=(r,))`` and draws (real, imaginary) pairs for the still
+        window's frames, then for the frames before it."""
         want = simulate.render_profiles(overlap_scene, cfg, np.arange(36),
                                         slice(None))
-        rng = np.random.default_rng(seed)
+        n_frames = want.shape[1]
+        still = round(fusion.STATIONARY_WINDOW_S * cfg.frame_rate)
+        assert (n_frames, still) == (80, 60)
         sigma = (np.sqrt(0.5 * 10.0 ** (-NOISY_SNR_DB / 10.0))
                  * np.sqrt(cfg.samples_per_chirp))
-        want.real += sigma * rng.standard_normal(want.shape)
-        want.imag += sigma * rng.standard_normal(want.shape)
+        for r, row in enumerate(want):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(r,)))
+            tail = rng.standard_normal((still, cfg.num_virtual, 2))
+            head = rng.standard_normal((n_frames - still, cfg.num_virtual, 2))
+            z = np.concatenate((head, tail))
+            row.real += sigma * z[..., 0]
+            row.imag += sigma * z[..., 1]
         assert np.array_equal(render_noisy(cfg, overlap_scene, seed), want)
+
+    def test_row_streams_do_not_depend_on_the_order_of_calls(
+            self, cfg, overlap_scene):
+        """Rows rendered one at a time, in any order, or all at once in
+        reverse, or only at the still window's frames, equal the rows of
+        one render; spawning children of the seed in between changes
+        nothing."""
+        noise = np.random.SeedSequence(5).spawn(2)[0]
+        bins = np.arange(12)
+        together = render_noisy(cfg, overlap_scene, noise, bins)
+        noise.spawn(3)
+        for r in (11, 3, 0, 7):
+            alone = render_noisy(cfg, overlap_scene, noise, [r])
+            assert np.array_equal(alone[0], together[r]), r
+        assert np.array_equal(
+            render_noisy(cfg, overlap_scene, noise, bins[::-1]),
+            together[::-1])
+        assert np.array_equal(
+            render_noisy(cfg, overlap_scene, noise, bins, slice(20, None)),
+            together[:, 20:])
 
     def test_concurrent_callers_get_their_serial_arrays(self, cfg,
                                                         overlap_scene):
@@ -322,55 +388,27 @@ class TestNoiseDraw:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.fixture
-    def draw_log(self, monkeypatch):
-        """Records when each draw ends; each draw takes at least 50 ms."""
-        log = []
-        draw = simulate._draw_noise
-
-        def slow_draw(*args):
-            time.sleep(0.05)
-            draw(*args)
-            log.append("drawn")
-        monkeypatch.setattr(simulate, "_draw_noise", slow_draw)
-        return log
-
-    def test_failed_signal_raises_after_the_draw(self, cfg, draw_log):
-        bad = rv.Scene(statics=(rv.PointReflector(
-            cfg.max_unambiguous_range + 1.0, 0.0),), duration=0.5)
-        with pytest.raises(ValueError, match="Nyquist"):
-            render_noisy(cfg, bad, 0)
-        assert draw_log == ["drawn"]
-
-    def test_failed_returns_raise_after_the_draw(self, cfg, small_scene,
-                                                 draw_log, monkeypatch):
-        def broken(*args, **kwargs):
-            raise ValueError("no returns")
-            yield
-        monkeypatch.setattr(simulate, "_returns", broken)
-        with pytest.raises(ValueError, match="^no returns$"):
-            render_noisy(cfg, small_scene, 0)
-        assert draw_log == ["drawn"]
+    def test_noiseless_render_does_not_draw(self, cfg, small_scene,
+                                            monkeypatch):
+        def broken(*args):
+            raise AssertionError("drew noise")
+        monkeypatch.setattr(simulate, "_row_noise", broken)
+        out = simulate.render_profiles(small_scene, cfg, np.arange(4),
+                                       slice(None))
+        assert np.abs(out).max() > 0
 
     def test_draw_error_is_raised_as_itself(self, cfg, small_scene,
                                             monkeypatch):
         def broken(*args):
             raise MemoryError("no room for the noise")
-        monkeypatch.setattr(simulate, "_draw_noise", broken)
+        monkeypatch.setattr(simulate, "_row_noise", broken)
         with pytest.raises(MemoryError, match="no room for the noise"):
             render_noisy(cfg, small_scene, 0)
 
-    def test_noiseless_render_does_not_draw(self, cfg, small_scene,
-                                            monkeypatch):
-        monkeypatch.setattr(simulate, "_NOISE_DRAW", None)
-        out = simulate.render_profiles(small_scene, cfg, np.arange(4),
-                                       slice(None))
-        assert np.abs(out).max() > 0
-
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_draws_on_its_own_worker(self, cfg, small_scene):
-        """A child forked after the parent's worker started renders the
-        parent's array instead of waiting on a thread it does not have."""
+        """A child forked after the parent rendered draws its noise itself
+        and renders the parent's array."""
         want = render_noisy(cfg, small_scene, 5)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(1) as pool:
@@ -378,16 +416,49 @@ class TestNoiseDraw:
             assert np.array_equal(got.get(timeout=60), want)
 
 
-def _count_tone_computations(monkeypatch) -> list:
-    """Count the fast-time tone computations from here on: a render whose
-    scene's tones are held computes none."""
-    calls = []
-    fast_time = simulate._fast_time
+class TestTones:
+    """Each scatterer's range tone, in closed form at the bins and frames
+    read."""
 
-    def counted(cfg, beat_r):
-        calls.append(beat_r.size)
-        return fast_time(cfg, beat_r)
-    monkeypatch.setattr(simulate, "_fast_time", counted)
+    @pytest.mark.parametrize("in_bins", [8.0, 8.0 + 1e-9, 8.37, 8.5])
+    def test_static_tone_matches_the_fft(self, cfg, in_bins):
+        """A scalar beat range on a bin (the limit N at d = 0), a hair off
+        it, and between two bins."""
+        beat_r = np.array([in_bins * range_bin_width(cfg)])
+        bins = np.arange(cfg.samples_per_chirp // 2 + 1)
+        want = np.fft.fft(simulate._fast_time(cfg, beat_r), axis=0)[bins]
+        got = simulate._tones(cfg, beat_r, bins)
+        assert got.shape == (bins.size, 1)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        if in_bins == 8.0:
+            assert got[8, 0] == cfg.samples_per_chirp
+
+    @pytest.mark.parametrize("name", ["range_overlap", "fusion_stress"])
+    def test_mover_tone_matches_the_fft(self, name):
+        """A mover's beat range at every frame, at every bin."""
+        spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+        cfg = spec.radar
+        frame_t, _ = simulate._slow_times(cfg, spec.scene.duration)
+        scatterers = list(simulate._scatterers(spec.scene, frame_t))
+        beat_r = scatterers[-1][0]
+        assert spec.scene.movers and beat_r.shape == frame_t.shape
+        bins = np.arange(cfg.samples_per_chirp // 2 + 1)
+        want = np.fft.fft(simulate._fast_time(cfg, beat_r), axis=0)[bins]
+        got = simulate._tones(cfg, beat_r, bins)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _record_tones(monkeypatch) -> list:
+    """Record every tone computation from here on, as ``(bins, frames,
+    tones)``: the bins and the frame count asked for and the result."""
+    calls = []
+    tones = simulate._tones
+
+    def recorded(cfg, beat_r, bins):
+        out = tones(cfg, beat_r, bins)
+        calls.append((np.asarray(bins).copy(), beat_r.size, out))
+        return out
+    monkeypatch.setattr(simulate, "_tones", recorded)
     return calls
 
 
@@ -398,7 +469,7 @@ def _static_at(range_m, angle_deg):
 
 # (first, second) (scene, radar) pairs whose tones differ.
 TONES_RECOMPUTED = {
-    "scene": lambda s, c: ((s, c), (dataclasses.replace(s, duration=1.5), c)),
+    "scene": lambda s, c: ((s, c), (dataclasses.replace(s, duration=3.5), c)),
     "radar": lambda s, c: ((s, c),
                            (s, dataclasses.replace(c, frame_rate=25.0))),
     # equal under ==, different under repr
@@ -408,96 +479,91 @@ TONES_RECOMPUTED = {
                                    (_static_at(4.0, 0.0), c)),
 }
 # render_profiles arguments a second render of the same scene changes.
-ROWS = dict(bins=np.arange(36), slow_idx=slice(None), snr_db=20.0, seed=1)
+ROWS = dict(bins=np.arange(65), frames=slice(None), snr_db=20.0, seed=1)
 TONES_REUSED = {
     "seed": dict(seed=2),
     "snr_db": dict(snr_db=5.0),
     "tx_weights": dict(tx_weights=np.array([1.0, 1j])),
-    "gain_offset": dict(gain_offset=1.0),
     "bins": dict(bins=[3, 9, 64]),
-    "slow_idx": dict(slow_idx=np.arange(5, 160, 4)),
+    "slow_idx": dict(frames=np.arange(5, 80, 4)),
 }
 
 
 class TestToneSlot:
-    """Each scatterer's range-domain tone is computed once per scene."""
-
-    @staticmethod
-    def target_window(spec):
-        """(noisy profiles at ``spec.seed``, steering weights at the
-        target, the phase window's bins and frames at its range bin)."""
-        cfg = spec.radar
-        tgt = spec.scene.targets[0]
-        prof = simulate.range_profiles(spec.scene, cfg, snr_db=spec.snr_db,
-                                       seed=spec.seed)
-        tx = tx_weights(tgt.angle_deg, cfg.wavelength,
-                        num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
-        bins, frames = vitals.phase_window(prof,
-                                           range_bin_of(tgt.range_m, cfg))
-        return prof, tx, np.arange(bins.start, bins.stop), frames
+    """No tones are held between renders: each render computes its
+    scatterers' tones at the bins and frames it reads, and a tone or a
+    sample has one value whichever render computes it."""
 
     @pytest.mark.parametrize("name", ["clean", "range_overlap",
                                       "fusion_stress", "bench"])
     def test_warm_renders_equal_cold_renders(self, name):
-        """The noisy profiles and the steering correction at the target's
-        window, each rendered with the slot emptied, equal those rendered
-        after another render of the scene filled it: another seed's
-        profiles, or the correction at the window's frames only."""
+        """The noisy heatmap rows and the target's steered phase window,
+        each rendered first, equal those rendered after renders of the
+        scene at another seed and at other frames."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
         scene, cfg = spec.scene, spec.radar
+        tgt = scene.targets[0]
+        center = range_bin_of(tgt.range_m, cfg)
+        tx = tx_weights(tgt.angle_deg, cfg.wavelength,
+                        num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
+        noise = np.random.SeedSequence(spec.seed)
 
-        def profiles(seed):
+        def heat(seed):
             return simulate.range_profiles(scene, cfg, snr_db=spec.snr_db,
                                            seed=seed).data
 
-        prof, tx, bins, frames = self.target_window(spec)
+        def window(seed):
+            return simulate.window_profiles(scene, cfg, center, tx,
+                                            snr_db=spec.snr_db,
+                                            seed=seed).data
 
-        def correction():
-            return simulate.render_profiles(scene, cfg, bins, frames,
-                                            tx_weights=tx, gain_offset=1.0)
+        cold_window = window(noise)
+        assert np.abs(cold_window).max() > 0
+        cold_heat = heat(noise)
+        other = np.random.SeedSequence(spec.seed + 1)
+        heat(other)
+        window(other)
+        assert np.array_equal(window(noise), cold_window)
+        assert np.array_equal(heat(noise), cold_heat)
 
-        simulate._TONES = None
-        cold_correction = correction()
-        assert np.abs(cold_correction).max() > 0
-        # warmed at the window's frames only, then the whole profile
-        assert np.array_equal(profiles(spec.seed), prof.data)
-        simulate._TONES = None
-        profiles(spec.seed + 1)
-        assert np.array_equal(correction(), cold_correction)
-        assert np.array_equal(profiles(spec.seed), prof.data)
-
-    @pytest.mark.parametrize("block", [simulate.TONE_BLOCK, 101, 37])
+    @pytest.mark.parametrize("block", [256, 101, 37])
     @pytest.mark.parametrize("name", ["range_overlap", "fusion_stress"])
-    def test_blocked_tones_equal_one_whole_computation(self, name, block,
-                                                       monkeypatch):
-        """A mover's tone, computed a block of slow samples at a time, is
-        the FFT of its whole fast-time factor, bit for bit; neither scene's
-        slow-sample count is a multiple of a block."""
+    def test_blocked_tones_equal_one_whole_computation(self, name, block):
+        """A mover's tone, and the noisy render, computed a block of frames
+        at a time equal one whole computation, bit for bit; neither scene's
+        frame count is a multiple of a block."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
         scene, cfg = spec.scene, spec.radar
-        monkeypatch.setattr(simulate, "TONE_BLOCK", block)
-        _, slow_t = simulate._slow_times(cfg, scene.duration)
-        assert slow_t.size % block != 0
-        tones = simulate._tones(scene, cfg)
-        scatterers = list(simulate._scatterers(scene, slow_t))
-        assert len(tones) == len(scatterers) and scene.movers
-        for tone, (beat_r, *_) in zip(tones, scatterers):
-            beat_r = np.atleast_1d(beat_r)
-            whole = np.fft.fft(simulate._fast_time(cfg, beat_r), axis=0)
-            assert tone.shape == (cfg.samples_per_chirp // 2 + 1,
-                                  beat_r.size)
-            assert np.array_equal(tone, whole[:tone.shape[0]])
+        frame_t, _ = simulate._slow_times(cfg, scene.duration)
+        assert frame_t.size % block != 0
+        beat_r = list(simulate._scatterers(scene, frame_t))[-1][0]
+        assert scene.movers and beat_r.shape == frame_t.shape
+        bins = np.arange(36)
+        whole = simulate._tones(cfg, beat_r, bins)
+        blocks = range(0, frame_t.size, block)
+        assert np.array_equal(np.concatenate(
+            [simulate._tones(cfg, beat_r[i:i + block], bins)
+             for i in blocks], axis=1), whole)
+        render = render_noisy(cfg, scene, spec.seed, bins)
+        assert np.array_equal(np.concatenate(
+            [render_noisy(cfg, scene, spec.seed, bins,
+                          np.arange(i, min(i + block, frame_t.size)))
+             for i in blocks], axis=1), render)
 
     @pytest.mark.parametrize("change", TONES_RECOMPUTED)
     def test_another_scene_or_radar_recomputes(self, cfg, overlap_scene,
                                                monkeypatch, change):
+        """Each render computes its own tones, and the second render equals
+        the same render made again."""
         first, second = TONES_RECOMPUTED[change](overlap_scene, cfg)
-        calls = _count_tone_computations(monkeypatch)
-        for scene_radar in (first, second):
+        calls = _record_tones(monkeypatch)
+        renders = []
+        for scene_radar in (first, second, second):
             del calls[:]
-            simulate.render_profiles(*scene_radar, np.arange(36),
-                                     slice(None))
+            renders.append(simulate.render_profiles(
+                *scene_radar, np.arange(36), slice(None)))
             assert calls
+        assert np.array_equal(renders[1], renders[2])
         # the last two are the same scene and radar to ==, not to repr
         assert (first == second) == (change in ("zero_sign",
                                                 "int_for_float"))
@@ -505,61 +571,52 @@ class TestToneSlot:
     @pytest.mark.parametrize("change", TONES_REUSED)
     def test_other_render_arguments_reuse_the_tones(self, cfg, overlap_scene,
                                                     monkeypatch, change):
-        calls = _count_tone_computations(monkeypatch)
+        """A render with other noise, weights, bins or frames computes each
+        scatterer's tones at its bins and frames with the values of a
+        render of every bin and frame, bit for bit."""
+        calls = _record_tones(monkeypatch)
         simulate.render_profiles(overlap_scene, cfg, **ROWS)
-        assert sum(calls) == 2 + 40 * 4     # two scalars, one mover
+        whole = [tones for *_, tones in calls]
+        assert [t.shape for t in whole] == [(65, 1), (65, 1), (65, 80)]
         del calls[:]
         second = {**ROWS, **TONES_REUSED[change]}
-        warm = simulate.render_profiles(overlap_scene, cfg, **second)
-        assert calls == []
-        simulate._TONES = None
-        assert np.array_equal(
-            warm, simulate.render_profiles(overlap_scene, cfg, **second))
-
-    def test_held_tones_are_read_only(self, cfg, overlap_scene):
-        simulate.render_profiles(overlap_scene, cfg, np.arange(4),
-                                 slice(None))
-        key, tones = simulate._TONES
-        assert key == repr((overlap_scene, cfg))
-        assert [t.shape[1] for t in tones] == [1, 1, 160]
-        for tone in tones:
-            with pytest.raises(ValueError, match="read-only"):
-                tone[0, 0] = 1.0
-        assert tones is simulate._tones(overlap_scene, cfg)
+        simulate.render_profiles(overlap_scene, cfg, **second)
+        frames = np.arange(80)[second["frames"]]
+        assert len(calls) == len(whole)
+        for (bins, n_frames, tones), want in zip(calls, whole):
+            want = want[bins]
+            if n_frames > 1:
+                assert n_frames == frames.size
+                want = want[:, frames]
+            assert np.array_equal(tones, want)
 
     def test_beat_limit_is_checked_at_the_rendered_samples_only(self, cfg):
         """A mover that leaves the unambiguous range in its last frames
-        renders at the earlier samples, before and after its tones are
-        held, and fails at the later ones either way."""
+        renders at the earlier frames and fails at the later ones."""
         r_max = cfg.max_unambiguous_range
         scene = rv.Scene(movers=(rv.MovingReflector(waypoints=(
             (0.0, 2.0, 0.0), (0.5, r_max - 0.5, 0.0),
             (1.0, r_max + 2.0, 0.0))),), duration=1.0)
-        early, late = np.arange(40), np.arange(40, 80)   # t < 0.5, t >= 0.5
+        early, late = np.arange(10), np.arange(10, 20)   # t < 0.5, t >= 0.5
         bins = np.arange(8)
-        for held in (False, True):
-            if not held:
-                simulate._TONES = None
-            assert np.abs(simulate.render_profiles(
-                scene, cfg, bins, early)).max() > 0
+        assert np.abs(simulate.render_profiles(
+            scene, cfg, bins, early)).max() > 0
+        for frames in (late, slice(None)):
             with pytest.raises(ValueError, match="Nyquist"):
-                simulate.render_profiles(scene, cfg, bins, late)
-        with pytest.raises(ValueError, match="Nyquist"):
-            simulate.render_profiles(scene, cfg, bins, slice(None))
+                simulate.render_profiles(scene, cfg, bins, frames)
 
     def test_concurrent_renders_of_two_scenes_get_their_serial_arrays(
             self, cfg, overlap_scene):
-        """Four threads, two per scene, render at a short switch interval,
-        so each keeps replacing the other scene's tones."""
+        """Four threads, two per scene, render at a short switch
+        interval."""
         scenes = (overlap_scene,
-                  dataclasses.replace(overlap_scene, duration=1.5))
+                  dataclasses.replace(overlap_scene, duration=3.5))
         jobs = [(scenes[i % 2], 3 + i) for i in range(4)]
         serial = [render_noisy(cfg, s, seed) for s, seed in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(3):
-                simulate._TONES = None
                 start = threading.Barrier(len(jobs))
                 got = {}
 
@@ -578,6 +635,33 @@ class TestToneSlot:
                     assert np.array_equal(got[i], want), i
         finally:
             sys.setswitchinterval(interval)
+@pytest.mark.parametrize("name", ["clean", "range_overlap", "fusion_stress",
+                                  "bench"])
+def test_a_sample_has_one_value_whichever_render_draws_it(name):
+    """The heatmap's rows and the target's unsteered phase window, rendered
+    with the run's noise seed, hold the same samples at the still window's
+    frames, bit for bit; the steered window carries the same noise on its
+    own signal, to rounding."""
+    spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+    scene, cfg = spec.scene, spec.radar
+    noise, _ = np.random.SeedSequence(spec.seed).spawn(2)
+    tgt = scene.targets[0]
+    center = range_bin_of(tgt.range_m, cfg)
+    tx = tx_weights(tgt.angle_deg, cfg.wavelength, num_elements=cfg.num_tx,
+                    spacing=cfg.tx_spacing)
+    heat = simulate.range_profiles(scene, cfg, snr_db=spec.snr_db, seed=noise)
+
+    def window(weights, snr_db):
+        return simulate.window_profiles(scene, cfg, center, weights,
+                                        snr_db=snr_db, seed=noise).data
+
+    plain = window(None, spec.snr_db)
+    still = heat.data.shape[1]
+    assert np.array_equal(plain[:, -still:], heat.data[center - 2:center + 3])
+    steered_noise = window(tx, spec.snr_db) - window(tx, None)
+    plain_noise = plain - window(None, None)
+    assert (np.abs(steered_noise - plain_noise).max()
+            <= 1e-12 * np.abs(plain).max())
 
 
 class TestDetections:
