@@ -15,6 +15,8 @@ the heatmap's rows at the still window's frames (``range_profiles``) and
 the target's phase window at every frame, steered (``window_profiles``).
 The decomposition is timed at two sizes: the clean chain's 100 kept bins
 and the bench scenario's full 1001-bin spectrum.
+The camera's boxes of ``clean`` and ``range_overlap`` are timed from the
+scene to the tracks (``build_tracks(synthesize_detections(...))``).
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
 renderer is tested against; the pipeline never calls them.  Timings of
 the BLAS-backed calls (``select_mode_count``) depend on whether the BLAS
@@ -27,7 +29,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radarvitals import aoa, beamform, pipeline, rangefft, simulate, vitals
+from radarvitals import (aoa, beamform, fusion, pipeline, rangefft,
+                         simulate, vitals)
 from radarvitals.pipeline import ScenarioSpec
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -101,6 +104,17 @@ def test_render_phase_window(benchmark, name):
     out = benchmark(simulate.window_profiles, scenario.scene, cfg, center,
                     tx, snr_db=scenario.snr_db, seed=scenario.seed)
     assert out.data.shape == (vitals.PHASE_CHANNELS, 600, cfg.num_virtual)
+
+
+@pytest.mark.parametrize("name", ["clean", "range_overlap"])
+def test_camera_tracks(benchmark, name):
+    """The camera's boxes of every frame, split into per-identity tracks."""
+    scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
+    tracks = benchmark(lambda: fusion.build_tracks(
+        simulate.synthesize_detections(scenario.scene,
+                                       scenario.radar.frame_rate,
+                                       seed=scenario.seed)))
+    assert tracks and all(len(t.times) == 600 for t in tracks)
 
 
 def test_range_angle_heatmap(benchmark, profiles):

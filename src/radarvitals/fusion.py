@@ -1,8 +1,9 @@
 """Camera-box / radar-heatmap fusion.
 
-The camera side of the system is reduced to its essentials: per-frame 2-D
-bounding boxes in pixel coordinates.  This module tracks boxes over time,
-keeps only the ones that have stopped moving, converts their horizontal
+The camera side of the system is reduced to its essentials: the horizontal
+pixel extent of every person's box in every frame, one :class:`Detections`
+record per capture.  This module splits the record into per-identity
+tracks, keeps the ones that have stopped moving, converts their horizontal
 pixel extent into a window of angle bins, and picks the strongest
 range-angle cell inside that window.  The image's columns span the angle
 grid, so the camera's field of view is +-:data:`aoa.MAX_ANGLE_DEG`.
@@ -10,7 +11,7 @@ grid, so the camera's field of view is +-:data:`aoa.MAX_ANGLE_DEG`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,20 +27,18 @@ STILL_SPAN_FRACTION = 0.02
 
 
 @dataclass
-class Box:
-    """Axis-aligned detection box; ``x``/``y`` is the top-left corner."""
+class Detections:
+    """Every camera box of a capture.
 
-    id: str
-    x: float
-    y: float
-    w: float
-    h: float
+    ``times`` (F,) are the frame times; ``xs`` and ``ws`` (F, E) are the
+    left edge and width in pixels of entity ``ids[e]``'s box in each frame,
+    NaN where the entity is out of view.
+    """
 
-
-@dataclass
-class DetectionFrame:
-    timestamp: float
-    boxes: list[Box] = field(default_factory=list)
+    times: np.ndarray
+    ids: list[str]
+    xs: np.ndarray
+    ws: np.ndarray
 
 
 @dataclass
@@ -51,26 +50,27 @@ class TrackedBox:
     xs: np.ndarray
     ws: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.times)
 
+def build_tracks(detections: Detections) -> list[TrackedBox]:
+    """One track per identity in view in the capture's last frame, sorted
+    by id, holding the frames that show its box.
 
-def build_tracks(frames: list[DetectionFrame]) -> list[TrackedBox]:
-    """Group boxes by identity across frames (ids come from the detector)."""
-    acc: dict[str, list[tuple[float, float, float]]] = {}
-    for fr in frames:
-        for b in fr.boxes:
-            acc.setdefault(b.id, []).append((fr.timestamp, b.x, b.w))
+    A person who has left the view is not tracked, so every track ends at
+    the capture's last frame, where the radar's still window ends too.
+    """
+    times, xs, ws = detections.times, detections.xs, detections.ws
     tracks = []
-    for bid in sorted(acc):
-        rows = np.asarray(acc[bid], dtype=float)
-        tracks.append(TrackedBox(id=bid, times=rows[:, 0], xs=rows[:, 1],
-                                 ws=rows[:, 2]))
+    for bid, e in sorted(zip(detections.ids, range(xs.shape[1]))):
+        seen = ~np.isnan(xs[:, e])
+        if seen.size and seen[-1]:
+            tracks.append(TrackedBox(id=bid, times=times[seen],
+                                     xs=xs[seen, e], ws=ws[seen, e]))
     return tracks
 
 
 def filter_stationary(tracks: list[TrackedBox]) -> list[TrackedBox]:
-    """Keep tracks whose box barely moved over the trailing time window.
+    """The tracks whose box barely moved over the trailing time window, each
+    cut to that window.
 
     A track counts as stationary when, over the last
     :data:`STATIONARY_WINDOW_S` seconds of its samples, both the horizontal
@@ -81,16 +81,13 @@ def filter_stationary(tracks: list[TrackedBox]) -> list[TrackedBox]:
     threshold = STILL_SPAN_FRACTION * IMAGE_WIDTH_PX
     out = []
     for tr in tracks:
-        if len(tr) < 2:
-            continue
-        t_end = tr.times[-1]
-        sel = tr.times >= t_end - STATIONARY_WINDOW_S
+        sel = tr.times >= tr.times[-1] - STATIONARY_WINDOW_S
         if np.count_nonzero(sel) < 2:
             continue
-        x_span = float(np.ptp(tr.xs[sel]))
-        w_span = float(np.ptp(tr.ws[sel]))
-        if x_span <= threshold and w_span <= threshold:
-            out.append(tr)
+        still = TrackedBox(id=tr.id, times=tr.times[sel], xs=tr.xs[sel],
+                           ws=tr.ws[sel])
+        if np.ptp(still.xs) <= threshold and np.ptp(still.ws) <= threshold:
+            out.append(still)
     return out
 
 

@@ -10,9 +10,12 @@ repetition as a single chain of timed stages:
 * scene stages - ``simulate`` (the heatmap's rows, the bins at or below
   :data:`aoa.MAX_RANGE_M`, rendered directly at the still window's frames,
   the last :data:`fusion.STATIONARY_WINDOW_S` seconds, one snapshot per
-  frame, see :func:`simulate.range_profiles`; and the camera boxes, their
-  jitter one vectorized draw), ``heatmap`` (the MVDR covariance of each
-  row from one snapshot per frame over the still window), ``localize``;
+  frame, see :func:`simulate.range_profiles`; and the camera boxes, one
+  :class:`fusion.Detections` record of arrays), ``heatmap`` (the MVDR
+  covariance of each row from one snapshot per frame over the still
+  window), ``localize`` (the tracks in view at the last frame that stood
+  still over the still window, cut to it by
+  :func:`fusion.filter_stationary`, each located at its mean box);
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit and receive weights steered at the target), ``phase``
   (the phase window's rows rendered at every frame, steered when
@@ -181,7 +184,8 @@ def _decompose(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
 
 
 def _localize(detections, heatmap: aoa.Heatmap, report: dict) -> list:
-    """(track_id, angle window, Localization) of every stationary track."""
+    """(track_id, angle window, Localization) of every stationary track,
+    its window from the mean box over the still window."""
     tracks = fusion.build_tracks(detections)
     stationary = fusion.filter_stationary(tracks)
     report["num_stationary_tracks"] = len(stationary)
@@ -189,9 +193,8 @@ def _localize(detections, heatmap: aoa.Heatmap, report: dict) -> list:
         raise ValueError("no stationary detection track to localize")
     located = []
     for tr in stationary:
-        sel = tr.times >= tr.times[-1] - fusion.STATIONARY_WINDOW_S
-        window = fusion.pixel_to_angle_window(
-            float(np.mean(tr.xs[sel])), float(np.mean(tr.ws[sel])))
+        window = fusion.pixel_to_angle_window(float(np.mean(tr.xs)),
+                                              float(np.mean(tr.ws)))
         loc = fusion.localize(heatmap, window)
         located.append((tr.id, window, loc))
     return located

@@ -31,6 +31,9 @@ Two renderers share one per-scatterer signal model (``_returns``):
   :func:`range_profiles`, the heatmap's rows at the still window's frames,
   and :func:`window_profiles`, the phase window's rows at every frame,
   steered or not.
+
+The camera (:func:`synthesize_detections`) gives every person's box x and
+width in every frame as one :class:`fusion.Detections` record of arrays.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ import numpy as np
 
 from .aoa import MAX_ANGLE_DEG, MAX_RANGE_M, steering_matrix
 from .config import BodyMotion, RadarConfig, Scene, VitalParams, VitalTarget
-from .fusion import IMAGE_WIDTH_PX, STATIONARY_WINDOW_S, Box, DetectionFrame
+from .fusion import IMAGE_WIDTH_PX, STATIONARY_WINDOW_S, Detections
 from .rangefft import RangeProfiles, range_bin_width
 from .vitals import channel_bins
 
@@ -317,11 +320,9 @@ def window_profiles(scene: Scene, cfg: RadarConfig, center_bin: int,
                          first_bin=bins.start)
 
 
-# Camera image height, person box size and box corner jitter (sigma), in
-# pixels; the image width and field of view are the fusion's.
-IMAGE_HEIGHT_PX = 1080
+# Camera person box width and its x jitter (sigma), in pixels; the image
+# width and field of view are the fusion's.
 BOX_WIDTH_PX = 150.0
-BOX_HEIGHT_PX = 500.0
 JITTER_PX = 2.0
 
 
@@ -331,43 +332,36 @@ def target_track_ids(scene: Scene) -> dict[str, VitalTarget]:
 
 
 def synthesize_detections(scene: Scene, frame_rate: float,
-                          seed=None) -> list[DetectionFrame]:
-    """Generate per-frame bounding boxes for every person-like scatterer,
-    ``frame_rate`` frames per second.
+                          seed=None) -> Detections:
+    """Generate the bounding boxes of every person-like scatterer,
+    ``frame_rate`` frames per second, as one :class:`fusion.Detections`.
 
     Vital targets and movers whose azimuth falls inside the camera field of
     view (+-:data:`aoa.MAX_ANGLE_DEG`) get one box each; box centers follow
     the true azimuth through the linear angle-to-column map, with Gaussian
-    pixel jitter (:data:`JITTER_PX`) on the corner coordinates.  Identities
-    are stable (:func:`target_track_ids`, and ``mover-<i>``), mimicking an
+    pixel jitter (:data:`JITTER_PX`) on the left edge.  Identities are
+    stable (:func:`target_track_ids`, then ``mover-<i>``), mimicking an
     upstream tracker.  Static clutter produces no boxes.
 
-    The jitter of all boxes is one ``(boxes, 2)`` draw of x and y in
-    frame-major order, the stream of one x and one y draw per box.
+    The jitter of all boxes is one ``(boxes, 2)`` draw in frame-major
+    order, the stream of one x and one y draw per box; the y column, which
+    no stage reads, is dropped.
     """
     rng = np.random.default_rng(seed)
-    n_frames = int(round(scene.duration * frame_rate))
-    times = [f / frame_rate for f in range(n_frames)]
+    times = np.arange(int(round(scene.duration * frame_rate))) / frame_rate
     ids = [*target_track_ids(scene),
            *(f"mover-{i}" for i in range(len(scene.movers)))]
     # Azimuth of every entity (column) in every frame (row).
-    angles = np.empty((n_frames, len(ids)))
+    angles = np.empty((times.size, len(ids)))
     angles[:, :len(scene.targets)] = [t.angle_deg for t in scene.targets]
     for i, mv in enumerate(scene.movers, start=len(scene.targets)):
-        angles[:, i] = mv.angle_at(np.asarray(times))
+        angles[:, i] = mv.angle_at(times)
     seen = (-MAX_ANGLE_DEG <= angles) & (angles <= MAX_ANGLE_DEG)
-    frame_of, entity_of = np.nonzero(seen)          # frame-major
-    jitter = rng.normal(0.0, JITTER_PX, (frame_of.size, 2))
+    jitter = rng.normal(0.0, JITTER_PX, (np.count_nonzero(seen), 2))[:, 0]
     cx = ((angles[seen] + MAX_ANGLE_DEG) / (2.0 * MAX_ANGLE_DEG)
           * IMAGE_WIDTH_PX)
-    y_base = 0.5 * (IMAGE_HEIGHT_PX - BOX_HEIGHT_PX)
-    xs = np.minimum(np.maximum(cx - 0.5 * BOX_WIDTH_PX + jitter[:, 0], 0.0),
-                    IMAGE_WIDTH_PX - BOX_WIDTH_PX)
-    ys = np.minimum(np.maximum(y_base + jitter[:, 1], 0.0),
-                    IMAGE_HEIGHT_PX - BOX_HEIGHT_PX)
-    frames = [DetectionFrame(timestamp=t) for t in times]
-    for f, i, x, y in zip(frame_of.tolist(), entity_of.tolist(),
-                          xs.tolist(), ys.tolist()):
-        frames[f].boxes.append(Box(id=ids[i], x=x, y=y, w=BOX_WIDTH_PX,
-                                   h=BOX_HEIGHT_PX))
-    return frames
+    xs = np.full(angles.shape, np.nan)
+    xs[seen] = np.clip(cx - 0.5 * BOX_WIDTH_PX + jitter, 0.0,
+                       IMAGE_WIDTH_PX - BOX_WIDTH_PX)
+    return Detections(times=times, ids=ids, xs=xs,
+                      ws=np.where(seen, BOX_WIDTH_PX, np.nan))

@@ -7,12 +7,19 @@ from radarvitals import fusion
 from radarvitals.aoa import Heatmap
 
 
-def _frame(t, boxes):
-    return fusion.DetectionFrame(timestamp=t, boxes=boxes)
+def _record(times, xs, ws=150.0, ids=("box",)):
+    """Detections at ``times``: box x and width per frame, one column per
+    id in ``ids``; a NaN x is out of view."""
+    shape = (len(times), len(ids))
+    xs = np.reshape(np.asarray(xs, dtype=float), shape)
+    ws = np.where(np.isnan(xs), np.nan,
+                  np.reshape(np.asarray(ws, dtype=float), (-1, 1)))
+    return fusion.Detections(times=np.asarray(times, dtype=float),
+                             ids=list(ids), xs=xs, ws=ws)
 
 
-def _box(bid, x, w=150.0, y=300.0, h=500.0):
-    return fusion.Box(id=bid, x=x, y=y, w=w, h=h)
+def _t(n, dt=0.1):
+    return dt * np.arange(n)
 
 
 class TestWindow:
@@ -45,55 +52,75 @@ class TestWindow:
 
 class TestTracks:
     def test_grouping_by_identity(self):
-        frames = [
-            _frame(0.0, [_box("a", 10), _box("b", 500)]),
-            _frame(0.1, [_box("b", 501), _box("a", 11)]),
-        ]
-        tracks = fusion.build_tracks(frames)
+        tracks = fusion.build_tracks(
+            _record([0.0, 0.1], [[500, 10], [501, 11]], ids=("b", "a")))
         assert [t.id for t in tracks] == ["a", "b"]
         assert np.allclose(tracks[0].xs, [10, 11])
         assert np.allclose(tracks[1].times, [0.0, 0.1])
 
+    def test_track_holds_only_frames_in_view(self):
+        """A person who walks in late is tracked from their first box."""
+        nan = np.nan
+        (tr,) = fusion.build_tracks(_record(_t(4), [nan, nan, 700, 701]))
+        assert np.allclose(tr.times, [0.2, 0.3])
+        assert np.allclose(tr.xs, [700, 701]) and np.allclose(tr.ws, 150)
+
+    def test_person_gone_by_the_last_frame_is_not_tracked(self):
+        """A box still for 5 s that left the view before the last frame
+        was still over its own last 3 s, not over the capture's."""
+        xs = [[800.0, 300.0]] * 50 + [[800.0, np.nan]] * 40
+        tracks = fusion.build_tracks(_record(_t(90), xs,
+                                             ids=("stays", "left")))
+        assert [t.id for t in tracks] == ["stays"]
+        assert [t.id for t in fusion.filter_stationary(tracks)] == ["stays"]
+
     def test_stationary_keeps_still_box(self):
-        frames = [_frame(0.1 * i, [_box("still", 800 + (i % 2))])
-                  for i in range(50)]
-        tracks = fusion.build_tracks(frames)
+        tracks = fusion.build_tracks(
+            _record(_t(50), [800 + (i % 2) for i in range(50)]))
         kept = fusion.filter_stationary(tracks)
-        assert [t.id for t in kept] == ["still"]
+        assert [t.id for t in kept] == ["box"]
+
+    def test_stationary_track_is_cut_to_the_still_window(self):
+        (tr,) = fusion.filter_stationary(fusion.build_tracks(
+            _record(_t(50), [800 + (i % 2) for i in range(50)])))
+        sel = _t(50) >= _t(50)[-1] - fusion.STATIONARY_WINDOW_S
+        assert np.array_equal(tr.times, _t(50)[sel])
+        assert np.array_equal(tr.xs, [800 + (i % 2) for i in range(50)
+                                      if sel[i]])
+        assert tr.ws.shape == tr.times.shape
 
     def test_stationary_drops_walker(self):
-        frames = [_frame(0.1 * i, [_box("walk", 300 + 20 * i)])
-                  for i in range(50)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames))
+        kept = fusion.filter_stationary(fusion.build_tracks(
+            _record(_t(50), [300 + 20 * i for i in range(50)])))
         assert kept == []
 
     def test_only_trailing_window_matters(self):
         """A box that walked early but stood still for the last 3 s counts."""
         xs = [300 + 20 * i for i in range(30)] + [900.0] * 40
-        frames = [_frame(0.1 * i, [_box("settled", x)])
-                  for i, x in enumerate(xs)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames))
+        kept = fusion.filter_stationary(fusion.build_tracks(
+            _record(_t(70), xs, ids=("settled",))))
         assert [t.id for t in kept] == ["settled"]
 
     def test_width_changes_disqualify(self):
-        frames = [_frame(0.1 * i, [_box("zoom", 800, w=150 + 3 * i)])
-                  for i in range(50)]
-        kept = fusion.filter_stationary(fusion.build_tracks(frames))
+        kept = fusion.filter_stationary(fusion.build_tracks(
+            _record(_t(50), [800] * 50, ws=[150 + 3 * i for i in range(50)])))
         assert kept == []
 
     def test_threshold_is_two_percent_by_default(self):
         span = 0.02 * 1920
-        frames_ok = [_frame(0.5 * i, [_box("edge", 800 + (span * (i % 2)))])
-                     for i in range(8)]
-        frames_bad = [_frame(0.5 * i, [_box("edge", 800 + (span + 1) * (i % 2))])
-                      for i in range(8)]
-        assert fusion.filter_stationary(fusion.build_tracks(frames_ok))
-        assert not fusion.filter_stationary(fusion.build_tracks(frames_bad))
+        ok = _record(_t(8, 0.5), [800 + span * (i % 2) for i in range(8)])
+        bad = _record(_t(8, 0.5),
+                      [800 + (span + 1) * (i % 2) for i in range(8)])
+        assert fusion.filter_stationary(fusion.build_tracks(ok))
+        assert not fusion.filter_stationary(fusion.build_tracks(bad))
 
     def test_single_sample_tracks_are_dropped(self):
         kept = fusion.filter_stationary(
-            fusion.build_tracks([_frame(0.0, [_box("blip", 100)])]))
+            fusion.build_tracks(_record([0.0], [100])))
         assert kept == []
+
+    def test_no_frame_no_track(self):
+        assert fusion.build_tracks(_record([], [])) == []
 
 
 def _heatmap(power):

@@ -227,6 +227,21 @@ class TestRunScenario:
                 for entry in res.report["targets"]:
                     assert "Nyquist" in entry["failure"]
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_person_who_left_the_view_is_not_localized(self, seed):
+        """clean.json plus a mover standing at 3.5 m, -40 deg for 10 s that
+        leaves the view (-80 deg) by 10.05 s: still over its own last 3 s
+        of boxes but gone from the capture's, so it is neither a
+        stationary track nor a reported target."""
+        d = json.loads((SCENARIOS / "clean.json").read_text())
+        d["scene"]["movers"] = [{"waypoints": [
+            [0.0, 3.5, -40.0], [10.0, 3.5, -40.0], [10.05, 3.5, -80.0]]}]
+        res = run_scenario(ScenarioSpec.from_dict(d), seed=seed)
+        assert res.report["failure_stage"] is None
+        assert res.report["num_stationary_tracks"] == 1
+        assert [e["track_id"] for e in res.report["targets"]] == ["target-0"]
+
+
 def _scenario_with_every_level() -> dict:
     """range_overlap.json as a dict, with a body-motion burst added to its
     target's vitals and to its mover, so every record type occurs."""
@@ -691,9 +706,7 @@ class TestSpecSerialization:
     @pytest.mark.parametrize("key, owner, name", [
         ("afov_deg", aoa, "MAX_ANGLE_DEG"),
         ("image_width", fusion, "IMAGE_WIDTH_PX"),
-        ("image_height", simulate, "IMAGE_HEIGHT_PX"),
         ("box_width_px", simulate, "BOX_WIDTH_PX"),
-        ("box_height_px", simulate, "BOX_HEIGHT_PX"),
         ("jitter_px", simulate, "JITTER_PX"),
     ])
     def test_camera_constant_is_the_old_scenario_value(self, key, owner,

@@ -670,39 +670,39 @@ class TestDetections:
 
     def test_center_mapping_is_linear(self):
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 30.0),), duration=1.0)
-        frames = simulate.synthesize_detections(scene, 20.0, seed=0)
-        box = frames[0].boxes[0]
+        det = simulate.synthesize_detections(scene, 20.0, seed=0)
         expected_center = (30.0 + 60.0) / 120.0 * 1920
-        assert box.x + box.w / 2 == pytest.approx(expected_center,
-                                                   abs=self.TOL_PX)
-        assert box.id == "target-0"
+        assert det.xs[0, 0] + det.ws[0, 0] / 2 == pytest.approx(
+            expected_center, abs=self.TOL_PX)
+        assert det.ids == ["target-0"]
 
     def test_out_of_view_scatterers_make_no_boxes(self):
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 30.0),),
                          movers=(rv.MovingReflector(
                              waypoints=((0.0, 3.0, 80.0),)),),
                          duration=1.0)
-        frames = simulate.synthesize_detections(scene, 20.0, seed=0)
-        assert all(len(f.boxes) == 1 for f in frames)
+        det = simulate.synthesize_detections(scene, 20.0, seed=0)
+        assert det.ids == ["target-0", "mover-0"]
+        assert not np.isnan(det.xs[:, 0]).any()
+        assert np.isnan(det.xs[:, 1]).all() and np.isnan(det.ws[:, 1]).all()
 
     def test_mover_box_follows_trajectory(self):
         """The box moves 96 px a frame, far beyond the jitter."""
         scene = rv.Scene(movers=(rv.MovingReflector(
             waypoints=((0.0, 3.0, -30.0), (1.0, 3.0, 30.0))),), duration=1.0)
-        frames = simulate.synthesize_detections(scene, 10.0, seed=0)
-        xs = [f.boxes[0].x for f in frames]
-        assert xs == sorted(xs)
-        for f in frames:
-            center = (f.timestamp * 60.0 - 30.0 + 60.0) / 120.0 * 1920
-            assert f.boxes[0].x + f.boxes[0].w / 2 == pytest.approx(
-                center, abs=self.TOL_PX)
-        assert frames[0].boxes[0].id == "mover-0"
+        det = simulate.synthesize_detections(scene, 10.0, seed=0)
+        xs = det.xs[:, 0]
+        assert np.all(np.diff(xs) > 0)
+        center = (det.times * 60.0 - 30.0 + 60.0) / 120.0 * 1920
+        assert xs + det.ws[:, 0] / 2 == pytest.approx(center,
+                                                      abs=self.TOL_PX)
+        assert det.ids == ["mover-0"]
 
     def test_jitter_is_seeded(self):
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 0.0),), duration=2.0)
         a = simulate.synthesize_detections(scene, 20.0, seed=5)
         b = simulate.synthesize_detections(scene, 20.0, seed=5)
-        assert all(x.boxes[0].x == y.boxes[0].x for x, y in zip(a, b))
+        assert np.array_equal(a.xs, b.xs)
 
     def test_box_window_contains_the_target_bin_across_the_view(self):
         """The camera's field of view is the angle grid's: for a target
@@ -715,24 +715,21 @@ class TestDetections:
             scene = rv.Scene(targets=(rv.VitalTarget(2.0, float(angle)),),
                              duration=2.0)
             true_bin = int(np.argmin(np.abs(grid - angle)))
-            for f in simulate.synthesize_detections(scene, 20.0, seed=i):
-                (box,) = f.boxes
-                lo, hi = fusion.pixel_to_angle_window(box.x, box.w)
-                assert lo <= true_bin <= hi, (angle, f.timestamp, lo, hi)
+            det = simulate.synthesize_detections(scene, 20.0, seed=i)
+            for t, x, w in zip(det.times, det.xs[:, 0], det.ws[:, 0]):
+                lo, hi = fusion.pixel_to_angle_window(x, w)
+                assert lo <= true_bin <= hi, (angle, t, lo, hi)
                 checked += 1
         assert checked == angles.size * 40 == 9640
 
     @staticmethod
-    def assert_same_frames(got, want):
-        """Equal frames and boxes, values and Python types."""
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert (g.timestamp, type(g.timestamp)) == (w.timestamp,
-                                                      type(w.timestamp))
-            assert g.boxes == w.boxes
-            for a, b in zip(g.boxes, w.boxes):
-                assert ([type(v) for v in vars(a).values()]
-                        == [type(v) for v in vars(b).values()])
+    def assert_same_record(got, want):
+        """Equal times, ids and boxes, NaN where out of view."""
+        assert got.ids == want.ids
+        for name in ("times", "xs", "ws"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == w.dtype == np.float64
+            assert np.array_equal(g, w, equal_nan=True), name
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("name", ["clean", "range_overlap",
@@ -740,7 +737,7 @@ class TestDetections:
     def test_bundled_scenes_match_the_scalar_loop(self, name, seed):
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
         args = (spec.scene, spec.radar.frame_rate)
-        self.assert_same_frames(simulate.synthesize_detections(*args, seed),
+        self.assert_same_record(simulate.synthesize_detections(*args, seed),
                                 scalar_detections(*args, seed))
 
     def test_mover_leaving_the_view_keeps_the_draw_order(self):
@@ -754,10 +751,23 @@ class TestDetections:
                 (2.0, 3.0, aoa.MAX_ANGLE_DEG + 10.0))),),
             duration=2.0)
         got = simulate.synthesize_detections(scene, 20.0, seed=11)
-        counts = [len(f.boxes) for f in got]
-        assert counts[0] == 2 and counts[-1] == 1 and counts == sorted(
-            counts, reverse=True)
-        self.assert_same_frames(got, scalar_detections(scene, 20.0, seed=11))
+        counts = np.count_nonzero(~np.isnan(got.xs), axis=1)
+        assert counts[0] == 2 and counts[-1] == 1
+        assert np.all(np.diff(counts) <= 0)
+        self.assert_same_record(got, scalar_detections(scene, 20.0, seed=11))
+
+    def test_draws_an_x_and_a_y_per_box(self):
+        """The y column is drawn and dropped: the generator ends where two
+        normals per box leave it, so the stream stays the scalar loop's."""
+        spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
+        rng = np.random.default_rng(7)
+        det = simulate.synthesize_detections(spec.scene,
+                                             spec.radar.frame_rate, seed=rng)
+        boxes = np.count_nonzero(~np.isnan(det.xs))
+        assert boxes > 0
+        want = np.random.default_rng(7)
+        want.standard_normal(2 * boxes)
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_no_person_makes_no_draw(self):
         scene = rv.Scene(statics=(rv.PointReflector(3.0, 0.0),),
@@ -766,5 +776,6 @@ class TestDetections:
         state = rng.bit_generator.state
         got = simulate.synthesize_detections(scene, 20.0, seed=rng)
         assert rng.bit_generator.state == state
-        assert len(got) == 20 and all(f.boxes == [] for f in got)
-        self.assert_same_frames(got, scalar_detections(scene, 20.0, seed=2))
+        assert got.ids == [] and got.xs.shape == got.ws.shape == (20, 0)
+        assert got.times.shape == (20,)
+        self.assert_same_record(got, scalar_detections(scene, 20.0, seed=2))
