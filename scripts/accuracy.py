@@ -11,10 +11,11 @@ writes ``accuracy/ACC_<label>.json``.  Its cells are
 * a range-position sweep: ``clean.json`` with its subject at 0.0, 0.1, ...,
   0.9 bin past bins 6 and 8, x beamforming on/off x 5 seeds.
 
-Each cell records the |RR| and |HR| errors (p50, p90, max), the targets
-with a missing rate, the failed runs by ``failure_stage``, the targets
-whose decomposition did not converge, and sha256 digests of the reports
-and of the localizations.  No wall time is recorded, so the file is the
+Each cell is the cell's runs pooled by ``pipeline.summarize_runs`` (the
+|RR| and |HR| errors' p50, p80, p90 and max, the targets with a missing
+rate, the failed runs by ``failure_stage``, the targets whose
+decomposition did not converge), plus sha256 digests of the reports and
+of the localizations.  No wall time is recorded, so the file is the
 same on every machine and at every BLAS thread count; diff two labels to
 see what a change did to accuracy.
 """
@@ -25,15 +26,13 @@ import dataclasses
 import hashlib
 import json
 import sys
-from collections import Counter
 from pathlib import Path
-
-import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from radarvitals.pipeline import ScenarioSpec, run_scenario  # noqa: E402
+from radarvitals.pipeline import (ScenarioSpec, run_scenario,  # noqa: E402
+                                  summarize_runs)
 from radarvitals.rangefft import range_bin_width  # noqa: E402
 
 BUNDLED_SEEDS = 10
@@ -41,46 +40,23 @@ SWEEP_SEEDS = 5
 SWEEP_BINS = (6, 8)
 
 
-def _stats(errors: list[float]) -> dict:
-    if not errors:
-        return {"p50": None, "p90": None, "max": None}
-    a = np.abs(np.asarray(errors))
-    return {"p50": round(float(np.percentile(a, 50)), 6),
-            "p90": round(float(np.percentile(a, 90)), 6),
-            "max": round(float(a.max()), 6)}
+def _sha256(texts) -> str:
+    return hashlib.sha256("".join(texts).encode()).hexdigest()
 
 
 def cell(spec: ScenarioSpec, beamforming: bool, seeds: int) -> dict:
-    """Run ``seeds`` seeds of ``spec`` and summarize them."""
-    rr, hr = [], []
-    failures: Counter = Counter()
-    missing_rr = missing_hr = non_converged = 0
-    reports, locations = hashlib.sha256(), hashlib.sha256()
-    for i in range(seeds):
-        report = run_scenario(spec, seed=spec.seed + i,
-                              beamforming=beamforming).report
-        reports.update((json.dumps(report, sort_keys=True, indent=2)
-                        + "\n").encode())
-        locations.update(json.dumps(
-            [(t["track_id"], t["range_bin"], t["angle_bin"])
-             for t in report["targets"]]).encode())
-        if report["failure_stage"] is not None:
-            failures[report["failure_stage"]] += 1
-        for t in report["targets"]:
-            non_converged += t.get("converged") is False
-            if "true_breaths_per_min" not in t:
-                continue
-            for errors, key in ((rr, "rr_error_rpm"), (hr, "hr_error_bpm")):
-                if t.get(key) is not None:
-                    errors.append(t[key])
-            missing_rr += t.get("rr_error_rpm") is None
-            missing_hr += t.get("hr_error_bpm") is None
-    return {"runs": seeds, "rr_abs_error_rpm": _stats(rr),
-            "hr_abs_error_bpm": _stats(hr), "missing_rr": missing_rr,
-            "missing_hr": missing_hr, "failures": dict(sorted(failures.items())),
-            "non_converged": non_converged,
-            "report_sha256": reports.hexdigest(),
-            "localization_sha256": locations.hexdigest()}
+    """Run ``seeds`` seeds of ``spec``: their :func:`summarize_runs` plus
+    sha256 digests of the reports and of the localizations."""
+    reports = [run_scenario(spec, seed=spec.seed + i,
+                            beamforming=beamforming).report
+               for i in range(seeds)]
+    return {**summarize_runs(reports),
+            "report_sha256": _sha256(
+                json.dumps(r, sort_keys=True, indent=2) + "\n"
+                for r in reports),
+            "localization_sha256": _sha256(
+                json.dumps([(t["track_id"], t["range_bin"], t["angle_bin"])
+                            for t in r["targets"]]) for r in reports)}
 
 
 def cells():

@@ -3,7 +3,7 @@
 Verbs
 -----
 run      one seeded end-to-end scenario repetition -> report.json
-suite    repeated runs with aggregated error percentiles and CDFs
+suite    repeated runs pooled into error percentiles, CDFs and failure counts
 bench    decomposition timing at several spectrum truncation lengths
 pattern  steered array factor -> CSV
 
@@ -188,15 +188,20 @@ def _cmd_suite(args) -> int:
             spec, repetitions=args.repetitions, out_dir=out, seed=args.seed,
             beamforming=False if args.no_beamforming else None,
             n_keep=args.n_keep)
+        stages = ", ".join(f"{stage}: {n}"
+                           for stage, n in summary["failures"].items())
         print(f"{spec.name}: {summary['repetitions']} runs, "
-              f"{summary['failed_runs']} failed (excluded from CDFs)")
-        for metric, unit in (("rr_abs_error_rpm", "rpm"),
-                             ("hr_abs_error_bpm", "bpm")):
-            pcts = summary[metric]
+              f"{summary['failed_runs']} failed"
+              f"{f' ({stages})' if stages else ''}, "
+              f"{summary['non_converged']} non-converged")
+        for metric, tag, unit in (("rr_abs_error_rpm", "rr", "rpm"),
+                                  ("hr_abs_error_bpm", "hr", "bpm")):
             line = ", ".join(
                 f"{k}={'-' if v is None else f'{v:.3f}'}"
-                for k, v in pcts.items())
-            print(f"  {metric} [{unit}]: {line}")
+                for k, v in summary[metric].items())
+            print(f"  {metric} [{unit}]: {line} "
+                  f"({summary[f'num_{tag}_samples']} samples, "
+                  f"{summary[f'missing_{tag}']} missing)")
         rc = max(rc, 1 if summary["failed_runs"] else 0)
     return rc
 

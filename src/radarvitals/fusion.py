@@ -68,20 +68,32 @@ def build_tracks(detections: Detections) -> list[TrackedBox]:
     return tracks
 
 
-def filter_stationary(tracks: list[TrackedBox]) -> list[TrackedBox]:
-    """The tracks whose box barely moved over the trailing time window, each
-    cut to that window.
+def still_frames(frame_rate: float) -> int:
+    """Frames in the still window that ends a capture at ``frame_rate``
+    frames per second, the last :data:`STATIONARY_WINDOW_S` seconds (at
+    least one): the camera tests stillness over them and the radar renders
+    its heatmap's rows at them."""
+    return max(int(round(STATIONARY_WINDOW_S * frame_rate)), 1)
 
-    A track counts as stationary when, over the last
-    :data:`STATIONARY_WINDOW_S` seconds of its samples, both the horizontal
-    position and the width stay inside a max-minus-min span of
-    :data:`STILL_SPAN_FRACTION` of :data:`IMAGE_WIDTH_PX`.  Tracks with fewer
-    than two samples in the window are dropped (no evidence of stillness).
+
+def filter_stationary(tracks: list[TrackedBox],
+                      frame_rate: float) -> list[TrackedBox]:
+    """The tracks whose box barely moved over the still window, each cut to
+    that window.
+
+    The still window is the last :func:`still_frames` frames of a capture
+    at ``frame_rate``; its edge lies half a frame before its first frame,
+    clear of every frame time.  A track counts as stationary when, over its
+    samples in the window, both the horizontal position and the width stay
+    inside a max-minus-min span of :data:`STILL_SPAN_FRACTION` of
+    :data:`IMAGE_WIDTH_PX`.  Tracks with fewer than two samples in the
+    window are dropped (no evidence of stillness).
     """
     threshold = STILL_SPAN_FRACTION * IMAGE_WIDTH_PX
+    span = (still_frames(frame_rate) - 0.5) / frame_rate
     out = []
     for tr in tracks:
-        sel = tr.times >= tr.times[-1] - STATIONARY_WINDOW_S
+        sel = tr.times > tr.times[-1] - span
         if np.count_nonzero(sel) < 2:
             continue
         still = TrackedBox(id=tr.id, times=tr.times[sel], xs=tr.xs[sel],

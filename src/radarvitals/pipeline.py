@@ -9,8 +9,8 @@ repetition as a single chain of timed stages:
 
 * scene stages - ``simulate`` (the heatmap's rows, the bins at or below
   :data:`aoa.MAX_RANGE_M`, rendered directly at the still window's frames,
-  the last :data:`fusion.STATIONARY_WINDOW_S` seconds, one snapshot per
-  frame, see :func:`simulate.range_profiles`; and the camera boxes, one
+  the last :func:`fusion.still_frames` frames, one snapshot per frame, see
+  :func:`simulate.range_profiles`; and the camera boxes, one
   :class:`fusion.Detections` record of arrays), ``heatmap`` (the MVDR
   covariance of each row from one snapshot per frame over the still
   window), ``localize`` (the tracks in view at the last frame that stood
@@ -30,7 +30,8 @@ remain the reference the renderer is tested against.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
-:func:`run_suite` repeats the run across seeds and aggregates error CDFs;
+:func:`summarize_runs` pools the reports of any set of runs, the seeds of
+:func:`run_suite` and of each ``scripts/accuracy.py`` cell alike;
 :func:`bench_acceleration` reuses a run's vitals chain to time the
 decomposition at several spectrum truncation lengths.
 """
@@ -39,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -183,11 +185,12 @@ def _decompose(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
                                            init=init)
 
 
-def _localize(detections, heatmap: aoa.Heatmap, report: dict) -> list:
+def _localize(detections, frame_rate: float, heatmap: aoa.Heatmap,
+              report: dict) -> list:
     """(track_id, angle window, Localization) of every stationary track,
     its window from the mean box over the still window."""
     tracks = fusion.build_tracks(detections)
-    stationary = fusion.filter_stationary(tracks)
+    stationary = fusion.filter_stationary(tracks, frame_rate)
     report["num_stationary_tracks"] = len(stationary)
     if not stationary:
         raise ValueError("no stationary detection track to localize")
@@ -296,7 +299,8 @@ def run_scenario(
         with _stage(timings, "heatmap"):
             heatmap = aoa.range_angle_heatmap(profiles)
         with _stage(timings, "localize"):
-            result.locations = _localize(detections, heatmap, report)
+            result.locations = _localize(detections, cfg.frame_rate,
+                                         heatmap, report)
     except _StageFailed as e:
         report["failure_stage"] = e.stage
         report["error"] = str(e)
@@ -367,11 +371,43 @@ def write_run_outputs(result: RunResult, out_dir) -> Path:
     return out / "report.json"
 
 
-def _percentiles(errors: list[float], pcts=(50, 80, 90)) -> dict:
-    if not errors:
-        return {f"p{p}": None for p in pcts}
-    arr = np.abs(np.asarray(errors, dtype=float))
-    return {f"p{p}": float(np.percentile(arr, p)) for p in pcts}
+def _abs_errors(reports: list[dict], key: str) -> list[float]:
+    """|``key``| of every target of ``reports`` that has one."""
+    return [abs(t[key]) for r in reports for t in r["targets"]
+            if t.get(key) is not None]
+
+
+# (summary key, report key) of each pooled rate error, by its short name.
+_RATE_ERRORS = {"rr": ("rr_abs_error_rpm", "rr_error_rpm"),
+                "hr": ("hr_abs_error_bpm", "hr_error_bpm")}
+
+
+def summarize_runs(reports: list[dict]) -> dict:
+    """Pool :func:`run_scenario` reports: every ground-truth target
+    counts, whether or not its run failed.
+
+    Its |RR| and |HR| errors are pooled (p50, p80, p90 and max, None
+    without a sample, and the sample counts) and a missing rate is counted;
+    so are the failed runs, by ``failure_stage``, and the targets whose
+    decomposition did not converge.
+    """
+    failures = Counter(r["failure_stage"] for r in reports
+                       if r["failure_stage"] is not None)
+    targets = [t for r in reports for t in r["targets"]]
+    truths = sum("true_breaths_per_min" in t for t in targets)
+    summary = {"runs": len(reports), "failed_runs": sum(failures.values()),
+               "failures": dict(sorted(failures.items())),
+               "non_converged": sum(t.get("converged") is False
+                                    for t in targets)}
+    for tag, (name, key) in _RATE_ERRORS.items():
+        errors = _abs_errors(reports, key)
+        summary[name] = {
+            **{f"p{p}": float(np.percentile(errors, p)) if errors else None
+               for p in (50, 80, 90)},
+            "max": max(errors, default=None)}
+        summary[f"num_{tag}_samples"] = len(errors)
+        summary[f"missing_{tag}"] = truths - len(errors)
+    return summary
 
 
 def run_suite(
@@ -383,41 +419,26 @@ def run_suite(
     n_keep: int | None | str = "spec",
 ) -> dict:
     """Run ``repetitions`` seeded repetitions, seeds ``seed + i`` (``seed``
-    defaults to ``spec.seed``).
+    defaults to ``spec.seed``), and summarize them.
 
     Like the other overrides, ``seed`` is passed to :func:`run_scenario`,
     so run ``i`` writes the report ``run_scenario(spec, seed=seed + i)``
-    writes.  Error CDFs pool the per-target absolute rate errors of successful
-    runs; failed runs and missing rates are excluded from the CDFs and
-    counted separately.  Writes per-run reports plus ``suite_summary.json``
-    and CDF CSVs when ``out_dir`` is given.
+    writes.  The summary is :func:`summarize_runs` of the reports (a failed
+    run's ground-truth targets count too, with their errors or as missing)
+    plus ``scenario``, ``repetitions``, ``base_seed`` and ``beamforming``.
+    When ``out_dir`` is given, writes each run's outputs to
+    ``run-<i>``, the summary to ``suite_summary.json`` and the pooled
+    errors' CDFs to ``cdf_rr.csv`` / ``cdf_hr.csv``.
     """
     _require(repetitions >= 1, "repetitions must be >= 1")
-    rr_errors: list[float] = []
-    hr_errors: list[float] = []
-    failed_runs = 0
-    missing_rr = 0
-    missing_hr = 0
     base = spec.seed if seed is None else seed
+    reports = []
     for i in range(repetitions):
         res = run_scenario(spec, seed=base + i,
                            beamforming=beamforming, n_keep=n_keep)
         if out_dir is not None:
             write_run_outputs(res, Path(out_dir) / f"run-{i:03d}")
-        if res.failed:
-            failed_runs += 1
-            continue
-        for entry in res.report["targets"]:
-            if "true_breaths_per_min" not in entry:
-                continue
-            if entry.get("rr_error_rpm") is None:
-                missing_rr += 1
-            else:
-                rr_errors.append(abs(entry["rr_error_rpm"]))
-            if entry.get("hr_error_bpm") is None:
-                missing_hr += 1
-            else:
-                hr_errors.append(abs(entry["hr_error_bpm"]))
+        reports.append(res.report)
 
     summary = {
         "scenario": spec.name,
@@ -425,13 +446,7 @@ def run_suite(
         "base_seed": base,
         "beamforming": (spec.beamforming if beamforming is None
                         else beamforming),
-        "failed_runs": failed_runs,
-        "missing_rr": missing_rr,
-        "missing_hr": missing_hr,
-        "rr_abs_error_rpm": _percentiles(rr_errors),
-        "hr_abs_error_bpm": _percentiles(hr_errors),
-        "num_rr_samples": len(rr_errors),
-        "num_hr_samples": len(hr_errors),
+        **summarize_runs(reports),
     }
     if out_dir is not None:
         out = Path(out_dir)
@@ -439,11 +454,11 @@ def run_suite(
         with open(out / "suite_summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
             fh.write("\n")
-        for name, errs in (("cdf_rr.csv", rr_errors),
-                           ("cdf_hr.csv", hr_errors)):
-            with open(out / name, "w") as fh:
+        for tag, (_, key) in _RATE_ERRORS.items():
+            errs = sorted(_abs_errors(reports, key))
+            with open(out / f"cdf_{tag}.csv", "w") as fh:
                 fh.write("abs_error,cumulative_fraction\n")
-                for j, e in enumerate(sorted(errs)):
+                for j, e in enumerate(errs):
                     fh.write(f"{e:.6f},{(j + 1) / len(errs):.6f}\n")
     return summary
 

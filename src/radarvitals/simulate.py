@@ -43,7 +43,7 @@ import numpy as np
 
 from .aoa import MAX_ANGLE_DEG, MAX_RANGE_M, steering_matrix
 from .config import BodyMotion, RadarConfig, Scene, VitalParams, VitalTarget
-from .fusion import IMAGE_WIDTH_PX, STATIONARY_WINDOW_S, Detections
+from .fusion import IMAGE_WIDTH_PX, Detections, still_frames
 from .rangefft import RangeProfiles, range_bin_width
 from .vitals import channel_bins
 
@@ -189,14 +189,6 @@ def synthesize_cube(
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
 
-def _still_frames(cfg: RadarConfig, n_frames: int) -> int:
-    """Frames in the still window that ends the capture: the last
-    :data:`fusion.STATIONARY_WINDOW_S` seconds, at least one frame and at
-    most every frame."""
-    return min(max(int(round(STATIONARY_WINDOW_S * cfg.frame_rate)), 1),
-               n_frames)
-
-
 def _tones(cfg: RadarConfig, beat_r: np.ndarray, bins: np.ndarray):
     """The range tones of the beat ranges ``beat_r`` (1-D) at range
     ``bins``, shaped ``(bins.size, beat_r.size)``: the DFT of the fast-time
@@ -268,7 +260,7 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, frames,
         noise = (seed if isinstance(seed, np.random.SeedSequence)
                  else np.random.SeedSequence(seed))
         n_frames = frame_t.size
-        tail = _still_frames(cfg, n_frames)
+        tail = min(still_frames(cfg.frame_rate), n_frames)
         # Draw only the still window when no frame before it is read.
         first = (n_frames - tail
                  if frames.size and frames.min() >= n_frames - tail else 0)
@@ -287,14 +279,14 @@ def range_profiles(scene: Scene, cfg: RadarConfig, snr_db: float | None = None,
     :func:`render_profiles`.
 
     The rows are the bins at or below :data:`aoa.MAX_RANGE_M`; the frames
-    are the last :data:`fusion.STATIONARY_WINDOW_S` seconds of the capture,
-    the window in which the camera finds its still subjects, one snapshot
-    per frame.
+    are the still window's (:func:`fusion.still_frames`, at most every
+    frame), the frames in which the camera finds its still subjects, one
+    snapshot per frame.
     """
     frame_t, _ = _slow_times(cfg, scene.duration)
     axis = np.arange(cfg.samples_per_chirp // 2 + 1) * range_bin_width(cfg)
     bins = np.arange(np.count_nonzero(axis <= MAX_RANGE_M))
-    still = slice(frame_t.size - _still_frames(cfg, frame_t.size), None)
+    still = slice(-still_frames(cfg.frame_rate), None)
     data = render_profiles(scene, cfg, bins, still, snr_db=snr_db, seed=seed)
     return RangeProfiles(data=data, range_axis=axis[bins], config=cfg,
                          frame_timestamps=frame_t[still])

@@ -510,8 +510,6 @@ def multichannel_vmd(
 class VitalRates:
     breaths_per_min: float | None
     beats_per_min: float | None
-    breath_mode: int | None
-    heart_mode: int | None
 
 
 def _refined_peak_hz(mode: np.ndarray, fs: float,
@@ -548,14 +546,10 @@ def estimate_rates(modes: ModeSet) -> VitalRates:
             (modes.center_freqs_hz >= band[0])
             & (modes.center_freqs_hz <= band[1]))
         if in_band.size == 0:
-            return None, None
-        k = int(in_band[np.argmax(energies[in_band])])
+            return None
+        k = in_band[np.argmax(energies[in_band])]
         f = _refined_peak_hz(modes.modes[k], modes.sample_rate, band)
-        if f is None:
-            return None, None
-        return f * 60.0, k
+        return None if f is None else f * 60.0
 
-    rr, kb = band_rate(DEFAULT_RR_BAND)
-    hr, kh = band_rate(DEFAULT_HR_BAND)
-    return VitalRates(breaths_per_min=rr, beats_per_min=hr,
-                      breath_mode=kb, heart_mode=kh)
+    return VitalRates(breaths_per_min=band_rate(DEFAULT_RR_BAND),
+                      beats_per_min=band_rate(DEFAULT_HR_BAND))

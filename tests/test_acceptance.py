@@ -279,7 +279,7 @@ def test_criterion_09_windowed_localization_beats_global_argmax():
     frames = simulate.synthesize_detections(scene, cfg.frame_rate,
                                             seed=det_ss)
     tracks = fusion.build_tracks(frames)
-    stationary = fusion.filter_stationary(tracks)
+    stationary = fusion.filter_stationary(tracks, cfg.frame_rate)
     assert [tr.id for tr in stationary] == ["target-0"]
 
     track = stationary[0]

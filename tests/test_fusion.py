@@ -72,38 +72,40 @@ class TestTracks:
         tracks = fusion.build_tracks(_record(_t(90), xs,
                                              ids=("stays", "left")))
         assert [t.id for t in tracks] == ["stays"]
-        assert [t.id for t in fusion.filter_stationary(tracks)] == ["stays"]
+        assert [t.id for t in fusion.filter_stationary(tracks, 10.0)] == [
+            "stays"]
 
     def test_stationary_keeps_still_box(self):
         tracks = fusion.build_tracks(
             _record(_t(50), [800 + (i % 2) for i in range(50)]))
-        kept = fusion.filter_stationary(tracks)
+        kept = fusion.filter_stationary(tracks, 10.0)
         assert [t.id for t in kept] == ["box"]
 
     def test_stationary_track_is_cut_to_the_still_window(self):
+        """The still window is the last 3 s, 30 frames at 10 fps."""
+        assert fusion.still_frames(10.0) == 30
         (tr,) = fusion.filter_stationary(fusion.build_tracks(
-            _record(_t(50), [800 + (i % 2) for i in range(50)])))
-        sel = _t(50) >= _t(50)[-1] - fusion.STATIONARY_WINDOW_S
-        assert np.array_equal(tr.times, _t(50)[sel])
-        assert np.array_equal(tr.xs, [800 + (i % 2) for i in range(50)
-                                      if sel[i]])
+            _record(_t(50), [800 + (i % 2) for i in range(50)])), 10.0)
+        assert np.array_equal(tr.times, _t(50)[-30:])
+        assert np.array_equal(tr.xs, [800 + (i % 2) for i in range(20, 50)])
         assert tr.ws.shape == tr.times.shape
 
     def test_stationary_drops_walker(self):
         kept = fusion.filter_stationary(fusion.build_tracks(
-            _record(_t(50), [300 + 20 * i for i in range(50)])))
+            _record(_t(50), [300 + 20 * i for i in range(50)])), 10.0)
         assert kept == []
 
     def test_only_trailing_window_matters(self):
         """A box that walked early but stood still for the last 3 s counts."""
         xs = [300 + 20 * i for i in range(30)] + [900.0] * 40
         kept = fusion.filter_stationary(fusion.build_tracks(
-            _record(_t(70), xs, ids=("settled",))))
+            _record(_t(70), xs, ids=("settled",))), 10.0)
         assert [t.id for t in kept] == ["settled"]
 
     def test_width_changes_disqualify(self):
         kept = fusion.filter_stationary(fusion.build_tracks(
-            _record(_t(50), [800] * 50, ws=[150 + 3 * i for i in range(50)])))
+            _record(_t(50), [800] * 50, ws=[150 + 3 * i for i in range(50)])),
+            10.0)
         assert kept == []
 
     def test_threshold_is_two_percent_by_default(self):
@@ -111,12 +113,12 @@ class TestTracks:
         ok = _record(_t(8, 0.5), [800 + span * (i % 2) for i in range(8)])
         bad = _record(_t(8, 0.5),
                       [800 + (span + 1) * (i % 2) for i in range(8)])
-        assert fusion.filter_stationary(fusion.build_tracks(ok))
-        assert not fusion.filter_stationary(fusion.build_tracks(bad))
+        assert fusion.filter_stationary(fusion.build_tracks(ok), 2.0)
+        assert not fusion.filter_stationary(fusion.build_tracks(bad), 2.0)
 
     def test_single_sample_tracks_are_dropped(self):
         kept = fusion.filter_stationary(
-            fusion.build_tracks(_record([0.0], [100])))
+            fusion.build_tracks(_record([0.0], [100])), 10.0)
         assert kept == []
 
     def test_no_frame_no_track(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import inspect
 import json
 import os
@@ -766,8 +767,58 @@ class TestSuite:
                             snr_db=0.0)
         summary = run_suite(spec, repetitions=2)
         assert summary["failed_runs"] == 2
+        assert summary["failures"] == {"localize": 2}
         assert summary["num_rr_samples"] == 0
         assert summary["rr_abs_error_rpm"]["p50"] is None
+
+    @pytest.fixture(scope="class")
+    def lost_second_target(self):
+        """clean.json plus a subject at 0.3 m and -30 deg, whose phase
+        window leaves the range profile: every run fails at "vitals",
+        while target-0 reads its rates."""
+        spec = ScenarioSpec.from_json(SCENARIOS / "clean.json")
+        near = dataclasses.replace(spec.scene.targets[0], range_m=0.3,
+                                   angle_deg=-30.0)
+        return dataclasses.replace(spec, scene=dataclasses.replace(
+            spec.scene, targets=(*spec.scene.targets, near)))
+
+    @staticmethod
+    def assert_pools_the_good_target(summary, spec):
+        """Target-0's three errors pooled, target-1 missing three times,
+        three runs failed at "vitals"."""
+        reports = [run_scenario(spec, seed=spec.seed + i).report
+                   for i in range(3)]
+        assert [r["failure_stage"] for r in reports] == ["vitals"] * 3
+        for tag, key, name in (("rr", "rr_error_rpm", "rr_abs_error_rpm"),
+                               ("hr", "hr_error_bpm", "hr_abs_error_bpm")):
+            errors = [abs(r["targets"][0][key]) for r in reports]
+            assert summary[f"num_{tag}_samples"] == 3
+            assert summary[f"missing_{tag}"] == 3
+            assert summary[name] == {
+                "p50": np.percentile(errors, 50),
+                "p80": np.percentile(errors, 80),
+                "p90": np.percentile(errors, 90), "max": max(errors)}
+        assert summary["rr_abs_error_rpm"]["max"] < 0.1
+        assert summary["failures"] == {"vitals": 3}
+        assert summary["failed_runs"] == 3
+        assert summary["non_converged"] == 0
+
+    def test_failed_run_keeps_its_good_targets(self, lost_second_target,
+                                               tmp_path):
+        spec = lost_second_target
+        summary = run_suite(spec, repetitions=3, out_dir=tmp_path)
+        self.assert_pools_the_good_target(summary, spec)
+        cdf = (tmp_path / "cdf_rr.csv").read_text().splitlines()
+        assert len(cdf) == 4 and cdf[-1].endswith(",1.000000")
+
+    def test_accuracy_cells_pool_as_the_suite_does(self, lost_second_target):
+        path = Path(__file__).parents[1] / "scripts" / "accuracy.py"
+        loader = importlib.util.spec_from_file_location("accuracy", path)
+        accuracy = importlib.util.module_from_spec(loader)
+        loader.loader.exec_module(accuracy)
+        cell = accuracy.cell(lost_second_target, True, 3)
+        self.assert_pools_the_good_target(cell, lost_second_target)
+        assert cell["runs"] == 3
 
     def test_rejects_zero_repetitions(self, quick_spec):
         with pytest.raises(ValueError):

@@ -704,6 +704,19 @@ class TestDetections:
         b = simulate.synthesize_detections(scene, 20.0, seed=5)
         assert np.array_equal(a.xs, b.xs)
 
+    @pytest.mark.parametrize("fps, still", [(20.0, 60), (50.0, 150)])
+    def test_still_track_holds_the_heatmaps_frames(self, small_scene, fps,
+                                                  still):
+        """The camera tests stillness over the frames the heatmap's rows
+        are rendered at: the last 3 s, 60 frames at 20 fps and 150 at
+        50 fps."""
+        cfg = rv.RadarConfig(frame_rate=fps)
+        rows = simulate.range_profiles(small_scene, cfg)
+        (track,) = fusion.filter_stationary(fusion.build_tracks(
+            simulate.synthesize_detections(small_scene, fps, seed=0)), fps)
+        assert track.times.size == rows.frame_timestamps.size == still
+        assert np.allclose(track.times, rows.frame_timestamps)
+
     def test_box_window_contains_the_target_bin_across_the_view(self):
         """The camera's field of view is the angle grid's: for a target
         anywhere in +-MAX_ANGLE_DEG, every box's angle window holds the

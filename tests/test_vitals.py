@@ -554,18 +554,16 @@ class TestRates:
         r = vitals.estimate_rates(ms)
         assert r.breaths_per_min == pytest.approx(15.0, abs=0.1)
         assert r.beats_per_min == pytest.approx(72.0, abs=0.5)
-        assert (r.breath_mode, r.heart_mode) == (0, 1)
 
     def test_missing_band_returns_none(self):
         ms = _mode_set([0.25], [1.0])
         r = vitals.estimate_rates(ms)
         assert r.breaths_per_min is not None
-        assert r.beats_per_min is None and r.heart_mode is None
+        assert r.beats_per_min is None
 
     def test_strongest_in_band_mode_wins(self):
         ms = _mode_set([1.0, 1.5], [0.1, 2.0])
         r = vitals.estimate_rates(ms)
-        assert r.heart_mode == 1
         assert r.beats_per_min == pytest.approx(90.0, abs=0.5)
 
     def test_off_grid_frequency_refined(self):
