@@ -8,11 +8,12 @@ Run from the repository root (not part of the Tier-1 tests, which collect
 
 Each kernel is timed alone on inputs built once per module, as a run
 builds them: the clean scene's noisy heatmap rows at the still window's
-frames (``range_profiles``), and the unsteered phase channels of its
-localized target.  The pipeline's two on-demand renders, noise included,
+frames, and the unsteered phase channels of its localized target.  The
+pipeline's two on-demand renders (``render_profiles``), noise included,
 are timed on ``clean`` and on ``range_overlap``, the scene with a mover:
-the heatmap's rows at the still window's frames (``range_profiles``) and
-the target's phase window at every frame, steered (``window_profiles``).
+the heatmap's rows (``aoa.heatmap_bins``) at the still window's frames,
+and the target's phase window (``vitals.channel_bins``) at every frame,
+steered.
 The decomposition is timed at two sizes: the clean chain's 100 kept bins
 and the bench scenario's full 1001-bin spectrum.
 The camera's boxes of ``clean`` and ``range_overlap`` are timed from the
@@ -47,8 +48,18 @@ def _render(spec):
 
 
 def _profiles(spec):
-    return simulate.range_profiles(spec.scene, spec.radar,
-                                   snr_db=spec.snr_db, seed=spec.seed)
+    cfg = spec.radar
+    return simulate.render_profiles(
+        spec.scene, cfg, aoa.heatmap_bins(cfg),
+        slice(-fusion.still_frames(cfg.frame_rate), None),
+        snr_db=spec.snr_db, seed=spec.seed)
+
+
+def _window(spec, center, tx=None):
+    cfg = spec.radar
+    bins = vitals.channel_bins(center, cfg.samples_per_chirp // 2 + 1)
+    return simulate.render_profiles(spec.scene, cfg, bins, slice(None), tx,
+                                    snr_db=spec.snr_db, seed=spec.seed)
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +73,7 @@ def chain_inputs(spec):
     clean scene's target, read off its unsteered phase window."""
     res = pipeline.run_scenario(spec, beamforming=False)
     _, _, loc = res.locations[0]
-    window = simulate.window_profiles(spec.scene, spec.radar, loc.range_bin,
-                                      snr_db=spec.snr_db, seed=spec.seed)
-    phase = vitals.extract_phase(window, loc.range_bin)
+    phase = vitals.extract_phase(_window(spec, loc.range_bin), loc.range_bin)
     cw = vitals.adaptive_weights(phase.samples)
     k = vitals.select_mode_count(cw.weights @ phase.samples)
     spectra = vitals.truncate_spectrum(
@@ -101,8 +110,7 @@ def test_render_phase_window(benchmark, name):
     tx = beamform.tx_weights(tgt.angle_deg, cfg.wavelength,
                              num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
     center = rangefft.range_bin_of(tgt.range_m, cfg)
-    out = benchmark(simulate.window_profiles, scenario.scene, cfg, center,
-                    tx, snr_db=scenario.snr_db, seed=scenario.seed)
+    out = benchmark(_window, scenario, center, tx)
     assert out.data.shape == (vitals.PHASE_CHANNELS, 600, cfg.num_virtual)
 
 

@@ -1,8 +1,8 @@
 """Angle-of-arrival estimation across the virtual receive array.
 
 An MVDR (Capon) spectrum evaluated per range bin gives the range-angle
-heatmap the localizer searches, over the bins at or below
-:data:`MAX_RANGE_M`.
+heatmap the localizer searches, over :func:`heatmap_bins`, the bins at or
+below :data:`MAX_RANGE_M`: the rows the pipeline renders for it.
 """
 from __future__ import annotations
 
@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rangefft import RangeProfiles
+from .config import RadarConfig
+from .rangefft import RangeProfiles, range_bin_width
 
 DEFAULT_NUM_ANGLE_BINS = 121
 # Half-span (degrees) of the angle grid, which is also the camera's
@@ -77,24 +78,27 @@ class Heatmap:
     angle_axis: np.ndarray
 
 
-def range_angle_heatmap(profiles: RangeProfiles) -> Heatmap:
-    """MVDR spectrum of every range bin at or below :data:`MAX_RANGE_M`,
-    each bin's covariance over all its slow-time snapshots (in a run, one
-    snapshot per frame over the still window).
+def heatmap_bins(cfg: RadarConfig) -> range:
+    """The range bins the heatmap computes: those at or below
+    :data:`MAX_RANGE_M`, from bin 0."""
+    axis = np.arange(cfg.samples_per_chirp // 2 + 1) * range_bin_width(cfg)
+    return range(int(np.count_nonzero(axis <= MAX_RANGE_M)))
 
-    Only those rows are computed, so the localizer pays for nothing it
-    does not search.  Each covariance is written into one preallocated
-    stack a row at a time, so no conjugate of the whole profile is formed.
+
+def range_angle_heatmap(profiles: RangeProfiles) -> Heatmap:
+    """MVDR spectrum of every range bin of :func:`heatmap_bins`, each bin's
+    covariance over all its slow-time snapshots (in a run, one snapshot
+    per frame over the still window).
+
+    ``profiles`` holds its rows from bin 0 on: a whole ``range_fft``
+    profile, or the rows :func:`simulate.render_profiles` rendered at
+    :func:`heatmap_bins`.  Only those rows are computed, so the localizer
+    pays for nothing it does not search.
     """
     cfg = profiles.config
-    n_bins = int(np.count_nonzero(profiles.range_axis <= MAX_RANGE_M))
+    n_bins = len(heatmap_bins(cfg))
     x = profiles.data[:n_bins]
-    k = x.shape[2]
-    cov = np.empty((n_bins, k, k), dtype=x.dtype)
-    for row, c in zip(x, cov):
-        np.matmul(row.T, row.conj(), out=c)
-    cov /= x.shape[1]
-    cov = _loaded(cov)
+    cov = _loaded(x.transpose(0, 2, 1) @ x.conj() / x.shape[1])
     power = mvdr_spectrum(cov, cfg.rx_spacing, cfg.wavelength)
     return Heatmap(power=power, range_axis=profiles.range_axis[:n_bins].copy(),
                    angle_axis=default_angle_grid())

@@ -13,10 +13,8 @@ class BeamWeights:
     """Steering weights plus the geometry they were built for."""
 
     weights: np.ndarray
-    steer_deg: float
     spacing: float
     wavelength: float
-    role: str
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.complex128)
@@ -31,7 +29,7 @@ class BeamWeights:
 
 
 def _steer(steer_deg: float, num_elements: int, spacing: float,
-           wavelength: float, role: str) -> BeamWeights:
+           wavelength: float) -> BeamWeights:
     if num_elements < 1:
         raise ValueError("num_elements must be >= 1")
     if spacing <= 0 or wavelength <= 0:
@@ -39,8 +37,7 @@ def _steer(steer_deg: float, num_elements: int, spacing: float,
     if not -90.0 <= steer_deg <= 90.0:
         raise ValueError("steer angle must lie in [-90, 90] degrees")
     w = steering_matrix(steer_deg, num_elements, spacing, wavelength)[:, 0]
-    return BeamWeights(weights=w, steer_deg=steer_deg,
-                       spacing=spacing, wavelength=wavelength, role=role)
+    return BeamWeights(weights=w, spacing=spacing, wavelength=wavelength)
 
 
 def tx_weights(steer_deg: float, wavelength: float, num_elements: int = 3,
@@ -48,8 +45,7 @@ def tx_weights(steer_deg: float, wavelength: float, num_elements: int = 3,
     """Transmit steering; spacing defaults to one wavelength (wide-spaced
     transmit elements, as on common MIMO front ends)."""
     return _steer(steer_deg, num_elements,
-                  wavelength if spacing is None else spacing,
-                  wavelength, "tx")
+                  wavelength if spacing is None else spacing, wavelength)
 
 
 def rx_weights(steer_deg: float, wavelength: float, num_elements: int = 8,
@@ -58,7 +54,7 @@ def rx_weights(steer_deg: float, wavelength: float, num_elements: int = 8,
     array pitch)."""
     return _steer(steer_deg, num_elements,
                   0.5 * wavelength if spacing is None else spacing,
-                  wavelength, "rx")
+                  wavelength)
 
 
 def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:
@@ -66,9 +62,7 @@ def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:
 
     Every array in this package is laid out ``[..., element]``, so a single
     snapshot ``(K,)``, a slow-time series ``(S, K)`` or a block of range bins
-    ``(L, S, K)`` are all combined the same way.  The contraction is an
-    einsum, not a matmul: small BLAS calls can stall for tens of
-    milliseconds after large array work while BLAS threads wake up.
+    ``(L, S, K)`` are all combined the same way.
     """
     x = np.asarray(snapshots)
     if x.shape[-1] != len(bw):
@@ -82,8 +76,6 @@ def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:
 class BeamPattern:
     angles_deg: np.ndarray
     gain_db: np.ndarray
-    steer_deg: float
-    role: str
 
 
 def beam_pattern(bw: BeamWeights, angles_deg=None,
@@ -102,8 +94,7 @@ def beam_pattern(bw: BeamWeights, angles_deg=None,
     gain = np.abs(combine(steering_matrix(angles_deg, len(bw), bw.spacing,
                                           bw.wavelength).T, bw))
     gain_db = 20.0 * np.log10(np.maximum(gain / len(bw), 1e-12))
-    return BeamPattern(angles_deg=angles_deg, gain_db=gain_db,
-                       steer_deg=bw.steer_deg, role=bw.role)
+    return BeamPattern(angles_deg=angles_deg, gain_db=gain_db)
 
 
 def write_pattern_csv(pattern: BeamPattern, path) -> None:

@@ -118,8 +118,6 @@ def pixel_to_angle_window(x: float, w: float) -> tuple[int, int]:
     hi = math.ceil((x + w) * n / IMAGE_WIDTH_PX)
     lo = max(0, min(lo, n - 1))
     hi = max(0, min(hi, n - 1))
-    if hi < lo:
-        lo, hi = hi, lo
     return lo, hi
 
 

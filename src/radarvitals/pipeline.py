@@ -7,10 +7,10 @@ field of view is the angle grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs
 at the radar frame rate).  :func:`run_scenario` executes one seeded
 repetition as a single chain of timed stages:
 
-* scene stages - ``simulate`` (the heatmap's rows, the bins at or below
-  :data:`aoa.MAX_RANGE_M`, rendered directly at the still window's frames,
-  the last :func:`fusion.still_frames` frames, one snapshot per frame, see
-  :func:`simulate.range_profiles`; and the camera boxes, one
+* scene stages - ``simulate`` (the heatmap's rows,
+  :func:`aoa.heatmap_bins`, rendered directly at the still window's
+  frames, the last :func:`fusion.still_frames` frames, one snapshot per
+  frame, by :func:`simulate.render_profiles`; and the camera boxes, one
   :class:`fusion.Detections` record of arrays), ``heatmap`` (the MVDR
   covariance of each row from one snapshot per frame over the still
   window), ``localize`` (the tracks in view at the last frame that stood
@@ -18,15 +18,16 @@ repetition as a single chain of timed stages:
   :func:`fusion.filter_stationary`, each located at its mean box);
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit and receive weights steered at the target), ``phase``
-  (the phase window's rows rendered at every frame, steered when
-  beamforming, see :func:`simulate.window_profiles`), ``weights``,
-  ``mode_count``, ``spectrum``, ``decompose``, ``rates``.
+  (the phase window's rows, :func:`vitals.channel_bins`, rendered at every
+  frame, steered when beamforming), ``weights``, ``mode_count``,
+  ``spectrum``, ``decompose``, ``rates``.
 
-Each render reads only what its stage reads, and range row ``r`` draws its
-noise from a stream of its own (the ``r``-th child of the run's noise
-seed), so a sample has one value whichever stage renders it.  No raw cube
-is rendered: :func:`simulate.synthesize_cube` and :func:`rangefft.range_fft`
-remain the reference the renderer is tested against.
+Each stage asks :func:`simulate.render_profiles` for the rows and frames
+it reads, and range row ``r`` draws its noise from a stream of its own
+(the ``r``-th child of the run's noise seed), so a sample has one value
+whichever stage renders it.  No raw cube is rendered:
+:func:`simulate.synthesize_cube` and :func:`rangefft.range_fft` remain the
+reference the renderer is tested against.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a named ``failure_stage`` in the deterministic report.
@@ -51,8 +52,8 @@ import numpy as np
 from . import aoa, beamform, fusion, vitals
 from .config import RadarConfig, Record, Scene, _require, check_keys
 from .rangefft import range_bin_of
-from .simulate import (range_profiles, synthesize_detections,
-                       target_track_ids, window_profiles)
+from .simulate import (render_profiles, synthesize_detections,
+                       target_track_ids)
 # Not called by the pipeline; tools that trace a run wrap the reference
 # renderer and range FFT under these names.
 from .rangefft import range_fft  # noqa: F401
@@ -213,11 +214,10 @@ def _vitals_chain(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
     """beamform -> phase -> weights -> mode_count -> spectrum -> decompose
     -> rates for one localized target.
 
-    The phase stage renders the target's phase window at every frame
-    (:func:`simulate.window_profiles`, with the capture's row noise
-    ``noise``), with transmit weights steered at the target when
-    beamforming, and receive-combines its channels; otherwise they are
-    read off the first antenna.
+    The phase stage renders the target's phase window at every frame (with
+    the capture's row noise ``noise``), with transmit weights steered at
+    the target when beamforming, and receive-combines its channels;
+    otherwise they are read off the first antenna.
     """
     cfg = spec.radar
     tx = rx = None
@@ -230,7 +230,9 @@ def _vitals_chain(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
                                      num_elements=cfg.num_virtual,
                                      spacing=cfg.rx_spacing)
     with _stage(timings, "phase"):
-        profiles = window_profiles(spec.scene, cfg, loc.range_bin, tx,
+        bins = vitals.channel_bins(loc.range_bin,
+                                   cfg.samples_per_chirp // 2 + 1)
+        profiles = render_profiles(spec.scene, cfg, bins, slice(None), tx,
                                    snr_db=spec.snr_db, seed=noise)
         phase = vitals.extract_phase(profiles, loc.range_bin, rx=rx)
     with _stage(timings, "weights"):
@@ -292,8 +294,10 @@ def run_scenario(
     noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
     try:
         with _stage(timings, "simulate"):
-            profiles = range_profiles(run.scene, cfg, snr_db=run.snr_db,
-                                      seed=noise_ss)
+            still = slice(-fusion.still_frames(cfg.frame_rate), None)
+            profiles = render_profiles(run.scene, cfg, aoa.heatmap_bins(cfg),
+                                       still, snr_db=run.snr_db,
+                                       seed=noise_ss)
             detections = synthesize_detections(run.scene, cfg.frame_rate,
                                                seed=det_ss)
         with _stage(timings, "heatmap"):
@@ -383,8 +387,9 @@ _RATE_ERRORS = {"rr": ("rr_abs_error_rpm", "rr_error_rpm"),
 
 
 def summarize_runs(reports: list[dict]) -> dict:
-    """Pool :func:`run_scenario` reports: every ground-truth target
-    counts, whether or not its run failed.
+    """Pool :func:`run_scenario` reports: every ground-truth target of a
+    report's scene counts, whether or not its run failed or the camera
+    boxed it.
 
     Its |RR| and |HR| errors are pooled (p50, p80, p90 and max, None
     without a sample, and the sample counts) and a missing rate is counted;
@@ -394,7 +399,7 @@ def summarize_runs(reports: list[dict]) -> dict:
     failures = Counter(r["failure_stage"] for r in reports
                        if r["failure_stage"] is not None)
     targets = [t for r in reports for t in r["targets"]]
-    truths = sum("true_breaths_per_min" in t for t in targets)
+    truths = sum(len(r["scenario"]["scene"]["targets"]) for r in reports)
     summary = {"runs": len(reports), "failed_runs": sum(failures.values()),
                "failures": dict(sorted(failures.items())),
                "non_converged": sum(t.get("converged") is False

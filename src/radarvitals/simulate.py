@@ -21,16 +21,14 @@ Two renderers share one per-scatterer signal model (``_returns``):
   per scatterer; the pipeline never calls it, it is the reference the
   range-domain renderer is tested against.
 * :func:`render_profiles` renders the range profiles (the cube's fast-time
-  FFT) directly at chosen bins and frames, one snapshot per frame (the
-  frame's first chirp, the only one any stage reads), noise included.
-  Each scatterer's range tone is the closed-form DFT of its fast-time
-  factor, computed at those bins and frames only (:func:`_tones`).  Range
-  row ``r`` draws its noise from a stream of its own, the still window's
-  frames first (:func:`_row_noise`), so a sample has one value whichever
-  render draws it.  The pipeline renders through two wrappers:
-  :func:`range_profiles`, the heatmap's rows at the still window's frames,
-  and :func:`window_profiles`, the phase window's rows at every frame,
-  steered or not.
+  FFT) directly at a block of consecutive bins and at chosen frames, one
+  snapshot per frame (the frame's first chirp, the only one any stage
+  reads), noise included, as :class:`rangefft.RangeProfiles`.  Each
+  scatterer's range tone is the closed-form DFT of its fast-time factor,
+  computed at those bins and frames only (:func:`_tones`).  Range row ``r``
+  draws its noise from a stream of its own, the still window's frames
+  first (:func:`_row_noise`), so a sample has one value whichever render
+  draws it.  Each pipeline stage asks for the rows and frames it reads.
 
 The camera (:func:`synthesize_detections`) gives every person's box x and
 width in every frame as one :class:`fusion.Detections` record of arrays.
@@ -41,11 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aoa import MAX_ANGLE_DEG, MAX_RANGE_M, steering_matrix
+from .aoa import MAX_ANGLE_DEG, steering_matrix
 from .config import BodyMotion, RadarConfig, Scene, VitalParams, VitalTarget
 from .fusion import IMAGE_WIDTH_PX, Detections, still_frames
 from .rangefft import RangeProfiles, range_bin_width
-from .vitals import channel_bins
 
 
 def chest_displacement(t, vitals: VitalParams):
@@ -224,13 +221,14 @@ def _row_noise(noise: np.random.SeedSequence, row: int, tail: int,
     rng.standard_normal(out=out[:-tail])
 
 
-def render_profiles(scene: Scene, cfg: RadarConfig, bins, frames,
+def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
                     tx_weights=None, snr_db: float | None = None,
-                    seed=None) -> np.ndarray:
-    """Range profiles of a scene at range ``bins`` x ``frames``, one
-    snapshot per frame (its first chirp).
+                    seed=None) -> RangeProfiles:
+    """Range profiles of a scene at the consecutive range ``bins`` and at
+    ``frames`` (an index into the capture's frames), one snapshot per frame
+    (its first chirp), held from ``first_bin = bins.start`` on.
 
-    Without noise this equals ``range_fft(synthesize_cube(scene, cfg,
+    Without noise the data equals ``range_fft(synthesize_cube(scene, cfg,
     tx_weights)).data`` at those bins and the frames' first chirps, up to
     rounding, shaped ``(len(bins), len(frames), num_virtual)``, but no cube
     is formed: each scatterer's range tone (:func:`_tones`) is computed at
@@ -245,15 +243,17 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, frames,
     is then the same whichever render draws it, steered or not.
     """
     n_fast = cfg.samples_per_chirp
-    bins = np.asarray(bins, dtype=np.int64)
-    if bins.size and (bins.min() < 0 or bins.max() > n_fast // 2):
-        raise ValueError(f"range bins must lie in [0, {n_fast // 2}]")
+    if bins.step != 1 or (bins and (bins.start < 0
+                                    or bins.stop > n_fast // 2 + 1)):
+        raise ValueError(
+            f"range bins must lie in [0, {n_fast // 2}], one step apart")
+    rows = np.arange(bins.start, bins.stop)
     frame_t, _ = _slow_times(cfg, scene.duration)
     frames = np.arange(frame_t.size)[frames]
-    out = np.zeros((bins.size, frames.size, cfg.num_virtual),
+    out = np.zeros((rows.size, frames.size, cfg.num_virtual),
                    dtype=np.complex128)
     for beat_r, slow_ant in _returns(scene, cfg, frame_t[frames], tx_weights):
-        for row, tone in zip(out, _tones(cfg, beat_r, bins)):
+        for row, tone in zip(out, _tones(cfg, beat_r, rows)):
             row += tone[:, None] * slow_ant
     if snr_db is not None:
         sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0)) * np.sqrt(n_fast)
@@ -264,51 +264,14 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins, frames,
         # Draw only the still window when no frame before it is read.
         first = (n_frames - tail
                  if frames.size and frames.min() >= n_frames - tail else 0)
-        z = np.empty((bins.size, n_frames - first, cfg.num_virtual, 2))
-        for z_row, b in zip(z, bins.tolist()):
+        z = np.empty((rows.size, n_frames - first, cfg.num_virtual, 2))
+        for z_row, b in zip(z, bins):
             _row_noise(noise, b, tail, z_row)
         z = z[:, frames - first]
         out.real += sigma * z[..., 0]
         out.imag += sigma * z[..., 1]
-    return out
-
-
-def range_profiles(scene: Scene, cfg: RadarConfig, snr_db: float | None = None,
-                   seed=None) -> RangeProfiles:
-    """The heatmap's rows over the still window, rendered unsteered by
-    :func:`render_profiles`.
-
-    The rows are the bins at or below :data:`aoa.MAX_RANGE_M`; the frames
-    are the still window's (:func:`fusion.still_frames`, at most every
-    frame), the frames in which the camera finds its still subjects, one
-    snapshot per frame.
-    """
-    frame_t, _ = _slow_times(cfg, scene.duration)
-    axis = np.arange(cfg.samples_per_chirp // 2 + 1) * range_bin_width(cfg)
-    bins = np.arange(np.count_nonzero(axis <= MAX_RANGE_M))
-    still = slice(-still_frames(cfg.frame_rate), None)
-    data = render_profiles(scene, cfg, bins, still, snr_db=snr_db, seed=seed)
-    return RangeProfiles(data=data, range_axis=axis[bins], config=cfg,
-                         frame_timestamps=frame_t[still])
-
-
-def window_profiles(scene: Scene, cfg: RadarConfig, center_bin: int,
-                    tx_weights=None, snr_db: float | None = None,
-                    seed=None) -> RangeProfiles:
-    """The phase window's rows (:func:`vitals.channel_bins` around
-    ``center_bin``) at every frame, rendered by :func:`render_profiles`
-    with transmit weights ``tx_weights`` and the rows' own noise.
-
-    A window that leaves the one-sided profile raises the ``ValueError``
-    :func:`vitals.phase_window` raises, before anything is rendered.
-    """
-    bins = channel_bins(center_bin, cfg.samples_per_chirp // 2 + 1)
-    frame_t, _ = _slow_times(cfg, scene.duration)
-    data = render_profiles(scene, cfg, bins, slice(None), tx_weights,
-                           snr_db=snr_db, seed=seed)
-    return RangeProfiles(data=data,
-                         range_axis=np.asarray(bins) * range_bin_width(cfg),
-                         config=cfg, frame_timestamps=frame_t,
+    return RangeProfiles(data=out, range_axis=rows * range_bin_width(cfg),
+                         config=cfg, frame_timestamps=frame_t[frames],
                          first_bin=bins.start)
 
 

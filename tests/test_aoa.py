@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import radarvitals as rv
-from radarvitals import aoa, simulate
+from radarvitals import aoa, fusion, simulate
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
 from reference_aoa import spatial_covariance, spatial_fft_spectrum
@@ -131,13 +131,15 @@ class TestHeatmap:
     @pytest.mark.parametrize("name", ["clean", "range_overlap",
                                       "fusion_stress", "bench"])
     def test_equals_the_batched_covariances_bit_for_bit(self, name):
-        """The row-at-a-time covariances give the heatmap of the batched
-        ``x^T x* / S`` exactly, on each bundled scenario's render: its
-        near rows, batches of 1, 2, 4 and 8 rows, and strided snapshots."""
+        """The heatmap is that of the batched covariances ``x^T x* / S``
+        exactly, on each bundled scenario's render: its near rows, batches
+        of 1, 2, 4 and 8 rows, and strided snapshots."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        profiles = simulate.range_profiles(spec.scene, spec.radar,
-                                           snr_db=spec.snr_db, seed=spec.seed)
-        cfg = profiles.config
+        cfg = spec.radar
+        profiles = simulate.render_profiles(
+            spec.scene, cfg, aoa.heatmap_bins(cfg),
+            slice(-fusion.still_frames(cfg.frame_rate), None),
+            snr_db=spec.snr_db, seed=spec.seed)
         near = int(np.count_nonzero(profiles.range_axis <= aoa.MAX_RANGE_M))
         cases = [(rows, slice(None)) for rows in (1, 2, 4, 8, near)]
         cases.append((near, slice(None, None, cfg.chirps_per_frame)))
@@ -160,6 +162,16 @@ class TestHeatmap:
         assert (n, small_profiles.data.shape[0]) == (34, 65)
         assert hm.power.shape == (n, aoa.DEFAULT_NUM_ANGLE_BINS)
         assert np.array_equal(hm.range_axis, small_profiles.range_axis[:n])
+
+    def test_heatmap_bins_are_the_rows_it_keeps(self, small_profiles):
+        """``heatmap_bins`` names the rows the heatmap keeps from a whole
+        65-row ``range_fft`` profile: bins 0 to 33."""
+        rows = aoa.heatmap_bins(small_profiles.config)
+        hm = aoa.range_angle_heatmap(small_profiles)
+        assert small_profiles.data.shape[0] == 65
+        assert rows == range(hm.power.shape[0]) == range(34)
+        assert np.array_equal(hm.range_axis, small_profiles.range_axis[
+            rows.start:rows.stop])
 
 
 class TestSpatialFft:

@@ -78,7 +78,7 @@ class TestRunScenario:
         scenario's own check, before anything is rendered."""
         spec = ScenarioSpec.from_json(SCENARIOS / "clean.json")
         renders = []
-        monkeypatch.setattr(pipeline, "range_profiles",
+        monkeypatch.setattr(pipeline, "render_profiles",
                             lambda *args, **kwargs: renders.append(args))
         with pytest.raises(ValueError, match=f"^ScenarioSpec: {message}"):
             run_scenario(spec, **override)
@@ -360,18 +360,40 @@ def _report_text(res) -> str:
     return json.dumps(res.report, sort_keys=True, indent=2) + "\n"
 
 
-def _count_renders(monkeypatch) -> list:
-    """Record the pipeline's heatmap-row renders from here on, as the
-    rendered data."""
-    renders = []
-    render = pipeline.range_profiles
+def _count_renders(monkeypatch) -> dict:
+    """Record the pipeline's renders from here on, by stage: under
+    ``"scene"`` the data of each render of the heatmap's rows, under
+    ``"phase"`` the bins of each phase window and whether it was steered.
 
-    def counted(*args, **kwargs):
-        out = render(*args, **kwargs)
-        renders.append(out.data)
+    Each render must read its stage's rows and frames: the scene stage
+    ``aoa.heatmap_bins(cfg)`` at the last ``fusion.still_frames`` frames,
+    the phase stage the ``vitals.channel_bins`` of a center bin at every
+    frame.
+    """
+    renders = {"scene": [], "phase": []}
+    render = pipeline.render_profiles
+
+    def counted(scene, cfg, bins, frames, tx_weights=None, **kwargs):
+        every = np.arange(simulate._slow_times(cfg, scene.duration)[0].size)
+        out = render(scene, cfg, bins, frames, tx_weights, **kwargs)
+        if bins == aoa.heatmap_bins(cfg):
+            still = fusion.still_frames(cfg.frame_rate)
+            assert np.array_equal(every[frames], every[-still:])
+            renders["scene"].append(out.data)
+        else:
+            center = bins.start + vitals.PHASE_CHANNELS // 2
+            assert bins == vitals.channel_bins(center, out.num_bins)
+            assert np.array_equal(every[frames], every)
+            renders["phase"].append((bins, tx_weights is not None))
         return out
-    monkeypatch.setattr(pipeline, "range_profiles", counted)
+    monkeypatch.setattr(pipeline, "render_profiles", counted)
     return renders
+
+
+def _phase_bins(*results) -> list:
+    """The phase window of every localized target of ``results``."""
+    return [vitals.channel_bins(loc.range_bin, 65)
+            for res in results for *_, loc in res.locations]
 
 
 def _with_angle(spec, kind: str, angle):
@@ -427,22 +449,17 @@ class TestSceneSlot:
                 second[b] = _report_text(
                     run_scenario(spec, seed=seed, beamforming=b))
             assert first == second, (name, seed)
-        assert len(renders) == 4 * 3
+        assert len(renders["scene"]) == 4 * 3
 
     def test_the_same_capture_renders_once(self, quick_spec, monkeypatch):
         """Each of two runs of one capture renders its heatmap rows once
         and its target's phase window once, and both write one report."""
         renders = _count_renders(monkeypatch)
-        windows = []
-        window = pipeline.window_profiles
-
-        def counted(*args, **kwargs):
-            windows.append(args)
-            return window(*args, **kwargs)
-        monkeypatch.setattr(pipeline, "window_profiles", counted)
         first, second = run_scenario(quick_spec), run_scenario(quick_spec)
-        assert (len(renders), len(windows)) == (2, 2)
-        assert np.array_equal(renders[0], renders[1])
+        assert (len(renders["scene"]), len(renders["phase"])) == (2, 2)
+        assert ([bins for bins, _ in renders["phase"]]
+                == _phase_bins(first, second))
+        assert np.array_equal(renders["scene"][0], renders["scene"][1])
         assert _report_text(first) == _report_text(second)
         assert first.locations == second.locations
         assert list(second.timings_ms) == list(first.timings_ms)
@@ -457,7 +474,7 @@ class TestSceneSlot:
         run_scenario(a)
         after_a = _report_text(run_scenario(b))
         assert after_a == _report_text(run_scenario(b))
-        assert len(renders) == 3
+        assert len(renders["scene"]) == 3
         # the last two are the same capture to ==, not to repr
         assert (a == b) == (change in ("zero_sign", "int_for_float"))
 
@@ -470,8 +487,8 @@ class TestSceneSlot:
         renders = _count_renders(monkeypatch)
         base = run_scenario(quick_spec)
         warm = run_scenario(other)
-        assert len(renders) == 2
-        assert np.array_equal(renders[0], renders[1])
+        assert len(renders["scene"]) == 2
+        assert np.array_equal(renders["scene"][0], renders["scene"][1])
         assert warm.locations == base.locations
         assert (warm.report["num_stationary_tracks"]
                 == base.report["num_stationary_tracks"])
@@ -490,7 +507,7 @@ class TestSceneSlot:
         second = run_scenario(empty)
         assert _report_text(first) == _report_text(second)
         assert _report_text(run_scenario(quick_spec)) == before
-        assert len(renders) == 4
+        assert len(renders["scene"]) == 4
 
     def test_concurrent_runs_get_their_serial_reports(self, quick_spec):
         """Four threads (more than this machine's cores, at a short switch
@@ -820,6 +837,19 @@ class TestSuite:
         self.assert_pools_the_good_target(cell, lost_second_target)
         assert cell["runs"] == 3
 
+    def test_a_subject_the_camera_never_boxes_is_missing(self):
+        """clean.json plus a subject at -70 deg, outside the camera's view:
+        no run fails, and the unseen subject is missing from each of the
+        three runs."""
+        spec = ScenarioSpec.from_json(SCENARIOS / "clean.json")
+        unseen = dataclasses.replace(spec.scene.targets[0], angle_deg=-70.0)
+        spec = dataclasses.replace(spec, scene=dataclasses.replace(
+            spec.scene, targets=(*spec.scene.targets, unseen)))
+        summary = run_suite(spec, repetitions=3)
+        assert summary["failed_runs"] == 0
+        assert summary["num_rr_samples"] == summary["num_hr_samples"] == 3
+        assert summary["missing_rr"] == summary["missing_hr"] == 3
+
     def test_rejects_zero_repetitions(self, quick_spec):
         with pytest.raises(ValueError):
             run_suite(quick_spec, repetitions=0)
@@ -847,8 +877,8 @@ class TestBench:
     def test_reuses_the_run(self, quick_spec, monkeypatch, beamforming,
                             renders):
         spec = dataclasses.replace(quick_spec, beamforming=beamforming)
-        calls = {"range_profiles": [], "window_profiles": [],
-                 "synthesize_cube": [], "range_fft": []}
+        seen = _count_renders(monkeypatch)
+        calls = {"synthesize_cube": [], "range_fft": []}
 
         def counted(name):
             fn = getattr(pipeline, name)
@@ -861,10 +891,9 @@ class TestBench:
         for name in calls:
             monkeypatch.setattr(pipeline, name, counted(name))
         rows = bench_acceleration(spec, n_keep_values=[40], repeats=1)
-        assert len(calls["range_profiles"]) == renders
+        assert len(seen["scene"]) == renders
         # one phase window, steered with transmit weights when beamforming
-        assert ([args[3] is not None for args in calls["window_profiles"]]
-                == [beamforming])
+        assert [steered for _, steered in seen["phase"]] == [beamforming]
         assert calls["synthesize_cube"] == calls["range_fft"] == []
         monkeypatch.undo()
         (entry,) = run_scenario(spec, n_keep=None).report["targets"]
@@ -924,8 +953,9 @@ class TestBench:
 def vitals_window(spec, center, tx, noise):
     """The phase window the vitals chain renders for a target at
     ``center``."""
-    return simulate.window_profiles(spec.scene, spec.radar, center, tx,
-                                    snr_db=spec.snr_db, seed=noise)
+    bins = vitals.channel_bins(center, spec.radar.samples_per_chirp // 2 + 1)
+    return simulate.render_profiles(spec.scene, spec.radar, bins, slice(None),
+                                    tx, snr_db=spec.snr_db, seed=noise)
 
 
 class TestSteeredProfiles:

@@ -130,6 +130,22 @@ class TestNoiseAndLimits:
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
+def heatmap_rows(scene, cfg, **kwargs):
+    """The scene stage's render: the heatmap's rows at the still window's
+    frames."""
+    return simulate.render_profiles(
+        scene, cfg, aoa.heatmap_bins(cfg),
+        slice(-fusion.still_frames(cfg.frame_rate), None), **kwargs)
+
+
+def phase_rows(scene, cfg, center, tx=None, **kwargs):
+    """The phase stage's render: the phase window around ``center`` at
+    every frame."""
+    bins = vitals.channel_bins(center, cfg.samples_per_chirp // 2 + 1)
+    return simulate.render_profiles(scene, cfg, bins, slice(None), tx,
+                                    **kwargs)
+
+
 def test_illumination_gain_scales_scatterer(cfg):
     """Steering the transmit pair at the scatterer doubles its amplitude."""
     scene = rv.Scene(statics=(rv.PointReflector(3.0, 20.0),), duration=0.5)
@@ -179,13 +195,15 @@ class TestSteeringCorrection:
         first_tx = np.eye(cfg.num_tx)[0]
         plain, steered = (simulate.render_profiles(
             small_scene, cfg, range(3, 6), np.arange(8), tx_weights=w,
-            snr_db=20.0, seed=3) for w in (None, first_tx))
+            snr_db=20.0, seed=3).data for w in (None, first_tx))
         assert steered.shape == (3, 8, cfg.num_virtual)
         assert np.abs(plain).max() > 0
         assert np.array_equal(steered, plain)
 
-    @pytest.mark.parametrize("bins", [[-1, 0, 1], [63, 64, 65]])
+    @pytest.mark.parametrize("bins", [range(-1, 2), range(63, 66),
+                                      range(0, 6, 2)])
     def test_rejects_bins_off_the_profile(self, cfg, small_scene, bins):
+        """Bins off the 65-bin profile, or not one step apart."""
         tx = np.ones(cfg.num_tx)
         with pytest.raises(ValueError,
                            match=r"range bins must lie in \[0, 64\]"):
@@ -204,8 +222,7 @@ def noiseless_cubes(request):
                     num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
     plain = simulate.synthesize_cube(spec.scene, cfg)
     steered = simulate.synthesize_cube(spec.scene, cfg, tx_weights=tx)
-    bins = np.arange(simulate.range_profiles(spec.scene, cfg).data.shape[0])
-    return spec, tx, plain, steered, bins
+    return spec, tx, plain, steered, aoa.heatmap_bins(cfg)
 
 
 class TestRenderProfiles:
@@ -224,7 +241,8 @@ class TestRenderProfiles:
 
         def render(weights):
             return simulate.render_profiles(spec.scene, cfg, bins,
-                                            slice(None), tx_weights=weights)
+                                            slice(None),
+                                            tx_weights=weights).data
 
         want = range_fft(steered if steer else plain).data
         got = render(tx if steer else None)
@@ -235,11 +253,11 @@ class TestRenderProfiles:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_range_profiles_wrap_the_read_rows(self, cfg, small_scene):
-        """The heatmap's rows, those at or below the localizer's range (34
-        of the 65 bins here), at the still window's frames: the last 3 s,
-        60 of the 120 frames."""
-        prof = simulate.range_profiles(small_scene, cfg)
+    def test_heatmap_bins_at_the_still_window(self, cfg, small_scene):
+        """The scene stage's render: the heatmap's rows, those at or below
+        the localizer's range (34 of the 65 bins here), at the still
+        window's frames, the last 3 s, 60 of the 120 frames."""
+        prof = heatmap_rows(small_scene, cfg)
         ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
         near = int(np.count_nonzero(ref.range_axis <= aoa.MAX_RANGE_M))
         frames = len(ref.frame_timestamps)
@@ -254,11 +272,11 @@ class TestRenderProfiles:
                               ref.frame_timestamps[frames - still:])
         assert np.abs(prof.data - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_window_profiles_hold_the_window_at_every_frame(self, cfg,
-                                                            small_scene):
-        """The five rows around bin 7 at every frame, held from bin 5 on,
-        read by the phase stage as the cube's FFT is read."""
-        win = simulate.window_profiles(small_scene, cfg, 7)
+    def test_phase_window_at_every_frame(self, cfg, small_scene):
+        """The phase stage's render: the five rows around bin 7 at every
+        frame, held from bin 5 on, read by the phase stage as the cube's
+        FFT is read."""
+        win = phase_rows(small_scene, cfg, 7)
         ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
         want = ref.data[5:10, ::cfg.chirps_per_frame]
         assert (win.first_bin, win.data.shape) == (5, want.shape)
@@ -277,8 +295,8 @@ class TestRenderProfiles:
         noise power, uncorrelated across bins and antennas."""
         snr_db, n_bins = 10.0, 6
         noise = simulate.render_profiles(
-            rv.Scene(duration=8.0), cfg, np.arange(n_bins), slice(None),
-            snr_db=snr_db, seed=np.random.SeedSequence(3))
+            rv.Scene(duration=8.0), cfg, range(n_bins), slice(None),
+            snr_db=snr_db, seed=np.random.SeedSequence(3)).data
         power = cfg.samples_per_chirp * 10.0 ** (-snr_db / 10.0)
         # Each statistic below is a mean of m unit-variance terms, so five
         # standard errors are 5 / sqrt(m).
@@ -305,11 +323,11 @@ def overlap_scene():
 NOISY_SNR_DB = 20.0
 
 
-def render_noisy(cfg, scene, seed, bins=np.arange(36), frames=slice(None)):
+def render_noisy(cfg, scene, seed, bins=range(36), frames=slice(None)):
     """Range rows ``bins`` of ``scene`` at ``frames``, with noise drawn from
-    ``seed``."""
+    ``seed``, as an array."""
     return simulate.render_profiles(scene, cfg, bins, frames,
-                                    snr_db=NOISY_SNR_DB, seed=seed)
+                                    snr_db=NOISY_SNR_DB, seed=seed).data
 
 
 class TestNoiseDraw:
@@ -322,8 +340,8 @@ class TestNoiseDraw:
         bit: row r's generator is seeded by ``SeedSequence(seed,
         spawn_key=(r,))`` and draws (real, imaginary) pairs for the still
         window's frames, then for the frames before it."""
-        want = simulate.render_profiles(overlap_scene, cfg, np.arange(36),
-                                        slice(None))
+        want = simulate.render_profiles(overlap_scene, cfg, range(36),
+                                        slice(None)).data
         n_frames = want.shape[1]
         still = round(fusion.STATIONARY_WINDOW_S * cfg.frame_rate)
         assert (n_frames, still) == (80, 60)
@@ -341,20 +359,20 @@ class TestNoiseDraw:
 
     def test_row_streams_do_not_depend_on_the_order_of_calls(
             self, cfg, overlap_scene):
-        """Rows rendered one at a time, in any order, or all at once in
-        reverse, or only at the still window's frames, equal the rows of
-        one render; spawning children of the seed in between changes
-        nothing."""
+        """Rows rendered one at a time, in any order, or as a block from
+        another first bin, or only at the still window's frames, equal the
+        rows of one render; spawning children of the seed in between
+        changes nothing."""
         noise = np.random.SeedSequence(5).spawn(2)[0]
-        bins = np.arange(12)
+        bins = range(12)
         together = render_noisy(cfg, overlap_scene, noise, bins)
         noise.spawn(3)
         for r in (11, 3, 0, 7):
-            alone = render_noisy(cfg, overlap_scene, noise, [r])
+            alone = render_noisy(cfg, overlap_scene, noise, range(r, r + 1))
             assert np.array_equal(alone[0], together[r]), r
         assert np.array_equal(
-            render_noisy(cfg, overlap_scene, noise, bins[::-1]),
-            together[::-1])
+            render_noisy(cfg, overlap_scene, noise, range(4, 12)),
+            together[4:])
         assert np.array_equal(
             render_noisy(cfg, overlap_scene, noise, bins, slice(20, None)),
             together[:, 20:])
@@ -393,9 +411,9 @@ class TestNoiseDraw:
         def broken(*args):
             raise AssertionError("drew noise")
         monkeypatch.setattr(simulate, "_row_noise", broken)
-        out = simulate.render_profiles(small_scene, cfg, np.arange(4),
+        out = simulate.render_profiles(small_scene, cfg, range(4),
                                        slice(None))
-        assert np.abs(out).max() > 0
+        assert np.abs(out.data).max() > 0
 
     def test_draw_error_is_raised_as_itself(self, cfg, small_scene,
                                             monkeypatch):
@@ -479,12 +497,12 @@ TONES_RECOMPUTED = {
                                    (_static_at(4.0, 0.0), c)),
 }
 # render_profiles arguments a second render of the same scene changes.
-ROWS = dict(bins=np.arange(65), frames=slice(None), snr_db=20.0, seed=1)
+ROWS = dict(bins=range(65), frames=slice(None), snr_db=20.0, seed=1)
 TONES_REUSED = {
     "seed": dict(seed=2),
     "snr_db": dict(snr_db=5.0),
     "tx_weights": dict(tx_weights=np.array([1.0, 1j])),
-    "bins": dict(bins=[3, 9, 64]),
+    "bins": dict(bins=range(3, 65)),
     "slow_idx": dict(frames=np.arange(5, 80, 4)),
 }
 
@@ -509,13 +527,12 @@ class TestToneSlot:
         noise = np.random.SeedSequence(spec.seed)
 
         def heat(seed):
-            return simulate.range_profiles(scene, cfg, snr_db=spec.snr_db,
-                                           seed=seed).data
+            return heatmap_rows(scene, cfg, snr_db=spec.snr_db,
+                                seed=seed).data
 
         def window(seed):
-            return simulate.window_profiles(scene, cfg, center, tx,
-                                            snr_db=spec.snr_db,
-                                            seed=seed).data
+            return phase_rows(scene, cfg, center, tx, snr_db=spec.snr_db,
+                              seed=seed).data
 
         cold_window = window(noise)
         assert np.abs(cold_window).max() > 0
@@ -544,9 +561,9 @@ class TestToneSlot:
         assert np.array_equal(np.concatenate(
             [simulate._tones(cfg, beat_r[i:i + block], bins)
              for i in blocks], axis=1), whole)
-        render = render_noisy(cfg, scene, spec.seed, bins)
+        render = render_noisy(cfg, scene, spec.seed, range(36))
         assert np.array_equal(np.concatenate(
-            [render_noisy(cfg, scene, spec.seed, bins,
+            [render_noisy(cfg, scene, spec.seed, range(36),
                           np.arange(i, min(i + block, frame_t.size)))
              for i in blocks], axis=1), render)
 
@@ -561,7 +578,7 @@ class TestToneSlot:
         for scene_radar in (first, second, second):
             del calls[:]
             renders.append(simulate.render_profiles(
-                *scene_radar, np.arange(36), slice(None)))
+                *scene_radar, range(36), slice(None)).data)
             assert calls
         assert np.array_equal(renders[1], renders[2])
         # the last two are the same scene and radar to ==, not to repr
@@ -598,9 +615,9 @@ class TestToneSlot:
             (0.0, 2.0, 0.0), (0.5, r_max - 0.5, 0.0),
             (1.0, r_max + 2.0, 0.0))),), duration=1.0)
         early, late = np.arange(10), np.arange(10, 20)   # t < 0.5, t >= 0.5
-        bins = np.arange(8)
+        bins = range(8)
         assert np.abs(simulate.render_profiles(
-            scene, cfg, bins, early)).max() > 0
+            scene, cfg, bins, early).data).max() > 0
         for frames in (late, slice(None)):
             with pytest.raises(ValueError, match="Nyquist"):
                 simulate.render_profiles(scene, cfg, bins, frames)
@@ -649,11 +666,11 @@ def test_a_sample_has_one_value_whichever_render_draws_it(name):
     center = range_bin_of(tgt.range_m, cfg)
     tx = tx_weights(tgt.angle_deg, cfg.wavelength, num_elements=cfg.num_tx,
                     spacing=cfg.tx_spacing)
-    heat = simulate.range_profiles(scene, cfg, snr_db=spec.snr_db, seed=noise)
+    heat = heatmap_rows(scene, cfg, snr_db=spec.snr_db, seed=noise)
 
     def window(weights, snr_db):
-        return simulate.window_profiles(scene, cfg, center, weights,
-                                        snr_db=snr_db, seed=noise).data
+        return phase_rows(scene, cfg, center, weights, snr_db=snr_db,
+                          seed=noise).data
 
     plain = window(None, spec.snr_db)
     still = heat.data.shape[1]
@@ -711,7 +728,7 @@ class TestDetections:
         are rendered at: the last 3 s, 60 frames at 20 fps and 150 at
         50 fps."""
         cfg = rv.RadarConfig(frame_rate=fps)
-        rows = simulate.range_profiles(small_scene, cfg)
+        rows = heatmap_rows(small_scene, cfg)
         (track,) = fusion.filter_stationary(fusion.build_tracks(
             simulate.synthesize_detections(small_scene, fps, seed=0)), fps)
         assert track.times.size == rows.frame_timestamps.size == still
