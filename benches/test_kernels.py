@@ -14,8 +14,9 @@ are timed on ``clean`` and on ``range_overlap``, the scene with a mover:
 the heatmap's rows (``aoa.heatmap_bins``) at the still window's frames,
 and the target's phase window (``vitals.channel_bins``) at every frame,
 steered.
-The decomposition is timed at two sizes: the clean chain's 100 kept bins
-and the bench scenario's full 1001-bin spectrum.
+The decomposition (``multichannel_vmd`` alone, the chain's ``decompose``
+stage) is timed at two sizes: the clean chain's 100 kept bins and the
+bench scenario's full 1001-bin spectrum.
 The camera's boxes of ``clean`` and ``range_overlap`` are timed from the
 scene to the tracks (``build_tracks(synthesize_detections(...))``).
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
@@ -69,17 +70,21 @@ def profiles(spec):
 
 @pytest.fixture(scope="module")
 def chain_inputs(spec):
-    """(phase channels, channel weights, mode count, kept spectra) of the
-    clean scene's target, read off its unsteered phase window."""
+    """The vitals chain (``pipeline.vitals_chain``) of the clean scene's
+    target, read off its unsteered phase window."""
     res = pipeline.run_scenario(spec, beamforming=False)
     _, _, loc = res.locations[0]
     phase = vitals.extract_phase(_window(spec, loc.range_bin), loc.range_bin)
-    cw = vitals.adaptive_weights(phase.samples)
-    k = vitals.select_mode_count(cw.weights @ phase.samples)
-    spectra = vitals.truncate_spectrum(
-        vitals.analytic_spectrum(phase.samples, phase.sample_rate),
-        spec.n_keep)
-    return phase, cw.weights, k, spectra
+    return pipeline.vitals_chain(phase, spec.num_modes, spec.n_keep, {})
+
+
+def _time_vmd(benchmark, chain):
+    """Time the chain's ``decompose`` stage, ``multichannel_vmd`` alone,
+    on the chain's spectra, weights, mode count and band-seeded init."""
+    weights = chain.weights.weights
+    init = vitals.band_seeded_init(chain.spectra, weights, chain.k)
+    return benchmark(vitals.multichannel_vmd, chain.spectra, chain.k,
+                     weights=weights, init=init)
 
 
 def test_synthesize_cube(benchmark, spec):
@@ -134,15 +139,14 @@ def test_range_angle_heatmap(benchmark, profiles):
 
 
 def test_select_mode_count(benchmark, chain_inputs):
-    phase, weights, k, _ = chain_inputs
-    assert benchmark(vitals.select_mode_count, weights @ phase.samples) == k
+    combined = chain_inputs.weights.weights @ chain_inputs.phase.samples
+    assert benchmark(vitals.select_mode_count, combined) == chain_inputs.k
 
 
 def test_multichannel_vmd(benchmark, chain_inputs):
     """The clean chain at the scenario's ``n_keep`` (100 bins)."""
-    _, weights, k, spectra = chain_inputs
-    modes = benchmark(pipeline._decompose(spectra, weights, k))
-    assert modes.converged
+    assert chain_inputs.spectra.n_bins == 100
+    assert _time_vmd(benchmark, chain_inputs).converged
 
 
 def test_multichannel_vmd_full_spectrum(benchmark):
@@ -152,6 +156,4 @@ def test_multichannel_vmd_full_spectrum(benchmark):
     res = pipeline.run_scenario(spec, n_keep=None)
     chain = res.chains[res.locations[0][0]]
     assert chain.spectra.spectra.shape == (5, 1001) and chain.k == 4
-    modes = benchmark(pipeline._decompose(chain.spectra,
-                                          chain.weights.weights, chain.k))
-    assert modes.converged
+    assert _time_vmd(benchmark, chain).converged

@@ -14,10 +14,11 @@ writes ``accuracy/ACC_<label>.json``.  Its cells are
 Each cell is the cell's runs pooled by ``pipeline.summarize_runs`` (the
 |RR| and |HR| errors' p50, p80, p90 and max, the targets with a missing
 rate, the failed runs by ``failure_stage``, the targets whose
-decomposition did not converge), plus sha256 digests of the reports and
-of the localizations.  No wall time is recorded, so the file is the
-same on every machine and at every BLAS thread count; diff two labels to
-see what a change did to accuracy.
+decomposition did not converge), plus sha256 digests of the reports (the
+``report.json`` text, ``pipeline.json_text``) and of the localizations.
+No wall time is recorded, so the file is the same on every machine and at
+every BLAS thread count; diff two labels to see what a change did to
+accuracy.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from radarvitals.pipeline import (ScenarioSpec, run_scenario,  # noqa: E402
-                                  summarize_runs)
+from radarvitals.pipeline import (ScenarioSpec, json_text,  # noqa: E402
+                                  run_scenario, summarize_runs)
 from radarvitals.rangefft import range_bin_width  # noqa: E402
 
 BUNDLED_SEEDS = 10
@@ -51,9 +52,7 @@ def cell(spec: ScenarioSpec, beamforming: bool, seeds: int) -> dict:
                             beamforming=beamforming).report
                for i in range(seeds)]
     return {**summarize_runs(reports),
-            "report_sha256": _sha256(
-                json.dumps(r, sort_keys=True, indent=2) + "\n"
-                for r in reports),
+            "report_sha256": _sha256(json_text(r) for r in reports),
             "localization_sha256": _sha256(
                 json.dumps([(t["track_id"], t["range_bin"], t["angle_bin"])
                             for t in r["targets"]]) for r in reports)}

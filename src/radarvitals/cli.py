@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import beamform
 from .config import SPEED_OF_LIGHT
-from .pipeline import ScenarioFailed, ScenarioSpec, bench_acceleration, \
+from .pipeline import ScenarioSpec, StageFailed, bench_acceleration, \
     run_scenario, run_suite, write_run_outputs
 
 
@@ -215,7 +215,7 @@ def _cmd_bench(args) -> int:
         rows = bench_acceleration(spec, n_keep_values=args.n_keep,
                                   repeats=args.repeats,
                                   out_path=args.out / "bench.csv")
-    except ScenarioFailed as e:
+    except StageFailed as e:
         print(f"FAILED at stage {e.stage}: {e.error}", file=sys.stderr)
         return 1
     except ValueError as e:

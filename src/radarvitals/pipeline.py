@@ -30,11 +30,14 @@ whichever stage renders it.  No raw cube is rendered:
 reference the renderer is tested against.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
-into a named ``failure_stage`` in the deterministic report.
-:func:`summarize_runs` pools the reports of any set of runs, the seeds of
-:func:`run_suite` and of each ``scripts/accuracy.py`` cell alike;
-:func:`bench_acceleration` reuses a run's vitals chain to time the
-decomposition at several spectrum truncation lengths.
+into a :class:`StageFailed` naming the stage, the report's
+``failure_stage``.  :func:`vitals_chain` is the one chain from a target's
+phase channels to its rates (``weights`` to ``rates``): :func:`run_scenario`
+calls it for each target, and :func:`bench_acceleration` calls it again on
+a run's phase channels to time the ``decompose`` stage at several spectrum
+truncation lengths.  :func:`summarize_runs` pools the reports of any set of
+runs, the seeds of :func:`run_suite` and of each ``scripts/accuracy.py``
+cell alike, and :func:`json_text` is the one JSON text of their files.
 """
 from __future__ import annotations
 
@@ -124,6 +127,7 @@ class ScenarioSpec(Record):
 class VitalsChain:
     """What the vitals chain produced for one localized target."""
 
+    phase: vitals.PhaseMatrix
     weights: vitals.ChannelWeights
     k: int
     spectra: vitals.AnalyticSpectra
@@ -150,40 +154,28 @@ class RunResult:
         return self.report.get("failure_stage") is not None
 
 
-class _StageFailed(Exception):
-    """A stage raised one of ``_FAILURE_EXCEPTIONS``; names the stage."""
+class StageFailed(RuntimeError):
+    """A stage raised one of ``_FAILURE_EXCEPTIONS``, or the run a bench
+    builds on failed at ``stage``; ``str()`` is the ``error`` text."""
 
-    def __init__(self, stage: str, error: Exception):
+    def __init__(self, stage: str, error):
         super().__init__(str(error))
         self.stage = stage
+        self.error = str(error)
 
 
 @contextmanager
 def _stage(timings: dict, name: str):
     """Add the block's wall time to ``timings[name]`` (ms), failed or not,
-    and re-raise a stage failure as :class:`_StageFailed`."""
+    and re-raise a stage failure as :class:`StageFailed`."""
     t0 = time.perf_counter()
     try:
         yield
     except _FAILURE_EXCEPTIONS as e:
-        raise _StageFailed(name, e) from e
+        raise StageFailed(name, e) from e
     finally:
         timings[name] = (timings.get(name, 0.0)
                          + (time.perf_counter() - t0) * 1e3)
-
-
-def _decompose(spectra: vitals.AnalyticSpectra, weights: np.ndarray,
-               k: int):
-    """The decomposition of ``spectra`` as a zero-argument call.
-
-    The band-seeded init (:func:`vitals.band_seeded_init`) is computed
-    here, so calling the result runs ``multichannel_vmd`` alone (which the
-    benchmark times).  The call looks ``vitals.multichannel_vmd`` up when
-    it runs, so a tool that wraps that attribute sees every decomposition.
-    """
-    init = vitals.band_seeded_init(spectra, weights, k)
-    return lambda: vitals.multichannel_vmd(spectra, k, weights=weights,
-                                           init=init)
 
 
 def _localize(detections, frame_rate: float, heatmap: aoa.Heatmap,
@@ -209,10 +201,9 @@ def _kept_bins(n_keep: int, n_bins: int) -> int:
     return min(n_keep, n_bins)
 
 
-def _vitals_chain(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
-                  timings: dict) -> VitalsChain:
-    """beamform -> phase -> weights -> mode_count -> spectrum -> decompose
-    -> rates for one localized target.
+def _phase(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
+           timings: dict) -> vitals.PhaseMatrix:
+    """beamform -> phase for one localized target.
 
     The phase stage renders the target's phase window at every frame (with
     the capture's row noise ``noise``), with transmit weights steered at
@@ -234,24 +225,39 @@ def _vitals_chain(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
                                    cfg.samples_per_chirp // 2 + 1)
         profiles = render_profiles(spec.scene, cfg, bins, slice(None), tx,
                                    snr_db=spec.snr_db, seed=noise)
-        phase = vitals.extract_phase(profiles, loc.range_bin, rx=rx)
+        return vitals.extract_phase(profiles, loc.range_bin, rx=rx)
+
+
+def vitals_chain(phase: vitals.PhaseMatrix, num_modes: int | str,
+                 n_keep: int | None, timings: dict) -> VitalsChain:
+    """weights -> mode_count -> spectrum -> decompose -> rates on one
+    target's phase channels, each stage's wall time added to ``timings``.
+
+    ``num_modes`` is a mode count or ``"auto"``; ``n_keep`` bins of the
+    spectrum are kept (None keeps them all).  The spectrum stage also seeds
+    the modes (:func:`vitals.band_seeded_init`), so ``decompose`` is the
+    ``multichannel_vmd`` call alone.  Every ``vitals`` function is looked
+    up when it runs, so a tool that wraps one sees each call.  A failed
+    stage raises :class:`StageFailed`.
+    """
     with _stage(timings, "weights"):
         cw = vitals.adaptive_weights(phase.samples)
-        combined_series = cw.weights @ phase.samples
     with _stage(timings, "mode_count"):
-        k = (vitals.select_mode_count(combined_series)
-             if spec.num_modes == "auto" else int(spec.num_modes))
+        k = (vitals.select_mode_count(cw.weights @ phase.samples)
+             if num_modes == "auto" else int(num_modes))
     with _stage(timings, "spectrum"):
         spectra = vitals.analytic_spectrum(phase.samples, phase.sample_rate)
-        if spec.n_keep is not None:
+        if n_keep is not None:
             spectra = vitals.truncate_spectrum(
-                spectra, _kept_bins(spec.n_keep, spectra.n_bins))
+                spectra, _kept_bins(n_keep, spectra.n_bins))
+        init = vitals.band_seeded_init(spectra, cw.weights, k)
     with _stage(timings, "decompose"):
-        modes = _decompose(spectra, cw.weights, k)()
+        modes = vitals.multichannel_vmd(spectra, k, weights=cw.weights,
+                                        init=init)
     with _stage(timings, "rates"):
         rates = vitals.estimate_rates(modes)
-    return VitalsChain(weights=cw, k=k, spectra=spectra, modes=modes,
-                       rates=rates)
+    return VitalsChain(phase=phase, weights=cw, k=k, spectra=spectra,
+                       modes=modes, rates=rates)
 
 
 def run_scenario(
@@ -305,9 +311,9 @@ def run_scenario(
         with _stage(timings, "localize"):
             result.locations = _localize(detections, cfg.frame_rate,
                                          heatmap, report)
-    except _StageFailed as e:
+    except StageFailed as e:
         report["failure_stage"] = e.stage
-        report["error"] = str(e)
+        report["error"] = e.error
         return result
 
     truth = target_track_ids(run.scene)
@@ -334,11 +340,12 @@ def run_scenario(
         report["targets"].append(entry)
 
         try:
-            chain = _vitals_chain(run, noise_ss, loc, timings)
-        except _StageFailed as e:
-            entry["failure"] = str(e)
+            chain = vitals_chain(_phase(run, noise_ss, loc, timings),
+                                 run.num_modes, run.n_keep, timings)
+        except StageFailed as e:
+            entry["failure"] = e.error
             report["failure_stage"] = report["failure_stage"] or "vitals"
-            report["error"] = report["error"] or str(e)
+            report["error"] = report["error"] or e.error
             continue
         result.chains[track_id] = chain
 
@@ -361,13 +368,17 @@ def run_scenario(
     return result
 
 
+def json_text(record: dict) -> str:
+    """The text of a report or summary file: sorted keys, two-space
+    indent, one closing newline."""
+    return json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+
 def write_run_outputs(result: RunResult, out_dir) -> Path:
     """Write report.json (deterministic) and timings.csv (wall clock)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as fh:
-        json.dump(result.report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "report.json").write_text(json_text(result.report))
     with open(out / "timings.csv", "w") as fh:
         fh.write("stage,milliseconds\n")
         for stage, ms in result.timings_ms.items():
@@ -418,7 +429,7 @@ def summarize_runs(reports: list[dict]) -> dict:
 def run_suite(
     spec: ScenarioSpec,
     repetitions: int,
-    out_dir=None,
+    out_dir,
     seed: int | None = None,
     beamforming: bool | None = None,
     n_keep: int | None | str = "spec",
@@ -431,18 +442,18 @@ def run_suite(
     writes.  The summary is :func:`summarize_runs` of the reports (a failed
     run's ground-truth targets count too, with their errors or as missing)
     plus ``scenario``, ``repetitions``, ``base_seed`` and ``beamforming``.
-    When ``out_dir`` is given, writes each run's outputs to
-    ``run-<i>``, the summary to ``suite_summary.json`` and the pooled
-    errors' CDFs to ``cdf_rr.csv`` / ``cdf_hr.csv``.
+    Under ``out_dir`` it writes each run's outputs to ``run-<i>``, the
+    summary to ``suite_summary.json`` and the pooled errors' CDFs to
+    ``cdf_rr.csv`` / ``cdf_hr.csv``.
     """
     _require(repetitions >= 1, "repetitions must be >= 1")
     base = spec.seed if seed is None else seed
+    out = Path(out_dir)
     reports = []
     for i in range(repetitions):
         res = run_scenario(spec, seed=base + i,
                            beamforming=beamforming, n_keep=n_keep)
-        if out_dir is not None:
-            write_run_outputs(res, Path(out_dir) / f"run-{i:03d}")
+        write_run_outputs(res, out / f"run-{i:03d}")
         reports.append(res.report)
 
     summary = {
@@ -453,28 +464,14 @@ def run_suite(
                         else beamforming),
         **summarize_runs(reports),
     }
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "suite_summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        for tag, (_, key) in _RATE_ERRORS.items():
-            errs = sorted(_abs_errors(reports, key))
-            with open(out / f"cdf_{tag}.csv", "w") as fh:
-                fh.write("abs_error,cumulative_fraction\n")
-                for j, e in enumerate(errs):
-                    fh.write(f"{e:.6f},{(j + 1) / len(errs):.6f}\n")
+    (out / "suite_summary.json").write_text(json_text(summary))
+    for tag, (_, key) in _RATE_ERRORS.items():
+        errs = sorted(_abs_errors(reports, key))
+        with open(out / f"cdf_{tag}.csv", "w") as fh:
+            fh.write("abs_error,cumulative_fraction\n")
+            for j, e in enumerate(errs):
+                fh.write(f"{e:.6f},{(j + 1) / len(errs):.6f}\n")
     return summary
-
-
-class ScenarioFailed(RuntimeError):
-    """The run :func:`bench_acceleration` builds on ended in a failure."""
-
-    def __init__(self, stage: str, error: str):
-        super().__init__(f"scenario failed at stage {stage}: {error}")
-        self.stage = stage
-        self.error = error
 
 
 def bench_acceleration(
@@ -485,26 +482,25 @@ def bench_acceleration(
 ) -> list[dict]:
     """Time the decomposition stage at several truncation lengths.
 
-    The pipeline runs once on the full spectrum; its first target's vitals
-    chain (channel weights, mode count, spectrum) is then decomposed again
-    for each ``n_keep`` value (None = full spectrum), ``repeats`` timed
-    times each (best time kept), so rows differ only in spectrum length.
-    Rate deltas are reported against the full-spectrum row.  A failed run
-    raises :class:`ScenarioFailed`; ``repeats`` < 1, or an ``n_keep`` that
-    keeps fewer than two bins per mode, raises ``ValueError`` before any
-    row is timed.
+    The pipeline runs once on the full spectrum; its first target's phase
+    channels and mode count then go through :func:`vitals_chain` again for
+    each ``n_keep`` value (None = full spectrum), ``repeats`` times each,
+    and a row's time is the best of its ``decompose`` stages, so rows
+    differ only in spectrum length.  Rate deltas are reported against the
+    full-spectrum row.  A failed run or chain raises :class:`StageFailed`;
+    ``repeats`` < 1, or an ``n_keep`` that keeps fewer than two bins per
+    mode, raises ``ValueError`` before any row is timed.
     """
     _require(repeats >= 1, "repeats must be >= 1")
     res = run_scenario(spec, n_keep=None)
     if res.failed:
-        raise ScenarioFailed(res.report["failure_stage"], res.report["error"])
+        raise StageFailed(res.report["failure_stage"], res.report["error"])
     chain = res.chains[res.locations[0][0]]
-    full = chain.spectra
 
     kept = set()
     for v in n_keep_values:
         if v is not None:
-            keep = _kept_bins(v, full.n_bins)
+            keep = _kept_bins(v, chain.spectra.n_bins)
             _require(keep >= 2 * chain.k,
                      f"n_keep {v} keeps {keep} spectrum bins, fewer than the "
                      f"{2 * chain.k} that {chain.k} modes need")
@@ -513,23 +509,18 @@ def bench_acceleration(
     rows = []
     baseline = None
     for keep in [None, *sorted(kept, reverse=True)]:
-        spectra = (full if keep is None
-                   else vitals.truncate_spectrum(full, keep))
-        decompose = _decompose(spectra, chain.weights.weights, chain.k)
         best = np.inf
-        modes = None
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            modes = decompose()
-            best = min(best, time.perf_counter() - t0)
-        rates = vitals.estimate_rates(modes)
+            stages: dict = {}
+            row_chain = vitals_chain(chain.phase, chain.k, keep, stages)
+            best = min(best, stages["decompose"])
         row = {
             "n_keep": "full" if keep is None else keep,
-            "n_bins": spectra.n_bins,
-            "wall_ms": best * 1e3,
-            "iterations": modes.iterations,
-            "breaths_per_min": rates.breaths_per_min,
-            "beats_per_min": rates.beats_per_min,
+            "n_bins": row_chain.spectra.n_bins,
+            "wall_ms": best,
+            "iterations": row_chain.modes.iterations,
+            "breaths_per_min": row_chain.rates.breaths_per_min,
+            "beats_per_min": row_chain.rates.beats_per_min,
         }
         if keep is None:
             baseline = row

@@ -11,9 +11,10 @@ Stages, in the order the pipeline runs them:
 4. :func:`analytic_spectrum` / :func:`truncate_spectrum` - one-sided
    spectra, optionally truncated to the low-frequency band that actually
    contains vital signals (this is what buys the speedup).
-5. :func:`band_seeded_init` / :func:`multichannel_vmd` - variational mode
-   decomposition run on the weighted multi-channel spectrum, its center
-   frequencies seeded one per vital band.
+5. :func:`multichannel_vmd` - variational mode decomposition run on the
+   weighted multi-channel spectrum, its center frequencies seeded one per
+   vital band by :func:`band_seeded_init` (the pipeline seeds them in its
+   ``spectrum`` stage, so its ``decompose`` stage is this call alone).
 6. :func:`estimate_rates` - breathing / heart rates from the band-matched
    modes.
 """

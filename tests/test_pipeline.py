@@ -13,8 +13,10 @@ import pytest
 
 import radarvitals as rv
 from radarvitals import aoa, beamform, fusion, pipeline, simulate, vitals
-from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
-                                  run_scenario, run_suite, write_run_outputs)
+from radarvitals.pipeline import (ScenarioSpec, StageFailed,
+                                  bench_acceleration, json_text,
+                                  run_scenario, run_suite, vitals_chain,
+                                  write_run_outputs)
 from radarvitals.rangefft import range_bin_of, range_fft
 from radarvitals.simulate import synthesize_cube
 from radarvitals.vitals import band_seeded_init
@@ -51,12 +53,15 @@ class TestRunScenario:
         assert sum(entry["channel_weights"]) == pytest.approx(1.0)
 
     def test_stage_timings_recorded(self, quick_spec):
-        res = run_scenario(quick_spec)
-        for stage in ("simulate", "heatmap", "localize",
-                      "beamform", "phase", "weights", "mode_count",
-                      "spectrum", "decompose", "rates"):
-            assert stage in res.timings_ms
-            assert res.timings_ms[stage] >= 0
+        """The ten stages in run order, steered; unsteered the same
+        without ``beamform``."""
+        stages = ["simulate", "heatmap", "localize", "beamform", "phase",
+                  "weights", "mode_count", "spectrum", "decompose", "rates"]
+        for beamforming in (True, False):
+            res = run_scenario(quick_spec, beamforming=beamforming)
+            assert list(res.timings_ms) == [
+                s for s in stages if beamforming or s != "beamform"]
+            assert all(ms >= 0 for ms in res.timings_ms.values())
 
     def test_no_beamforming_skips_stage(self, quick_spec):
         res = run_scenario(quick_spec, beamforming=False)
@@ -357,7 +362,7 @@ def _scalar_node(d: dict, key: str) -> dict:
 
 def _report_text(res) -> str:
     """The report as :func:`write_run_outputs` writes it."""
-    return json.dumps(res.report, sort_keys=True, indent=2) + "\n"
+    return json_text(res.report)
 
 
 def _count_renders(monkeypatch) -> dict:
@@ -770,7 +775,8 @@ class TestSuite:
         assert summary["failed_runs"] == 0
         assert summary["num_rr_samples"] == 3
         assert summary["rr_abs_error_rpm"]["p50"] is not None
-        assert (tmp_path / "suite_summary.json").exists()
+        assert ((tmp_path / "suite_summary.json").read_text()
+                == json_text(summary))
         assert (tmp_path / "cdf_rr.csv").exists()
         assert (tmp_path / "run-000" / "report.json").exists()
         assert (tmp_path / "run-002" / "timings.csv").exists()
@@ -782,7 +788,7 @@ class TestSuite:
     def test_failures_are_counted_not_pooled(self, tmp_path):
         spec = ScenarioSpec(name="empty", scene=rv.Scene(duration=5.0),
                             snr_db=0.0)
-        summary = run_suite(spec, repetitions=2)
+        summary = run_suite(spec, repetitions=2, out_dir=tmp_path)
         assert summary["failed_runs"] == 2
         assert summary["failures"] == {"localize": 2}
         assert summary["num_rr_samples"] == 0
@@ -837,7 +843,7 @@ class TestSuite:
         self.assert_pools_the_good_target(cell, lost_second_target)
         assert cell["runs"] == 3
 
-    def test_a_subject_the_camera_never_boxes_is_missing(self):
+    def test_a_subject_the_camera_never_boxes_is_missing(self, tmp_path):
         """clean.json plus a subject at -70 deg, outside the camera's view:
         no run fails, and the unseen subject is missing from each of the
         three runs."""
@@ -845,14 +851,15 @@ class TestSuite:
         unseen = dataclasses.replace(spec.scene.targets[0], angle_deg=-70.0)
         spec = dataclasses.replace(spec, scene=dataclasses.replace(
             spec.scene, targets=(*spec.scene.targets, unseen)))
-        summary = run_suite(spec, repetitions=3)
+        summary = run_suite(spec, repetitions=3, out_dir=tmp_path)
         assert summary["failed_runs"] == 0
         assert summary["num_rr_samples"] == summary["num_hr_samples"] == 3
         assert summary["missing_rr"] == summary["missing_hr"] == 3
 
-    def test_rejects_zero_repetitions(self, quick_spec):
+    def test_rejects_zero_repetitions(self, quick_spec, tmp_path):
         with pytest.raises(ValueError):
-            run_suite(quick_spec, repetitions=0)
+            run_suite(quick_spec, repetitions=0, out_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:
@@ -902,6 +909,36 @@ class TestBench:
         assert full["breaths_per_min"] == entry["breaths_per_min"]
         assert full["beats_per_min"] == entry["beats_per_min"]
 
+    @pytest.mark.parametrize("name", [None, "bench"])
+    def test_rows_are_the_chain_at_each_keep(self, quick_spec, name):
+        """Each row is :func:`vitals_chain` on the full-spectrum run's phase
+        channels and mode count at the row's kept bins."""
+        spec = (quick_spec if name is None
+                else ScenarioSpec.from_json(SCENARIOS / f"{name}.json"))
+        rows = bench_acceleration(spec, n_keep_values=[60, 40], repeats=1)
+        res = run_scenario(spec, n_keep=None)
+        chain = res.chains[res.locations[0][0]]
+        assert [r["n_keep"] for r in rows] == ["full", 60, 40]
+        for row in rows:
+            keep = None if row["n_keep"] == "full" else row["n_keep"]
+            again = vitals_chain(chain.phase, chain.k, keep, {})
+            assert (row["n_bins"], row["iterations"], row["breaths_per_min"],
+                    row["beats_per_min"]) == (
+                again.spectra.n_bins, again.modes.iterations,
+                again.rates.breaths_per_min, again.rates.beats_per_min)
+
+    def test_a_failed_run_raises_its_stage(self):
+        """The run a bench builds on fails at localize: the bench raises
+        :class:`StageFailed` with that stage and the report's error."""
+        spec = ScenarioSpec(name="empty", scene=rv.Scene(duration=5.0),
+                            snr_db=0.0)
+        report = run_scenario(spec, n_keep=None).report
+        with pytest.raises(StageFailed) as info:
+            bench_acceleration(spec, n_keep_values=[40], repeats=1)
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.stage == "localize"
+        assert str(info.value) == info.value.error == report["error"]
+
     def test_too_few_bins_for_the_modes_raises_before_timing(
             self, quick_spec, monkeypatch):
         """A kept length under 2 x k bins is refused after the run's own
@@ -948,6 +985,20 @@ class TestBench:
         requested = [r["n_keep"] for r in rows]
         assert "full" in requested
         assert all(r["n_bins"] <= 81 for r in rows)
+
+
+class TestVitalsChain:
+    def test_all_zero_phase_fails_at_weights(self):
+        """Phase channels with no energy fail the first stage, and no
+        later stage runs."""
+        phase = vitals.PhaseMatrix(samples=np.zeros((5, 200)),
+                                   sample_rate=20.0,
+                                   range_bins=tuple(range(8, 13)))
+        timings: dict = {}
+        with pytest.raises(StageFailed, match="carry no energy") as info:
+            vitals_chain(phase, "auto", 100, timings)
+        assert info.value.stage == "weights"
+        assert list(timings) == ["weights"]
 
 
 def vitals_window(spec, center, tx, noise):
