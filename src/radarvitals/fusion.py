@@ -2,11 +2,13 @@
 
 The camera side of the system is reduced to its essentials: the horizontal
 pixel extent of every person's box in every frame, one :class:`Detections`
-record per capture.  This module splits the record into per-identity
-tracks, keeps the ones that have stopped moving, converts their horizontal
-pixel extent into a window of angle bins, and picks the strongest
-range-angle cell inside that window.  The image's columns span the angle
-grid, so the camera's field of view is +-:data:`aoa.MAX_ANGLE_DEG`.
+record per capture, whose columns are the identities.  This module keeps
+the record's columns for the people in view at the last frame, cuts the
+record to its still window and keeps the columns that have stopped moving,
+converts a box's horizontal pixel extent into a window of angle bins, and
+picks the strongest range-angle cell inside that window.  The camera's
+field of view is the angle grid's, +-:data:`aoa.MAX_ANGLE_DEG`: the
+image's columns span the grid.
 """
 from __future__ import annotations
 
@@ -28,11 +30,12 @@ STILL_SPAN_FRACTION = 0.02
 
 @dataclass
 class Detections:
-    """Every camera box of a capture.
+    """Every camera box of a capture, or of the tracks cut from it.
 
     ``times`` (F,) are the frame times; ``xs`` and ``ws`` (F, E) are the
     left edge and width in pixels of entity ``ids[e]``'s box in each frame,
-    NaN where the entity is out of view.
+    NaN where the entity is out of view.  Its length is its number of
+    identities.
     """
 
     times: np.ndarray
@@ -40,32 +43,25 @@ class Detections:
     xs: np.ndarray
     ws: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.ids)
 
-@dataclass
-class TrackedBox:
-    """Time series of one identity-tracked box."""
-
-    id: str
-    times: np.ndarray
-    xs: np.ndarray
-    ws: np.ndarray
+    def columns(self, cols) -> Detections:
+        """The record of the identities at column indices ``cols``."""
+        return Detections(times=self.times, ids=[self.ids[e] for e in cols],
+                          xs=self.xs[:, cols], ws=self.ws[:, cols])
 
 
-def build_tracks(detections: Detections) -> list[TrackedBox]:
-    """One track per identity in view in the capture's last frame, sorted
-    by id, holding the frames that show its box.
+def build_tracks(detections: Detections) -> Detections:
+    """The columns of the identities in view in the capture's last frame,
+    sorted by id; a capture with no frames has none.
 
     A person who has left the view is not tracked, so every track ends at
     the capture's last frame, where the radar's still window ends too.
     """
-    times, xs, ws = detections.times, detections.xs, detections.ws
-    tracks = []
-    for bid, e in sorted(zip(detections.ids, range(xs.shape[1]))):
-        seen = ~np.isnan(xs[:, e])
-        if seen.size and seen[-1]:
-            tracks.append(TrackedBox(id=bid, times=times[seen],
-                                     xs=xs[seen, e], ws=ws[seen, e]))
-    return tracks
+    in_view = (~np.isnan(detections.xs[-1:])).any(axis=0)
+    return detections.columns(sorted(np.flatnonzero(in_view),
+                                     key=detections.ids.__getitem__))
 
 
 def still_frames(frame_rate: float) -> int:
@@ -76,31 +72,30 @@ def still_frames(frame_rate: float) -> int:
     return max(int(round(STATIONARY_WINDOW_S * frame_rate)), 1)
 
 
-def filter_stationary(tracks: list[TrackedBox],
-                      frame_rate: float) -> list[TrackedBox]:
-    """The tracks whose box barely moved over the still window, each cut to
-    that window.
+def filter_stationary(tracks: Detections, frame_rate: float) -> Detections:
+    """The still window's rows of the tracks whose box barely moved over
+    it.
 
     The still window is the last :func:`still_frames` frames of a capture
-    at ``frame_rate``; its edge lies half a frame before its first frame,
-    clear of every frame time.  A track counts as stationary when, over its
-    samples in the window, both the horizontal position and the width stay
-    inside a max-minus-min span of :data:`STILL_SPAN_FRACTION` of
-    :data:`IMAGE_WIDTH_PX`.  Tracks with fewer than two samples in the
-    window are dropped (no evidence of stillness).
+    at ``frame_rate``.  A track counts as stationary when, over its boxes
+    in the window (NaN rows are out of view), both the horizontal position
+    and the width stay inside a max-minus-min span of
+    :data:`STILL_SPAN_FRACTION` of :data:`IMAGE_WIDTH_PX`.  Tracks with
+    fewer than two boxes in the window are dropped (no evidence of
+    stillness).
     """
+    def span(a):  # max minus min of each column's boxes; -inf if none
+        return (np.fmax.reduce(a, axis=0, initial=-np.inf)
+                - np.fmin.reduce(a, axis=0, initial=np.inf))
+
     threshold = STILL_SPAN_FRACTION * IMAGE_WIDTH_PX
-    span = (still_frames(frame_rate) - 0.5) / frame_rate
-    out = []
-    for tr in tracks:
-        sel = tr.times > tr.times[-1] - span
-        if np.count_nonzero(sel) < 2:
-            continue
-        still = TrackedBox(id=tr.id, times=tr.times[sel], xs=tr.xs[sel],
-                           ws=tr.ws[sel])
-        if np.ptp(still.xs) <= threshold and np.ptp(still.ws) <= threshold:
-            out.append(still)
-    return out
+    rows = slice(-still_frames(frame_rate), None)
+    window = Detections(times=tracks.times[rows], ids=tracks.ids,
+                        xs=tracks.xs[rows], ws=tracks.ws[rows])
+    still = ((np.count_nonzero(~np.isnan(window.xs), axis=0) >= 2)
+             & (span(window.xs) <= threshold)
+             & (span(window.ws) <= threshold))
+    return window.columns(np.flatnonzero(still))
 
 
 def pixel_to_angle_window(x: float, w: float) -> tuple[int, int]:

@@ -13,9 +13,10 @@ repetition as a single chain of timed stages:
   frame, by :func:`simulate.render_profiles`; and the camera boxes, one
   :class:`fusion.Detections` record of arrays), ``heatmap`` (the MVDR
   covariance of each row from one snapshot per frame over the still
-  window), ``localize`` (the tracks in view at the last frame that stood
-  still over the still window, cut to it by
-  :func:`fusion.filter_stationary`, each located at its mean box);
+  window), ``localize`` (the record's columns in view at the last frame,
+  :func:`fusion.build_tracks`, cut to the still window's rows and to the
+  columns that stood still over it by :func:`fusion.filter_stationary`,
+  each located at its mean box);
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit and receive weights steered at the target), ``phase``
   (the phase window's rows, :func:`vitals.channel_bins`, rendered at every
@@ -181,24 +182,19 @@ def _stage(timings: dict, name: str):
 def _localize(detections, frame_rate: float, heatmap: aoa.Heatmap,
               report: dict) -> list:
     """(track_id, angle window, Localization) of every stationary track,
-    its window from the mean box over the still window."""
-    tracks = fusion.build_tracks(detections)
-    stationary = fusion.filter_stationary(tracks, frame_rate)
-    report["num_stationary_tracks"] = len(stationary)
-    if not stationary:
+    its window from its mean box over the still window."""
+    still = fusion.filter_stationary(fusion.build_tracks(detections),
+                                     frame_rate)
+    report["num_stationary_tracks"] = len(still)
+    if not still:
         raise ValueError("no stationary detection track to localize")
     located = []
-    for tr in stationary:
-        window = fusion.pixel_to_angle_window(float(np.mean(tr.xs)),
-                                              float(np.mean(tr.ws)))
-        loc = fusion.localize(heatmap, window)
-        located.append((tr.id, window, loc))
+    for e, track_id in enumerate(still.ids):
+        window = fusion.pixel_to_angle_window(
+            float(np.nanmean(still.xs[:, e])),
+            float(np.nanmean(still.ws[:, e])))
+        located.append((track_id, window, fusion.localize(heatmap, window)))
     return located
-
-
-def _kept_bins(n_keep: int, n_bins: int) -> int:
-    """Spectrum bins an ``n_keep`` keeps: at most ``n_bins``."""
-    return min(n_keep, n_bins)
 
 
 def _phase(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
@@ -249,7 +245,7 @@ def vitals_chain(phase: vitals.PhaseMatrix, num_modes: int | str,
         spectra = vitals.analytic_spectrum(phase.samples, phase.sample_rate)
         if n_keep is not None:
             spectra = vitals.truncate_spectrum(
-                spectra, _kept_bins(n_keep, spectra.n_bins))
+                spectra, min(n_keep, spectra.n_bins))
         init = vitals.band_seeded_init(spectra, cw.weights, k)
     with _stage(timings, "decompose"):
         modes = vitals.multichannel_vmd(spectra, k, weights=cw.weights,
@@ -500,7 +496,7 @@ def bench_acceleration(
     kept = set()
     for v in n_keep_values:
         if v is not None:
-            keep = _kept_bins(v, chain.spectra.n_bins)
+            keep = min(v, chain.spectra.n_bins)
             _require(keep >= 2 * chain.k,
                      f"n_keep {v} keeps {keep} spectrum bins, fewer than the "
                      f"{2 * chain.k} that {chain.k} modes need")

@@ -70,44 +70,30 @@ def channel_bins(center_bin: int, num_bins: int) -> range:
     return range(lo, hi + 1)
 
 
-def phase_window(profiles, center_bin: int) -> tuple[range, slice]:
-    """Range bins and slow-time samples that :func:`extract_phase` reads.
-
-    Returns the :func:`channel_bins` centered on ``center_bin`` and the
-    first snapshot of every frame.  The window is checked before anyone
-    indexes with it: a ValueError names bins that leave the full one-sided
-    profile, or bins inside it but outside the rows ``profiles`` holds.
-    """
-    bins = channel_bins(center_bin, profiles.num_bins)
-    first, rows = profiles.first_bin, profiles.data.shape[0]
-    if bins.stop > first + rows:
-        raise ValueError(
-            f"channels [{bins.start}, {bins.stop - 1}] lie past the {rows} "
-            f"rendered rows of the {profiles.num_bins}-bin range profile")
-    if bins.start < first:
-        raise ValueError(
-            f"channels [{bins.start}, {bins.stop - 1}] start before the "
-            f"first rendered row, bin {first}")
-    per_frame = profiles.data.shape[1] // len(profiles.frame_timestamps)
-    return bins, slice(None, None, per_frame)
-
-
 def extract_phase(profiles, center_bin: int,
                   rx: beamform.BeamWeights | None = None) -> PhaseMatrix:
     """Slow-time phase of :data:`PHASE_CHANNELS` range bins centered on a
     target.
 
-    One sample per frame is used (the first chirp), so the sample rate is
-    the frame rate; :func:`phase_window` gives the bins and samples read.
-    Each channel is combined across the virtual array with ``rx`` weights
-    (:func:`beamform.combine`) when given, otherwise read from the first
-    antenna; the phase is unwrapped along time and the per-channel mean
-    removed.
+    The channels are the :func:`channel_bins` centered on ``center_bin``,
+    checked before anyone indexes with them: a ValueError names channels
+    that leave the full one-sided profile, or that leave the rows
+    ``profiles`` holds.  One sample per frame is used (the first chirp), so
+    the sample rate is the frame rate.  Each channel is combined across the
+    virtual array with ``rx`` weights (:func:`beamform.combine`) when
+    given, otherwise read from the first antenna; the phase is unwrapped
+    along time and the per-channel mean removed.
     """
-    bins, frames = phase_window(profiles, center_bin)
-    rows = slice(bins.start - profiles.first_bin,
-                 bins.stop - profiles.first_bin)
-    block = profiles.data[rows, frames, :]                     # (L, frames, K)
+    bins = channel_bins(center_bin, profiles.num_bins)
+    first, held = profiles.first_bin, profiles.data.shape[0]
+    if bins.start < first or bins.stop > first + held:
+        raise ValueError(
+            f"channels [{bins.start}, {bins.stop - 1}] lie outside the "
+            f"rendered rows [{first}, {first + held - 1}] of the "
+            f"{profiles.num_bins}-bin range profile")
+    per_frame = profiles.data.shape[1] // len(profiles.frame_timestamps)
+    block = profiles.data[bins.start - first:bins.stop - first,
+                          ::per_frame, :]                   # (L, frames, K)
     if rx is None:
         series = block[:, :, 0]
     else:

@@ -280,12 +280,13 @@ def test_criterion_09_windowed_localization_beats_global_argmax():
                                             seed=det_ss)
     tracks = fusion.build_tracks(frames)
     stationary = fusion.filter_stationary(tracks, cfg.frame_rate)
-    assert [tr.id for tr in stationary] == ["target-0"]
+    assert stationary.ids == ["target-0"]
 
-    track = stationary[0]
-    tail = track.times >= track.times[-1] - fusion.STATIONARY_WINDOW_S
+    tail = (stationary.times
+            >= stationary.times[-1] - fusion.STATIONARY_WINDOW_S)
     window = fusion.pixel_to_angle_window(
-        float(track.xs[tail].mean()), float(track.ws[tail].mean()))
+        float(np.nanmean(stationary.xs[tail, 0])),
+        float(np.nanmean(stationary.ws[tail, 0])))
 
     grid = aoa.default_angle_grid()
     true_rbin = range_bin_of(target.range_m, cfg)

@@ -976,8 +976,27 @@ class TestBench:
 
     @pytest.mark.parametrize("n_keep, n_bins, kept", [
         (2, 81, 2), (40, 81, 40), (10_000, 81, 81), (81, 81, 81)])
-    def test_kept_bins(self, n_keep, n_bins, kept):
-        assert pipeline._kept_bins(n_keep, n_bins) == kept
+    def test_kept_bins(self, monkeypatch, n_keep, n_bins, kept):
+        """The chain's spectrum stage asks ``truncate_spectrum`` for
+        ``n_keep`` bins, at most the spectrum's ``n_bins``: an oversized
+        keep is clipped and a small one is not widened (2 bins are then
+        refused as fewer than 2 modes need)."""
+        asked = []
+        truncate = vitals.truncate_spectrum
+        monkeypatch.setattr(vitals, "truncate_spectrum",
+                            lambda spectra, n: asked.append(n)
+                            or truncate(spectra, n))
+        samples = np.random.default_rng(0).standard_normal(
+            (5, 2 * (n_bins - 1)))
+        phase = vitals.PhaseMatrix(samples=samples, sample_rate=20.0,
+                                   range_bins=tuple(range(8, 13)))
+        try:
+            chain = vitals_chain(phase, 2, n_keep, {})
+        except StageFailed as e:
+            assert (e.stage, kept) == ("spectrum", 2)
+        else:
+            assert chain.spectra.n_bins == kept
+        assert asked == [kept]
 
     def test_oversized_keep_is_clipped(self, quick_spec):
         rows = bench_acceleration(quick_spec, n_keep_values=[10_000],

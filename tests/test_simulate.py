@@ -286,8 +286,9 @@ class TestRenderProfiles:
         got = vitals.extract_phase(win, 7).samples
         assert np.allclose(got, vitals.extract_phase(ref, 7).samples,
                            atol=1e-9)
-        with pytest.raises(ValueError, match="start before the first "
-                                             "rendered row, bin 5"):
+        with pytest.raises(ValueError, match=r"channels \[4, 8\] lie "
+                           r"outside the rendered rows \[5, 9\] of the "
+                           r"65-bin range profile"):
             vitals.extract_phase(win, 6)
 
     def test_bin_domain_noise_is_white(self, cfg):
@@ -729,10 +730,12 @@ class TestDetections:
         50 fps."""
         cfg = rv.RadarConfig(frame_rate=fps)
         rows = heatmap_rows(small_scene, cfg)
-        (track,) = fusion.filter_stationary(fusion.build_tracks(
+        kept = fusion.filter_stationary(fusion.build_tracks(
             simulate.synthesize_detections(small_scene, fps, seed=0)), fps)
-        assert track.times.size == rows.frame_timestamps.size == still
-        assert np.allclose(track.times, rows.frame_timestamps)
+        assert len(kept) == 1
+        boxed = kept.times[~np.isnan(kept.xs[:, 0])]
+        assert boxed.size == rows.frame_timestamps.size == still
+        assert np.allclose(boxed, rows.frame_timestamps)
 
     def test_box_window_contains_the_target_bin_across_the_view(self):
         """The camera's field of view is the angle grid's: for a target

@@ -50,10 +50,12 @@ class TestExtractPhase:
         raises; it never reads a short slice."""
         prof = _profiles_with_phase(np.zeros(32))
         assert prof.num_bins == 65 and prof.data.shape[0] == 9
-        with pytest.raises(ValueError, match="past the 9 rendered rows of "
-                                             "the 65-bin range profile"):
-            vitals.phase_window(prof, center_bin=7)
-        assert vitals.phase_window(prof, center_bin=6)[0] == range(4, 9)
+        with pytest.raises(ValueError, match=r"channels \[5, 9\] lie "
+                           r"outside the rendered rows \[0, 8\] of the "
+                           r"65-bin range profile"):
+            vitals.extract_phase(prof, center_bin=7)
+        assert vitals.extract_phase(prof, center_bin=6).range_bins == (
+            4, 5, 6, 7, 8)
 
 
 class TestAdaptiveWeights:
