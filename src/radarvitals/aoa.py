@@ -81,7 +81,7 @@ class Heatmap:
 def heatmap_bins(cfg: RadarConfig) -> range:
     """The range bins the heatmap computes: those at or below
     :data:`MAX_RANGE_M`, from bin 0."""
-    axis = np.arange(cfg.samples_per_chirp // 2 + 1) * range_bin_width(cfg)
+    axis = np.arange(cfg.num_range_bins) * range_bin_width(cfg)
     return range(int(np.count_nonzero(axis <= MAX_RANGE_M)))
 
 

@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import beamform
-from .config import SPEED_OF_LIGHT
+from .config import SPEED_OF_LIGHT, RadarConfig
 from .pipeline import ScenarioSpec, StageFailed, bench_acceleration, \
     run_scenario, run_suite, write_run_outputs
 
@@ -127,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pat.add_argument("--spacing-wl", type=_POSITIVE_FLOAT, default=None,
                        help="element spacing in wavelengths "
                             "(default: 1.0 tx / 0.5 rx)")
-    p_pat.add_argument("--carrier-ghz", type=_POSITIVE_FLOAT, default=77.0)
+    p_pat.add_argument("--carrier-ghz", type=_POSITIVE_FLOAT,
+                       default=RadarConfig.carrier_freq / 1e9,
+                       help="carrier in GHz (default: the radar's, "
+                            "%(default)s)")
     p_pat.add_argument("--step", type=_ANGLE_STEP, default=0.25,
                        help="angle grid step in degrees")
     p_pat.add_argument("--out", required=True, type=Path,

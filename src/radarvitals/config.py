@@ -12,6 +12,11 @@ a tuple, and a value of the wrong type (or NaN or +-inf) raises a
 ``ValueError`` naming the record and the field.  Each class's own
 ``_check`` adds only its value checks; a failing one is raised with the
 record's name in front.
+
+There is one radar front end: its chirp and its array are
+:class:`RadarConfig`'s class constants, not fields, so a scenario's radar
+block sets only the frame timing (``chirps_per_frame``, ``frame_rate``),
+and a file that sets any other radar key is rejected as an unknown key.
 """
 from __future__ import annotations
 
@@ -135,98 +140,62 @@ class Record:
 
 @dataclass(frozen=True)
 class RadarConfig(Record):
-    """FMCW chirp and antenna-array parameters.
+    """FMCW frame timing of the one radar front end.
+
+    The chirp and the array are class constants, not fields: each chirp
+    starts at ``carrier_freq`` f_c (Hz) and sweeps ``bandwidth`` B (Hz) in
+    ``chirp_duration`` T_c (s); the chirps of a frame start ``pri`` T (s)
+    apart; each is sampled ``samples_per_chirp`` times, ``adc_interval``
+    T_f (s) apart.  The ``num_tx`` transmit elements sit ``tx_spacing`` (m,
+    one wavelength) apart, for transmit steering; the received cube is
+    modeled on the idealized virtual array of ``num_tx * num_rx`` elements
+    spaced ``rx_spacing`` (m, half a wavelength) apart.  The constants
+    after them are derived from them.
 
     Parameters
     ----------
-    carrier_freq : float
-        Chirp start frequency f_c in Hz.
-    bandwidth : float
-        Swept bandwidth B in Hz.
-    chirp_duration : float
-        Active chirp (sweep) time T_c in seconds.
-    pri : float
-        Pulse repetition interval T in seconds (chirp start to chirp start
-        inside one frame); must be >= chirp_duration.
-    adc_interval : float
-        Fast-time sample spacing T_f in seconds.
-    samples_per_chirp : int
-        Number of ADC samples captured per chirp.
     chirps_per_frame : int
         Chirps transmitted back-to-back at the start of each frame.
     frame_rate : float
         Frames per second; frames are spaced 1/frame_rate apart, which sets
         the slow-time sampling rate seen by the vital-sign chain.
-    num_tx, num_rx : int
-        Physical transmit / receive channel counts.  The received cube is
-        modeled on the idealized virtual array of num_tx * num_rx elements
-        spaced rx_spacing apart.
-    tx_spacing : float
-        Transmit element spacing d in meters (used by transmit steering).
-    rx_spacing : float
-        Virtual receive element spacing d_r in meters.
     """
 
-    carrier_freq: float = 77e9
-    bandwidth: float = 0.5e9
-    chirp_duration: float = 50e-6
-    pri: float = 60e-6
-    adc_interval: float = 50e-6 / 128
-    samples_per_chirp: int = 128
+    carrier_freq: typing.ClassVar[float] = 77e9
+    bandwidth: typing.ClassVar[float] = 0.5e9
+    chirp_duration: typing.ClassVar[float] = 50e-6
+    pri: typing.ClassVar[float] = 60e-6
+    adc_interval: typing.ClassVar[float] = 50e-6 / 128
+    samples_per_chirp: typing.ClassVar[int] = 128
+    num_tx: typing.ClassVar[int] = 2
+    num_rx: typing.ClassVar[int] = 4
+    tx_spacing: typing.ClassVar[float] = SPEED_OF_LIGHT / carrier_freq
+    rx_spacing: typing.ClassVar[float] = SPEED_OF_LIGHT / carrier_freq / 2
+
+    # Carrier wavelength lambda = c / f_c in meters.
+    wavelength: typing.ClassVar[float] = SPEED_OF_LIGHT / carrier_freq
+    # Beat-frequency-per-meter factor alpha = 2B / (c T_c) in Hz/m.
+    chirp_slope_factor: typing.ClassVar[float] = (
+        2.0 * bandwidth / (SPEED_OF_LIGHT * chirp_duration))
+    num_virtual: typing.ClassVar[int] = num_tx * num_rx
+    # Highest unaliased beat frequency, 1 / (2 T_f).
+    beat_nyquist: typing.ClassVar[float] = 0.5 / adc_interval
+    # Range whose beat frequency hits the fast-time Nyquist limit.
+    max_unambiguous_range: typing.ClassVar[float] = (
+        beat_nyquist / chirp_slope_factor)
+    # Bins of the one-sided range profile (one chirp, no zero padding).
+    num_range_bins: typing.ClassVar[int] = samples_per_chirp // 2 + 1
+
     chirps_per_frame: int = 4
     frame_rate: float = 20.0
-    num_tx: int = 2
-    num_rx: int = 4
-    tx_spacing: float = SPEED_OF_LIGHT / 77e9
-    rx_spacing: float = SPEED_OF_LIGHT / 77e9 / 2
 
     def _check(self) -> None:
-        _require(self.carrier_freq > 0, "carrier_freq must be positive")
-        _require(self.bandwidth > 0, "bandwidth must be positive")
-        _require(self.chirp_duration > 0, "chirp_duration must be positive")
-        _require(self.adc_interval > 0, "adc_interval must be positive")
-        _require(self.pri >= self.chirp_duration,
-                 "pri must be at least chirp_duration")
-        _require(self.samples_per_chirp >= 1, "samples_per_chirp must be >= 1")
-        _require(
-            self.samples_per_chirp * self.adc_interval
-            <= self.chirp_duration * (1 + 1e-12),
-            "samples_per_chirp * adc_interval must not exceed chirp_duration",
-        )
         _require(self.chirps_per_frame >= 1, "chirps_per_frame must be >= 1")
         _require(self.frame_rate > 0, "frame_rate must be positive")
         _require(
             self.chirps_per_frame * self.pri <= 1.0 / self.frame_rate,
             "chirps of one frame must fit inside the frame period",
         )
-        _require(self.num_tx >= 1 and self.num_rx >= 1,
-                 "num_tx and num_rx must be >= 1")
-        _require(self.tx_spacing > 0 and self.rx_spacing > 0,
-                 "tx_spacing and rx_spacing must be positive")
-
-    @property
-    def wavelength(self) -> float:
-        """Carrier wavelength lambda = c / f_c in meters."""
-        return SPEED_OF_LIGHT / self.carrier_freq
-
-    @property
-    def chirp_slope_factor(self) -> float:
-        """Beat-frequency-per-meter factor alpha = 2B / (c T_c) in Hz/m."""
-        return 2.0 * self.bandwidth / (SPEED_OF_LIGHT * self.chirp_duration)
-
-    @property
-    def num_virtual(self) -> int:
-        return self.num_tx * self.num_rx
-
-    @property
-    def beat_nyquist(self) -> float:
-        """Highest unaliased beat frequency, 1 / (2 T_f)."""
-        return 0.5 / self.adc_interval
-
-    @property
-    def max_unambiguous_range(self) -> float:
-        """Range whose beat frequency hits the fast-time Nyquist limit."""
-        return self.beat_nyquist / self.chirp_slope_factor
 
     @property
     def frame_period(self) -> float:

@@ -1,7 +1,8 @@
 """End-to-end scenario runner: one stage chain from scene to rates.
 
-A :class:`ScenarioSpec` bundles the radar and scene parameters and the two
-processing knobs a run varies (JSON-serializable, see ``scenarios/``);
+A :class:`ScenarioSpec` bundles the radar's frame timing, the scene and the
+two processing knobs a run varies (JSON-serializable, see ``scenarios/``);
+the radar's chirp and array are :class:`RadarConfig`'s class constants, and
 every other setting is fixed in its stage's module, the camera's too (its
 field of view is the angle grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs
 at the radar frame rate).  :func:`run_scenario` executes one seeded
@@ -217,8 +218,7 @@ def _phase(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
                                      num_elements=cfg.num_virtual,
                                      spacing=cfg.rx_spacing)
     with _stage(timings, "phase"):
-        bins = vitals.channel_bins(loc.range_bin,
-                                   cfg.samples_per_chirp // 2 + 1)
+        bins = vitals.channel_bins(loc.range_bin, cfg.num_range_bins)
         profiles = render_profiles(spec.scene, cfg, bins, slice(None), tx,
                                    snr_db=spec.snr_db, seed=noise)
         return vitals.extract_phase(profiles, loc.range_bin, rx=rx)

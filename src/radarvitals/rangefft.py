@@ -22,12 +22,12 @@ if TYPE_CHECKING:
 class RangeProfiles:
     """Range spectra over slow time: shape (range_bin, slow, virtual).
 
-    ``data`` holds consecutive rows of the ``samples_per_chirp // 2 +
-    1``-bin one-sided profile, from bin ``first_bin`` on (every row of it
-    when made by :func:`range_fft`); ``range_axis`` gives the range of each
-    row held.  Its slow axis holds the same number of snapshots for each
-    frame of ``frame_timestamps``: every chirp of a cube, or one (the
-    first chirp) when rendered.
+    ``data`` holds consecutive rows of the ``config.num_range_bins``-bin
+    one-sided profile, from bin ``first_bin`` on (every row of it when made
+    by :func:`range_fft`); ``range_axis`` gives the range of each row held.
+    Its slow axis holds the same number of snapshots for each frame of
+    ``frame_timestamps``: every chirp of a cube, or one (the first chirp)
+    when rendered.
     """
 
     data: np.ndarray
@@ -39,7 +39,7 @@ class RangeProfiles:
     @property
     def num_bins(self) -> int:
         """Bins of the full one-sided profile, held in ``data`` or not."""
-        return self.config.samples_per_chirp // 2 + 1
+        return self.config.num_range_bins
 
 
 def range_bin_width(cfg: RadarConfig) -> float:
@@ -55,7 +55,7 @@ def range_fft(cube: RadarCube) -> RangeProfiles:
     half of the transform is not kept alive by it.
     """
     cfg = cube.config
-    spectra = np.fft.fft(cube.data, axis=0)[: cfg.samples_per_chirp // 2 + 1]
+    spectra = np.fft.fft(cube.data, axis=0)[: cfg.num_range_bins]
     axis = np.arange(spectra.shape[0]) * range_bin_width(cfg)
     return RangeProfiles(data=spectra.copy(), range_axis=axis, config=cfg,
                          frame_timestamps=cube.frame_timestamps)

@@ -242,11 +242,10 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
     one), one stream per range row (:func:`_row_noise`).  A sample's noise
     is then the same whichever render draws it, steered or not.
     """
-    n_fast = cfg.samples_per_chirp
     if bins.step != 1 or (bins and (bins.start < 0
-                                    or bins.stop > n_fast // 2 + 1)):
-        raise ValueError(
-            f"range bins must lie in [0, {n_fast // 2}], one step apart")
+                                    or bins.stop > cfg.num_range_bins)):
+        raise ValueError(f"range bins must lie in "
+                         f"[0, {cfg.num_range_bins - 1}], one step apart")
     rows = np.arange(bins.start, bins.stop)
     frame_t, _ = _slow_times(cfg, scene.duration)
     frames = np.arange(frame_t.size)[frames]
@@ -256,7 +255,8 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
         for row, tone in zip(out, _tones(cfg, beat_r, rows)):
             row += tone[:, None] * slow_ant
     if snr_db is not None:
-        sigma = np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0)) * np.sqrt(n_fast)
+        sigma = (np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
+                 * np.sqrt(cfg.samples_per_chirp))
         noise = (seed if isinstance(seed, np.random.SeedSequence)
                  else np.random.SeedSequence(seed))
         n_frames = frame_t.size

@@ -3,7 +3,8 @@
 :func:`spatial_covariance` estimates one covariance from a snapshot
 matrix, loaded exactly as the package's heatmap loads every range bin's;
 :func:`spatial_fft_spectrum` is the conventional beamscan baseline the
-MVDR resolution tests compare against.
+MVDR resolution tests compare against; :func:`resolved` is their test of
+whether a spectrum separates two sources.
 """
 from __future__ import annotations
 
@@ -58,3 +59,22 @@ def spatial_fft_spectrum(snapshots: np.ndarray, spacing: float,
     angles = np.rad2deg(np.arcsin(sin_theta[visible]))
     order = np.argsort(angles)
     return AngleSpectrum(angles_deg=angles[order], power=power[visible][order])
+
+
+def _peaks(power):
+    return [i for i in range(1, len(power) - 1)
+            if power[i] >= power[i - 1] and power[i] > power[i + 1]]
+
+
+def resolved(angles, power, a1, a2, dip_db=3.0, slack=4.0) -> bool:
+    """Two peaks near a1/a2 with a valley at least dip_db below the lower."""
+    sel = (angles >= min(a1, a2) - slack) & (angles <= max(a1, a2) + slack)
+    q = np.asarray(power)[sel]
+    peaks = sorted(_peaks(q), key=lambda i: -q[i])[:2]
+    if len(peaks) < 2:
+        return False
+    i1, i2 = sorted(peaks)
+    if i2 - i1 < 2:
+        return False
+    valley = q[i1 + 1:i2].min()
+    return 10 * np.log10(min(q[i1], q[i2]) / valley) >= dip_db

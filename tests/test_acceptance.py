@@ -37,7 +37,7 @@ from radarvitals.pipeline import (ScenarioSpec, bench_acceleration,
                                   run_scenario, write_run_outputs)
 from radarvitals.rangefft import range_bin_of, range_fft
 
-from reference_aoa import spatial_covariance, spatial_fft_spectrum
+from reference_aoa import resolved, spatial_covariance, spatial_fft_spectrum
 from reference_spectra import crop_mirrored, mirror_extend, spectral_entropy
 from reference_vmd import plain_vmd
 
@@ -122,25 +122,6 @@ def test_criterion_03_tx_grating_lobe_present_and_rx_suppressed():
     assert suppression >= 10.0, f"only {suppression:.1f} dB below main"
 
 
-def _peaks(power):
-    return [i for i in range(1, len(power) - 1)
-            if power[i] >= power[i - 1] and power[i] > power[i + 1]]
-
-
-def _resolved(angles, power, a1, a2, dip_db=3.0, slack=4.0):
-    """Two peaks near a1/a2 with a valley at least dip_db below the lower."""
-    sel = (angles >= min(a1, a2) - slack) & (angles <= max(a1, a2) + slack)
-    a, q = np.asarray(angles)[sel], np.asarray(power)[sel]
-    peaks = sorted(_peaks(q), key=lambda i: -q[i])[:2]
-    if len(peaks) < 2:
-        return False
-    i1, i2 = sorted(peaks)
-    if i2 - i1 < 2:
-        return False
-    valley = q[i1 + 1:i2].min()
-    return 10 * np.log10(min(q[i1], q[i2]) / valley) >= dip_db
-
-
 def test_criterion_04_mvdr_resolves_pair_that_spatial_fft_cannot():
     """An 8-element half-wavelength array has a ~14 deg FFT beamwidth at
     broadside, so a pair 15 deg apart (+/-7.5) sits right at the limit:
@@ -161,8 +142,8 @@ def test_criterion_04_mvdr_resolves_pair_that_spatial_fft_cannot():
     grid = aoa.default_angle_grid()
     mv = aoa.mvdr_spectrum(spatial_covariance(snapshots), lam / 2, lam)
     fft = spatial_fft_spectrum(snapshots, lam / 2, lam, size=512)
-    assert _resolved(grid, mv, -7.5, 7.5), "MVDR failed to separate the pair"
-    assert not _resolved(fft.angles_deg, fft.power, -7.5, 7.5), (
+    assert resolved(grid, mv, -7.5, 7.5), "MVDR failed to separate the pair"
+    assert not resolved(fft.angles_deg, fft.power, -7.5, 7.5), (
         "spatial FFT unexpectedly separated the pair")
 
 

@@ -8,7 +8,7 @@ import radarvitals as rv
 from radarvitals import aoa, fusion, simulate
 from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import range_bin_of, range_fft
-from reference_aoa import spatial_covariance, spatial_fft_spectrum
+from reference_aoa import resolved, spatial_covariance, spatial_fft_spectrum
 
 LAM = rv.RadarConfig().wavelength
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -24,25 +24,6 @@ def _source_snapshots(angles, powers, num_el, snr_db, n_snap, seed):
     noise = noise_amp * (rng.standard_normal((num_el, n_snap))
                          + 1j * rng.standard_normal((num_el, n_snap)))
     return a @ sig + noise
-
-
-def _peaks(power):
-    return [i for i in range(1, len(power) - 1)
-            if power[i] >= power[i - 1] and power[i] > power[i + 1]]
-
-
-def resolved(angles, power, a1, a2, dip_db=3.0, slack=4.0):
-    """Two peaks near a1/a2 with a valley at least dip_db below the lower."""
-    sel = (angles >= min(a1, a2) - slack) & (angles <= max(a1, a2) + slack)
-    a, q = np.asarray(angles)[sel], np.asarray(power)[sel]
-    peaks = sorted(_peaks(q), key=lambda i: -q[i])[:2]
-    if len(peaks) < 2:
-        return False
-    i1, i2 = sorted(peaks)
-    if i2 - i1 < 2:
-        return False
-    valley = q[i1 + 1:i2].min()
-    return 10 * np.log10(min(q[i1], q[i2]) / valley) >= dip_db
 
 
 class TestCovariance:

@@ -9,7 +9,7 @@ import pytest
 import radarvitals as rv
 from radarvitals.cli import _parse_n_keep, build_parser, main
 from radarvitals.pipeline import ScenarioSpec
-from scenario_files import write_spec
+from scenario_files import OLD_RADAR_BLOCK, write_spec
 
 FUSION_STRESS = (Path(__file__).parents[1] / "scenarios"
                  / "fusion_stress.json")
@@ -159,19 +159,26 @@ class TestInvalidScenario:
         assert str(path) in line and "'n_kep'" in line
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("path, key, value", [
-        pytest.param(("processing",), "n_fft", None, id="n_fft-None"),
-        pytest.param(("processing",), "alpha", 2000.0, id="alpha-2000.0"),
+    @pytest.mark.parametrize("path, key, value, owner", [
+        pytest.param(("processing",), "n_fft", None,
+                     "ScenarioSpec processing", id="n_fft-None"),
+        pytest.param(("processing",), "alpha", 2000.0,
+                     "ScenarioSpec processing", id="alpha-2000.0"),
         # a field of view off the angle grid's, which misplaced the window
-        pytest.param((), "camera", {"afov_deg": 45.0}, id="camera"),
+        pytest.param((), "camera", {"afov_deg": 45.0}, "ScenarioSpec",
+                     id="camera"),
+        # the radar's chirp and array keys, even at the values they held
+        *[pytest.param(("radar",), key, value, "RadarConfig",
+                       id=f"radar-{key}")
+          for key, value in OLD_RADAR_BLOCK.items()],
     ])
     def test_older_processing_key_exits_2(self, tmp_path, capsys, path, key,
-                                          value):
-        """A scenario file that still sets a processing knob, or the camera
-        block, that the format no longer has is refused at load, naming the
-        key."""
+                                          value, owner):
+        """A scenario file that still sets a processing knob, the camera
+        block or a radar chirp or array key, that the format no longer has,
+        is refused at load, naming the record and the key."""
         line = _run_with(tmp_path, capsys, path, key, value)
-        assert f"unknown key {key!r}" in line
+        assert f"{owner}: unknown key {key!r}" in line
 
     def test_missing_target_key(self, broken_scenarios, tmp_path, capsys):
         path = broken_scenarios["no_angle"]
@@ -224,13 +231,13 @@ class TestInvalidScenario:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("radar",), "num_tx", 2.0, "RadarConfig"),
+        (("radar",), "frame_rate", True, "RadarConfig"),
         (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
         (("scene", "statics", 0), "amplitude", float("nan"),
          "PointReflector"),
         (("scene",), "duration", float("inf"), "Scene"),  # JSON Infinity
         (("radar",), "frame_rate", float("inf"), "RadarConfig"),
-        (("radar",), "carrier_freq", float("inf"), "RadarConfig"),
+        (("radar",), "chirps_per_frame", float("inf"), "RadarConfig"),
         (("scene", "statics", 0), "amplitude", float("inf"),
          "PointReflector"),
         (("processing",), "n_keep", float("inf"), "ScenarioSpec"),
@@ -241,7 +248,7 @@ class TestInvalidScenario:
         assert f"{record}: {key} must be" in line
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("radar",), "num_tx", 0, "RadarConfig"),
+        (("radar",), "chirps_per_frame", 0, "RadarConfig"),
         (("scene", "statics", 0), "range_m", -1, "PointReflector"),
         (("scene", "targets", 0, "vitals"), "breath_freq", 2.0,
          "VitalParams"),

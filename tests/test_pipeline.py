@@ -20,7 +20,7 @@ from radarvitals.pipeline import (ScenarioSpec, StageFailed,
 from radarvitals.rangefft import range_bin_of, range_fft
 from radarvitals.simulate import synthesize_cube
 from radarvitals.vitals import band_seeded_init
-from scenario_files import write_spec
+from scenario_files import OLD_RADAR_BLOCK, write_spec
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
@@ -283,7 +283,7 @@ SCENARIO_LEVELS = {
 LEVEL_FIELDS = {
     "top": ("ScenarioSpec", "snr_db"),
     "processing": ("ScenarioSpec", "n_keep"),
-    "radar": ("RadarConfig", "carrier_freq"),
+    "radar": ("RadarConfig", "frame_rate"),
     "scene": ("Scene", "duration"),
     "static": ("PointReflector", "amplitude"),
     "target": ("VitalTarget", "range_m"),
@@ -603,9 +603,9 @@ class TestStrictKeys:
             ScenarioSpec.from_dict(d)
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("radar",), "num_tx", 2.0, "RadarConfig"),
+        (("radar",), "frame_rate", "fast", "RadarConfig"),
         (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
-        (("radar",), "samples_per_chirp", 128.0, "RadarConfig"),
+        (("radar",), "chirps_per_frame", True, "RadarConfig"),
         (("scene", "movers", 0), "waypoints", [[0.0, 2.0]],
          "MovingReflector"),
         (("scene", "movers", 0), "amplitude", [[0.0, 1.0, 2.0]],
@@ -624,7 +624,7 @@ class TestStrictKeys:
     @pytest.mark.parametrize("path, key, record", [
         (("scene",), "duration", "Scene"),
         (("radar",), "frame_rate", "RadarConfig"),
-        (("radar",), "carrier_freq", "RadarConfig"),
+        (("radar",), "chirps_per_frame", "RadarConfig"),
         (("scene", "statics", 0), "amplitude", "PointReflector"),
         ((), "snr_db", "ScenarioSpec"),
         (("processing",), "n_keep", "ScenarioSpec"),
@@ -678,12 +678,12 @@ class TestStrictKeys:
     def test_an_int_passes_for_a_float_unconverted(self):
         d = _scenario_with_every_level()
         d["snr_db"] = 20
-        d["radar"]["carrier_freq"] = 77_000_000_000
+        d["radar"]["frame_rate"] = 20
         d["scene"]["duration"] = 20
         d["processing"].update(num_modes=3)
         spec = ScenarioSpec.from_dict(d)
         assert type(spec.snr_db) is int
-        assert type(spec.radar.carrier_freq) is int
+        assert type(spec.radar.frame_rate) is int
         assert type(spec.scene.duration) is int
         assert spec.num_modes == 3
         assert spec.to_dict() == d
@@ -738,6 +738,15 @@ class TestSpecSerialization:
         holding the value every bundled file set (``fps`` was null: the
         camera runs at the radar frame rate)."""
         assert getattr(owner, name) == OLD_CAMERA_BLOCK[key]
+
+    @pytest.mark.parametrize("key", OLD_RADAR_BLOCK)
+    def test_radar_constant_is_the_old_scenario_value(self, key):
+        """Each chirp and array key of the old radar block is a class
+        constant of ``RadarConfig`` holding the value, and the type, every
+        bundled file set."""
+        held = getattr(rv.RadarConfig, key)
+        assert held == OLD_RADAR_BLOCK[key]
+        assert type(held) is type(OLD_RADAR_BLOCK[key])
 
 
 class TestBandSeededInit:
