@@ -101,16 +101,18 @@ def filter_stationary(tracks: Detections, frame_rate: float) -> Detections:
 def pixel_to_angle_window(x: float, w: float) -> tuple[int, int]:
     """Map a box's horizontal pixel span to an inclusive angle-bin window.
 
-    Columns [0, :data:`IMAGE_WIDTH_PX`] correspond linearly to the angle
-    grid's bins [0, :data:`aoa.DEFAULT_NUM_ANGLE_BINS`]; the window is
-    widened outward to whole bins (floor on the left edge, ceil on the
-    right) and clamped to the grid.
+    Columns [0, :data:`IMAGE_WIDTH_PX`] span the camera's field of view,
+    the angle grid's +-:data:`aoa.MAX_ANGLE_DEG`, so they correspond
+    linearly to its bins [0, n - 1], n = :data:`aoa.DEFAULT_NUM_ANGLE_BINS`
+    (the bin centers at -60 and +60 deg); the window is widened outward to
+    whole bins (floor on the left edge, ceil on the right) and clamped to
+    the grid.
     """
     if w <= 0:
         raise ValueError("box width must be positive")
     n = DEFAULT_NUM_ANGLE_BINS
-    lo = math.floor(x * n / IMAGE_WIDTH_PX)
-    hi = math.ceil((x + w) * n / IMAGE_WIDTH_PX)
+    lo = math.floor(x * (n - 1) / IMAGE_WIDTH_PX)
+    hi = math.ceil((x + w) * (n - 1) / IMAGE_WIDTH_PX)
     lo = max(0, min(lo, n - 1))
     hi = max(0, min(hi, n - 1))
     return lo, hi

@@ -1,7 +1,9 @@
 """End-to-end scenario runner: one stage chain from scene to rates.
 
-A :class:`ScenarioSpec` bundles the radar's frame timing, the scene and the
-two processing knobs a run varies (JSON-serializable, see ``scenarios/``);
+A :class:`ScenarioSpec` bundles the radar's frame timing, the scene, the
+seed, the beamforming switch and the two processing knobs a run varies,
+all at the top level of one flat record (JSON-serializable, see
+``scenarios/``);
 the radar's chirp and array are :class:`RadarConfig`'s class constants, and
 every other setting is fixed in its stage's module, the camera's too (its
 field of view is the angle grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs
@@ -55,7 +57,7 @@ from typing import Literal
 import numpy as np
 
 from . import aoa, beamform, fusion, vitals
-from .config import RadarConfig, Record, Scene, _require, check_keys
+from .config import RadarConfig, Record, Scene, _require
 from .rangefft import range_bin_of
 from .simulate import (render_profiles, synthesize_detections,
                        target_track_ids)
@@ -66,23 +68,20 @@ from .simulate import synthesize_cube  # noqa: F401
 
 _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
 
-# ScenarioSpec fields stored at the top level of a scenario JSON; every other
-# field is a processing knob stored under "processing".
-_TOP_LEVEL_FIELDS = frozenset(
-    {"name", "radar", "scene", "snr_db", "seed", "beamforming"})
-
 
 @dataclass(frozen=True)
 class ScenarioSpec(Record):
     """Complete description of one simulated capture and its processing.
 
-    The processing knobs are ``num_modes`` (an int, or ``"auto"`` to pick
-    the mode count per target) and ``n_keep`` (the spectrum bins the
-    decomposition keeps, at least 4; None keeps the full spectrum).  On
-    construction every field, and every field of the records nested in it,
-    is checked against its annotation (``config.Record``): a wrong-typed,
-    NaN or infinite value raises ``ValueError`` naming the record and the
-    field, and a dict or list becomes the annotated record or tuple.
+    A plain :class:`config.Record`: a scenario file holds every field at
+    its top level.  The processing knobs are ``num_modes`` (an int, or
+    ``"auto"`` to pick the mode count per target) and ``n_keep`` (the
+    spectrum bins the decomposition keeps, at least 4; None keeps the full
+    spectrum).  On construction every field, and every field of the
+    records nested in it, is checked against its annotation: a
+    wrong-typed, NaN or infinite value raises ``ValueError`` naming the
+    record and the field, and a dict or list becomes the annotated record
+    or tuple.
     """
 
     name: str
@@ -98,26 +97,6 @@ class ScenarioSpec(Record):
         _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
         _require(self.n_keep is None or self.n_keep >= 4,
                  f"n_keep must be >= 4 or null, not {self.n_keep}")
-
-    def to_dict(self) -> dict:
-        """JSON-ready dict with the processing knobs nested under
-        ``"processing"``."""
-        flat = super().to_dict()
-        top = {k: v for k, v in flat.items() if k in _TOP_LEVEL_FIELDS}
-        return {**top, "processing": {k: v for k, v in flat.items()
-                                      if k not in _TOP_LEVEL_FIELDS}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScenarioSpec":
-        """Inverse of :meth:`to_dict`; an unknown key at the top level or
-        under ``"processing"`` raises ``ValueError`` naming it."""
-        check_keys("ScenarioSpec", d, _TOP_LEVEL_FIELDS | {"processing"})
-        proc = d.get("processing", {})
-        check_keys("ScenarioSpec processing", proc,
-                   {f.name for f in dataclasses.fields(cls)}
-                   - _TOP_LEVEL_FIELDS)
-        top = {k: v for k, v in d.items() if k != "processing"}
-        return super().from_dict({**top, **proc})
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":

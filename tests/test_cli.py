@@ -17,13 +17,14 @@ FUSION_STRESS = (Path(__file__).parents[1] / "scenarios"
 
 def _run_with(tmp_path, capsys, path, key, value) -> str:
     """``run`` on fusion_stress.json with the value at ``path``/``key``
-    replaced; asserts exit status 2, no output directory and one stderr
-    line naming the scenario file, and returns that line."""
+    replaced (a callable ``value`` is called on the node that holds the
+    key, to compute it); asserts exit status 2, no output directory and
+    one stderr line naming the scenario file, and returns that line."""
     blob = json.loads(FUSION_STRESS.read_text())
     node = blob
     for step in path:
         node = node[step]
-    node[key] = value
+    node[key] = value(node) if callable(value) else value
     scenario = tmp_path / "nested.json"
     scenario.write_text(json.dumps(blob))
     rc = main(["run", "--scenario", str(scenario),
@@ -136,7 +137,7 @@ def broken_scenarios(scenario_path, tmp_path):
     """A scenario with a typo'd processing key, and one whose target has
     no angle."""
     typo = json.loads(scenario_path.read_text())
-    typo["processing"]["n_kep"] = typo["processing"].pop("n_keep")
+    typo["n_kep"] = typo.pop("n_keep")
     no_angle = json.loads(scenario_path.read_text())
     del no_angle["scene"]["targets"][0]["angle_deg"]
     paths = {}
@@ -160,10 +161,14 @@ class TestInvalidScenario:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path, key, value, owner", [
-        pytest.param(("processing",), "n_fft", None,
-                     "ScenarioSpec processing", id="n_fft-None"),
-        pytest.param(("processing",), "alpha", 2000.0,
-                     "ScenarioSpec processing", id="alpha-2000.0"),
+        pytest.param((), "n_fft", None, "ScenarioSpec", id="n_fft-None"),
+        pytest.param((), "alpha", 2000.0, "ScenarioSpec", id="alpha-2000.0"),
+        # the bundled file with its two processing knobs nested under
+        # "processing", as older files held them
+        pytest.param((), "processing",
+                     lambda top: {k: top.pop(k) for k in ("n_keep",
+                                                          "num_modes")},
+                     "ScenarioSpec", id="processing"),
         # a field of view off the angle grid's, which misplaced the window
         pytest.param((), "camera", {"afov_deg": 45.0}, "ScenarioSpec",
                      id="camera"),
@@ -174,9 +179,10 @@ class TestInvalidScenario:
     ])
     def test_older_processing_key_exits_2(self, tmp_path, capsys, path, key,
                                           value, owner):
-        """A scenario file that still sets a processing knob, the camera
-        block or a radar chirp or array key, that the format no longer has,
-        is refused at load, naming the record and the key."""
+        """A scenario file that still sets a processing knob, the
+        processing or camera block or a radar chirp or array key, that the
+        format no longer has, is refused at load, naming the record and the
+        key."""
         line = _run_with(tmp_path, capsys, path, key, value)
         assert f"{owner}: unknown key {key!r}" in line
 
@@ -189,9 +195,11 @@ class TestInvalidScenario:
         assert str(path) in line and "missing key 'angle_deg'" in line
 
     @pytest.mark.parametrize("block, key, value", [
-        ("processing", "num_modes", "fancy"),
-        ("processing", "n_keep", "abc"),
-        ("processing", "n_keep", 5.5),
+        # the processing knobs, named so in the ids, sit at the top level
+        pytest.param(None, "num_modes", "fancy",
+                     id="processing-num_modes-fancy"),
+        pytest.param(None, "n_keep", "abc", id="processing-n_keep-abc"),
+        pytest.param(None, "n_keep", 5.5, id="processing-n_keep-5.5"),
         (None, "seed", "x"),
         (None, "snr_db", "loud"),
         (None, "beamforming", "yes"),
@@ -213,9 +221,10 @@ class TestInvalidScenario:
         (None, "seed", -3),
         (None, "snr_db", float("nan")),         # json writes it as NaN
         (None, "snr_db", float("-inf")),
-        ("processing", "n_keep", -5),           # as --n-keep: at least 4
-        ("processing", "n_keep", 0),
-        ("processing", "n_keep", 3),
+        # as --n-keep: at least 4
+        pytest.param(None, "n_keep", -5, id="processing-n_keep--5"),
+        pytest.param(None, "n_keep", 0, id="processing-n_keep-0"),
+        pytest.param(None, "n_keep", 3, id="processing-n_keep-3"),
     ])
     def test_unsurvivable_value_exits_2(self, scenario_path, tmp_path,
                                         capsys, block, key, value):
@@ -240,7 +249,7 @@ class TestInvalidScenario:
         (("radar",), "chirps_per_frame", float("inf"), "RadarConfig"),
         (("scene", "statics", 0), "amplitude", float("inf"),
          "PointReflector"),
-        (("processing",), "n_keep", float("inf"), "ScenarioSpec"),
+        ((), "n_keep", float("inf"), "ScenarioSpec"),
     ])
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, path, key,
                                       value, record):

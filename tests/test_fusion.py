@@ -60,8 +60,17 @@ def _captures(draw):
 
 class TestWindow:
     def test_frozen_mapping(self):
-        """x=480, w=240 on a 1920-px image against 121 angle bins."""
-        assert fusion.pixel_to_angle_window(480, 240) == (30, 46)
+        """x=480, w=240 on a 1920-px image spanning bins 0-120."""
+        assert fusion.pixel_to_angle_window(480, 240) == (30, 45)
+
+    @given(st.integers(5, 115))
+    def test_box_centred_on_a_bin_gives_the_window_around_it(self, b):
+        """The camera's columns span the grid's bin centers 0-120 (+-60
+        deg), 16 px a bin: a 150-px box centred on bin b's column covers
+        b +- 4.7 bins, widened to (b - 5, b + 5)."""
+        column = b * 1920 / 120
+        assert fusion.pixel_to_angle_window(column - 75, 150) == (b - 5,
+                                                                  b + 5)
 
     def test_full_width_box_covers_grid(self):
         assert fusion.pixel_to_angle_window(0, 1920) == (0, 120)
@@ -82,7 +91,7 @@ class TestWindow:
     def test_window_contains_box_center_bin(self):
         for x, w in ((0, 10), (960, 5), (1300, 321)):
             lo, hi = fusion.pixel_to_angle_window(x, w)
-            center_bin = (x + w / 2) * 121 / 1920
+            center_bin = (x + w / 2) * 120 / 1920
             assert lo <= center_bin <= hi + 1
 
 

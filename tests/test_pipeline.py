@@ -267,7 +267,6 @@ def _node(d: dict, path: tuple):
 # Where each kind of scenario record sits in a scenario dict.
 SCENARIO_LEVELS = {
     "top": (),
-    "processing": ("processing",),
     "radar": ("radar",),
     "scene": ("scene",),
     "static": ("scene", "statics", 0),
@@ -282,7 +281,6 @@ SCENARIO_LEVELS = {
 # The record at each scenario level, and a numeric field of it.
 LEVEL_FIELDS = {
     "top": ("ScenarioSpec", "snr_db"),
-    "processing": ("ScenarioSpec", "n_keep"),
     "radar": ("RadarConfig", "frame_rate"),
     "scene": ("Scene", "duration"),
     "static": ("PointReflector", "amplitude"),
@@ -294,9 +292,10 @@ LEVEL_FIELDS = {
 }
 
 
-# A wrong-typed value for top-level scalars and processing knobs.
+# A wrong-typed value for top-level scalars, the processing knobs too.
 WRONG_TYPED_SCALARS = [
     ("n_keep", "abc"),
+    ("n_keep", float("nan")),
     ("n_keep", 100.0),                  # a float is not an int
     ("n_keep", True),                   # a bool is not an int
     ("n_keep", [100]),
@@ -354,10 +353,6 @@ OLD_PROCESSING_KNOBS = {
 OLD_CAMERA_BLOCK = {"afov_deg": 60.0, "box_height_px": 500.0,
                     "box_width_px": 150.0, "fps": None, "image_height": 1080,
                     "image_width": 1920, "jitter_px": 2.0}
-
-
-def _scalar_node(d: dict, key: str) -> dict:
-    return d if key in pipeline._TOP_LEVEL_FIELDS else d["processing"]
 
 
 def _report_text(res) -> str:
@@ -554,9 +549,13 @@ class TestStrictKeys:
     @pytest.mark.parametrize("path, key, value", [
         *[pytest.param(path, "n_kep", 50, id=level)
           for level, path in SCENARIO_LEVELS.items()],
-        # processing knobs of older scenario files, at their old values
-        *[pytest.param(("processing",), key, value, id=f"processing-{key}")
+        # processing knobs of older scenario files, at their old values,
+        # set at the top level where the two knobs left now sit
+        *[pytest.param((), key, value, id=f"processing-{key}")
           for key, (value, _) in OLD_PROCESSING_KNOBS.items()],
+        # the block older scenario files nested the two knobs under
+        pytest.param((), "processing", {"num_modes": "auto", "n_keep": 100},
+                     id="processing"),
         # the camera block older scenario files carried, at its old values
         pytest.param((), "camera", OLD_CAMERA_BLOCK, id="camera"),
     ])
@@ -581,11 +580,11 @@ class TestStrictKeys:
 
     def test_keys_stay_at_their_level(self):
         d = _scenario_with_every_level()
-        d["processing"]["seed"] = 3
+        d["radar"]["seed"] = d.pop("seed")
         with pytest.raises(ValueError, match="unknown key 'seed'"):
             ScenarioSpec.from_dict(d)
         d = _scenario_with_every_level()
-        d["n_keep"] = d["processing"].pop("n_keep")
+        d["scene"]["n_keep"] = d.pop("n_keep")
         with pytest.raises(ValueError, match="unknown key 'n_keep'"):
             ScenarioSpec.from_dict(d)
 
@@ -627,7 +626,7 @@ class TestStrictKeys:
         (("radar",), "chirps_per_frame", "RadarConfig"),
         (("scene", "statics", 0), "amplitude", "PointReflector"),
         ((), "snr_db", "ScenarioSpec"),
-        (("processing",), "n_keep", "ScenarioSpec"),
+        ((), "n_keep", "ScenarioSpec"),
     ])
     def test_infinity_is_rejected(self, path, key, record):
         d = _scenario_with_every_level()
@@ -662,7 +661,7 @@ class TestStrictKeys:
                                   WRONG_TYPED_SCALARS])
     def test_wrong_typed_scalar_is_rejected(self, key, value):
         d = _scenario_with_every_level()
-        _scalar_node(d, key)[key] = value
+        d[key] = value
         with pytest.raises(ValueError, match=f"ScenarioSpec: {key} must be"):
             ScenarioSpec.from_dict(d)
 
@@ -671,7 +670,7 @@ class TestStrictKeys:
                                   UNSURVIVABLE_VALUES])
     def test_unsurvivable_value_is_rejected(self, key, value, message):
         d = _scenario_with_every_level()
-        _scalar_node(d, key)[key] = value
+        d[key] = value
         with pytest.raises(ValueError, match=f"ScenarioSpec: {message}"):
             ScenarioSpec.from_dict(d)
 
@@ -680,7 +679,7 @@ class TestStrictKeys:
         d["snr_db"] = 20
         d["radar"]["frame_rate"] = 20
         d["scene"]["duration"] = 20
-        d["processing"].update(num_modes=3)
+        d["num_modes"] = 3
         spec = ScenarioSpec.from_dict(d)
         assert type(spec.snr_db) is int
         assert type(spec.radar.frame_rate) is int
@@ -710,11 +709,12 @@ class TestSpecSerialization:
             assert (tmp_path / p.name).read_bytes() == p.read_bytes()
         assert {"clean", "range-overlap", "fusion-stress", "bench"} <= names
 
-    def test_processing_holds_only_the_knobs_a_run_varies(self):
-        assert ScenarioSpec(name="bare").to_dict()["processing"] == {
-            "num_modes": "auto", "n_keep": 100}
-        assert ({f.name for f in dataclasses.fields(ScenarioSpec)}
-                == pipeline._TOP_LEVEL_FIELDS | {"num_modes", "n_keep"})
+    def test_top_level_holds_exactly_the_fields(self):
+        """A scenario dict is flat: its keys are the dataclass fields, the
+        processing knobs among them at their defaults."""
+        d = ScenarioSpec(name="bare").to_dict()
+        assert list(d) == [f.name for f in dataclasses.fields(ScenarioSpec)]
+        assert (d["num_modes"], d["n_keep"]) == ("auto", 100)
 
     @pytest.mark.parametrize("knob", [k for k, (_, stage)
                                       in OLD_PROCESSING_KNOBS.items() if stage])
