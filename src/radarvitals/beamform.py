@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aoa import steering_matrix
+from .config import RadarConfig
 
 
 @dataclass(frozen=True)
@@ -40,21 +41,20 @@ def _steer(steer_deg: float, num_elements: int, spacing: float,
     return BeamWeights(weights=w, spacing=spacing, wavelength=wavelength)
 
 
-def tx_weights(steer_deg: float, wavelength: float, num_elements: int = 3,
-               spacing: float | None = None) -> BeamWeights:
-    """Transmit steering; spacing defaults to one wavelength (wide-spaced
-    transmit elements, as on common MIMO front ends)."""
-    return _steer(steer_deg, num_elements,
-                  wavelength if spacing is None else spacing, wavelength)
+def tx_weights(steer_deg: float, wavelength: float,
+               num_elements: int = RadarConfig.num_tx,
+               spacing: float = RadarConfig.tx_spacing) -> BeamWeights:
+    """Transmit steering; defaults to the radar's transmit array
+    (``RadarConfig.num_tx`` elements one wavelength apart)."""
+    return _steer(steer_deg, num_elements, spacing, wavelength)
 
 
-def rx_weights(steer_deg: float, wavelength: float, num_elements: int = 8,
-               spacing: float | None = None) -> BeamWeights:
-    """Receive steering; spacing defaults to half a wavelength (the virtual
-    array pitch)."""
-    return _steer(steer_deg, num_elements,
-                  0.5 * wavelength if spacing is None else spacing,
-                  wavelength)
+def rx_weights(steer_deg: float, wavelength: float,
+               num_elements: int = RadarConfig.num_virtual,
+               spacing: float = RadarConfig.rx_spacing) -> BeamWeights:
+    """Receive steering; defaults to the radar's virtual array
+    (``RadarConfig.num_virtual`` elements half a wavelength apart)."""
+    return _steer(steer_deg, num_elements, spacing, wavelength)
 
 
 def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:

@@ -5,14 +5,14 @@ Verbs
 run      one seeded end-to-end scenario repetition -> report.json
 suite    repeated runs pooled into error percentiles, CDFs and failure counts
 bench    decomposition timing at several spectrum truncation lengths
-pattern  steered array factor -> CSV
+pattern  the radar's steered transmit or receive array factor -> CSV
 
 Examples
 --------
 radarvitals run --scenario scenarios/clean.json --out out/run0 --seed 7
 radarvitals suite --scenario scenarios/clean.json --out out/suite --repetitions 20
 radarvitals bench --scenario scenarios/bench.json --out out/bench --n-keep 100,full
-radarvitals pattern --role rx --steer 30 --elements 8 --out pattern.csv
+radarvitals pattern --role rx --steer 30 --out pattern.csv
 """
 from __future__ import annotations
 
@@ -21,8 +21,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import beamform
-from .config import SPEED_OF_LIGHT, RadarConfig
+from .config import RadarConfig
 from .pipeline import ScenarioSpec, StageFailed, bench_acceleration, \
     run_scenario, run_suite, write_run_outputs
 
@@ -50,8 +52,6 @@ def _checked(kind, ok, what: str):
 
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE_INT = _checked(int, lambda v: v >= 1, "an integer >= 1")
-_POSITIVE_FLOAT = _checked(float, lambda v: 0 < v < math.inf,
-                           "a finite number > 0")
 _ANGLE = _checked(float, lambda v: -90 <= v <= 90,
                   "an angle in [-90, 90] degrees")
 # At most 180 001 angles in a beam pattern's grid.
@@ -118,19 +118,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--repeats", type=_POSITIVE_INT, default=5,
                          help="timing repetitions per row (best kept)")
 
-    p_pat = sub.add_parser("pattern", help="export a steered beam pattern")
-    p_pat.add_argument("--role", choices=("tx", "rx"), required=True)
+    p_pat = sub.add_parser("pattern",
+                           help="export the radar's steered beam pattern")
+    p_pat.add_argument("--role", choices=("tx", "rx"), required=True,
+                       help="the transmit or the virtual receive array")
     p_pat.add_argument("--steer", type=_ANGLE, required=True,
                        help="steering angle in degrees")
-    p_pat.add_argument("--elements", type=_POSITIVE_INT, default=None,
-                       help="element count (default: 3 tx / 8 rx)")
-    p_pat.add_argument("--spacing-wl", type=_POSITIVE_FLOAT, default=None,
-                       help="element spacing in wavelengths "
-                            "(default: 1.0 tx / 0.5 rx)")
-    p_pat.add_argument("--carrier-ghz", type=_POSITIVE_FLOAT,
-                       default=RadarConfig.carrier_freq / 1e9,
-                       help="carrier in GHz (default: the radar's, "
-                            "%(default)s)")
     p_pat.add_argument("--step", type=_ANGLE_STEP, default=0.25,
                        help="angle grid step in degrees")
     p_pat.add_argument("--out", required=True, type=Path,
@@ -238,20 +231,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    wavelength = SPEED_OF_LIGHT / (args.carrier_ghz * 1e9)
-    spacing = (None if args.spacing_wl is None
-               else args.spacing_wl * wavelength)
-    kwargs = {} if args.elements is None else {"num_elements": args.elements}
-    if args.role == "tx":
-        bw = beamform.tx_weights(args.steer, wavelength, spacing=spacing,
-                                 **kwargs)
-    else:
-        bw = beamform.rx_weights(args.steer, wavelength, spacing=spacing,
-                                 **kwargs)
+    weights = beamform.tx_weights if args.role == "tx" else beamform.rx_weights
+    bw = weights(args.steer, RadarConfig.wavelength)
     pattern = beamform.beam_pattern(bw, step_deg=args.step)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     beamform.write_pattern_csv(pattern, args.out)
-    peak = pattern.angles_deg[pattern.gain_db.argmax()]
+    # The highest gain nearest the steer: a grating lobe ties the mainlobe.
+    nearest = np.argsort(np.abs(pattern.angles_deg - args.steer),
+                         kind="stable")
+    peak = pattern.angles_deg[nearest[pattern.gain_db[nearest].argmax()]]
     print(f"{args.role} pattern steered to {args.steer:+.1f} deg "
           f"({len(bw)} elements, d={bw.spacing:.4g} m): "
           f"peak at {peak:+.2f} deg")

@@ -74,8 +74,8 @@ class ScenarioSpec(Record):
     """Complete description of one simulated capture and its processing.
 
     A plain :class:`config.Record`: a scenario file holds every field at
-    its top level.  The processing knobs are ``num_modes`` (an int, or
-    ``"auto"`` to pick the mode count per target) and ``n_keep`` (the
+    its top level.  The processing knobs are ``num_modes`` (an int >= 1,
+    or ``"auto"`` to pick the mode count per target) and ``n_keep`` (the
     spectrum bins the decomposition keeps, at least 4; None keeps the full
     spectrum).  On construction every field, and every field of the
     records nested in it, is checked against its annotation: a
@@ -97,6 +97,8 @@ class ScenarioSpec(Record):
         _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
         _require(self.n_keep is None or self.n_keep >= 4,
                  f"n_keep must be >= 4 or null, not {self.n_keep}")
+        _require(self.num_modes == "auto" or self.num_modes >= 1,
+                 f"num_modes must be >= 1 or 'auto', not {self.num_modes}")
 
     @classmethod
     def from_json(cls, path) -> "ScenarioSpec":
@@ -190,12 +192,8 @@ def _phase(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
     tx = rx = None
     if spec.beamforming:
         with _stage(timings, "beamform"):
-            tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength,
-                                     num_elements=cfg.num_tx,
-                                     spacing=cfg.tx_spacing)
-            rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength,
-                                     num_elements=cfg.num_virtual,
-                                     spacing=cfg.rx_spacing)
+            tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength)
+            rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength)
     with _stage(timings, "phase"):
         bins = vitals.channel_bins(loc.range_bin, cfg.num_range_bins)
         profiles = render_profiles(spec.scene, cfg, bins, slice(None), tx,

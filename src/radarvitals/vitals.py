@@ -43,6 +43,8 @@ MIN_MODES = 2
 MAX_MODES = 8
 # Zero-padding factor of the rate read-out's peak search.
 PEAK_REFINE = 16
+# Bandwidth penalty of multichannel_vmd; larger values give narrower modes.
+VMD_ALPHA = 2000.0
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +351,6 @@ def multichannel_vmd(
     spec: AnalyticSpectra,
     num_modes: int,
     weights=None,
-    alpha: float = 2000.0,
     eta: float = 0.0,
     tol: float = 1e-7,
     max_iter: int = 500,
@@ -360,7 +361,7 @@ def multichannel_vmd(
     The channel spectra are fused into a single working spectrum
     ``C = sum_l w_l S_l`` and ``num_modes`` complex modes are fitted by the
     usual alternating scheme: each mode is the Wiener-filtered residual
-    ``u_k = (C + sum_l lam_l / 2 - sum_{i != k} u_i) / (1 + 2 alpha (nu - omega_k)^2)``
+    ``u_k = (C + sum_l lam_l / 2 - sum_{i != k} u_i) / (1 + 2 VMD_ALPHA (nu - omega_k)^2)``
     (updated in place, newest iterates first), followed by the power-centroid
     update of its center frequency.  With ``eta > 0`` a Lagrange multiplier
     per channel is ascended against that channel's own residual
@@ -377,8 +378,6 @@ def multichannel_vmd(
     weights : array-like, optional
         Channel weights (length L, expected to sum to 1); uniform when
         omitted.
-    alpha : float
-        Bandwidth penalty; larger values give narrower modes.
     eta : float
         Dual-ascent step (0 disables the multipliers).
     tol, max_iter :
@@ -448,7 +447,7 @@ def multichannel_vmd(
         for it in range(1, max_iter + 1):
             np.subtract(nu[None, :], omega[:, None], out=den)
             den *= den
-            den *= 2.0 * alpha
+            den *= 2.0 * VMD_ALPHA
             den += 1.0
             np.copyto(u_prev, u)
             u.sum(axis=0, out=total)
@@ -468,7 +467,7 @@ def multichannel_vmd(
             if not math.isfinite(mode_power.sum()):
                 raise FloatingPointError(
                     "mode decomposition diverged (non-finite spectra); "
-                    "check channel weights or reduce alpha")
+                    "check channel weights or reduce VMD_ALPHA")
             np.subtract(u, u_prev, out=diff)
             change = np.vdot(diff, diff).real
             if prev_power > 0:

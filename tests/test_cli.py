@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import radarvitals as rv
+from radarvitals import beamform
 from radarvitals.cli import _parse_n_keep, build_parser, main
 from radarvitals.pipeline import ScenarioSpec
 from scenario_files import OLD_RADAR_BLOCK, write_spec
@@ -382,7 +383,7 @@ class TestPatternVerb:
                    "--out", str(out)])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "3 elements" in text
+        assert "2 elements" in text
         lines = out.read_text().splitlines()
         assert lines[0] == "angle_deg,gain_db"
         assert len(lines) > 100
@@ -396,6 +397,32 @@ class TestPatternVerb:
         assert "8 elements" in text
         assert "peak at -30.00 deg" in text
 
+    def test_tx_peak_is_the_mainlobe_not_its_grating_lobe(self, tmp_path,
+                                                         capsys):
+        """Wavelength-spaced transmit elements steered to +30 deg have a
+        grating lobe at -30 deg exactly as high as the mainlobe."""
+        rc = main(["pattern", "--role", "tx", "--steer", "30",
+                   "--out", str(tmp_path / "tx.csv")])
+        assert rc == 0
+        assert "peak at +30.00 deg" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("role, steer, weights, n, spacing", [
+        ("tx", 30.0, beamform.tx_weights, rv.RadarConfig.num_tx,
+         rv.RadarConfig.tx_spacing),
+        ("rx", -30.0, beamform.rx_weights, rv.RadarConfig.num_virtual,
+         rv.RadarConfig.rx_spacing),
+    ], ids=["tx", "rx"])
+    def test_csv_is_the_radars_own_beam(self, tmp_path, role, steer,
+                                        weights, n, spacing):
+        """The exported pattern is the beam the pipeline forms: the
+        radar's array steered at the radar's wavelength."""
+        out, want = tmp_path / "cli.csv", tmp_path / "want.csv"
+        assert main(["pattern", "--role", role, "--steer", str(steer),
+                     "--out", str(out)]) == 0
+        bw = weights(steer, rv.RadarConfig.wavelength, n, spacing)
+        beamform.write_pattern_csv(beamform.beam_pattern(bw), want)
+        assert out.read_bytes() == want.read_bytes()
+
 
 BAD_FLAGS = [
     ["run", "--seed", "-1"],
@@ -406,12 +433,17 @@ BAD_FLAGS = [
     ["bench", "--repeats", "0"],
     ["bench", "--repeats", "-2"],
     ["pattern", "--steer", "100"],
-    ["pattern", "--elements", "0"],
-    ["pattern", "--spacing-wl", "-1"],
     ["pattern", "--step", "0"],
     ["pattern", "--step", "1e-9"],
     ["pattern", "--step", "0.0009"],
-    ["pattern", "--carrier-ghz", "0"],
+]
+
+# Array flags the pattern verb no longer has, at values it once accepted:
+# it exports the radar's own arrays only.
+REMOVED_FLAGS = [
+    ["pattern", "--elements", "8"],
+    ["pattern", "--spacing-wl", "0.5"],
+    ["pattern", "--carrier-ghz", "77"],
 ]
 
 
@@ -431,6 +463,20 @@ class TestArgumentErrors:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith(f"radarvitals {verb}: error: argument {flag}: ")
         assert repr(value) in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb, flag, value", REMOVED_FLAGS,
+                             ids=[" ".join(a) for a in REMOVED_FLAGS])
+    def test_removed_flag_exits_2_with_one_line(self, tmp_path, capsys,
+                                                verb, flag, value):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--role", "tx", "--steer", "10", "--out", str(out),
+                  flag, value])
+        assert exc.value.code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == (f"radarvitals: error: unrecognized arguments: "
+                        f"{flag} {value}")
         assert not out.exists()
 
 

@@ -321,6 +321,8 @@ UNSURVIVABLE_VALUES = [
     ("n_keep", -5, "n_keep must be >= 4"),
     ("n_keep", 0, "n_keep must be >= 4"),
     ("n_keep", 3, "n_keep must be >= 4"),
+    ("num_modes", 0, "num_modes must be >= 1"),
+    ("num_modes", -1, "num_modes must be >= 1"),
 ]
 
 
@@ -338,7 +340,7 @@ OLD_PROCESSING_KNOBS = {
     "w_threshold_px": (None, (fusion, "STILL_SPAN_FRACTION", 0.02)),
     "max_range_m": (10.0, (aoa, "MAX_RANGE_M", 10.0)),
     "num_phase_channels": (5, (vitals, "PHASE_CHANNELS", 5)),
-    "alpha": (2000.0, (vitals.multichannel_vmd, "alpha", 2000.0)),
+    "alpha": (2000.0, (vitals, "VMD_ALPHA", 2000.0)),
     "eta": (0.0, (vitals.multichannel_vmd, "eta", 0.0)),
     "tol": (1e-7, (vitals.multichannel_vmd, "tol", 1e-7)),
     "max_iter": (500, (vitals.multichannel_vmd, "max_iter", 500)),
