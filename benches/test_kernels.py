@@ -21,9 +21,12 @@ The camera's boxes of ``clean`` and ``range_overlap`` are timed from the
 scene to the tracks, the ``Detections`` record's columns in view at the
 last frame (``build_tracks(synthesize_detections(...))``).
 ``synthesize_cube`` and ``range_fft`` are timed as the reference path the
-renderer is tested against; the pipeline never calls them.  Timings of
-the BLAS-backed calls (``select_mode_count``) depend on whether the BLAS
-worker threads are awake, so they move with what ran just before them.
+renderer is tested against; the pipeline never calls them.
+``select_mode_count`` is timed on the clean chain's 600-sample signal and
+on the bench scenario's 2000-sample one, where the whole-spectrum solve it
+no longer makes is O(L^3) in the 666-sample trajectory window.  It runs
+every BLAS call on one OpenBLAS thread, so no BLAS worker is woken or
+waited on.
 """
 from __future__ import annotations
 
@@ -152,11 +155,26 @@ def test_multichannel_vmd(benchmark, chain_inputs):
     assert _time_vmd(benchmark, chain_inputs).converged
 
 
-def test_multichannel_vmd_full_spectrum(benchmark):
-    """The bench scenario's chain on its full spectrum (5 channels x 1001
-    bins, k = 4), as the full row of ``bench_acceleration`` decomposes it."""
+@pytest.fixture(scope="module")
+def bench_chain():
+    """The bench scenario's vitals chain on its full spectrum (2000
+    samples, 5 channels x 1001 bins, k = 4 fixed by the scenario)."""
     spec = ScenarioSpec.from_json(SCENARIOS / "bench.json")
     res = pipeline.run_scenario(spec, n_keep=None)
-    chain = res.chains[res.locations[0][0]]
-    assert chain.spectra.spectra.shape == (5, 1001) and chain.k == 4
-    assert _time_vmd(benchmark, chain).converged
+    return res.chains[res.locations[0][0]]
+
+
+def test_select_mode_count_long_window(benchmark, bench_chain):
+    """The bench scenario's 2000-sample combined phase, a 666 x 666 Gram
+    matrix; 2 is the count its whole spectrum gives."""
+    combined = bench_chain.weights.weights @ bench_chain.phase.samples
+    assert combined.size == 2000
+    assert benchmark(vitals.select_mode_count, combined) == 2
+
+
+def test_multichannel_vmd_full_spectrum(benchmark, bench_chain):
+    """The bench scenario's chain on its full spectrum, as the full row of
+    ``bench_acceleration`` decomposes it."""
+    assert bench_chain.spectra.spectra.shape == (5, 1001)
+    assert bench_chain.k == 4
+    assert _time_vmd(benchmark, bench_chain).converged

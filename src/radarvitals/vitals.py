@@ -7,7 +7,8 @@ Stages, in the order the pipeline runs them:
 2. :func:`adaptive_weights` - minimum-variance channel weights from the
    inter-channel correlation of the phase signals.
 3. :func:`select_mode_count` - pick how many oscillatory components to
-   extract, from the eigenvalue spectrum of a trajectory (Hankel) matrix.
+   extract, from the leading eigenvalues of a trajectory (Hankel) matrix's
+   Gram matrix (a block-Lanczos solve) and its trace.
 4. :func:`analytic_spectrum` / :func:`truncate_spectrum` - one-sided
    spectra, optionally truncated to the low-frequency band that actually
    contains vital signals (this is what buys the speedup).
@@ -41,6 +42,9 @@ MODE_POWER_FRACTION = 0.70
 MODE_TIE_RATIO = 0.8
 MIN_MODES = 2
 MAX_MODES = 8
+# Start block of select_mode_count's block Lanczos: at least two columns,
+# so a sinusoid's pair of near-equal eigenvalues is one block.
+LANCZOS_BLOCK = MAX_MODES // 4
 # Zero-padding factor of the rate read-out's peak search.
 PEAK_REFINE = 16
 # Bandwidth penalty of multichannel_vmd; larger values give narrower modes.
@@ -174,10 +178,10 @@ def _one_blas_thread():
 
     A woken OpenBLAS worker keeps spinning for ~100 ms of CPU after the
     call that woke it, which costs more than a second thread gains on the
-    small products of the vitals chain: the SSA Gram matrix and eigensolve
-    of :func:`select_mode_count`, and the channel fusion and the iteration
-    of :func:`multichannel_vmd` (also the fusion behind
-    :func:`band_seeded_init`).
+    small products of the vitals chain: the SSA Gram matrix and the
+    block-Lanczos products and solves of :func:`select_mode_count`, and
+    the channel fusion and the iteration of :func:`multichannel_vmd` (also
+    the fusion behind :func:`band_seeded_init`).
     """
     api = _openblas_threads()
     if api is None:
@@ -192,37 +196,154 @@ def _one_blas_thread():
         set_(before)
 
 
+def _orthogonalize(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """``rows`` minus their projection on the orthonormal rows of
+    ``basis``, in place; two passes of classical Gram-Schmidt, so the
+    result is orthogonal to working precision."""
+    for _ in range(2):
+        rows -= (rows @ basis.T) @ basis
+    return rows
+
+
+def _ritz_estimates(basis: np.ndarray, image: np.ndarray, total: float,
+                    square: float) -> tuple[np.ndarray, np.ndarray]:
+    """Rayleigh-Ritz on the orthonormal rows of ``basis``, whose images
+    under the Gram matrix are the rows of ``image``: the Ritz values,
+    descending, and the slack of each, from the Gram matrix's trace
+    ``total`` and the sum of its squared entries ``square``.
+
+    A Ritz value never exceeds the eigenvalue of the same rank (Cauchy
+    interlacing), and the eigenvalues are not negative.  So that eigenvalue
+    exceeds the Ritz value by at most the trace the Ritz values leave out,
+    and its square exceeds the Ritz value's square by at most the sum of
+    squares they leave out; the slack is the tighter of the two.
+    """
+    theta = np.clip(np.linalg.eigvalsh(basis @ image.T)[::-1], 0.0, None)
+    outside = max(total - theta.sum(), 0.0)
+    outside_sq = max(square - np.dot(theta, theta), 0.0)
+    slack = np.minimum(outside, np.sqrt(theta * theta + outside_sq) - theta)
+    return theta, slack
+
+
+def _block_lanczos(gram: np.ndarray, total: float, square: float):
+    """Yield the Ritz values and slack (:func:`_ritz_estimates`) of the
+    symmetric positive semi-definite ``gram`` (trace ``total``, sum of
+    squared entries ``square``) on a growing subspace: at :data:`MAX_MODES`
+    dimensions and at each doubling after, while that stays within half
+    the space, then at the whole space, where the Ritz values are the
+    eigenvalues.
+
+    Up to the last of those reads the subspace is a block Krylov one:
+    block Lanczos (Golub & Van Loan, *Matrix Computations*, 10.3) from a
+    seeded random block of :data:`LANCZOS_BLOCK` columns, with full
+    reorthogonalization (two Gram-Schmidt passes against the whole basis).
+    A direction of the next block whose residual is at most 1e-10 of the
+    trace has deflated: an invariant subspace is found, as on a noise-free
+    signal of few tones.  A fresh random direction orthogonal to the basis
+    takes its place, so a cluster of equal eigenvalues wider than the block
+    is still resolved.  After it, random directions complete the basis in
+    one step: on the whole space any basis gives the eigenvalues.
+    """
+    size = gram.shape[0]
+    block = min(LANCZOS_BLOCK, size)
+    rng = np.random.default_rng(0)
+    basis = np.empty((size, size))                   # one vector a row
+    image = np.empty((size, size))                   # basis @ gram
+    basis[:block] = np.linalg.qr(rng.standard_normal((size, block)))[0].T
+    lo, hi, read = 0, block, MAX_MODES
+    while True:
+        np.matmul(basis[lo:hi], gram, out=image[lo:hi])
+        if hi >= min(read, size):
+            yield _ritz_estimates(basis[:hi], image[:hi], total, square)
+            if hi == size:
+                return
+            read *= 2
+        done = basis[:hi]
+        if read > size // 2:
+            vt = np.empty((0, size))       # the next read is the whole space
+            width = size - hi
+        else:
+            _, s, vt = np.linalg.svd(
+                _orthogonalize(image[lo:hi].copy(), done), full_matrices=False)
+            width = block
+            vt = vt[s > 1e-10 * total][:width]
+        if vt.shape[0] < width:
+            fresh = _orthogonalize(
+                rng.standard_normal((width - vt.shape[0], size)),
+                np.vstack([done, vt]))
+            vt = np.vstack([vt, np.linalg.qr(fresh.T)[0].T])
+        lo, hi = hi, hi + width
+        basis[lo:hi] = vt
+
+
+def _count_modes(ev: np.ndarray, total: float, slack: np.ndarray
+                 ) -> tuple[int, bool]:
+    """The selection rule of :func:`select_mode_count` on the descending
+    eigenvalue estimates ``ev`` of a spectrum of trace ``total``, and
+    whether each comparison it made holds for any spectrum whose every
+    eigenvalue lies within ``[ev, ev + slack]``.  ``ev`` holds at least
+    :data:`MAX_MODES` values, the most the rule reads, or the whole
+    spectrum."""
+    top = ev + slack
+    cum = np.cumsum(ev) / total
+    k = int(np.searchsorted(cum, MODE_POWER_FRACTION)) + 1
+    below = min(k, MAX_MODES + 1) - 1          # shares under the fraction
+    settled = (below == 0
+               or np.cumsum(top)[below - 1] / total < MODE_POWER_FRACTION)
+    floor = 1e-10 * ev[0]
+    while k < min(ev.size, MAX_MODES):
+        if ev[k] > floor and ev[k] >= MODE_TIE_RATIO * ev[k - 1]:
+            settled &= bool(ev[k] > 1e-10 * top[0]
+                            and ev[k] >= MODE_TIE_RATIO * top[k - 1])
+            k += 1
+        else:
+            settled &= bool(top[k] <= floor
+                            or top[k] < MODE_TIE_RATIO * ev[k - 1])
+            break
+    return int(np.clip(k, MIN_MODES, MAX_MODES)), bool(settled)
+
+
 def select_mode_count(signal: np.ndarray) -> int:
     """Number of oscillatory components suggested by a singular-value scan.
 
     The signal is folded into a Hankel trajectory matrix (window length
     N//3) and the eigenvalues of its Gram matrix are accumulated until
-    :data:`MODE_POWER_FRACTION` of the energy is covered.  Because each
-    real sinusoid contributes a *pair* of comparable eigenvalues, the count
-    is extended while the next eigenvalue is within :data:`MODE_TIE_RATIO`
-    of the last one included, so pairs are never split.  The result is
-    clamped to [:data:`MIN_MODES`, :data:`MAX_MODES`].
+    :data:`MODE_POWER_FRACTION` of the energy (the Gram matrix's trace) is
+    covered.  Because each real sinusoid contributes a *pair* of comparable
+    eigenvalues, the count is extended while the next eigenvalue is within
+    :data:`MODE_TIE_RATIO` of the last one included, so pairs are never
+    split.  The result is clamped to [:data:`MIN_MODES`,
+    :data:`MAX_MODES`], so only the leading :data:`MAX_MODES` eigenvalues
+    matter.  They are read as Ritz values of a block-Lanczos solve
+    (:func:`_block_lanczos`), whose subspace grows until bounds on the
+    eigenvalues it has not resolved (:func:`_ritz_estimates`) can no longer
+    change the count (:func:`_count_modes`); the count is then the one the
+    whole spectrum gives.  The Gram matrix is numpy's product of the
+    trajectory view with itself, which allocates no copy of the trajectory
+    matrix; the solve runs on one OpenBLAS thread.  A signal too short for
+    the window, not finite, or without energy raises ``ValueError``.
     """
     x = np.asarray(signal, dtype=float).ravel()
     n = x.size
     window_len = n // 3
     if window_len < 2 or n - window_len + 1 < 2:
         raise ValueError("signal too short for the trajectory window")
+    if not np.isfinite(x).all():
+        raise ValueError("signal is not finite; cannot select mode count")
     traj = np.lib.stride_tricks.sliding_window_view(
         x, n - window_len + 1)[:window_len]
     with _one_blas_thread():
-        ev = np.linalg.eigvalsh(traj @ traj.T)[::-1]
-    ev = np.clip(ev, 0.0, None)
-    total = ev.sum()
-    if total <= 0:
-        raise ValueError("signal carries no energy; cannot select mode count")
-    cum = np.cumsum(ev) / total
-    k = int(np.searchsorted(cum, MODE_POWER_FRACTION)) + 1
-    floor = 1e-10 * ev[0]
-    while (k < ev.size and ev[k] > floor
-           and ev[k] >= MODE_TIE_RATIO * ev[k - 1]):
-        k += 1
-    return int(np.clip(k, MIN_MODES, MAX_MODES))
+        gram = traj @ traj.T
+        total = np.trace(gram)
+        if total <= 0:
+            raise ValueError(
+                "signal carries no energy; cannot select mode count")
+        square = np.vdot(gram, gram)
+        for ev, slack in _block_lanczos(gram, total, square):
+            k, settled = _count_modes(ev, total, slack)
+            if settled:
+                break
+    return k
 
 
 # ---------------------------------------------------------------------------

@@ -119,12 +119,84 @@ class TestModeCount:
         with pytest.raises(ValueError):
             vitals.select_mode_count(np.ones(4))
 
-    @pytest.mark.parametrize("n", [200, 600, 2000])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_signal(self, value):
+        x = np.sin(2 * np.pi * 0.25 * np.arange(600) / 20.0)
+        x[300] = value
+        with pytest.raises(ValueError, match="not finite"):
+            vitals.select_mode_count(x)
+
+    @pytest.mark.parametrize("n", [21, 48, 200, 600, 2000, 3000])
     def test_matches_the_svd_oracle(self, n):
-        t = np.arange(n) / 20.0
-        x = (np.sin(2 * np.pi * 0.25 * t) + 0.3 * np.sin(2 * np.pi * 1.2 * t)
-             + 0.05 * np.random.default_rng(n).standard_normal(n))
+        x = _oracle_input(f"mixture-{n}")
         assert vitals.select_mode_count(x) == _svd_mode_count(x)
+
+    @pytest.mark.parametrize("name", [
+        "equal-2", "equal-4", "white-noise",
+        *(f"noise-free-{m}" for m in range(1, 10))])
+    def test_matches_the_svd_oracle_on_hard_spectra(self, name):
+        x = _oracle_input(name)
+        assert vitals.select_mode_count(x) == _svd_mode_count(x)
+
+    def test_matches_the_svd_oracle_on_a_corpus(self):
+        """k equals the dense oracle on every signal of a seeded corpus:
+        1-5 tones of random frequency, amplitude and phase in white noise
+        of random level up to 1."""
+        rng = np.random.default_rng(2024)
+        t = np.arange(600) / 20.0
+        for i in range(300):
+            x = rng.uniform(0, 1) * rng.standard_normal(t.size)
+            for _ in range(rng.integers(1, 6)):
+                x += rng.uniform(0.2, 1) * np.sin(
+                    2 * np.pi * rng.uniform(0.05, 5) * t
+                    + rng.uniform(0, 2 * np.pi))
+            assert vitals.select_mode_count(x) == _svd_mode_count(x), i
+
+    @pytest.mark.parametrize("name", [
+        "mixture-48", "mixture-600", "equal-4", "white-noise",
+        "noise-free-1", "noise-free-3", "noise-free-9"])
+    def test_ritz_values_and_slack_bracket_the_spectrum(self, name):
+        """At every read of the block-Lanczos solve, each leading
+        eigenvalue lies between its Ritz value and that value plus its
+        slack; also on noise-free signals, whose Gram matrix is rank
+        deficient."""
+        x = _oracle_input(name)
+        size = x.size // 3
+        traj = np.lib.stride_tricks.sliding_window_view(
+            x, x.size - size + 1)[:size]
+        gram = traj @ traj.T
+        total, square = np.trace(gram), np.vdot(gram, gram)
+        ev = np.linalg.eigvalsh(gram)[::-1]
+        tol = 1e-12 * ev[0]
+        reads = list(vitals._block_lanczos(gram, total, square))
+        assert reads[-1][0].size == size
+        for theta, slack in reads:
+            lead = min(vitals.MAX_MODES, theta.size)
+            assert np.all(theta[:lead] <= ev[:lead] + tol)
+            assert np.all(ev[:lead] <= theta[:lead] + slack[:lead] + tol)
+
+
+def _oracle_input(name):
+    """A named test signal at 20 Hz: ``mixture-<n>`` (two tones in weak
+    noise, n samples), ``equal-<m>`` (m tones of equal power),
+    ``noise-free-<m>`` (m tones of random power and phase, no noise; the
+    Gram matrix has rank 2m) or ``white-noise`` (600 samples)."""
+    kind, _, size = name.rpartition("-")
+    rng = np.random.default_rng(7)
+    n = int(size) if kind == "mixture" else 600
+    t = np.arange(n) / 20.0
+    if kind == "mixture":
+        return (np.sin(2 * np.pi * 0.25 * t)
+                + 0.3 * np.sin(2 * np.pi * 1.2 * t)
+                + 0.05 * np.random.default_rng(n).standard_normal(n))
+    if kind == "equal":
+        return sum(np.sin(2 * np.pi * f * t)
+                   for f in (0.3, 0.9, 1.5, 2.1)[:int(size)])
+    if kind == "noise-free":
+        return sum(rng.uniform(0.2, 1) * np.sin(
+            2 * np.pi * rng.uniform(0.05, 5) * t
+            + rng.uniform(0, 2 * np.pi)) for _ in range(int(size)))
+    return rng.standard_normal(n)
 
 
 class TestModeCountBlasThreads:
