@@ -11,7 +11,7 @@ builds them: the clean scene's noisy heatmap rows at the still window's
 frames, and the unsteered phase channels of its localized target.  The
 pipeline's two on-demand renders (``render_profiles``), noise included,
 are timed on ``clean`` and on ``range_overlap``, the scene with a mover:
-the heatmap's rows (``aoa.heatmap_bins``) at the still window's frames,
+the heatmap's rows (``aoa.HEATMAP_BINS``) at the still window's frames,
 and the target's phase window (``vitals.channel_bins``) at every frame,
 steered.
 The decomposition (``multichannel_vmd`` alone, the chain's ``decompose``
@@ -30,6 +30,7 @@ waited on.
 """
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -55,14 +56,14 @@ def _render(spec):
 def _profiles(spec):
     cfg = spec.radar
     return simulate.render_profiles(
-        spec.scene, cfg, aoa.heatmap_bins(cfg),
+        spec.scene, cfg, aoa.HEATMAP_BINS,
         slice(-fusion.still_frames(cfg.frame_rate), None),
         snr_db=spec.snr_db, seed=spec.seed)
 
 
 def _window(spec, center, tx=None):
     cfg = spec.radar
-    bins = vitals.channel_bins(center, cfg.samples_per_chirp // 2 + 1)
+    bins = vitals.channel_bins(center)
     return simulate.render_profiles(spec.scene, cfg, bins, slice(None), tx,
                                     snr_db=spec.snr_db, seed=spec.seed)
 
@@ -99,7 +100,7 @@ def test_synthesize_cube(benchmark, spec):
 def test_range_fft(benchmark, spec):
     cube = _render(spec)
     out = benchmark(rangefft.range_fft, cube)
-    assert out.data.shape[0] == out.num_bins
+    assert out.data.shape[0] == spec.radar.num_range_bins
 
 
 @pytest.mark.parametrize("name", ["clean", "range_overlap"])
@@ -116,9 +117,8 @@ def test_render_phase_window(benchmark, name):
     included."""
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
     cfg, tgt = scenario.radar, scenario.scene.targets[0]
-    tx = beamform.tx_weights(tgt.angle_deg, cfg.wavelength,
-                             num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
-    center = rangefft.range_bin_of(tgt.range_m, cfg)
+    tx = beamform.tx_weights(tgt.angle_deg)
+    center = rangefft.range_bin_of(tgt.range_m)
     out = benchmark(_window, scenario, center, tx)
     assert out.data.shape == (vitals.PHASE_CHANNELS, 600, cfg.num_virtual)
 
@@ -160,7 +160,7 @@ def bench_chain():
     """The bench scenario's vitals chain on its full spectrum (2000
     samples, 5 channels x 1001 bins, k = 4 fixed by the scenario)."""
     spec = ScenarioSpec.from_json(SCENARIOS / "bench.json")
-    res = pipeline.run_scenario(spec, n_keep=None)
+    res = pipeline.run_scenario(dataclasses.replace(spec, n_keep=None))
     return res.chains[res.locations[0][0]]
 
 

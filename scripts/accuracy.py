@@ -34,7 +34,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from radarvitals.pipeline import (ScenarioSpec, json_text,  # noqa: E402
                                   run_scenario, summarize_runs)
-from radarvitals.rangefft import range_bin_width  # noqa: E402
+from radarvitals.rangefft import RANGE_BIN_WIDTH  # noqa: E402
 
 BUNDLED_SEEDS = 10
 SWEEP_SEEDS = 5
@@ -65,11 +65,11 @@ def cells():
         for bf in (True, False):
             yield f"{path.stem}/bf={bf}", spec, bf, BUNDLED_SEEDS
     clean = ScenarioSpec.from_json(ROOT / "scenarios" / "clean.json")
-    width = range_bin_width(clean.radar)
     for b in SWEEP_BINS:
         for tenth in range(10):
+            range_m = (b + tenth / 10) * RANGE_BIN_WIDTH
             target = dataclasses.replace(clean.scene.targets[0],
-                                         range_m=(b + tenth / 10) * width)
+                                         range_m=range_m)
             spec = dataclasses.replace(clean, scene=dataclasses.replace(
                 clean.scene, targets=(target, *clean.scene.targets[1:])))
             for bf in (True, False):

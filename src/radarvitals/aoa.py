@@ -1,8 +1,9 @@
 """Angle-of-arrival estimation across the virtual receive array.
 
-An MVDR (Capon) spectrum evaluated per range bin gives the range-angle
-heatmap the localizer searches, over :func:`heatmap_bins`, the bins at or
-below :data:`MAX_RANGE_M`: the rows the pipeline renders for it.
+Every array response is :func:`steering_matrix`, at the radar's one
+carrier wavelength.  An MVDR (Capon) spectrum evaluated per range bin gives
+the range-angle heatmap the localizer searches, over :data:`HEATMAP_BINS`,
+the bins at or below :data:`MAX_RANGE_M`: the rows the pipeline renders.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RadarConfig
-from .rangefft import RangeProfiles, range_bin_width
+from .rangefft import RANGE_BIN_WIDTH, RangeProfiles
 
 DEFAULT_NUM_ANGLE_BINS = 121
 # Half-span (degrees) of the angle grid, which is also the camera's
@@ -21,6 +22,9 @@ MAX_ANGLE_DEG = 60.0
 DEFAULT_LOADING = 1e-3
 # Farthest range (m) the heatmap computes, and so the localizer searches.
 MAX_RANGE_M = 10.0
+# The range bins the heatmap computes: 0-33, those at or below MAX_RANGE_M.
+HEATMAP_BINS = range(int(np.count_nonzero(
+    np.arange(RadarConfig.num_range_bins) * RANGE_BIN_WIDTH <= MAX_RANGE_M)))
 
 
 def default_angle_grid() -> np.ndarray:
@@ -29,15 +33,16 @@ def default_angle_grid() -> np.ndarray:
     return np.linspace(-MAX_ANGLE_DEG, MAX_ANGLE_DEG, DEFAULT_NUM_ANGLE_BINS)
 
 
-def steering_matrix(angles_deg, num_elements: int, spacing: float,
-                    wavelength: float) -> np.ndarray:
-    """Array response vectors, one column per angle: shape (K, A).
+def steering_matrix(angles_deg, num_elements: int,
+                    spacing: float) -> np.ndarray:
+    """Array response vectors of ``num_elements`` elements ``spacing`` (m)
+    apart at the carrier wavelength, one column per angle: shape (K, A).
 
     The one uniform-linear-array response of the package: the simulator's
     transmit and receive ramps and the beam weights and patterns use it
     too."""
     angles = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    phase = (2.0 * np.pi * spacing / wavelength
+    phase = (2.0 * np.pi * spacing / RadarConfig.wavelength
              * np.outer(np.arange(num_elements), np.sin(np.deg2rad(angles))))
     return np.exp(1j * phase)
 
@@ -52,15 +57,15 @@ def _loaded(cov: np.ndarray) -> np.ndarray:
     return cov + (DEFAULT_LOADING * tr / k + 1e-12)[..., None, None] * np.eye(k)
 
 
-def mvdr_spectrum(cov: np.ndarray, spacing: float,
-                  wavelength: float) -> np.ndarray:
-    """Capon pseudo-spectrum 1 / (a^H R^-1 a) on :func:`default_angle_grid`.
+def mvdr_spectrum(cov: np.ndarray) -> np.ndarray:
+    """Capon pseudo-spectrum 1 / (a^H R^-1 a) on :func:`default_angle_grid`
+    of a K-element array at the virtual array's spacing.
 
     ``cov`` is one (K, K) covariance or a (..., K, K) stack of them; the
     result has shape (..., A).
     """
-    a = steering_matrix(default_angle_grid(), cov.shape[-1], spacing,
-                        wavelength)
+    a = steering_matrix(default_angle_grid(), cov.shape[-1],
+                        RadarConfig.rx_spacing)
     sol = np.linalg.solve(cov, np.broadcast_to(a, cov.shape[:-2] + a.shape))
     denom = np.einsum("ka,...ka->...a", a.conj(), sol).real
     if np.any(denom <= 0):
@@ -78,27 +83,18 @@ class Heatmap:
     angle_axis: np.ndarray
 
 
-def heatmap_bins(cfg: RadarConfig) -> range:
-    """The range bins the heatmap computes: those at or below
-    :data:`MAX_RANGE_M`, from bin 0."""
-    axis = np.arange(cfg.num_range_bins) * range_bin_width(cfg)
-    return range(int(np.count_nonzero(axis <= MAX_RANGE_M)))
-
-
 def range_angle_heatmap(profiles: RangeProfiles) -> Heatmap:
-    """MVDR spectrum of every range bin of :func:`heatmap_bins`, each bin's
+    """MVDR spectrum of every range bin of :data:`HEATMAP_BINS`, each bin's
     covariance over all its slow-time snapshots (in a run, one snapshot
     per frame over the still window).
 
     ``profiles`` holds its rows from bin 0 on: a whole ``range_fft``
     profile, or the rows :func:`simulate.render_profiles` rendered at
-    :func:`heatmap_bins`.  Only those rows are computed, so the localizer
+    :data:`HEATMAP_BINS`.  Only those rows are computed, so the localizer
     pays for nothing it does not search.
     """
-    cfg = profiles.config
-    n_bins = len(heatmap_bins(cfg))
-    x = profiles.data[:n_bins]
+    x = profiles.data[:len(HEATMAP_BINS)]
     cov = _loaded(x.transpose(0, 2, 1) @ x.conj() / x.shape[1])
-    power = mvdr_spectrum(cov, cfg.rx_spacing, cfg.wavelength)
-    return Heatmap(power=power, range_axis=profiles.range_axis[:n_bins].copy(),
+    return Heatmap(power=mvdr_spectrum(cov),
+                   range_axis=profiles.range_axis[:len(HEATMAP_BINS)],
                    angle_axis=default_angle_grid())

@@ -1,4 +1,5 @@
-"""Phase-only transmit / receive beam steering for uniform linear arrays."""
+"""Phase-only transmit / receive beam steering for uniform linear arrays,
+at the radar's one carrier wavelength (:func:`aoa.steering_matrix`)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -11,11 +12,10 @@ from .config import RadarConfig
 
 @dataclass(frozen=True)
 class BeamWeights:
-    """Steering weights plus the geometry they were built for."""
+    """Steering weights plus the element spacing (m) they were built for."""
 
     weights: np.ndarray
     spacing: float
-    wavelength: float
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=np.complex128)
@@ -29,32 +29,29 @@ class BeamWeights:
         return self.weights.size
 
 
-def _steer(steer_deg: float, num_elements: int, spacing: float,
-           wavelength: float) -> BeamWeights:
+def _steer(steer_deg: float, num_elements: int, spacing: float) -> BeamWeights:
     if num_elements < 1:
         raise ValueError("num_elements must be >= 1")
-    if spacing <= 0 or wavelength <= 0:
-        raise ValueError("spacing and wavelength must be positive")
+    if spacing <= 0:
+        raise ValueError("spacing must be positive")
     if not -90.0 <= steer_deg <= 90.0:
         raise ValueError("steer angle must lie in [-90, 90] degrees")
-    w = steering_matrix(steer_deg, num_elements, spacing, wavelength)[:, 0]
-    return BeamWeights(weights=w, spacing=spacing, wavelength=wavelength)
+    w = steering_matrix(steer_deg, num_elements, spacing)[:, 0]
+    return BeamWeights(weights=w, spacing=spacing)
 
 
-def tx_weights(steer_deg: float, wavelength: float,
-               num_elements: int = RadarConfig.num_tx,
+def tx_weights(steer_deg: float, num_elements: int = RadarConfig.num_tx,
                spacing: float = RadarConfig.tx_spacing) -> BeamWeights:
     """Transmit steering; defaults to the radar's transmit array
     (``RadarConfig.num_tx`` elements one wavelength apart)."""
-    return _steer(steer_deg, num_elements, spacing, wavelength)
+    return _steer(steer_deg, num_elements, spacing)
 
 
-def rx_weights(steer_deg: float, wavelength: float,
-               num_elements: int = RadarConfig.num_virtual,
+def rx_weights(steer_deg: float, num_elements: int = RadarConfig.num_virtual,
                spacing: float = RadarConfig.rx_spacing) -> BeamWeights:
     """Receive steering; defaults to the radar's virtual array
     (``RadarConfig.num_virtual`` elements half a wavelength apart)."""
-    return _steer(steer_deg, num_elements, spacing, wavelength)
+    return _steer(steer_deg, num_elements, spacing)
 
 
 def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:
@@ -91,8 +88,8 @@ def beam_pattern(bw: BeamWeights, angles_deg=None,
     if angles_deg is None:
         angles_deg = np.arange(-90.0, 90.0 + 0.5 * step_deg, step_deg)
     angles_deg = np.atleast_1d(np.asarray(angles_deg, dtype=float))
-    gain = np.abs(combine(steering_matrix(angles_deg, len(bw), bw.spacing,
-                                          bw.wavelength).T, bw))
+    gain = np.abs(combine(steering_matrix(angles_deg, len(bw), bw.spacing).T,
+                          bw))
     gain_db = 20.0 * np.log10(np.maximum(gain / len(bw), 1e-12))
     return BeamPattern(angles_deg=angles_deg, gain_db=gain_db)
 

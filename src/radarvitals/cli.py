@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import beamform
-from .config import RadarConfig
 from .pipeline import ScenarioSpec, StageFailed, bench_acceleration, \
     run_scenario, run_suite, write_run_outputs
 
@@ -61,21 +60,18 @@ _N_KEEP = _checked(int, lambda v: v >= 4, "an integer >= 4 or 'full'")
 
 
 def _parse_n_keep(text: str):
-    if text == "spec":            # argparse converts string defaults too
-        return text
     if text.lower() in ("full", "none", "all"):
         return None
     return _N_KEEP(text)
 
 
 def _parse_n_keep_list(text: str) -> list:
-    """``bench --n-keep``: comma-separated :func:`_parse_n_keep` values
-    other than 'spec'."""
-    values = [_parse_n_keep(v) for v in text.split(",") if v]
-    if "spec" in values:
+    """``bench --n-keep``: comma-separated :func:`_parse_n_keep` values."""
+    try:
+        return [_parse_n_keep(v) for v in text.split(",") if v]
+    except argparse.ArgumentTypeError:
         raise argparse.ArgumentTypeError(
-            f"must list integers >= 4 or 'full', not {text!r}")
-    return values
+            f"must list integers >= 4 or 'full', not {text!r}") from None
 
 
 def _add_common(p: argparse.ArgumentParser,
@@ -89,9 +85,6 @@ def _add_common(p: argparse.ArgumentParser,
     p.add_argument("--no-beamforming", action="store_true",
                    help="skip transmit/receive steering; read phase from "
                         "the first virtual antenna")
-    p.add_argument("--n-keep", type=_parse_n_keep, default="spec",
-                   help="spectrum bins kept for the decomposition "
-                        "(integer or 'full'; default: scenario value)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -146,8 +139,7 @@ def _cmd_run(args) -> int:
     if spec is None:
         return 2
     res = run_scenario(spec, seed=args.seed,
-                       beamforming=False if args.no_beamforming else None,
-                       n_keep=args.n_keep)
+                       beamforming=False if args.no_beamforming else None)
     path = write_run_outputs(res, args.out)
     if res.failed:
         print(f"FAILED at stage {res.report['failure_stage']}: "
@@ -182,8 +174,7 @@ def _cmd_suite(args) -> int:
         out = args.out / path.stem if len(paths) > 1 else args.out
         summary = run_suite(
             spec, repetitions=args.repetitions, out_dir=out, seed=args.seed,
-            beamforming=False if args.no_beamforming else None,
-            n_keep=args.n_keep)
+            beamforming=False if args.no_beamforming else None)
         stages = ", ".join(f"{stage}: {n}"
                            for stage, n in summary["failures"].items())
         print(f"{spec.name}: {summary['repetitions']} runs, "
@@ -232,7 +223,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_pattern(args) -> int:
     weights = beamform.tx_weights if args.role == "tx" else beamform.rx_weights
-    bw = weights(args.steer, RadarConfig.wavelength)
+    bw = weights(args.steer)
     pattern = beamform.beam_pattern(bw, step_deg=args.step)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     beamform.write_pattern_csv(pattern, args.out)

@@ -1,22 +1,23 @@
 """Configuration types for the radar vital-sign simulation pipeline.
 
-Everything downstream (cube synthesis, range processing, angle estimation,
-beamforming, vital-rate extraction) is parameterized by the small set of
-frozen dataclasses defined here.  All of them derive from :class:`Record`
-and round-trip through plain dicts, so scenario files can be written as
-JSON: ``to_dict`` walks the fields in order, and ``from_dict`` rejects an
-unknown or missing key with a ``ValueError`` naming the class and the key.
+The frozen dataclasses here describe a capture: the radar's frame timing
+and the scene.  All of them derive from :class:`Record` and round-trip
+through plain dicts, so scenario files can be written as JSON: ``to_dict``
+walks the fields in order, and ``from_dict`` rejects an unknown or missing
+key with a ``ValueError`` naming the class and the key.
 ``Record.__post_init__`` checks every field of every record, at every
 level, against its annotation: a dict becomes the annotated record, a list
 a tuple, and a value of the wrong type (or NaN or +-inf) raises a
 ``ValueError`` naming the record and the field.  Each class's own
-``_check`` adds only its value checks; a failing one is raised with the
+``_check`` adds only its value checks (every scatterer amplitude within
++-:data:`MAX_AMPLITUDE`, among them); a failing one is raised with the
 record's name in front.
 
 There is one radar front end: its chirp and its array are
-:class:`RadarConfig`'s class constants, not fields, so a scenario's radar
-block sets only the frame timing (``chirps_per_frame``, ``frame_rate``),
-and a file that sets any other radar key is rejected as an unknown key.
+:class:`RadarConfig`'s class constants, not fields, which each stage reads
+itself instead of taking them as arguments.  So a scenario's radar block
+sets only the frame timing (``chirps_per_frame``, ``frame_rate``), and a
+file that sets any other radar key is rejected as an unknown key.
 """
 from __future__ import annotations
 
@@ -32,6 +33,9 @@ import numpy as np
 # Speed of light in vacuum, m/s: exact by the SI definition of the metre
 # (the value of ``scipy.constants.c``, without scipy's import time).
 SPEED_OF_LIGHT = 299_792_458.0
+# Largest |amplitude| of a scatterer, far inside float range: the heatmap's
+# covariances hold squared amplitudes, and overflow from about 1e151.
+MAX_AMPLITUDE = 1e6
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -244,6 +248,11 @@ def _check_position(range_m: float, angle_deg: float) -> None:
              f"angle_deg must lie in [-90, 90], not {angle_deg!r}")
 
 
+def _check_amplitude(amplitude: float) -> None:
+    _require(abs(amplitude) <= MAX_AMPLITUDE, f"amplitude must be within "
+             f"+-{MAX_AMPLITUDE:g} (the render overflows), not {amplitude!r}")
+
+
 @dataclass(frozen=True)
 class PointReflector(Record):
     """Static point scatterer (wall, furniture...)."""
@@ -254,6 +263,7 @@ class PointReflector(Record):
 
     def _check(self) -> None:
         _check_position(self.range_m, self.angle_deg)
+        _check_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -267,6 +277,7 @@ class VitalTarget(Record):
 
     def _check(self) -> None:
         _check_position(self.range_m, self.angle_deg)
+        _check_amplitude(self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -275,7 +286,8 @@ class MovingReflector(Record):
 
     ``waypoints`` is a sequence of (time, range_m, angle_deg) triples sorted
     by time; position is linearly interpolated and held constant outside the
-    covered interval.  ``amplitude`` may be a constant or (time, value) pairs.
+    covered interval.  ``amplitude`` may be a constant or (time, value)
+    pairs, at least one, sorted by time and interpolated the same way.
     Optional ``body_motion`` bursts ride on top of the interpolated range.
     """
 
@@ -289,6 +301,13 @@ class MovingReflector(Record):
         _require(times == sorted(times), "waypoint times must be sorted")
         for _, r, a in self.waypoints:
             _check_position(r, a)
+        pairs = (self.amplitude if isinstance(self.amplitude, tuple)
+                 else ((0.0, self.amplitude),))
+        _require(pairs, "amplitude needs at least one (time, value) pair")
+        times, values = zip(*pairs)
+        _require(list(times) == sorted(times),
+                 "amplitude times must be sorted")
+        _check_amplitude(max(values, key=abs))
 
     def range_at(self, t):
         times, ranges, _ = zip(*self.waypoints)

@@ -1,37 +1,30 @@
 """End-to-end scenario runner: one stage chain from scene to rates.
 
 A :class:`ScenarioSpec` bundles the radar's frame timing, the scene, the
-seed, the beamforming switch and the two processing knobs a run varies,
-all at the top level of one flat record (JSON-serializable, see
-``scenarios/``);
-the radar's chirp and array are :class:`RadarConfig`'s class constants, and
-every other setting is fixed in its stage's module, the camera's too (its
-field of view is the angle grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs
-at the radar frame rate).  :func:`run_scenario` executes one seeded
-repetition as a single chain of timed stages:
+seed, the beamforming switch and the two processing knobs a run varies
+(``num_modes``, ``n_keep``), all at the top level of one flat record
+(JSON-serializable, see ``scenarios/``).  Everything else is fixed: the
+radar's chirp and array are :class:`RadarConfig`'s class constants, which
+every stage reads itself, and every other setting is a constant of its
+stage's module, the camera's too (its field of view is the angle grid's,
+:data:`aoa.MAX_ANGLE_DEG`, and it runs at the radar frame rate).
+:func:`run_scenario` executes one seeded repetition as a single chain of
+timed stages:
 
-* scene stages - ``simulate`` (the heatmap's rows,
-  :func:`aoa.heatmap_bins`, rendered directly at the still window's
-  frames, the last :func:`fusion.still_frames` frames, one snapshot per
-  frame, by :func:`simulate.render_profiles`; and the camera boxes, one
-  :class:`fusion.Detections` record of arrays), ``heatmap`` (the MVDR
-  covariance of each row from one snapshot per frame over the still
-  window), ``localize`` (the record's columns in view at the last frame,
-  :func:`fusion.build_tracks`, cut to the still window's rows and to the
-  columns that stood still over it by :func:`fusion.filter_stationary`,
-  each located at its mean box);
+* scene stages - ``simulate`` (the heatmap's rows, :data:`aoa.HEATMAP_BINS`,
+  rendered at the still window's frames, the last
+  :func:`fusion.still_frames`, one snapshot per frame, by
+  :func:`simulate.render_profiles`; and the camera boxes, one
+  :class:`fusion.Detections` record), ``heatmap`` (the MVDR covariance of
+  each row over those snapshots), ``localize`` (the record's columns in
+  view at the last frame, :func:`fusion.build_tracks`, cut to the still
+  window and to the columns that stood still over it by
+  :func:`fusion.filter_stationary`, each located at its mean box);
 * per localized target, the vitals chain - ``beamform`` (when beamforming
   is on: transmit and receive weights steered at the target), ``phase``
   (the phase window's rows, :func:`vitals.channel_bins`, rendered at every
   frame, steered when beamforming), ``weights``, ``mode_count``,
   ``spectrum``, ``decompose``, ``rates``.
-
-Each stage asks :func:`simulate.render_profiles` for the rows and frames
-it reads, and range row ``r`` draws its noise from a stream of its own
-(the ``r``-th child of the run's noise seed), so a sample has one value
-whichever stage renders it.  No raw cube is rendered:
-:func:`simulate.synthesize_cube` and :func:`rangefft.range_fft` remain the
-reference the renderer is tested against.
 
 Every stage runs under :func:`_stage`, which times it and turns a failure
 into a :class:`StageFailed` naming the stage, the report's
@@ -67,6 +60,9 @@ from .rangefft import range_fft  # noqa: F401
 from .simulate import synthesize_cube  # noqa: F401
 
 _FAILURE_EXCEPTIONS = (ValueError, FloatingPointError, np.linalg.LinAlgError)
+# Lowest snr_db, far inside float range: the heatmap's covariances hold the
+# noise power 10^(-snr_db/10), and overflow from about -3050 dB.
+MIN_SNR_DB = -300.0
 
 
 @dataclass(frozen=True)
@@ -77,11 +73,11 @@ class ScenarioSpec(Record):
     its top level.  The processing knobs are ``num_modes`` (an int >= 1,
     or ``"auto"`` to pick the mode count per target) and ``n_keep`` (the
     spectrum bins the decomposition keeps, at least 4; None keeps the full
-    spectrum).  On construction every field, and every field of the
-    records nested in it, is checked against its annotation: a
-    wrong-typed, NaN or infinite value raises ``ValueError`` naming the
-    record and the field, and a dict or list becomes the annotated record
-    or tuple.
+    spectrum).  ``snr_db`` is at least :data:`MIN_SNR_DB`, or None for no
+    noise.  On construction every field, and every field of the records
+    nested in it, is checked against its annotation: a wrong-typed, NaN or
+    infinite value raises ``ValueError`` naming the record and the field,
+    and a dict or list becomes the annotated record or tuple.
     """
 
     name: str
@@ -95,6 +91,8 @@ class ScenarioSpec(Record):
 
     def _check(self) -> None:
         _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
+        _require(self.snr_db is None or self.snr_db >= MIN_SNR_DB, f"snr_db "
+                 f"must be >= {MIN_SNR_DB:g} or null (the render overflows)")
         _require(self.n_keep is None or self.n_keep >= 4,
                  f"n_keep must be >= 4 or null, not {self.n_keep}")
         _require(self.num_modes == "auto" or self.num_modes >= 1,
@@ -188,16 +186,15 @@ def _phase(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
     the target when beamforming, and receive-combines its channels;
     otherwise they are read off the first antenna.
     """
-    cfg = spec.radar
     tx = rx = None
     if spec.beamforming:
         with _stage(timings, "beamform"):
-            tx = beamform.tx_weights(loc.angle_deg, cfg.wavelength)
-            rx = beamform.rx_weights(loc.angle_deg, cfg.wavelength)
+            tx = beamform.tx_weights(loc.angle_deg)
+            rx = beamform.rx_weights(loc.angle_deg)
     with _stage(timings, "phase"):
-        bins = vitals.channel_bins(loc.range_bin, cfg.num_range_bins)
-        profiles = render_profiles(spec.scene, cfg, bins, slice(None), tx,
-                                   snr_db=spec.snr_db, seed=noise)
+        bins = vitals.channel_bins(loc.range_bin)
+        profiles = render_profiles(spec.scene, spec.radar, bins, slice(None),
+                                   tx, snr_db=spec.snr_db, seed=noise)
         return vitals.extract_phase(profiles, loc.range_bin, rx=rx)
 
 
@@ -237,14 +234,12 @@ def run_scenario(
     spec: ScenarioSpec,
     seed: int | None = None,
     beamforming: bool | None = None,
-    n_keep: int | None | str = "spec",
 ) -> RunResult:
     """Execute one seeded end-to-end repetition of a scenario.
 
-    ``seed`` / ``beamforming`` / ``n_keep`` override the scenario when given
-    (``n_keep=None`` means keep the full spectrum), through the
-    :class:`ScenarioSpec` checks: a bad value raises ``ValueError`` before
-    any stage.  ``report["scenario"]`` is ``spec`` as given; identical
+    ``seed`` / ``beamforming`` override the scenario when given, through
+    the :class:`ScenarioSpec` checks: a bad value raises ``ValueError``
+    before any stage.  ``report["scenario"]`` is ``spec`` as given; identical
     inputs give byte-identical reports.
     Stage failures are recorded instead of raised: a scene stage (e.g. no
     stationary box to localize) ends the run with that stage as
@@ -253,8 +248,7 @@ def run_scenario(
     """
     run = dataclasses.replace(
         spec, seed=spec.seed if seed is None else seed,
-        beamforming=spec.beamforming if beamforming is None else beamforming,
-        n_keep=spec.n_keep if n_keep == "spec" else n_keep)
+        beamforming=spec.beamforming if beamforming is None else beamforming)
     cfg = run.radar
 
     report: dict = {
@@ -274,7 +268,7 @@ def run_scenario(
     try:
         with _stage(timings, "simulate"):
             still = slice(-fusion.still_frames(cfg.frame_rate), None)
-            profiles = render_profiles(run.scene, cfg, aoa.heatmap_bins(cfg),
+            profiles = render_profiles(run.scene, cfg, aoa.HEATMAP_BINS,
                                        still, snr_db=run.snr_db,
                                        seed=noise_ss)
             detections = synthesize_detections(run.scene, cfg.frame_rate,
@@ -303,7 +297,7 @@ def run_scenario(
         if tgt is not None:
             entry["true_range_m"] = tgt.range_m
             entry["true_angle_deg"] = tgt.angle_deg
-            entry["true_range_bin"] = range_bin_of(tgt.range_m, cfg)
+            entry["true_range_bin"] = range_bin_of(tgt.range_m)
             entry["true_angle_bin"] = int(np.argmin(
                 np.abs(heatmap.angle_axis - tgt.angle_deg)))
             entry["range_bin_error"] = loc.range_bin - entry["true_range_bin"]
@@ -405,7 +399,6 @@ def run_suite(
     out_dir,
     seed: int | None = None,
     beamforming: bool | None = None,
-    n_keep: int | None | str = "spec",
 ) -> dict:
     """Run ``repetitions`` seeded repetitions, seeds ``seed + i`` (``seed``
     defaults to ``spec.seed``), and summarize them.
@@ -424,8 +417,7 @@ def run_suite(
     out = Path(out_dir)
     reports = []
     for i in range(repetitions):
-        res = run_scenario(spec, seed=base + i,
-                           beamforming=beamforming, n_keep=n_keep)
+        res = run_scenario(spec, seed=base + i, beamforming=beamforming)
         write_run_outputs(res, out / f"run-{i:03d}")
         reports.append(res.report)
 
@@ -455,17 +447,17 @@ def bench_acceleration(
 ) -> list[dict]:
     """Time the decomposition stage at several truncation lengths.
 
-    The pipeline runs once on the full spectrum; its first target's phase
-    channels and mode count then go through :func:`vitals_chain` again for
-    each ``n_keep`` value (None = full spectrum), ``repeats`` times each,
-    and a row's time is the best of its ``decompose`` stages, so rows
-    differ only in spectrum length.  Rate deltas are reported against the
+    The pipeline runs once on the full spectrum (``spec`` with ``n_keep``
+    None); its first target's phase channels and mode count then go
+    through :func:`vitals_chain` again for each ``n_keep`` value (None =
+    full spectrum), ``repeats`` times each, and a row's time is the best
+    of its ``decompose`` stages, so rows differ only in spectrum length.  Rate deltas are reported against the
     full-spectrum row.  A failed run or chain raises :class:`StageFailed`;
     ``repeats`` < 1, or an ``n_keep`` that keeps fewer than two bins per
     mode, raises ``ValueError`` before any row is timed.
     """
     _require(repeats >= 1, "repeats must be >= 1")
-    res = run_scenario(spec, n_keep=None)
+    res = run_scenario(dataclasses.replace(spec, n_keep=None))
     if res.failed:
         raise StageFailed(res.report["failure_stage"], res.report["error"])
     chain = res.chains[res.locations[0][0]]

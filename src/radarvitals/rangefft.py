@@ -1,7 +1,9 @@
 """Range profiles: the fast-time FFT of a raw cube, and range-bin arithmetic.
 
 The range transform is always one chirp long (``samples_per_chirp``
-points, no zero padding).  :func:`range_fft` transforms a whole cube;
+points, no zero padding), so the one front end's profile has
+``RadarConfig.num_range_bins`` one-sided bins, :data:`RANGE_BIN_WIDTH`
+meters apart.  :func:`range_fft` transforms a whole cube;
 :func:`simulate.render_profiles` renders the same profiles directly at the
 bins and frames a run reads, one snapshot per frame, without a cube.
 """
@@ -17,35 +19,34 @@ from .config import RadarConfig
 if TYPE_CHECKING:
     from .simulate import RadarCube
 
+# Meters spanned by one FFT bin: 1 / (N * T_f * alpha).
+RANGE_BIN_WIDTH = 1.0 / (RadarConfig.samples_per_chirp
+                         * RadarConfig.adc_interval
+                         * RadarConfig.chirp_slope_factor)
+
 
 @dataclass
 class RangeProfiles:
     """Range spectra over slow time: shape (range_bin, slow, virtual).
 
-    ``data`` holds consecutive rows of the ``config.num_range_bins``-bin
+    ``data`` holds consecutive rows of the ``RadarConfig.num_range_bins``-bin
     one-sided profile, from bin ``first_bin`` on (every row of it when made
-    by :func:`range_fft`); ``range_axis`` gives the range of each row held.
-    Its slow axis holds the same number of snapshots for each frame of
-    ``frame_timestamps``: every chirp of a cube, or one (the first chirp)
-    when rendered.
+    by :func:`range_fft`).  Its slow axis holds the same number of
+    snapshots for each frame of ``frame_timestamps``: every chirp of a
+    cube, or one (the first chirp) when rendered.  ``config`` is the
+    capture's frame timing.
     """
 
     data: np.ndarray
-    range_axis: np.ndarray
     config: RadarConfig
     frame_timestamps: np.ndarray
     first_bin: int = 0
 
     @property
-    def num_bins(self) -> int:
-        """Bins of the full one-sided profile, held in ``data`` or not."""
-        return self.config.num_range_bins
-
-
-def range_bin_width(cfg: RadarConfig) -> float:
-    """Meters spanned by one FFT bin: 1 / (N * T_f * alpha)."""
-    return 1.0 / (cfg.samples_per_chirp * cfg.adc_interval
-                  * cfg.chirp_slope_factor)
+    def range_axis(self) -> np.ndarray:
+        """The range (m) of each row held."""
+        return ((self.first_bin + np.arange(self.data.shape[0]))
+                * RANGE_BIN_WIDTH)
 
 
 def range_fft(cube: RadarCube) -> RangeProfiles:
@@ -54,17 +55,16 @@ def range_fft(cube: RadarCube) -> RangeProfiles:
     No taper is applied.  ``data`` owns its memory: the discarded negative
     half of the transform is not kept alive by it.
     """
-    cfg = cube.config
-    spectra = np.fft.fft(cube.data, axis=0)[: cfg.num_range_bins]
-    axis = np.arange(spectra.shape[0]) * range_bin_width(cfg)
-    return RangeProfiles(data=spectra.copy(), range_axis=axis, config=cfg,
+    spectra = np.fft.fft(cube.data, axis=0)[: RadarConfig.num_range_bins]
+    return RangeProfiles(data=spectra.copy(), config=cube.config,
                          frame_timestamps=cube.frame_timestamps)
 
 
-def range_bin_of(range_m: float, cfg: RadarConfig) -> int:
+def range_bin_of(range_m: float) -> int:
     """FFT bin whose beat frequency is closest to a nominal range."""
-    if not 0 <= range_m < cfg.max_unambiguous_range:
-        raise ValueError(
-            f"range {range_m} m outside [0, {cfg.max_unambiguous_range:.2f}) m")
-    return int(round(cfg.chirp_slope_factor * range_m * cfg.samples_per_chirp
-                     * cfg.adc_interval))
+    limit = RadarConfig.max_unambiguous_range
+    if not 0 <= range_m < limit:
+        raise ValueError(f"range {range_m} m outside [0, {limit:.2f}) m")
+    return int(round(RadarConfig.chirp_slope_factor * range_m
+                     * RadarConfig.samples_per_chirp
+                     * RadarConfig.adc_interval))

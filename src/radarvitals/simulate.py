@@ -8,7 +8,9 @@ range adds the chest micro-motion; a mover is arrays along its path.  It
 contributes a complex tone across fast time (beat frequency proportional
 to the beat range) times a slow-time factor carrying the amplitude, the
 two-way carrier phase of the phase range and the receive-array response.
-Cubes are indexed ``[fast_sample, slow_sample, virtual_antenna]``.
+Cubes are indexed ``[fast_sample, slow_sample, virtual_antenna]``.  The
+chirp and the arrays are :class:`RadarConfig`'s class constants, read where
+they are needed; a renderer's ``cfg`` gives only the frame timing.
 
 Transmit beamforming is modeled as a per-scatterer illumination gain: with
 steering weights ``w`` the field hitting a scatterer at azimuth theta scales
@@ -42,7 +44,7 @@ import numpy as np
 from .aoa import MAX_ANGLE_DEG, steering_matrix
 from .config import BodyMotion, RadarConfig, Scene, VitalParams, VitalTarget
 from .fusion import IMAGE_WIDTH_PX, Detections, still_frames
-from .rangefft import RangeProfiles, range_bin_width
+from .rangefft import RangeProfiles
 
 
 def chest_displacement(t, vitals: VitalParams):
@@ -86,25 +88,18 @@ def _slow_times(cfg: RadarConfig, duration: float):
     return frame_t, slow_t.ravel()
 
 
-def _illumination(angles_deg, tx_weights, cfg: RadarConfig):
+def _illumination(angles_deg, tx_weights):
     """Transmit-array gain ``w^H a_tx(theta)``, one per angle (1-D)."""
     angles_deg = np.atleast_1d(angles_deg)
     if tx_weights is None:
         return np.ones(angles_deg.shape, dtype=np.complex128)
     w = np.asarray(getattr(tx_weights, "weights", tx_weights),
                    dtype=np.complex128)
-    if w.shape != (cfg.num_tx,):
+    n_tx = RadarConfig.num_tx
+    if w.shape != (n_tx,):
         raise ValueError(
-            f"tx_weights must have length num_tx={cfg.num_tx}, got {w.shape}")
-    return w.conj() @ steering_matrix(angles_deg, cfg.num_tx, cfg.tx_spacing,
-                                      cfg.wavelength)
-
-
-def _check_beat(cfg: RadarConfig, r_max: float) -> None:
-    if cfg.chirp_slope_factor * r_max >= cfg.beat_nyquist:
-        raise ValueError(
-            f"scene range {r_max:.2f} m puts the beat frequency at or above "
-            f"the fast-time Nyquist limit ({cfg.max_unambiguous_range:.2f} m)")
+            f"tx_weights must have length num_tx={n_tx}, got {w.shape}")
+    return w.conj() @ steering_matrix(angles_deg, n_tx, RadarConfig.tx_spacing)
 
 
 def _scatterers(scene: Scene, slow_t: np.ndarray):
@@ -122,32 +117,39 @@ def _scatterers(scene: Scene, slow_t: np.ndarray):
         yield r_m, r_m, mv.angle_at(slow_t), mv.amplitude_at(slow_t)
 
 
-def _fast_time(cfg: RadarConfig, beat_r: np.ndarray) -> np.ndarray:
+def _fast_time(beat_r: np.ndarray) -> np.ndarray:
     """The fast-time beat tones of the beat ranges ``beat_r`` (1-D), shaped
     ``(samples_per_chirp, beat_r.size)``."""
-    fast_t = np.arange(cfg.samples_per_chirp) * cfg.adc_interval
-    return np.exp((2j * np.pi * cfg.chirp_slope_factor)
+    fast_t = (np.arange(RadarConfig.samples_per_chirp)
+              * RadarConfig.adc_interval)
+    return np.exp((2j * np.pi * RadarConfig.chirp_slope_factor)
                   * np.multiply.outer(fast_t, beat_r))
 
 
-def _returns(scene: Scene, cfg: RadarConfig, slow_t: np.ndarray, tx_weights):
+def _returns(scene: Scene, slow_t: np.ndarray, tx_weights):
     """Noise-free return of every scatterer at slow times ``slow_t``.
 
     Yields one ``(beat_r, slow_ant)`` pair per scatterer tuple of
     :func:`_scatterers`, shaped ``(1 or S,)`` and ``(1 or S, num_virtual)``
     with ``S = slow_t.size``; the scatterer adds ``fast[:, :, None] *
-    slow_ant[None, :, :]`` to the cube, where ``fast = _fast_time(cfg,
-    beat_r)`` is the fast-time beat tone of the beat range, checked against
-    the beat limit here.  ``slow_ant`` holds the amplitude, the carrier
+    slow_ant[None, :, :]`` to the cube, where ``fast = _fast_time(beat_r)``
+    is the fast-time beat tone of the beat range, checked against the beat
+    limit here.  ``slow_ant`` holds the amplitude, the carrier
     phase of the phase range, the illumination gain and the receive-array
     response (:func:`aoa.steering_matrix`).
     """
-    lam = cfg.wavelength
     for beat_r, phase_r, angle, amp in _scatterers(scene, slow_t):
         beat_r = np.atleast_1d(beat_r)
-        _check_beat(cfg, float(beat_r.max()))
-        coef = amp * _illumination(angle, tx_weights, cfg) * np.exp((4j * np.pi / lam) * phase_r)
-        ant = steering_matrix(angle, cfg.num_virtual, cfg.rx_spacing, lam)
+        r_max = float(beat_r.max())
+        if RadarConfig.chirp_slope_factor * r_max >= RadarConfig.beat_nyquist:
+            raise ValueError(
+                f"scene range {r_max:.2f} m puts the beat frequency at or "
+                f"above the fast-time Nyquist limit "
+                f"({RadarConfig.max_unambiguous_range:.2f} m)")
+        coef = (amp * _illumination(angle, tx_weights)
+                * np.exp((4j * np.pi / RadarConfig.wavelength) * phase_r))
+        ant = steering_matrix(angle, RadarConfig.num_virtual,
+                              RadarConfig.rx_spacing)
         yield beat_r, coef[:, None] * ant.T
 
 
@@ -174,8 +176,8 @@ def synthesize_cube(
     frame_t, slow_t = _slow_times(cfg, scene.duration)
     cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
                     dtype=np.complex128)
-    for beat_r, slow_ant in _returns(scene, cfg, slow_t, tx_weights):
-        cube += _fast_time(cfg, beat_r)[:, :, None] * slow_ant[None, :, :]
+    for beat_r, slow_ant in _returns(scene, slow_t, tx_weights):
+        cube += _fast_time(beat_r)[:, :, None] * slow_ant[None, :, :]
 
     if snr_db is not None:
         rng = np.random.default_rng(seed)
@@ -186,7 +188,7 @@ def synthesize_cube(
     return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
 
 
-def _tones(cfg: RadarConfig, beat_r: np.ndarray, bins: np.ndarray):
+def _tones(beat_r: np.ndarray, bins: np.ndarray):
     """The range tones of the beat ranges ``beat_r`` (1-D) at range
     ``bins``, shaped ``(bins.size, beat_r.size)``: the DFT of the fast-time
     factor (:func:`_fast_time`) at those bins alone.
@@ -198,8 +200,9 @@ def _tones(cfg: RadarConfig, beat_r: np.ndarray, bins: np.ndarray):
     ``N``.  Inside the beat limit ``|d| < 1``, where ``sinc(d)`` has no
     zero.
     """
-    n = cfg.samples_per_chirp
-    alpha = (cfg.chirp_slope_factor * cfg.adc_interval) * beat_r
+    n = RadarConfig.samples_per_chirp
+    alpha = ((RadarConfig.chirp_slope_factor * RadarConfig.adc_interval)
+             * beat_r)
     d = alpha[None, :] - bins[:, None] / n
     return (n * np.sinc(n * d) / np.sinc(d)) * np.exp((1j * np.pi * (n - 1))
                                                       * d)
@@ -251,8 +254,8 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
     frames = np.arange(frame_t.size)[frames]
     out = np.zeros((rows.size, frames.size, cfg.num_virtual),
                    dtype=np.complex128)
-    for beat_r, slow_ant in _returns(scene, cfg, frame_t[frames], tx_weights):
-        for row, tone in zip(out, _tones(cfg, beat_r, rows)):
+    for beat_r, slow_ant in _returns(scene, frame_t[frames], tx_weights):
+        for row, tone in zip(out, _tones(beat_r, rows)):
             row += tone[:, None] * slow_ant
     if snr_db is not None:
         sigma = (np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
@@ -270,9 +273,7 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
         z = z[:, frames - first]
         out.real += sigma * z[..., 0]
         out.imag += sigma * z[..., 1]
-    return RangeProfiles(data=out, range_axis=rows * range_bin_width(cfg),
-                         config=cfg, frame_timestamps=frame_t[frames],
-                         first_bin=bins.start)
+    return RangeProfiles(out, cfg, frame_t[frames], first_bin=bins.start)
 
 
 # Camera person box width and its x jitter (sigma), in pixels; the image

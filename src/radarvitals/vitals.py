@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import beamform
+from .config import RadarConfig
 
 DEFAULT_RR_BAND = (0.1, 0.5)
 DEFAULT_HR_BAND = (0.8, 2.5)
@@ -63,16 +64,15 @@ class PhaseMatrix:
     range_bins: tuple[int, ...]
 
 
-def channel_bins(center_bin: int, num_bins: int) -> range:
+def channel_bins(center_bin: int) -> range:
     """The :data:`PHASE_CHANNELS` bins centered on ``center_bin``; a
-    ValueError names bins that leave the ``num_bins``-bin one-sided
-    profile."""
+    ValueError names bins that leave the ``RadarConfig.num_range_bins``-bin
+    one-sided profile."""
     half = PHASE_CHANNELS // 2
     lo, hi = center_bin - half, center_bin + half
-    if lo < 0 or hi >= num_bins:
-        raise ValueError(
-            f"channels [{lo}, {hi}] fall outside the {num_bins}-bin "
-            "range profile")
+    if lo < 0 or hi >= RadarConfig.num_range_bins:
+        raise ValueError(f"channels [{lo}, {hi}] fall outside the "
+                         f"{RadarConfig.num_range_bins}-bin range profile")
     return range(lo, hi + 1)
 
 
@@ -90,13 +90,13 @@ def extract_phase(profiles, center_bin: int,
     given, otherwise read from the first antenna; the phase is unwrapped
     along time and the per-channel mean removed.
     """
-    bins = channel_bins(center_bin, profiles.num_bins)
+    bins = channel_bins(center_bin)
     first, held = profiles.first_bin, profiles.data.shape[0]
     if bins.start < first or bins.stop > first + held:
         raise ValueError(
             f"channels [{bins.start}, {bins.stop - 1}] lie outside the "
             f"rendered rows [{first}, {first + held - 1}] of the "
-            f"{profiles.num_bins}-bin range profile")
+            f"{RadarConfig.num_range_bins}-bin range profile")
     per_frame = profiles.data.shape[1] // len(profiles.frame_timestamps)
     block = profiles.data[bins.start - first:bins.stop - first,
                           ::per_frame, :]                   # (L, frames, K)

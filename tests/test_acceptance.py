@@ -101,9 +101,7 @@ def test_criterion_02_beamforming_beats_no_beamforming_under_range_overlap():
 
 
 def test_criterion_03_tx_grating_lobe_present_and_rx_suppressed():
-    lam = rv.RadarConfig().wavelength
-
-    tx = beamform.tx_weights(30.0, lam, num_elements=3)   # spacing = lam
+    tx = beamform.tx_weights(30.0, num_elements=3)   # spacing = lam
     pat = beamform.beam_pattern(tx)
     main_db = pat.gain_db[pat.angles_deg == 30.0][0]
     near = (pat.angles_deg >= -35.0) & (pat.angles_deg <= -25.0)
@@ -114,7 +112,7 @@ def test_criterion_03_tx_grating_lobe_present_and_rx_suppressed():
     assert abs(lobe_db - main_db) <= 0.5, (
         f"lobe {lobe_db:.2f} dB vs main {main_db:.2f} dB")
 
-    rx = beamform.rx_weights(30.0, lam, num_elements=8)   # spacing = lam/2
+    rx = beamform.rx_weights(30.0, num_elements=8)   # spacing = lam/2
     rx_pat = beamform.beam_pattern(rx)
     rx_main = rx_pat.gain_db[rx_pat.angles_deg == 30.0][0]
     rx_near = ((rx_pat.angles_deg >= -32.0) & (rx_pat.angles_deg <= -28.0))
@@ -131,7 +129,7 @@ def test_criterion_04_mvdr_resolves_pair_that_spatial_fft_cannot():
     lam = rv.RadarConfig().wavelength
     rng = np.random.default_rng(5)
     angles = np.array([-7.5, 7.5])
-    a = aoa.steering_matrix(angles, 8, lam / 2, lam)
+    a = aoa.steering_matrix(angles, 8, lam / 2)
     sig = np.sqrt(0.5) * (rng.standard_normal((2, 256))
                           + 1j * rng.standard_normal((2, 256)))
     noise_amp = np.sqrt(10 ** (-20.0 / 10) / 2)
@@ -140,7 +138,7 @@ def test_criterion_04_mvdr_resolves_pair_that_spatial_fft_cannot():
     snapshots = a @ sig + noise
 
     grid = aoa.default_angle_grid()
-    mv = aoa.mvdr_spectrum(spatial_covariance(snapshots), lam / 2, lam)
+    mv = aoa.mvdr_spectrum(spatial_covariance(snapshots))
     fft = spatial_fft_spectrum(snapshots, lam / 2, lam, size=512)
     assert resolved(grid, mv, -7.5, 7.5), "MVDR failed to separate the pair"
     assert not resolved(fft.angles_deg, fft.power, -7.5, 7.5), (
@@ -270,7 +268,7 @@ def test_criterion_09_windowed_localization_beats_global_argmax():
         float(np.nanmean(stationary.ws[tail, 0])))
 
     grid = aoa.default_angle_grid()
-    true_rbin = range_bin_of(target.range_m, cfg)
+    true_rbin = range_bin_of(target.range_m)
     true_abin = int(np.argmin(np.abs(grid - target.angle_deg)))
     max_row = np.searchsorted(profiles.range_axis, aoa.MAX_RANGE_M,
                               side="right")

@@ -16,7 +16,7 @@ SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 def _source_snapshots(angles, powers, num_el, snr_db, n_snap, seed):
     rng = np.random.default_rng(seed)
-    a = aoa.steering_matrix(angles, num_el, LAM / 2, LAM)
+    a = aoa.steering_matrix(angles, num_el, LAM / 2)
     sig = (np.sqrt(np.asarray(powers) / 2)[:, None]
            * (rng.standard_normal((len(angles), n_snap))
               + 1j * rng.standard_normal((len(angles), n_snap))))
@@ -35,9 +35,9 @@ class TestCovariance:
         assert evals.min() > 0
 
     def test_rank_one_still_invertible(self):
-        a = aoa.steering_matrix([5.0], 8, LAM / 2, LAM)
+        a = aoa.steering_matrix([5.0], 8, LAM / 2)
         cov = spatial_covariance(a)     # single snapshot, no noise
-        spec = aoa.mvdr_spectrum(cov, LAM / 2, LAM)
+        spec = aoa.mvdr_spectrum(cov)
         assert np.all(np.isfinite(spec))
 
     def test_rejects_bad_shapes(self):
@@ -48,14 +48,14 @@ class TestCovariance:
 class TestMvdr:
     def test_peak_at_single_source(self):
         x = _source_snapshots([20.0], [1.0], 8, 20.0, 128, 1)
-        spec = aoa.mvdr_spectrum(spatial_covariance(x), LAM / 2, LAM)
+        spec = aoa.mvdr_spectrum(spatial_covariance(x))
         grid = aoa.default_angle_grid()
         assert grid[int(np.argmax(spec))] == pytest.approx(20.0, abs=1.0)
 
     def test_resolves_close_pair_where_fft_cannot(self):
         x = _source_snapshots([-7.5, 7.5], [1.0, 1.0], 8, 20.0, 256, 5)
         grid = aoa.default_angle_grid()
-        mv = aoa.mvdr_spectrum(spatial_covariance(x), LAM / 2, LAM)
+        mv = aoa.mvdr_spectrum(spatial_covariance(x))
         fft = spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         assert resolved(grid, mv, -7.5, 7.5)
         assert not resolved(fft.angles_deg, fft.power, -7.5, 7.5)
@@ -66,7 +66,7 @@ class TestMvdr:
         Rayleigh limit (see test above)."""
         x = _source_snapshots([-15.0, 15.0], [1.0, 1.0], 8, 20.0, 256, 5)
         grid = aoa.default_angle_grid()
-        mv = aoa.mvdr_spectrum(spatial_covariance(x), LAM / 2, LAM)
+        mv = aoa.mvdr_spectrum(spatial_covariance(x))
         fft = spatial_fft_spectrum(x, LAM / 2, LAM, size=512)
         assert resolved(grid, mv, -15.0, 15.0)
         assert resolved(fft.angles_deg, fft.power, -15.0, 15.0)
@@ -82,7 +82,7 @@ class TestHeatmap:
     def test_peak_matches_scene(self, cfg, small_profiles, small_scene):
         hm = aoa.range_angle_heatmap(small_profiles)
         tgt = small_scene.targets[0]
-        rb = range_bin_of(tgt.range_m, cfg)
+        rb = range_bin_of(tgt.range_m)
         ab = int(np.argmin(np.abs(hm.angle_axis - tgt.angle_deg)))
         sub = hm.power[:int(np.searchsorted(hm.range_axis, 10.0))]
         peak = np.unravel_index(np.argmax(sub), sub.shape)
@@ -92,9 +92,7 @@ class TestHeatmap:
         hm = aoa.range_angle_heatmap(small_profiles)
         rb = 7
         snaps = small_profiles.data[rb].T
-        spec = aoa.mvdr_spectrum(spatial_covariance(snaps),
-                                 small_profiles.config.rx_spacing,
-                                 small_profiles.config.wavelength)
+        spec = aoa.mvdr_spectrum(spatial_covariance(snaps))
         assert np.allclose(hm.power[rb], spec, rtol=1e-10)
 
     def test_snapshot_slicing(self, small_profiles):
@@ -104,8 +102,7 @@ class TestHeatmap:
                                    data=small_profiles.data[:, 4:8])
         hm = aoa.range_angle_heatmap(part)
         rb = 7
-        spec = aoa.mvdr_spectrum(spatial_covariance(part.data[rb].T),
-                                 part.config.rx_spacing, part.config.wavelength)
+        spec = aoa.mvdr_spectrum(spatial_covariance(part.data[rb].T))
         assert hm.power.shape == (34, 121)
         assert np.allclose(hm.power[rb], spec, rtol=1e-10)
 
@@ -118,7 +115,7 @@ class TestHeatmap:
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
         cfg = spec.radar
         profiles = simulate.render_profiles(
-            spec.scene, cfg, aoa.heatmap_bins(cfg),
+            spec.scene, cfg, aoa.HEATMAP_BINS,
             slice(-fusion.still_frames(cfg.frame_rate), None),
             snr_db=spec.snr_db, seed=spec.seed)
         near = int(np.count_nonzero(profiles.range_axis <= aoa.MAX_RANGE_M))
@@ -128,10 +125,8 @@ class TestHeatmap:
             x = profiles.data[:rows, snapshots]
             batched = aoa._loaded(x.transpose(0, 2, 1) @ x.conj()
                                   / x.shape[1])
-            expected = aoa.mvdr_spectrum(batched, cfg.rx_spacing,
-                                         cfg.wavelength)
-            part = dataclasses.replace(
-                profiles, data=x, range_axis=profiles.range_axis[:rows])
+            expected = aoa.mvdr_spectrum(batched)
+            part = dataclasses.replace(profiles, data=x)
             got = aoa.range_angle_heatmap(part).power
             assert np.array_equal(got, expected), (name, rows, snapshots)
 
@@ -145,9 +140,9 @@ class TestHeatmap:
         assert np.array_equal(hm.range_axis, small_profiles.range_axis[:n])
 
     def test_heatmap_bins_are_the_rows_it_keeps(self, small_profiles):
-        """``heatmap_bins`` names the rows the heatmap keeps from a whole
+        """``HEATMAP_BINS`` names the rows the heatmap keeps from a whole
         65-row ``range_fft`` profile: bins 0 to 33."""
-        rows = aoa.heatmap_bins(small_profiles.config)
+        rows = aoa.HEATMAP_BINS
         hm = aoa.range_angle_heatmap(small_profiles)
         assert small_profiles.data.shape[0] == 65
         assert rows == range(hm.power.shape[0]) == range(34)
@@ -173,6 +168,6 @@ class TestSpatialFft:
 
 
 def test_steering_matrix_first_element_is_reference():
-    a = aoa.steering_matrix([17.0, -40.0], 8, LAM / 2, LAM)
+    a = aoa.steering_matrix([17.0, -40.0], 8, LAM / 2)
     assert np.allclose(a[0], 1.0)
     assert np.allclose(np.abs(a), 1.0)

@@ -251,6 +251,12 @@ class TestInvalidScenario:
         (("scene", "statics", 0), "amplitude", float("inf"),
          "PointReflector"),
         ((), "n_keep", float("inf"), "ScenarioSpec"),
+        # powers whose render overflows
+        ((), "snr_db", -4000.0, "ScenarioSpec"),
+        (("scene", "targets", 0), "amplitude", 1e200, "VitalTarget"),
+        (("scene", "statics", 0), "amplitude", 1e200, "PointReflector"),
+        (("scene", "movers", 0), "amplitude", [[0.0, 1.0], [5.0, 1e200]],
+         "MovingReflector"),
     ])
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, path, key,
                                       value, record):
@@ -262,6 +268,10 @@ class TestInvalidScenario:
         (("scene", "statics", 0), "range_m", -1, "PointReflector"),
         (("scene", "targets", 0, "vitals"), "breath_freq", 2.0,
          "VitalParams"),
+        # amplitude pairs interpolation cannot read: none, or out of order
+        (("scene", "movers", 0), "amplitude", [], "MovingReflector"),
+        (("scene", "movers", 0), "amplitude", [[10.0, 1.0], [0.0, 3.0]],
+         "MovingReflector"),
     ])
     def test_failed_value_check_names_its_record(self, tmp_path, capsys,
                                                  path, key, value, record):
@@ -415,11 +425,11 @@ class TestPatternVerb:
     def test_csv_is_the_radars_own_beam(self, tmp_path, role, steer,
                                         weights, n, spacing):
         """The exported pattern is the beam the pipeline forms: the
-        radar's array steered at the radar's wavelength."""
+        radar's array steered at its one carrier wavelength."""
         out, want = tmp_path / "cli.csv", tmp_path / "want.csv"
         assert main(["pattern", "--role", role, "--steer", str(steer),
                      "--out", str(out)]) == 0
-        bw = weights(steer, rv.RadarConfig.wavelength, n, spacing)
+        bw = weights(steer, n, spacing)
         beamform.write_pattern_csv(beamform.beam_pattern(bw), want)
         assert out.read_bytes() == want.read_bytes()
 
@@ -438,12 +448,15 @@ BAD_FLAGS = [
     ["pattern", "--step", "0.0009"],
 ]
 
-# Array flags the pattern verb no longer has, at values it once accepted:
-# it exports the radar's own arrays only.
+# Flags the verbs no longer have, at values they once accepted: pattern
+# exports the radar's own arrays only.
 REMOVED_FLAGS = [
     ["pattern", "--elements", "8"],
     ["pattern", "--spacing-wl", "0.5"],
     ["pattern", "--carrier-ghz", "77"],
+    # a run's n_keep has one source, the scenario; only bench varies it
+    ["run", "--n-keep", "full"],
+    ["suite", "--n-keep", "40"],
 ]
 
 
@@ -467,12 +480,15 @@ class TestArgumentErrors:
 
     @pytest.mark.parametrize("verb, flag, value", REMOVED_FLAGS,
                              ids=[" ".join(a) for a in REMOVED_FLAGS])
-    def test_removed_flag_exits_2_with_one_line(self, tmp_path, capsys,
-                                                verb, flag, value):
-        out = tmp_path / "out.csv"
+    def test_removed_flag_exits_2_with_one_line(self, scenario_path, tmp_path,
+                                                capsys, verb, flag, value):
+        out = tmp_path / "out"
+        if verb == "pattern":
+            argv = ["pattern", "--role", "tx", "--steer", "10"]
+        else:
+            argv = [verb, "--scenario", str(scenario_path)]
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--role", "tx", "--steer", "10", "--out", str(out),
-                  flag, value])
+            main(argv + ["--out", str(out), flag, value])
         assert exc.value.code == 2
         (line,) = capsys.readouterr().err.splitlines()
         assert line == (f"radarvitals: error: unrecognized arguments: "

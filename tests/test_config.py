@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import radarvitals as rv
-from radarvitals.config import SPEED_OF_LIGHT
+from radarvitals.config import MAX_AMPLITUDE, SPEED_OF_LIGHT
 
 
 class TestRadarConfig:
@@ -88,6 +88,24 @@ class TestScene:
         with pytest.raises(ValueError):
             rv.MovingReflector(waypoints=((2.0, 1.0, 0.0), (1.0, 2.0, 0.0)))
 
+    @pytest.mark.parametrize("amplitude, message", [
+        ((), "amplitude needs at least one"),
+        (((10.0, 1.0), (0.0, 3.0)), "amplitude times must be sorted"),
+    ], ids=["empty", "unsorted"])
+    def test_mover_refuses_unreadable_amplitude_pairs(self, amplitude,
+                                                      message):
+        """No pair at all, or pairs out of time order (where ``np.interp``
+        would read 1.0 at t = 0 here), are refused like bad waypoints."""
+        with pytest.raises(ValueError, match=f"^MovingReflector: {message}"):
+            rv.MovingReflector(waypoints=((0.0, 2.0, 0.0),),
+                               amplitude=amplitude)
+
+    def test_mover_single_amplitude_pair_is_held(self):
+        m = rv.MovingReflector(waypoints=((0.0, 2.0, 0.0),),
+                               amplitude=((3.0, 2.5),))
+        assert np.array_equal(m.amplitude_at(np.array([0.0, 3.0, 9.0])),
+                              [2.5, 2.5, 2.5])
+
     def test_rejects_out_of_plane_angles(self):
         with pytest.raises(ValueError):
             rv.PointReflector(2.0, 120.0)
@@ -98,6 +116,35 @@ class TestScene:
         assert m.range_at(5.0) == pytest.approx(6.0)
         assert m.range_at(7.5) == pytest.approx(4.0)
         assert m.range_at(12.0) == pytest.approx(2.0)
+
+
+class TestAmplitudeCeiling:
+    """Every scatterer amplitude lies within +-MAX_AMPLITUDE, far inside
+    the range whose squares the heatmap's covariances can hold."""
+
+    MAKERS = {
+        "static": (lambda a: rv.PointReflector(2.0, 0.0, a),
+                   "PointReflector"),
+        "target": (lambda a: rv.VitalTarget(2.0, 0.0, a), "VitalTarget"),
+        "mover": (lambda a: rv.MovingReflector(((0.0, 2.0, 0.0),), a),
+                  "MovingReflector"),
+        "mover_pairs": (lambda a: rv.MovingReflector(
+            ((0.0, 2.0, 0.0),), ((0.0, 1.0), (1.0, a))), "MovingReflector"),
+    }
+
+    @pytest.mark.parametrize("amplitude", [1e200, -1e200, 1.000001e6])
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_refused_above_the_ceiling(self, kind, amplitude):
+        make, record = self.MAKERS[kind]
+        with pytest.raises(ValueError,
+                           match=f"^{record}: amplitude must be within"):
+            make(amplitude)
+
+    @pytest.mark.parametrize("kind", MAKERS)
+    def test_admitted_up_to_the_ceiling(self, kind):
+        make, _ = self.MAKERS[kind]
+        for amplitude in (MAX_AMPLITUDE, -MAX_AMPLITUDE, 0.0):
+            make(amplitude)
 
 
 @given(st.floats(0.05, 0.5), st.floats(0.8, 3.0))

@@ -10,10 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import radarvitals as rv
 from radarvitals import aoa, beamform, fusion, pipeline, simulate, vitals
-from radarvitals.pipeline import (ScenarioSpec, StageFailed,
+from radarvitals.config import MAX_AMPLITUDE
+from radarvitals.pipeline import (MIN_SNR_DB, ScenarioSpec, StageFailed,
                                   bench_acceleration, json_text,
                                   run_scenario, run_suite, vitals_chain,
                                   write_run_outputs)
@@ -74,9 +77,9 @@ class TestRunScenario:
         assert res.report["seed"] == 123
 
     @pytest.mark.parametrize("override, message", [
-        ({"n_keep": -5}, "n_keep must be >= 4"),
+        ({"beamforming": "yes"}, "beamforming must be"),
         ({"seed": -3}, "seed must be >= 0"),
-    ], ids=["n_keep=-5", "seed=-3"])
+    ], ids=["beamforming=yes", "seed=-3"])
     def test_override_is_checked_before_any_stage(self, monkeypatch,
                                                   override, message):
         """An override no scenario file could hold is refused with the
@@ -201,8 +204,8 @@ class TestRunScenario:
         assert (json.dumps(a.report, sort_keys=True)
                 != json.dumps(c.report, sort_keys=True))
 
-    def test_n_keep_override(self, quick_spec):
-        res = run_scenario(quick_spec, n_keep=None)
+    def test_null_n_keep_keeps_the_full_spectrum(self, quick_spec):
+        res = run_scenario(dataclasses.replace(quick_spec, n_keep=None))
         (entry,) = res.report["targets"]
         assert res.report["n_keep"] is None
         # full band: half the frame rate
@@ -318,6 +321,9 @@ UNSURVIVABLE_VALUES = [
     ("snr_db", float("nan"), "snr_db must be"),
     ("snr_db", float("inf"), "snr_db must be"),
     ("snr_db", float("-inf"), "snr_db must be"),
+    # below the floor, where the noise render overflows
+    ("snr_db", -4000.0, "snr_db must be >= -300"),
+    ("snr_db", -300.5, "snr_db must be >= -300"),
     ("n_keep", -5, "n_keep must be >= 4"),
     ("n_keep", 0, "n_keep must be >= 4"),
     ("n_keep", 3, "n_keep must be >= 4"),
@@ -368,7 +374,7 @@ def _count_renders(monkeypatch) -> dict:
     ``"phase"`` the bins of each phase window and whether it was steered.
 
     Each render must read its stage's rows and frames: the scene stage
-    ``aoa.heatmap_bins(cfg)`` at the last ``fusion.still_frames`` frames,
+    ``aoa.HEATMAP_BINS`` at the last ``fusion.still_frames`` frames,
     the phase stage the ``vitals.channel_bins`` of a center bin at every
     frame.
     """
@@ -378,13 +384,13 @@ def _count_renders(monkeypatch) -> dict:
     def counted(scene, cfg, bins, frames, tx_weights=None, **kwargs):
         every = np.arange(simulate._slow_times(cfg, scene.duration)[0].size)
         out = render(scene, cfg, bins, frames, tx_weights, **kwargs)
-        if bins == aoa.heatmap_bins(cfg):
+        if bins == aoa.HEATMAP_BINS:
             still = fusion.still_frames(cfg.frame_rate)
             assert np.array_equal(every[frames], every[-still:])
             renders["scene"].append(out.data)
         else:
             center = bins.start + vitals.PHASE_CHANNELS // 2
-            assert bins == vitals.channel_bins(center, out.num_bins)
+            assert bins == vitals.channel_bins(center)
             assert np.array_equal(every[frames], every)
             renders["phase"].append((bins, tx_weights is not None))
         return out
@@ -394,7 +400,7 @@ def _count_renders(monkeypatch) -> dict:
 
 def _phase_bins(*results) -> list:
     """The phase window of every localized target of ``results``."""
-    return [vitals.channel_bins(loc.range_bin, 65)
+    return [vitals.channel_bins(loc.range_bin)
             for res in results for *_, loc in res.locations]
 
 
@@ -676,6 +682,13 @@ class TestStrictKeys:
         with pytest.raises(ValueError, match=f"ScenarioSpec: {message}"):
             ScenarioSpec.from_dict(d)
 
+    def test_power_bounds_are_admitted(self):
+        d = _scenario_with_every_level()
+        d["snr_db"] = MIN_SNR_DB
+        d["scene"]["targets"][0]["amplitude"] = MAX_AMPLITUDE
+        d["scene"]["movers"][0]["amplitude"] = [[0.0, -MAX_AMPLITUDE]]
+        assert ScenarioSpec.from_dict(d).to_dict() == d
+
     def test_an_int_passes_for_a_float_unconverted(self):
         d = _scenario_with_every_level()
         d["snr_db"] = 20
@@ -914,7 +927,8 @@ class TestBench:
         assert [steered for _, steered in seen["phase"]] == [beamforming]
         assert calls["synthesize_cube"] == calls["range_fft"] == []
         monkeypatch.undo()
-        (entry,) = run_scenario(spec, n_keep=None).report["targets"]
+        full_run = run_scenario(dataclasses.replace(spec, n_keep=None))
+        (entry,) = full_run.report["targets"]
         full = {r["n_keep"]: r for r in rows}["full"]
         assert full["iterations"] == entry["iterations"]
         assert full["breaths_per_min"] == entry["breaths_per_min"]
@@ -927,7 +941,7 @@ class TestBench:
         spec = (quick_spec if name is None
                 else ScenarioSpec.from_json(SCENARIOS / f"{name}.json"))
         rows = bench_acceleration(spec, n_keep_values=[60, 40], repeats=1)
-        res = run_scenario(spec, n_keep=None)
+        res = run_scenario(dataclasses.replace(spec, n_keep=None))
         chain = res.chains[res.locations[0][0]]
         assert [r["n_keep"] for r in rows] == ["full", 60, 40]
         for row in rows:
@@ -943,7 +957,7 @@ class TestBench:
         :class:`StageFailed` with that stage and the report's error."""
         spec = ScenarioSpec(name="empty", scene=rv.Scene(duration=5.0),
                             snr_db=0.0)
-        report = run_scenario(spec, n_keep=None).report
+        report = run_scenario(dataclasses.replace(spec, n_keep=None)).report
         with pytest.raises(StageFailed) as info:
             bench_acceleration(spec, n_keep_values=[40], repeats=1)
         assert isinstance(info.value, RuntimeError)
@@ -1034,7 +1048,7 @@ class TestVitalsChain:
 def vitals_window(spec, center, tx, noise):
     """The phase window the vitals chain renders for a target at
     ``center``."""
-    bins = vitals.channel_bins(center, spec.radar.samples_per_chirp // 2 + 1)
+    bins = vitals.channel_bins(center)
     return simulate.render_profiles(spec.scene, spec.radar, bins, slice(None),
                                     tx, snr_db=spec.snr_db, seed=noise)
 
@@ -1048,9 +1062,7 @@ class TestSteeredProfiles:
         spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
         cfg = spec.radar
         tgt = spec.scene.targets[0]
-        tx = beamform.tx_weights(tgt.angle_deg, cfg.wavelength,
-                                 num_elements=cfg.num_tx,
-                                 spacing=cfg.tx_spacing)
+        tx = beamform.tx_weights(tgt.angle_deg)
         cubes = [synthesize_cube(spec.scene, cfg, tx_weights=w)
                  for w in (None, tx)]
         return spec, tx, cubes
@@ -1064,11 +1076,11 @@ class TestSteeredProfiles:
         signals."""
         spec, tx, (plain, steered) = renders
         cfg = spec.radar
-        center = (range_bin_of(spec.scene.targets[0].range_m, cfg)
+        center = (range_bin_of(spec.scene.targets[0].range_m)
                   if where == "target" else vitals.PHASE_CHANNELS // 2)
         noise = np.random.SeedSequence(11)
         got, base = (vitals_window(spec, center, w, noise) for w in (tx, None))
-        bins = vitals.channel_bins(center, got.num_bins)
+        bins = vitals.channel_bins(center)
         first_chirps = slice(None, None, cfg.chirps_per_frame)
         difference = (range_fft(steered).data
                       - range_fft(plain).data)[bins.start:bins.stop,
@@ -1121,3 +1133,29 @@ def test_write_run_outputs(tmp_path, quick_spec):
     lines = (tmp_path / "out" / "timings.csv").read_text().splitlines()
     assert lines[0] == "stage,milliseconds"
     assert len(lines) > 5
+
+
+CLEAN = ScenarioSpec.from_json(SCENARIOS / "clean.json")
+
+
+@settings(max_examples=20, deadline=None)
+@given(snr_db=st.floats(MIN_SNR_DB, 60.0),
+       amplitude=st.floats(0.0, MAX_AMPLITUDE),
+       beamforming=st.booleans())
+def test_admitted_power_ends_in_rates_or_a_named_failure(snr_db, amplitude,
+                                                         beamforming):
+    """clean.json at any noise level and target amplitude a scenario
+    admits, steered or not: the run ends in finite rates (or none found)
+    or in a named failure stage, never in an exception or a warning."""
+    target = dataclasses.replace(CLEAN.scene.targets[0], amplitude=amplitude)
+    spec = dataclasses.replace(CLEAN, snr_db=snr_db, scene=dataclasses.replace(
+        CLEAN.scene, targets=(target,)))
+    report = run_scenario(spec, beamforming=beamforming).report
+    if report["failure_stage"] is not None:
+        assert report["failure_stage"] in ("simulate", "heatmap", "localize",
+                                           "vitals")
+        assert report["error"]
+        return
+    for entry in report["targets"]:
+        for key in ("breaths_per_min", "beats_per_min"):
+            assert entry[key] is None or np.isfinite(entry[key])

@@ -12,7 +12,7 @@ import radarvitals as rv
 from radarvitals import aoa, fusion, simulate, vitals
 from radarvitals.beamform import tx_weights
 from radarvitals.pipeline import ScenarioSpec
-from radarvitals.rangefft import range_bin_of, range_bin_width, range_fft
+from radarvitals.rangefft import RANGE_BIN_WIDTH, range_bin_of, range_fft
 from reference_camera import synthesize_detections as scalar_detections
 
 
@@ -49,7 +49,7 @@ class TestCubeGeometry:
         cube = simulate.synthesize_cube(scene, cfg)
         prof = range_fft(cube)
         peak = int(np.argmax(np.abs(prof.data[:, 0, 0])))
-        assert peak == range_bin_of(5.0, cfg)
+        assert peak == range_bin_of(5.0)
 
     def test_antenna_phase_ramp_matches_steering(self, cfg):
         angle = 25.0
@@ -70,7 +70,7 @@ class TestCubeGeometry:
                          duration=8.0)
         cube = simulate.synthesize_cube(scene, cfg)
         prof = range_fft(cube)
-        rb = range_bin_of(2.0, cfg)
+        rb = range_bin_of(2.0)
         idx = np.arange(len(cube.frame_timestamps)) * cfg.chirps_per_frame
         phase = np.unwrap(np.angle(prof.data[rb, idx, 0]))
         swing = phase.max() - phase.min()
@@ -87,8 +87,8 @@ class TestCubeGeometry:
         last = int(np.argmax(np.abs(prof.data[:, -1, 0])))
         t_last = ((len(cube.frame_timestamps) - 1) * cfg.frame_period
                   + (cfg.chirps_per_frame - 1) * cfg.pri)
-        assert first == range_bin_of(2.0, cfg)
-        assert last == range_bin_of(float(mover.range_at(t_last)), cfg)
+        assert first == range_bin_of(2.0)
+        assert last == range_bin_of(float(mover.range_at(t_last)))
 
 
 class TestNoiseAndLimits:
@@ -134,14 +134,14 @@ def heatmap_rows(scene, cfg, **kwargs):
     """The scene stage's render: the heatmap's rows at the still window's
     frames."""
     return simulate.render_profiles(
-        scene, cfg, aoa.heatmap_bins(cfg),
+        scene, cfg, aoa.HEATMAP_BINS,
         slice(-fusion.still_frames(cfg.frame_rate), None), **kwargs)
 
 
 def phase_rows(scene, cfg, center, tx=None, **kwargs):
     """The phase stage's render: the phase window around ``center`` at
     every frame."""
-    bins = vitals.channel_bins(center, cfg.samples_per_chirp // 2 + 1)
+    bins = vitals.channel_bins(center)
     return simulate.render_profiles(scene, cfg, bins, slice(None), tx,
                                     **kwargs)
 
@@ -150,8 +150,7 @@ def test_illumination_gain_scales_scatterer(cfg):
     """Steering the transmit pair at the scatterer doubles its amplitude."""
     scene = rv.Scene(statics=(rv.PointReflector(3.0, 20.0),), duration=0.5)
     plain = simulate.synthesize_cube(scene, cfg)
-    tx = tx_weights(20.0, cfg.wavelength, num_elements=cfg.num_tx,
-                    spacing=cfg.tx_spacing)
+    tx = tx_weights(20.0)
     boosted = simulate.synthesize_cube(scene, cfg, tx_weights=tx)
     ratio = np.abs(boosted.data[0, 0, 0]) / np.abs(plain.data[0, 0, 0])
     assert ratio == pytest.approx(cfg.num_tx, rel=1e-9)
@@ -165,8 +164,7 @@ def test_mover_follows_its_angle_and_amplitude(cfg):
         waypoints=((0.0, 2.0, -30.0), (1.0, 3.0, 40.0)),
         amplitude=((0.0, 0.5), (1.0, 2.0)))
     scene = rv.Scene(movers=(mover,), duration=1.0)
-    tx = tx_weights(10.0, cfg.wavelength, num_elements=cfg.num_tx,
-                    spacing=cfg.tx_spacing)
+    tx = tx_weights(10.0)
     plain = simulate.synthesize_cube(scene, cfg).data
     steered = simulate.synthesize_cube(scene, cfg, tx_weights=tx).data
     _, slow_t = simulate._slow_times(cfg, scene.duration)
@@ -218,11 +216,10 @@ def noiseless_cubes(request):
     at its target, and the range bins a run of it reads."""
     spec = ScenarioSpec.from_json(SCENARIOS / f"{request.param}.json")
     cfg = spec.radar
-    tx = tx_weights(spec.scene.targets[0].angle_deg, cfg.wavelength,
-                    num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
+    tx = tx_weights(spec.scene.targets[0].angle_deg)
     plain = simulate.synthesize_cube(spec.scene, cfg)
     steered = simulate.synthesize_cube(spec.scene, cfg, tx_weights=tx)
-    return spec, tx, plain, steered, aoa.heatmap_bins(cfg)
+    return spec, tx, plain, steered, aoa.HEATMAP_BINS
 
 
 class TestRenderProfiles:
@@ -266,7 +263,7 @@ class TestRenderProfiles:
         want = ref.data[:near, (frames - still) * cfg.chirps_per_frame::
                         cfg.chirps_per_frame]
         assert prof.data.shape == want.shape
-        assert prof.num_bins == ref.num_bins == 65
+        assert ref.data.shape[0] == cfg.num_range_bins == 65
         assert np.array_equal(prof.range_axis, ref.range_axis[:near])
         assert np.array_equal(prof.frame_timestamps,
                               ref.frame_timestamps[frames - still:])
@@ -443,10 +440,10 @@ class TestTones:
     def test_static_tone_matches_the_fft(self, cfg, in_bins):
         """A scalar beat range on a bin (the limit N at d = 0), a hair off
         it, and between two bins."""
-        beat_r = np.array([in_bins * range_bin_width(cfg)])
+        beat_r = np.array([in_bins * RANGE_BIN_WIDTH])
         bins = np.arange(cfg.samples_per_chirp // 2 + 1)
-        want = np.fft.fft(simulate._fast_time(cfg, beat_r), axis=0)[bins]
-        got = simulate._tones(cfg, beat_r, bins)
+        want = np.fft.fft(simulate._fast_time(beat_r), axis=0)[bins]
+        got = simulate._tones(beat_r, bins)
         assert got.shape == (bins.size, 1)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         if in_bins == 8.0:
@@ -462,8 +459,8 @@ class TestTones:
         beat_r = scatterers[-1][0]
         assert spec.scene.movers and beat_r.shape == frame_t.shape
         bins = np.arange(cfg.samples_per_chirp // 2 + 1)
-        want = np.fft.fft(simulate._fast_time(cfg, beat_r), axis=0)[bins]
-        got = simulate._tones(cfg, beat_r, bins)
+        want = np.fft.fft(simulate._fast_time(beat_r), axis=0)[bins]
+        got = simulate._tones(beat_r, bins)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -473,8 +470,8 @@ def _record_tones(monkeypatch) -> list:
     calls = []
     tones = simulate._tones
 
-    def recorded(cfg, beat_r, bins):
-        out = tones(cfg, beat_r, bins)
+    def recorded(beat_r, bins):
+        out = tones(beat_r, bins)
         calls.append((np.asarray(bins).copy(), beat_r.size, out))
         return out
     monkeypatch.setattr(simulate, "_tones", recorded)
@@ -522,9 +519,8 @@ class TestToneSlot:
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
         scene, cfg = spec.scene, spec.radar
         tgt = scene.targets[0]
-        center = range_bin_of(tgt.range_m, cfg)
-        tx = tx_weights(tgt.angle_deg, cfg.wavelength,
-                        num_elements=cfg.num_tx, spacing=cfg.tx_spacing)
+        center = range_bin_of(tgt.range_m)
+        tx = tx_weights(tgt.angle_deg)
         noise = np.random.SeedSequence(spec.seed)
 
         def heat(seed):
@@ -557,10 +553,10 @@ class TestToneSlot:
         beat_r = list(simulate._scatterers(scene, frame_t))[-1][0]
         assert scene.movers and beat_r.shape == frame_t.shape
         bins = np.arange(36)
-        whole = simulate._tones(cfg, beat_r, bins)
+        whole = simulate._tones(beat_r, bins)
         blocks = range(0, frame_t.size, block)
         assert np.array_equal(np.concatenate(
-            [simulate._tones(cfg, beat_r[i:i + block], bins)
+            [simulate._tones(beat_r[i:i + block], bins)
              for i in blocks], axis=1), whole)
         render = render_noisy(cfg, scene, spec.seed, range(36))
         assert np.array_equal(np.concatenate(
@@ -664,9 +660,8 @@ def test_a_sample_has_one_value_whichever_render_draws_it(name):
     scene, cfg = spec.scene, spec.radar
     noise, _ = np.random.SeedSequence(spec.seed).spawn(2)
     tgt = scene.targets[0]
-    center = range_bin_of(tgt.range_m, cfg)
-    tx = tx_weights(tgt.angle_deg, cfg.wavelength, num_elements=cfg.num_tx,
-                    spacing=cfg.tx_spacing)
+    center = range_bin_of(tgt.range_m)
+    tx = tx_weights(tgt.angle_deg)
     heat = heatmap_rows(scene, cfg, snr_db=spec.snr_db, seed=noise)
 
     def window(weights, snr_db):

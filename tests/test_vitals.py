@@ -20,7 +20,7 @@ def _profiles_with_phase(phase, cfg=None, num_bins=9):
     for b in range(num_bins):
         data[b, idx, :] = np.exp(1j * phase)[:, None]
     return RangeProfiles(
-        data=data, range_axis=np.arange(num_bins) * 0.3, config=cfg,
+        data=data, config=cfg,
         frame_timestamps=np.arange(frames) / cfg.frame_rate)
 
 
@@ -49,7 +49,7 @@ class TestExtractPhase:
         """A window inside the 65-bin profile but past the 9 rows held
         raises; it never reads a short slice."""
         prof = _profiles_with_phase(np.zeros(32))
-        assert prof.num_bins == 65 and prof.data.shape[0] == 9
+        assert rv.RadarConfig.num_range_bins == 65 and prof.data.shape[0] == 9
         with pytest.raises(ValueError, match=r"channels \[5, 9\] lie "
                            r"outside the rendered rows \[0, 8\] of the "
                            r"65-bin range profile"):
