@@ -30,28 +30,22 @@ class BeamWeights:
 
 
 def _steer(steer_deg: float, num_elements: int, spacing: float) -> BeamWeights:
-    if num_elements < 1:
-        raise ValueError("num_elements must be >= 1")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
     if not -90.0 <= steer_deg <= 90.0:
         raise ValueError("steer angle must lie in [-90, 90] degrees")
     w = steering_matrix(steer_deg, num_elements, spacing)[:, 0]
     return BeamWeights(weights=w, spacing=spacing)
 
 
-def tx_weights(steer_deg: float, num_elements: int = RadarConfig.num_tx,
-               spacing: float = RadarConfig.tx_spacing) -> BeamWeights:
-    """Transmit steering; defaults to the radar's transmit array
+def tx_weights(steer_deg: float) -> BeamWeights:
+    """Transmit steering of the radar's transmit array
     (``RadarConfig.num_tx`` elements one wavelength apart)."""
-    return _steer(steer_deg, num_elements, spacing)
+    return _steer(steer_deg, RadarConfig.num_tx, RadarConfig.tx_spacing)
 
 
-def rx_weights(steer_deg: float, num_elements: int = RadarConfig.num_virtual,
-               spacing: float = RadarConfig.rx_spacing) -> BeamWeights:
-    """Receive steering; defaults to the radar's virtual array
+def rx_weights(steer_deg: float) -> BeamWeights:
+    """Receive steering of the radar's virtual array
     (``RadarConfig.num_virtual`` elements half a wavelength apart)."""
-    return _steer(steer_deg, num_elements, spacing)
+    return _steer(steer_deg, RadarConfig.num_virtual, RadarConfig.rx_spacing)
 
 
 def combine(snapshots: np.ndarray, bw: BeamWeights) -> np.ndarray:

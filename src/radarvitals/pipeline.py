@@ -451,8 +451,9 @@ def bench_acceleration(
     None); its first target's phase channels and mode count then go
     through :func:`vitals_chain` again for each ``n_keep`` value (None =
     full spectrum), ``repeats`` times each, and a row's time is the best
-    of its ``decompose`` stages, so rows differ only in spectrum length.  Rate deltas are reported against the
-    full-spectrum row.  A failed run or chain raises :class:`StageFailed`;
+    of its ``decompose`` stages, so rows differ only in spectrum length.
+    Rate deltas are reported against the full-spectrum row.  A failed run
+    or chain raises :class:`StageFailed`;
     ``repeats`` < 1, or an ``n_keep`` that keeps fewer than two bins per
     mode, raises ``ValueError`` before any row is timed.
     """

@@ -8,7 +8,8 @@ Stages, in the order the pipeline runs them:
    inter-channel correlation of the phase signals.
 3. :func:`select_mode_count` - pick how many oscillatory components to
    extract, from the leading eigenvalues of a trajectory (Hankel) matrix's
-   Gram matrix (a block-Lanczos solve) and its trace.
+   Gram matrix (one block Krylov read, else the dense solve) and its
+   trace.
 4. :func:`analytic_spectrum` / :func:`truncate_spectrum` - one-sided
    spectra, optionally truncated to the low-frequency band that actually
    contains vital signals (this is what buys the speedup).
@@ -43,8 +44,8 @@ MODE_POWER_FRACTION = 0.70
 MODE_TIE_RATIO = 0.8
 MIN_MODES = 2
 MAX_MODES = 8
-# Start block of select_mode_count's block Lanczos: at least two columns,
-# so a sinusoid's pair of near-equal eigenvalues is one block.
+# Start block of select_mode_count's block Krylov space: at least two
+# columns, so a sinusoid's pair of near-equal eigenvalues is one block.
 LANCZOS_BLOCK = MAX_MODES // 4
 # Zero-padding factor of the rate read-out's peak search.
 PEAK_REFINE = 16
@@ -178,8 +179,8 @@ def _one_blas_thread():
 
     A woken OpenBLAS worker keeps spinning for ~100 ms of CPU after the
     call that woke it, which costs more than a second thread gains on the
-    small products of the vitals chain: the SSA Gram matrix and the
-    block-Lanczos products and solves of :func:`select_mode_count`, and
+    small products of the vitals chain: the SSA Gram matrix, the Krylov
+    products and the eigenvalue solves of :func:`select_mode_count`, and
     the channel fusion and the iteration of :func:`multichannel_vmd` (also
     the fusion behind :func:`band_seeded_init`).
     """
@@ -194,15 +195,6 @@ def _one_blas_thread():
         yield
     finally:
         set_(before)
-
-
-def _orthogonalize(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """``rows`` minus their projection on the orthonormal rows of
-    ``basis``, in place; two passes of classical Gram-Schmidt, so the
-    result is orthogonal to working precision."""
-    for _ in range(2):
-        rows -= (rows @ basis.T) @ basis
-    return rows
 
 
 def _ritz_estimates(basis: np.ndarray, image: np.ndarray, total: float,
@@ -225,55 +217,20 @@ def _ritz_estimates(basis: np.ndarray, image: np.ndarray, total: float,
     return theta, slack
 
 
-def _block_lanczos(gram: np.ndarray, total: float, square: float):
-    """Yield the Ritz values and slack (:func:`_ritz_estimates`) of the
-    symmetric positive semi-definite ``gram`` (trace ``total``, sum of
-    squared entries ``square``) on a growing subspace: at :data:`MAX_MODES`
-    dimensions and at each doubling after, while that stays within half
-    the space, then at the whole space, where the Ritz values are the
-    eigenvalues.
-
-    Up to the last of those reads the subspace is a block Krylov one:
-    block Lanczos (Golub & Van Loan, *Matrix Computations*, 10.3) from a
-    seeded random block of :data:`LANCZOS_BLOCK` columns, with full
-    reorthogonalization (two Gram-Schmidt passes against the whole basis).
-    A direction of the next block whose residual is at most 1e-10 of the
-    trace has deflated: an invariant subspace is found, as on a noise-free
-    signal of few tones.  A fresh random direction orthogonal to the basis
-    takes its place, so a cluster of equal eigenvalues wider than the block
-    is still resolved.  After it, random directions complete the basis in
-    one step: on the whole space any basis gives the eigenvalues.
-    """
-    size = gram.shape[0]
-    block = min(LANCZOS_BLOCK, size)
-    rng = np.random.default_rng(0)
-    basis = np.empty((size, size))                   # one vector a row
-    image = np.empty((size, size))                   # basis @ gram
-    basis[:block] = np.linalg.qr(rng.standard_normal((size, block)))[0].T
-    lo, hi, read = 0, block, MAX_MODES
-    while True:
-        np.matmul(basis[lo:hi], gram, out=image[lo:hi])
-        if hi >= min(read, size):
-            yield _ritz_estimates(basis[:hi], image[:hi], total, square)
-            if hi == size:
-                return
-            read *= 2
-        done = basis[:hi]
-        if read > size // 2:
-            vt = np.empty((0, size))       # the next read is the whole space
-            width = size - hi
-        else:
-            _, s, vt = np.linalg.svd(
-                _orthogonalize(image[lo:hi].copy(), done), full_matrices=False)
-            width = block
-            vt = vt[s > 1e-10 * total][:width]
-        if vt.shape[0] < width:
-            fresh = _orthogonalize(
-                rng.standard_normal((width - vt.shape[0], size)),
-                np.vstack([done, vt]))
-            vt = np.vstack([vt, np.linalg.qr(fresh.T)[0].T])
-        lo, hi = hi, hi + width
-        basis[lo:hi] = vt
+def _krylov_basis(gram: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the :data:`MAX_MODES`-dimensional block
+    Krylov space of ``gram`` (Golub & Van Loan, *Matrix Computations*,
+    10.3) grown from a seeded random block of :data:`LANCZOS_BLOCK`
+    columns: the QR factor of each product with ``gram``, then one QR of
+    their stack.  A deflated block (a noise-free signal of few tones)
+    leaves directions that need not lie in the Krylov space; the Ritz
+    bounds hold on any orthonormal basis."""
+    start = np.random.default_rng(0).standard_normal(
+        (gram.shape[0], LANCZOS_BLOCK))
+    blocks = [np.linalg.qr(start)[0]]
+    while len(blocks) < MAX_MODES // LANCZOS_BLOCK:
+        blocks.append(np.linalg.qr(gram @ blocks[-1])[0])
+    return np.linalg.qr(np.hstack(blocks))[0].T
 
 
 def _count_modes(ev: np.ndarray, total: float, slack: np.ndarray
@@ -314,13 +271,14 @@ def select_mode_count(signal: np.ndarray) -> int:
     :data:`MODE_TIE_RATIO` of the last one included, so pairs are never
     split.  The result is clamped to [:data:`MIN_MODES`,
     :data:`MAX_MODES`], so only the leading :data:`MAX_MODES` eigenvalues
-    matter.  They are read as Ritz values of a block-Lanczos solve
-    (:func:`_block_lanczos`), whose subspace grows until bounds on the
-    eigenvalues it has not resolved (:func:`_ritz_estimates`) can no longer
-    change the count (:func:`_count_modes`); the count is then the one the
-    whole spectrum gives.  The Gram matrix is numpy's product of the
+    matter.  They are read once as Ritz values on a block Krylov space
+    (:func:`_krylov_basis`); when bounds on them (:func:`_ritz_estimates`)
+    settle the count (:func:`_count_modes`), it is the one the whole
+    spectrum gives.  Otherwise, and when the window is at most
+    :data:`MAX_MODES` long, the count is read off the whole spectrum
+    (``np.linalg.eigvalsh``).  The Gram matrix is numpy's product of the
     trajectory view with itself, which allocates no copy of the trajectory
-    matrix; the solve runs on one OpenBLAS thread.  A signal too short for
+    matrix; the solves run on one OpenBLAS thread.  A signal too short for
     the window, not finite, or without energy raises ``ValueError``.
     """
     x = np.asarray(signal, dtype=float).ravel()
@@ -338,12 +296,15 @@ def select_mode_count(signal: np.ndarray) -> int:
         if total <= 0:
             raise ValueError(
                 "signal carries no energy; cannot select mode count")
-        square = np.vdot(gram, gram)
-        for ev, slack in _block_lanczos(gram, total, square):
-            k, settled = _count_modes(ev, total, slack)
+        if window_len > MAX_MODES:
+            basis = _krylov_basis(gram)
+            theta, slack = _ritz_estimates(basis, basis @ gram, total,
+                                           np.vdot(gram, gram))
+            k, settled = _count_modes(theta, total, slack)
             if settled:
-                break
-    return k
+                return k
+        ev = np.clip(np.linalg.eigvalsh(gram)[::-1], 0.0, None)
+        return _count_modes(ev, total, np.zeros(window_len))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +494,7 @@ def multichannel_vmd(
     if weights is None:
         w = np.full(n_ch, 1.0 / n_ch)
     else:
-        w = np.asarray(getattr(weights, "weights", weights), dtype=float)
+        w = np.asarray(weights, dtype=float)
         if w.shape != (n_ch,):
             raise ValueError(f"weights must have length {n_ch}")
         if not np.all(np.isfinite(w)):

@@ -101,7 +101,7 @@ def test_criterion_02_beamforming_beats_no_beamforming_under_range_overlap():
 
 
 def test_criterion_03_tx_grating_lobe_present_and_rx_suppressed():
-    tx = beamform.tx_weights(30.0, num_elements=3)   # spacing = lam
+    tx = beamform.tx_weights(30.0)   # 2 elements, spacing = lam
     pat = beamform.beam_pattern(tx)
     main_db = pat.gain_db[pat.angles_deg == 30.0][0]
     near = (pat.angles_deg >= -35.0) & (pat.angles_deg <= -25.0)
@@ -112,7 +112,7 @@ def test_criterion_03_tx_grating_lobe_present_and_rx_suppressed():
     assert abs(lobe_db - main_db) <= 0.5, (
         f"lobe {lobe_db:.2f} dB vs main {main_db:.2f} dB")
 
-    rx = beamform.rx_weights(30.0, num_elements=8)   # spacing = lam/2
+    rx = beamform.rx_weights(30.0)   # 8 elements, spacing = lam/2
     rx_pat = beamform.beam_pattern(rx)
     rx_main = rx_pat.gain_db[rx_pat.angles_deg == 30.0][0]
     rx_near = ((rx_pat.angles_deg >= -32.0) & (rx_pat.angles_deg <= -28.0))

@@ -12,15 +12,19 @@ LAM = rv.RadarConfig().wavelength
 
 class TestWeights:
     def test_tx_frozen_values(self):
-        """Three elements at one-wavelength spacing steered to 30 deg:
-        phase steps of 2*pi*sin(30) = pi give alternating signs."""
-        w = beamform.tx_weights(30.0, num_elements=3).weights
-        assert np.allclose(w, [1.0, -1.0, 1.0], atol=1e-12)
+        """The two transmit elements, one wavelength apart, steered to 30
+        deg: a phase step of 2*pi*sin(30) = pi gives alternating signs."""
+        bw = beamform.tx_weights(30.0)
+        assert np.allclose(bw.weights, [1.0, -1.0], atol=1e-12)
+        assert bw.spacing == rv.RadarConfig.tx_spacing == pytest.approx(LAM)
 
     def test_rx_frozen_values(self):
-        """Half-wavelength spacing steered to 30 deg: quarter-turn steps."""
-        w = beamform.rx_weights(30.0, num_elements=4).weights
-        assert np.allclose(w, [1.0, 1j, -1.0, -1j], atol=1e-12)
+        """The eight virtual elements, half a wavelength apart, steered to
+        30 deg: quarter-turn steps."""
+        bw = beamform.rx_weights(30.0)
+        assert np.allclose(bw.weights, [1.0, 1j, -1.0, -1j] * 2, atol=1e-12)
+        assert bw.spacing == rv.RadarConfig.rx_spacing == pytest.approx(
+            LAM / 2)
 
     def test_phase_only(self):
         for steer in (-50.0, 0.0, 12.3):
@@ -29,42 +33,42 @@ class TestWeights:
             assert w[0] == pytest.approx(1.0)
 
     def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            beamform.tx_weights(30.0, num_elements=0)
-        with pytest.raises(ValueError):
-            beamform.tx_weights(95.0)
-        with pytest.raises(ValueError):
-            beamform.rx_weights(10.0, spacing=-LAM / 2)
+        """A steer angle outside [-90, 90] deg, or not a number, is
+        refused."""
+        for weights in (beamform.tx_weights, beamform.rx_weights):
+            for steer in (95.0, -90.5, np.nan):
+                with pytest.raises(ValueError, match="steer angle"):
+                    weights(steer)
 
 
 class TestCombine:
     def test_matched_gain_is_element_count(self):
-        bw = beamform.rx_weights(30.0, num_elements=8)
+        bw = beamform.rx_weights(30.0)
         x = steering_matrix([30.0], 8, LAM / 2)[:, 0]
         assert abs(beamform.combine(x, bw)) == pytest.approx(8.0)
 
     def test_mismatched_frozen_value(self):
         """8-element half-wavelength array steered to 30 deg combining a
         20-deg plane wave."""
-        bw = beamform.rx_weights(30.0, num_elements=8)
+        bw = beamform.rx_weights(30.0)
         x = steering_matrix([20.0], 8, LAM / 2)[:, 0]
         assert abs(beamform.combine(x, bw)) == pytest.approx(
             3.7267380232747174, abs=1e-12)
 
     def test_batched_combine(self):
-        bw = beamform.rx_weights(0.0, num_elements=8)
+        bw = beamform.rx_weights(0.0)
         x = np.ones((5, 8))
         assert beamform.combine(x, bw).shape == (5,)
 
     def test_length_mismatch(self):
-        bw = beamform.rx_weights(0.0, num_elements=8)
+        bw = beamform.rx_weights(0.0)
         with pytest.raises(ValueError):
             beamform.combine(np.ones(4), bw)
 
 
 class TestPattern:
     def test_normalized_peak_at_steer(self):
-        bw = beamform.rx_weights(30.0, num_elements=8)
+        bw = beamform.rx_weights(30.0)
         pat = beamform.beam_pattern(bw)
         assert pat.gain_db.max() == pytest.approx(0.0, abs=1e-12)
         peak_angle = pat.angles_deg[int(np.argmax(pat.gain_db))]
@@ -73,7 +77,7 @@ class TestPattern:
     def test_broadside_null_of_uniform_eight(self):
         """All-ones 8-element half-wavelength array: first null where
         sin(theta) = 1/4, i.e. 14.4775 deg."""
-        bw = beamform.rx_weights(0.0, num_elements=8)
+        bw = beamform.rx_weights(0.0)
         null = np.rad2deg(np.arcsin(0.25))
         pat = beamform.beam_pattern(bw, angles_deg=np.array([null]))
         assert pat.gain_db[0] < -100
@@ -81,7 +85,7 @@ class TestPattern:
     def test_grating_lobe_with_wavelength_spacing(self):
         """d = lambda steered to +30 deg aliases at sin(theta) = sin(30) - 1,
         an exact copy of the main lobe at -30 deg."""
-        bw = beamform.tx_weights(30.0, num_elements=3)
+        bw = beamform.tx_weights(30.0)
         pat = beamform.beam_pattern(bw)
         i = int(np.argmin(np.abs(pat.angles_deg + 30.0)))
         assert pat.gain_db[i] == pytest.approx(0.0, abs=1e-9)
@@ -102,9 +106,9 @@ class TestPattern:
         assert len(lines) == 1 + pat.angles_deg.size
 
 
-@given(st.floats(-60, 60), st.integers(2, 12))
-def test_pattern_bounded_and_peaks_at_steer(steer, n):
-    bw = beamform.rx_weights(steer, num_elements=n)
+@given(st.floats(-60, 60))
+def test_pattern_bounded_and_peaks_at_steer(steer):
+    bw = beamform.rx_weights(steer)
     pat = beamform.beam_pattern(bw)
     assert np.all(pat.gain_db <= 1e-9)
     peak = pat.angles_deg[int(np.argmax(pat.gain_db))]

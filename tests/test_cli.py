@@ -8,6 +8,7 @@ import pytest
 
 import radarvitals as rv
 from radarvitals import beamform
+from radarvitals.aoa import steering_matrix
 from radarvitals.cli import _parse_n_keep, build_parser, main
 from radarvitals.pipeline import ScenarioSpec
 from scenario_files import OLD_RADAR_BLOCK, write_spec
@@ -416,20 +417,19 @@ class TestPatternVerb:
         assert rc == 0
         assert "peak at +30.00 deg" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("role, steer, weights, n, spacing", [
-        ("tx", 30.0, beamform.tx_weights, rv.RadarConfig.num_tx,
-         rv.RadarConfig.tx_spacing),
-        ("rx", -30.0, beamform.rx_weights, rv.RadarConfig.num_virtual,
-         rv.RadarConfig.rx_spacing),
+    @pytest.mark.parametrize("role, steer, n, spacing", [
+        ("tx", 30.0, rv.RadarConfig.num_tx, rv.RadarConfig.tx_spacing),
+        ("rx", -30.0, rv.RadarConfig.num_virtual, rv.RadarConfig.rx_spacing),
     ], ids=["tx", "rx"])
-    def test_csv_is_the_radars_own_beam(self, tmp_path, role, steer,
-                                        weights, n, spacing):
+    def test_csv_is_the_radars_own_beam(self, tmp_path, role, steer, n,
+                                        spacing):
         """The exported pattern is the beam the pipeline forms: the
         radar's array steered at its one carrier wavelength."""
         out, want = tmp_path / "cli.csv", tmp_path / "want.csv"
         assert main(["pattern", "--role", role, "--steer", str(steer),
                      "--out", str(out)]) == 0
-        bw = weights(steer, n, spacing)
+        bw = beamform.BeamWeights(steering_matrix(steer, n, spacing)[:, 0],
+                                  spacing)
         beamform.write_pattern_csv(beamform.beam_pattern(bw), want)
         assert out.read_bytes() == want.read_bytes()
 

@@ -1045,6 +1045,30 @@ class TestVitalsChain:
         assert list(timings) == ["weights"]
 
 
+class TestModeCountTraffic:
+    def test_bundled_windows_settle_at_the_krylov_read(self, monkeypatch):
+        """Every auto-k window of the bundled scenarios (seeds +0..4, both
+        beamformings) settles at the one Krylov read: ``eigvalsh`` sees
+        only its :data:`vitals.MAX_MODES`-row projected matrix, never the
+        dense Gram matrix, so no bundled run pays the dense solve."""
+        rows = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(a):
+            rows.append(a.shape[0])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        for path in sorted(SCENARIOS.glob("*.json")):
+            spec = ScenarioSpec.from_json(path)
+            for beamforming in (True, False):
+                for i in range(5):
+                    res = run_scenario(spec, seed=spec.seed + i,
+                                       beamforming=beamforming)
+                    assert not res.failed, (path.stem, beamforming, i)
+        assert rows and set(rows) == {vitals.MAX_MODES}
+
+
 def vitals_window(spec, center, tx, noise):
     """The phase window the vitals chain renders for a target at
     ``center``."""

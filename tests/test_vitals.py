@@ -156,24 +156,26 @@ class TestModeCount:
         "mixture-48", "mixture-600", "equal-4", "white-noise",
         "noise-free-1", "noise-free-3", "noise-free-9"])
     def test_ritz_values_and_slack_bracket_the_spectrum(self, name):
-        """At every read of the block-Lanczos solve, each leading
+        """On the one Krylov read, the basis is orthonormal and each leading
         eigenvalue lies between its Ritz value and that value plus its
         slack; also on noise-free signals, whose Gram matrix is rank
-        deficient."""
+        deficient, so that a block deflates."""
         x = _oracle_input(name)
         size = x.size // 3
         traj = np.lib.stride_tricks.sliding_window_view(
             x, x.size - size + 1)[:size]
         gram = traj @ traj.T
         total, square = np.trace(gram), np.vdot(gram, gram)
-        ev = np.linalg.eigvalsh(gram)[::-1]
+        ev = np.linalg.eigvalsh(gram)[::-1][:vitals.MAX_MODES]
         tol = 1e-12 * ev[0]
-        reads = list(vitals._block_lanczos(gram, total, square))
-        assert reads[-1][0].size == size
-        for theta, slack in reads:
-            lead = min(vitals.MAX_MODES, theta.size)
-            assert np.all(theta[:lead] <= ev[:lead] + tol)
-            assert np.all(ev[:lead] <= theta[:lead] + slack[:lead] + tol)
+        basis = vitals._krylov_basis(gram)
+        assert basis.shape == (vitals.MAX_MODES, size)
+        assert np.allclose(basis @ basis.T, np.eye(vitals.MAX_MODES),
+                           rtol=0, atol=1e-12)
+        theta, slack = vitals._ritz_estimates(basis, basis @ gram, total,
+                                              square)
+        assert np.all(theta <= ev + tol)
+        assert np.all(ev <= theta + slack + tol)
 
 
 def _oracle_input(name):
@@ -201,9 +203,16 @@ def _oracle_input(name):
 
 class TestModeCountBlasThreads:
     """select_mode_count runs on one OpenBLAS thread and restores the
-    count after."""
+    count after, both when the Krylov read settles the count and when the
+    dense solve follows it."""
 
-    SIGNAL = np.sin(2 * np.pi * 0.25 * np.arange(600) / 20.0)
+    # name: (signal, rows of each matrix eigvalsh sees): a sinusoid settles
+    # at the Krylov read; two equal tones on the Fourier grid (an eigenvalue
+    # cluster wider than the start block) go on to the dense Gram matrix.
+    SIGNALS = {
+        "sine": (np.sin(2 * np.pi * 0.25 * np.arange(600) / 20.0), [8]),
+        "equal-2": (_oracle_input("equal-2"), [8, 200]),
+    }
 
     @pytest.fixture
     def blas_threads(self):
@@ -222,22 +231,34 @@ class TestModeCountBlasThreads:
         eigvalsh = np.linalg.eigvalsh
 
         def spy(a):
-            seen.append(blas_threads())
+            seen.append((blas_threads(), a.shape[0]))
             return eigvalsh(a)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        assert vitals.select_mode_count(self.SIGNAL) == 2
-        assert seen == [1]
-        assert blas_threads() == 2
+        for name, (signal, rows) in self.SIGNALS.items():
+            seen.clear()
+            assert vitals.select_mode_count(signal) == _svd_mode_count(
+                signal), name
+            assert seen == [(1, r) for r in rows], name
+            assert blas_threads() == 2, name
 
     def test_restored_after_an_exception(self, blas_threads, monkeypatch):
-        def fail(a):
-            raise np.linalg.LinAlgError("no convergence")
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
-        with pytest.raises(np.linalg.LinAlgError):
-            vitals.select_mode_count(self.SIGNAL)
-        assert blas_threads() == 2
+        def fail_last(a):
+            calls.append(a.shape[0])
+            if len(calls) == len(rows):
+                raise np.linalg.LinAlgError("no convergence")
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_last)
+        for name, (signal, rows) in self.SIGNALS.items():
+            calls.clear()
+            with pytest.raises(np.linalg.LinAlgError):
+                vitals.select_mode_count(signal)
+            assert calls == rows, name
+            assert blas_threads() == 2, name
 
 
 class TestSpectra:
