@@ -15,8 +15,12 @@ the heatmap's rows (``aoa.HEATMAP_BINS``) at the still window's frames,
 and the target's phase window (``vitals.channel_bins``) at every frame,
 steered.
 The decomposition (``multichannel_vmd`` alone, the chain's ``decompose``
-stage) is timed at two sizes: the clean chain's 100 kept bins and the
-bench scenario's full 1001-bin spectrum.
+stage) is timed at three shapes: the clean chain's 100 kept bins, which
+converge in a few iterations and so mostly time the set-up; the
+fusion_stress chain's 100 bins at K = 2, which take ~130 iterations and so
+time the loop; and the bench scenario's full 1001-bin spectrum.  The rate
+read-out (``estimate_rates``, the chain's ``rates`` stage) is timed on the
+bench chain's 2000-sample modes.
 The camera's boxes of ``clean`` and ``range_overlap`` are timed from the
 scene to the tracks, the ``Detections`` record's columns in view at the
 last frame (``build_tracks(synthesize_detections(...))``).
@@ -155,6 +159,18 @@ def test_multichannel_vmd(benchmark, chain_inputs):
     assert _time_vmd(benchmark, chain_inputs).converged
 
 
+def test_multichannel_vmd_iteration_bound(benchmark):
+    """The fusion_stress chain (200 samples, steered) at its ``n_keep``:
+    K = 2 at 100 bins, ~130 iterations, so the time is the loop's."""
+    spec = ScenarioSpec.from_json(SCENARIOS / "fusion_stress.json")
+    res = pipeline.run_scenario(spec)
+    chain = res.chains[res.locations[0][0]]
+    assert (chain.phase.samples.shape[1], chain.spectra.n_bins,
+            chain.k) == (200, 100, 2)
+    modes = _time_vmd(benchmark, chain)
+    assert modes.converged and modes.iterations > 100
+
+
 @pytest.fixture(scope="module")
 def bench_chain():
     """The bench scenario's vitals chain on its full spectrum (2000
@@ -178,3 +194,11 @@ def test_multichannel_vmd_full_spectrum(benchmark, bench_chain):
     assert bench_chain.spectra.spectra.shape == (5, 1001)
     assert bench_chain.k == 4
     assert _time_vmd(benchmark, bench_chain).converged
+
+
+def test_estimate_rates(benchmark, bench_chain):
+    """The rate read-out on the bench chain's full-spectrum modes (4 modes
+    of 2000 samples, each peak searched on a 32 000-point FFT)."""
+    assert bench_chain.modes.modes.shape == (4, 2000)
+    rates = benchmark(vitals.estimate_rates, bench_chain.modes)
+    assert rates == bench_chain.rates

@@ -391,13 +391,6 @@ class ModeSet:
     converged: bool
 
 
-def _fuse_channels(spectra: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The weighted channel sum ``sum_l w_l S_l`` of (L, n_bins) spectra,
-    computed on one OpenBLAS thread."""
-    with _one_blas_thread():
-        return np.matmul(weights, spectra)
-
-
 def band_seeded_init(spectra: AnalyticSpectra, weights: np.ndarray,
                      num_modes: int) -> np.ndarray:
     """Center-frequency init (Hz) with one mode pinned to each band of
@@ -411,7 +404,8 @@ def band_seeded_init(spectra: AnalyticSpectra, weights: np.ndarray,
     with a dedicated mode; leftover modes spread evenly over the kept
     spectrum.
     """
-    mag = np.abs(_fuse_channels(spectra.spectra, weights))
+    with _one_blas_thread():
+        mag = np.abs(np.matmul(weights, spectra.spectra))
     freqs = spectra.freqs_hz
     seeds: list[float] = []
     for lo, hi in (DEFAULT_RR_BAND, DEFAULT_HR_BAND):
@@ -444,12 +438,16 @@ def multichannel_vmd(
     ``C = sum_l w_l S_l`` and ``num_modes`` complex modes are fitted by the
     usual alternating scheme: each mode is the Wiener-filtered residual
     ``u_k = (C + sum_l lam_l / 2 - sum_{i != k} u_i) / (1 + 2 VMD_ALPHA (nu - omega_k)^2)``
-    (updated in place, newest iterates first), followed by the power-centroid
-    update of its center frequency.  With ``eta > 0`` a Lagrange multiplier
-    per channel is ascended against that channel's own residual
-    ``w_l S_l - sum_k u_k``, tightening reconstruction on clean data; with
-    one channel and ``eta = 0`` the scheme is exactly classic VMD on ``S``.
-    The fusion and the iteration run on one OpenBLAS thread.
+    where the sum holds the new modes before k and the current ones after it.
+    A sweep reads the current modes from one buffer and writes the new ones
+    into a second, and the two buffers swap roles each iteration, so the
+    change between them is at hand for the convergence test.  The
+    power-centroid update of the center frequencies follows each sweep.
+    With ``eta > 0`` a Lagrange multiplier per channel is ascended against
+    that channel's own residual ``w_l S_l - sum_k u_k``, tightening
+    reconstruction on clean data; with one channel and ``eta = 0`` the
+    scheme is exactly classic VMD on ``S``.  The fusion and the iteration
+    run on one OpenBLAS thread.
 
     Parameters
     ----------
@@ -511,42 +509,69 @@ def multichannel_vmd(
         if omega.shape != (num_modes,):
             raise ValueError("init array must provide one frequency per mode")
 
-    combined = _fuse_channels(s_all, w)              # (nb,)
-    u = np.zeros((num_modes, nb), dtype=np.complex128)
-    u_prev = np.empty_like(u)
-    lam = np.zeros((n_ch, nb), dtype=np.complex128)
-    base = combined + 0.5 * lam.sum(axis=0)
-    den = np.empty((num_modes, nb))
-    total = np.zeros(nb, dtype=np.complex128)
+    # The two mode buffers; the first holds the all-zero start.
+    first = np.zeros((num_modes, nb), dtype=np.complex128)
+    second = np.empty_like(first)
+    # Each bin's Wiener gain 1 / (1 + 2 VMD_ALPHA (nu - omega_k)^2), twice
+    # over, for the real and the imaginary part of u_k.
+    nu_pairs = np.repeat(nu, 2)
+    gain = np.empty((num_modes, 2 * nb))
+    total = np.empty(nb, dtype=np.complex128)
+    squares = np.empty((num_modes, 2 * nb))          # re^2, im^2 pairs
+    re_sq, im_sq = squares[:, 0::2], squares[:, 1::2]
     power = np.empty((num_modes, nb))
-    imag_sq = np.empty((num_modes, nb))
-    diff = np.empty_like(u)
-    rows = tuple(zip(u, den))                        # (u_k, den_k) views
+    diff = np.empty_like(first)
+    turns = []                                       # even, odd iterations
+    for new, old in ((first, second), (second, first)):
+        new_re_im = new.view(np.float64)
+        # Row k: (old u_k, new u_k, its (re, im) pairs, its gains,
+        # whether the running sum takes it back; the last mode's is read
+        # only by the multiplier update, as each sweep re-sums the modes).
+        rows = tuple(zip(old, new, new_re_im, gain,
+                         [True] * (num_modes - 1) + [eta != 0.0]))
+        turns.append((new, old, new_re_im, rows))
+    omega_col = omega[:, None]                       # updated in place
+    u = first
     prev_power = 0.0                                 # power of u_prev
     converged = False
     it = 0
     with _one_blas_thread():
+        combined = np.matmul(w, s_all)               # (nb,)
+        # + 0.0 as the zero multipliers' term adds it: -0.0 becomes +0.0
+        base = combined + 0.0
+        if eta != 0.0:
+            lam = np.zeros((n_ch, nb), dtype=np.complex128)
+            target = w[:, None] * s_all
         for it in range(1, max_iter + 1):
-            np.subtract(nu[None, :], omega[:, None], out=den)
-            den *= den
-            den *= 2.0 * VMD_ALPHA
-            den += 1.0
-            np.copyto(u_prev, u)
-            u.sum(axis=0, out=total)
-            for uk, dk in rows:
-                total -= uk
+            np.subtract(nu_pairs, omega_col, out=gain)
+            gain *= gain
+            gain *= 2.0 * VMD_ALPHA
+            gain += 1.0
+            # Numpy divides a complex by a real as a multiply by the
+            # reciprocal, so scaling the (re, im) pairs by the gain gives
+            # the bits of dividing u_k by the denominator.
+            np.divide(1.0, gain, out=gain)
+            u, u_prev, u_re_im, rows = turns[it & 1]
+            np.add.reduce(u_prev, axis=0, out=total)
+            for old_k, uk, uk_re_im, gain_k, take_back in rows:
+                total -= old_k
                 np.subtract(base, total, out=uk)
-                uk /= dk
-                total += uk
-            np.multiply(u.real, u.real, out=power)
-            power += np.multiply(u.imag, u.imag, out=imag_sq)
-            mode_power = power.sum(axis=1)
-            np.divide(power @ nu, mode_power, out=omega,
-                      where=mode_power > 0)
+                uk_re_im *= gain_k
+                if take_back:
+                    total += uk
+            np.multiply(u_re_im, u_re_im, out=squares)
+            np.add(re_sq, im_sq, out=power)
+            mode_power = np.add.reduce(power, axis=1)
+            if 0.0 in mode_power.tolist():   # a powerless mode stays put
+                np.divide(power @ nu, mode_power, out=omega,
+                          where=mode_power > 0)
+            else:
+                np.divide(power @ nu, mode_power, out=omega)
             if eta != 0.0:
-                lam += eta * (w[:, None] * s_all - total[None, :])
-                base = combined + 0.5 * lam.sum(axis=0)
-            if not math.isfinite(mode_power.sum()):
+                lam += eta * (target - total)
+                base = combined + 0.5 * np.add.reduce(lam, axis=0)
+            power_sum = np.add.reduce(power, axis=None)
+            if not math.isfinite(power_sum):
                 raise FloatingPointError(
                     "mode decomposition diverged (non-finite spectra); "
                     "check channel weights or reduce VMD_ALPHA")
@@ -559,7 +584,7 @@ def multichannel_vmd(
             elif change == 0.0:
                 converged = True
                 break
-            prev_power = power.sum()
+            prev_power = power_sum
 
     order = np.argsort(omega, kind="stable")
     u = u[order]
@@ -583,14 +608,22 @@ class VitalRates:
 def _refined_peak_hz(mode: np.ndarray, fs: float,
                      band: tuple[float, float]) -> float | None:
     n_fft = mode.size * PEAK_REFINE
-    spec = np.abs(np.fft.rfft(mode, n_fft))
-    freqs = np.arange(spec.size) * fs / n_fft
+    size = n_fft // 2 + 1
+    # Bins start..stop-1 hold every bin whose frequency is in the band,
+    # with one neighbour each side for the parabola.
+    start = max(math.floor(band[0] * n_fft / fs) - 2, 0)
+    stop = min(math.floor(band[1] * n_fft / fs) + 3, size)
+    if start >= stop:
+        return None
+    spec = np.abs(np.fft.rfft(mode, n_fft)[start:stop])
+    freqs = np.arange(start, stop) * fs / n_fft
     sel = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
     if sel.size == 0:
         return None
-    i = sel[np.argmax(spec[sel])]
-    if 0 < i < spec.size - 1:
-        a, b, c = spec[i - 1], spec[i], spec[i + 1]
+    j = sel[np.argmax(spec[sel])]
+    i = start + j
+    if 0 < i < size - 1:
+        a, b, c = spec[j - 1], spec[j], spec[j + 1]
         denom = a - 2 * b + c
         delta = 0.0 if denom == 0 else np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
     else:

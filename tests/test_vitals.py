@@ -1,3 +1,7 @@
+import dataclasses
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,9 +9,10 @@ from hypothesis import strategies as st
 
 import radarvitals as rv
 from radarvitals import vitals
+from radarvitals.pipeline import ScenarioSpec
 from radarvitals.rangefft import RangeProfiles
 from reference_spectra import crop_mirrored, mirror_extend, spectral_entropy
-from test_acceptance import _svd_mode_count
+from test_acceptance import SCENARIOS, _svd_mode_count
 
 
 def _profiles_with_phase(phase, cfg=None, num_bins=9):
@@ -533,28 +538,46 @@ class TestDecompositionBits:
     @staticmethod
     def _assert_same(got, want):
         for name in ("modes", "center_freqs_hz", "mode_spectra"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            a, b = getattr(got, name), getattr(want, name)
+            # bytes, not values: array_equal takes -0.0 for 0.0
+            assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype,
+                                                       b.tobytes()), name
         assert (got.iterations, got.converged) == (want.iterations,
                                                    want.converged)
 
-    @pytest.mark.parametrize("init", ["uniform", "bands"])
-    @pytest.mark.parametrize("n_bins", [100, 1001])
-    @pytest.mark.parametrize("channels", [1, 5])
-    @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    @pytest.mark.parametrize("eta", [0.0, 1.0])
-    def test_same_bits_as_the_reference(self, spectra, eta, k, channels,
-                                        n_bins, init):
+    def _check(self, spectra, eta, k, channels, n_bins, init, max_iter):
         full, weights = spectra[channels]
         spec = (full if n_bins == full.n_bins
                 else vitals.truncate_spectrum(full, n_bins))
         assert spec.n_bins == n_bins
         if init == "bands":
             init = vitals.band_seeded_init(spec, weights, k)
-        kwargs = dict(weights=weights, eta=eta, max_iter=200, init=init)
+        kwargs = dict(weights=weights, eta=eta, max_iter=max_iter, init=init)
         got = vitals.multichannel_vmd(spec, k, **kwargs)
         with vitals._one_blas_thread():
             want = _reference_multichannel_vmd(spec, k, **kwargs)
         self._assert_same(got, want)
+        return got
+
+    # 100 bins is the pipeline's n_keep, 301 range_overlap's full spectrum
+    # and 1001 bench's; 8 is vitals.MAX_MODES.
+    @pytest.mark.parametrize("init", ["uniform", "bands"])
+    @pytest.mark.parametrize("n_bins", [100, 301, 1001])
+    @pytest.mark.parametrize("channels", [1, 5])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 8])
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    def test_same_bits_as_the_reference(self, spectra, eta, k, channels,
+                                        n_bins, init):
+        self._check(spectra, eta, k, channels, n_bins, init, max_iter=200)
+
+    @pytest.mark.parametrize("max_iter", [1, 2])
+    @pytest.mark.parametrize("eta, k", [(0.0, 1), (0.0, 2), (1.0, 1),
+                                        (1.0, 3)])
+    def test_stopped_after_either_parity(self, spectra, eta, k, max_iter):
+        """Cut off after an odd or an even number of sweeps, the result is
+        the latest iterate, whichever mode buffer holds it."""
+        got = self._check(spectra, eta, k, 5, 100, "bands", max_iter)
+        assert (got.iterations, got.converged) == (max_iter, False)
 
     @pytest.mark.parametrize("eta", [0.0, 1.0])
     def test_all_zero_input(self, eta):
@@ -633,12 +656,16 @@ class TestDecompositionBlasThreads:
         assert blas_threads() == 2
 
 
-def _mode_set(freqs, amps, fs=20.0, n=600):
+def _mode_set(freqs, amps, fs=20.0, n=600, centers=None):
+    """One sine per mode; each mode's center frequency is its sine's unless
+    ``centers`` gives it."""
     t = np.arange(n) / fs
     modes = np.stack([a * np.sin(2 * np.pi * f * t)
                       for f, a in zip(freqs, amps)])
     return vitals.ModeSet(
-        modes=modes, center_freqs_hz=np.asarray(freqs, dtype=float),
+        modes=modes,
+        center_freqs_hz=np.asarray(freqs if centers is None else centers,
+                                   dtype=float),
         mode_spectra=np.zeros((len(freqs), n // 2 + 1), dtype=complex),
         sample_rate=fs, iterations=1, converged=True)
 
@@ -666,3 +693,101 @@ class TestRates:
         ms = _mode_set([0.287], [1.0])
         r = vitals.estimate_rates(ms)
         assert r.breaths_per_min == pytest.approx(0.287 * 60, abs=0.1)
+
+
+def _reference_refined_peak_hz(mode, fs, band):
+    """The read-out's peak search as written before it was cut to the
+    band's bins: the magnitude, frequency grid and band mask over the whole
+    zero-padded spectrum."""
+    n_fft = mode.size * vitals.PEAK_REFINE
+    spec = np.abs(np.fft.rfft(mode, n_fft))
+    freqs = np.arange(spec.size) * fs / n_fft
+    sel = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+    if sel.size == 0:
+        return None
+    i = sel[np.argmax(spec[sel])]
+    if 0 < i < spec.size - 1:
+        a, b, c = spec[i - 1], spec[i], spec[i + 1]
+        denom = a - 2 * b + c
+        delta = 0.0 if denom == 0 else np.clip(0.5 * (a - c) / denom, -0.5, 0.5)
+    else:
+        delta = 0.0
+    return float((i + delta) * fs / n_fft)
+
+
+def _reference_rates(modes):
+    with mock.patch.object(vitals, "_refined_peak_hz",
+                           _reference_refined_peak_hz):
+        return vitals.estimate_rates(modes)
+
+
+class TestRatesBits:
+    """estimate_rates gives the bits of the whole-spectrum peak search."""
+
+    @staticmethod
+    def _assert_same(modes):
+        got = vitals.estimate_rates(modes)
+        want = _reference_rates(modes)
+        assert (got.breaths_per_min, got.beats_per_min) == (
+            want.breaths_per_min, want.beats_per_min)
+        return got
+
+    @pytest.mark.parametrize("fs", [20.0, 17.0])
+    def test_peak_on_the_first_and_the_last_band_bin(self, fs):
+        """Tones just outside both bands, labelled inside them: each band's
+        peak is its edge bin, on the tone's main lobe.  At fs 20 and 600
+        samples the edges fall on bins of the 9 600-point FFT (0.1 Hz is
+        bin 48, 2.5 Hz bin 1200); at fs 17 they fall between bins."""
+        ms = _mode_set([0.095, 2.505], [1.0, 0.2], fs=fs,
+                       centers=[0.1, 2.5])
+        r = self._assert_same(ms)
+        n_fft = 600 * vitals.PEAK_REFINE
+        rr_bin = r.breaths_per_min / 60.0 * n_fft / fs
+        hr_bin = r.beats_per_min / 60.0 * n_fft / fs
+        assert abs(rr_bin - math.ceil(0.1 * n_fft / fs)) <= 0.5 + 1e-9
+        assert abs(hr_bin - math.floor(2.5 * n_fft / fs)) <= 0.5 + 1e-9
+
+    def test_peaks_inside_the_bands(self):
+        r = self._assert_same(_mode_set([0.287, 1.13], [1.0, 0.2]))
+        assert r.breaths_per_min is not None and r.beats_per_min is not None
+
+    def test_band_past_nyquist_reads_none(self):
+        """At fs 1.5 the heart band starts above the 0.75 Hz Nyquist bin."""
+        ms = _mode_set([0.25, 0.7], [1.0, 0.2], fs=1.5, centers=[0.25, 1.0])
+        r = self._assert_same(ms)
+        assert r.breaths_per_min is not None and r.beats_per_min is None
+
+    def test_band_starting_on_the_nyquist_bin(self):
+        """At fs 1.6 the heart band's only bin is the last one, 0.8 Hz,
+        which has no right neighbour for the parabola."""
+        ms = _mode_set([0.25, 0.7], [1.0, 0.2], fs=1.6, centers=[0.25, 1.0])
+        r = self._assert_same(ms)
+        assert r.beats_per_min == 0.8 * 60.0
+
+    def test_sixteen_samples(self):
+        r = self._assert_same(_mode_set([0.25, 1.2], [1.0, 0.2], n=16))
+        assert r.breaths_per_min is not None and r.beats_per_min is not None
+
+    @pytest.mark.parametrize("n_keep", [100, None])
+    def test_bench_chain_modes(self, n_keep):
+        """The bench scenario's 2000-sample modes, decomposed from the kept
+        and from the full spectrum."""
+        spec = ScenarioSpec.from_json(SCENARIOS / "bench.json")
+        res = rv.run_scenario(dataclasses.replace(spec, n_keep=n_keep))
+        modes = res.chains[res.locations[0][0]].modes
+        assert modes.modes.shape == (4, 2000)
+        r = self._assert_same(modes)
+        assert r.breaths_per_min is not None and r.beats_per_min is not None
+
+    @given(n=st.integers(16, 700), fs=st.floats(1.0, 50.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_noise_modes(self, n, fs, seed):
+        """White-noise modes labelled in both bands: the peak lands
+        anywhere in the band, edges included."""
+        rng = np.random.default_rng(seed)
+        ms = vitals.ModeSet(
+            modes=rng.standard_normal((2, n)),
+            center_freqs_hz=np.array([0.3, 1.5]),
+            mode_spectra=np.zeros((2, n // 2 + 1), dtype=complex),
+            sample_rate=fs, iterations=1, converged=True)
+        self._assert_same(ms)
