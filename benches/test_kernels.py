@@ -42,6 +42,7 @@ import pytest
 
 from radarvitals import (aoa, beamform, fusion, pipeline, rangefft,
                          simulate, vitals)
+from radarvitals.config import RadarConfig
 from radarvitals.pipeline import ScenarioSpec
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
@@ -53,23 +54,22 @@ def spec():
 
 
 def _render(spec):
-    return simulate.synthesize_cube(spec.scene, spec.radar,
+    return simulate.synthesize_cube(spec.scene, spec.frame_rate,
                                     snr_db=spec.snr_db, seed=spec.seed)
 
 
 def _profiles(spec):
-    cfg = spec.radar
     return simulate.render_profiles(
-        spec.scene, cfg, aoa.HEATMAP_BINS,
-        slice(-fusion.still_frames(cfg.frame_rate), None),
+        spec.scene, spec.frame_rate, aoa.HEATMAP_BINS,
+        slice(-fusion.still_frames(spec.frame_rate), None),
         snr_db=spec.snr_db, seed=spec.seed)
 
 
 def _window(spec, center, tx=None):
-    cfg = spec.radar
     bins = vitals.channel_bins(center)
-    return simulate.render_profiles(spec.scene, cfg, bins, slice(None), tx,
-                                    snr_db=spec.snr_db, seed=spec.seed)
+    return simulate.render_profiles(spec.scene, spec.frame_rate, bins,
+                                    slice(None), tx, snr_db=spec.snr_db,
+                                    seed=spec.seed)
 
 
 @pytest.fixture(scope="module")
@@ -98,13 +98,13 @@ def _time_vmd(benchmark, chain):
 
 def test_synthesize_cube(benchmark, spec):
     cube = benchmark(_render, spec)
-    assert cube.data.shape[0] == spec.radar.samples_per_chirp
+    assert cube.data.shape[0] == RadarConfig.samples_per_chirp
 
 
 def test_range_fft(benchmark, spec):
     cube = _render(spec)
     out = benchmark(rangefft.range_fft, cube)
-    assert out.data.shape[0] == spec.radar.num_range_bins
+    assert out.data.shape[0] == RadarConfig.num_range_bins
 
 
 @pytest.mark.parametrize("name", ["clean", "range_overlap"])
@@ -112,7 +112,7 @@ def test_render_heatmap_rows(benchmark, name):
     """The heatmap's rows at the still window's frames, noise included."""
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
     out = benchmark(_profiles, scenario)
-    assert out.data.shape == (34, 60, scenario.radar.num_virtual)
+    assert out.data.shape == (34, 60, RadarConfig.num_virtual)
 
 
 @pytest.mark.parametrize("name", ["clean", "range_overlap"])
@@ -120,11 +120,12 @@ def test_render_phase_window(benchmark, name):
     """The target's phase window at every frame, steered, noise
     included."""
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-    cfg, tgt = scenario.radar, scenario.scene.targets[0]
+    tgt = scenario.scene.targets[0]
     tx = beamform.tx_weights(tgt.angle_deg)
     center = rangefft.range_bin_of(tgt.range_m)
     out = benchmark(_window, scenario, center, tx)
-    assert out.data.shape == (vitals.PHASE_CHANNELS, 600, cfg.num_virtual)
+    assert out.data.shape == (vitals.PHASE_CHANNELS, 600,
+                              RadarConfig.num_virtual)
 
 
 @pytest.mark.parametrize("name", ["clean", "range_overlap"])
@@ -134,7 +135,7 @@ def test_camera_tracks(benchmark, name):
     scenario = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
     tracks = benchmark(lambda: fusion.build_tracks(
         simulate.synthesize_detections(scenario.scene,
-                                       scenario.radar.frame_rate,
+                                       scenario.frame_rate,
                                        seed=scenario.seed)))
     assert len(tracks)
     assert (np.count_nonzero(~np.isnan(tracks.xs), axis=0) == 600).all()

@@ -1,10 +1,10 @@
 """Configuration types for the radar vital-sign simulation pipeline.
 
-The frozen dataclasses here describe a capture: the radar's frame timing
-and the scene.  All of them derive from :class:`Record` and round-trip
-through plain dicts, so scenario files can be written as JSON: ``to_dict``
-walks the fields in order, and ``from_dict`` rejects an unknown or missing
-key with a ``ValueError`` naming the class and the key.
+The frozen dataclasses here describe a scene.  All of them derive from
+:class:`Record` and round-trip through plain dicts, so scenario files can
+be written as JSON: ``to_dict`` walks the fields in order, and
+``from_dict`` rejects an unknown or missing key with a ``ValueError``
+naming the class and the key.
 ``Record.__post_init__`` checks every field of every record, at every
 level, against its annotation: a dict becomes the annotated record, a list
 a tuple, and a value of the wrong type (or NaN or +-inf) raises a
@@ -13,11 +13,11 @@ a tuple, and a value of the wrong type (or NaN or +-inf) raises a
 +-:data:`MAX_AMPLITUDE`, among them); a failing one is raised with the
 record's name in front.
 
-There is one radar front end: its chirp and its array are
-:class:`RadarConfig`'s class constants, not fields, which each stage reads
-itself instead of taking them as arguments.  So a scenario's radar block
-sets only the frame timing (``chirps_per_frame``, ``frame_rate``), and a
-file that sets any other radar key is rejected as an unknown key.
+There is one radar front end: its chirp, its frame's chirps and its
+array are :class:`RadarConfig`'s class constants, which each stage reads
+itself instead of taking them as arguments.  A scenario sets only the
+frame rate (``ScenarioSpec.frame_rate``), and a scenario file that sets
+any radar key is rejected as an unknown key.
 """
 from __future__ import annotations
 
@@ -142,68 +142,44 @@ class Record:
         return cls(**d)
 
 
-@dataclass(frozen=True)
-class RadarConfig(Record):
-    """FMCW frame timing of the one radar front end.
+class RadarConfig:
+    """The one FMCW radar front end, as class constants.
 
-    The chirp and the array are class constants, not fields: each chirp
-    starts at ``carrier_freq`` f_c (Hz) and sweeps ``bandwidth`` B (Hz) in
-    ``chirp_duration`` T_c (s); the chirps of a frame start ``pri`` T (s)
-    apart; each is sampled ``samples_per_chirp`` times, ``adc_interval``
-    T_f (s) apart.  The ``num_tx`` transmit elements sit ``tx_spacing`` (m,
-    one wavelength) apart, for transmit steering; the received cube is
-    modeled on the idealized virtual array of ``num_tx * num_rx`` elements
-    spaced ``rx_spacing`` (m, half a wavelength) apart.  The constants
-    after them are derived from them.
-
-    Parameters
-    ----------
-    chirps_per_frame : int
-        Chirps transmitted back-to-back at the start of each frame.
-    frame_rate : float
-        Frames per second; frames are spaced 1/frame_rate apart, which sets
-        the slow-time sampling rate seen by the vital-sign chain.
+    Each chirp starts at ``carrier_freq`` f_c (Hz) and sweeps ``bandwidth``
+    B (Hz) in ``chirp_duration`` T_c (s); a frame starts with
+    ``chirps_per_frame`` chirps ``pri`` T (s) apart; each is sampled
+    ``samples_per_chirp`` times, ``adc_interval`` T_f (s) apart.  The
+    ``num_tx`` transmit elements sit ``tx_spacing`` (m, one wavelength)
+    apart, for transmit steering; the received cube is modeled on the
+    idealized virtual array of ``num_tx * num_rx`` elements spaced
+    ``rx_spacing`` (m, half a wavelength) apart.  The constants after them
+    are derived from them.  The frame rate is the scenario's
+    (``ScenarioSpec.frame_rate``).
     """
 
-    carrier_freq: typing.ClassVar[float] = 77e9
-    bandwidth: typing.ClassVar[float] = 0.5e9
-    chirp_duration: typing.ClassVar[float] = 50e-6
-    pri: typing.ClassVar[float] = 60e-6
-    adc_interval: typing.ClassVar[float] = 50e-6 / 128
-    samples_per_chirp: typing.ClassVar[int] = 128
-    num_tx: typing.ClassVar[int] = 2
-    num_rx: typing.ClassVar[int] = 4
-    tx_spacing: typing.ClassVar[float] = SPEED_OF_LIGHT / carrier_freq
-    rx_spacing: typing.ClassVar[float] = SPEED_OF_LIGHT / carrier_freq / 2
+    carrier_freq = 77e9
+    bandwidth = 0.5e9
+    chirp_duration = 50e-6
+    pri = 60e-6
+    chirps_per_frame = 4
+    adc_interval = 50e-6 / 128
+    samples_per_chirp = 128
+    num_tx = 2
+    num_rx = 4
+    tx_spacing = SPEED_OF_LIGHT / carrier_freq
+    rx_spacing = SPEED_OF_LIGHT / carrier_freq / 2
 
     # Carrier wavelength lambda = c / f_c in meters.
-    wavelength: typing.ClassVar[float] = SPEED_OF_LIGHT / carrier_freq
+    wavelength = SPEED_OF_LIGHT / carrier_freq
     # Beat-frequency-per-meter factor alpha = 2B / (c T_c) in Hz/m.
-    chirp_slope_factor: typing.ClassVar[float] = (
-        2.0 * bandwidth / (SPEED_OF_LIGHT * chirp_duration))
-    num_virtual: typing.ClassVar[int] = num_tx * num_rx
+    chirp_slope_factor = 2.0 * bandwidth / (SPEED_OF_LIGHT * chirp_duration)
+    num_virtual = num_tx * num_rx
     # Highest unaliased beat frequency, 1 / (2 T_f).
-    beat_nyquist: typing.ClassVar[float] = 0.5 / adc_interval
+    beat_nyquist = 0.5 / adc_interval
     # Range whose beat frequency hits the fast-time Nyquist limit.
-    max_unambiguous_range: typing.ClassVar[float] = (
-        beat_nyquist / chirp_slope_factor)
+    max_unambiguous_range = beat_nyquist / chirp_slope_factor
     # Bins of the one-sided range profile (one chirp, no zero padding).
-    num_range_bins: typing.ClassVar[int] = samples_per_chirp // 2 + 1
-
-    chirps_per_frame: int = 4
-    frame_rate: float = 20.0
-
-    def _check(self) -> None:
-        _require(self.chirps_per_frame >= 1, "chirps_per_frame must be >= 1")
-        _require(self.frame_rate > 0, "frame_rate must be positive")
-        _require(
-            self.chirps_per_frame * self.pri <= 1.0 / self.frame_rate,
-            "chirps of one frame must fit inside the frame period",
-        )
-
-    @property
-    def frame_period(self) -> float:
-        return 1.0 / self.frame_rate
+    num_range_bins = samples_per_chirp // 2 + 1
 
 
 @dataclass(frozen=True)

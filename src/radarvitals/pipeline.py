@@ -1,13 +1,13 @@
 """End-to-end scenario runner: one stage chain from scene to rates.
 
-A :class:`ScenarioSpec` bundles the radar's frame timing, the scene, the
-seed, the beamforming switch and the two processing knobs a run varies
+A :class:`ScenarioSpec` bundles the frame rate, the scene, the seed, the
+beamforming switch and the two processing knobs a run varies
 (``num_modes``, ``n_keep``), all at the top level of one flat record
 (JSON-serializable, see ``scenarios/``).  Everything else is fixed: the
-radar's chirp and array are :class:`RadarConfig`'s class constants, which
-every stage reads itself, and every other setting is a constant of its
-stage's module, the camera's too (its field of view is the angle grid's,
-:data:`aoa.MAX_ANGLE_DEG`, and it runs at the radar frame rate).
+radar's chirp, frame and array are :class:`RadarConfig`'s class constants,
+which every stage reads itself, and every other setting is a constant of
+its stage's module, the camera's too (its field of view is the angle
+grid's, :data:`aoa.MAX_ANGLE_DEG`, and it runs at the radar frame rate).
 :func:`run_scenario` executes one seeded repetition as a single chain of
 timed stages:
 
@@ -70,8 +70,11 @@ class ScenarioSpec(Record):
     """Complete description of one simulated capture and its processing.
 
     A plain :class:`config.Record`: a scenario file holds every field at
-    its top level.  The processing knobs are ``num_modes`` (an int >= 1,
-    or ``"auto"`` to pick the mode count per target) and ``n_keep`` (the
+    its top level.  ``frame_rate`` (frames per second, the slow-time
+    sampling rate of the vitals chain and the camera's rate) is positive,
+    and its frame holds the front end's ``RadarConfig.chirps_per_frame``
+    chirps.  The processing knobs are ``num_modes`` (an int >= 1, or
+    ``"auto"`` to pick the mode count per target) and ``n_keep`` (the
     spectrum bins the decomposition keeps, at least 4; None keeps the full
     spectrum).  ``snr_db`` is at least :data:`MIN_SNR_DB`, or None for no
     noise.  On construction every field, and every field of the records
@@ -81,7 +84,7 @@ class ScenarioSpec(Record):
     """
 
     name: str
-    radar: RadarConfig = field(default_factory=RadarConfig)
+    frame_rate: float = 20.0
     scene: Scene = field(default_factory=Scene)
     snr_db: float | None = 20.0
     seed: int = 0
@@ -90,6 +93,12 @@ class ScenarioSpec(Record):
     n_keep: int | None = 100
 
     def _check(self) -> None:
+        _require(self.frame_rate > 0,
+                 f"frame_rate must be positive, not {self.frame_rate!r}")
+        chirps_s = RadarConfig.chirps_per_frame * RadarConfig.pri
+        _require(chirps_s <= 1.0 / self.frame_rate,
+                 f"frame_rate must be at most {1.0 / chirps_s:g}, the rate "
+                 f"whose frame just holds its chirps, not {self.frame_rate!r}")
         _require(self.seed >= 0, f"seed must be >= 0, not {self.seed}")
         _require(self.snr_db is None or self.snr_db >= MIN_SNR_DB, f"snr_db "
                  f"must be >= {MIN_SNR_DB:g} or null (the render overflows)")
@@ -193,8 +202,9 @@ def _phase(spec: ScenarioSpec, noise: np.random.SeedSequence, loc,
             rx = beamform.rx_weights(loc.angle_deg)
     with _stage(timings, "phase"):
         bins = vitals.channel_bins(loc.range_bin)
-        profiles = render_profiles(spec.scene, spec.radar, bins, slice(None),
-                                   tx, snr_db=spec.snr_db, seed=noise)
+        profiles = render_profiles(spec.scene, spec.frame_rate, bins,
+                                   slice(None), tx, snr_db=spec.snr_db,
+                                   seed=noise)
         return vitals.extract_phase(profiles, loc.range_bin, rx=rx)
 
 
@@ -249,7 +259,6 @@ def run_scenario(
     run = dataclasses.replace(
         spec, seed=spec.seed if seed is None else seed,
         beamforming=spec.beamforming if beamforming is None else beamforming)
-    cfg = run.radar
 
     report: dict = {
         "scenario": spec.to_dict(),
@@ -267,16 +276,16 @@ def run_scenario(
     noise_ss, det_ss = np.random.SeedSequence(run.seed).spawn(2)
     try:
         with _stage(timings, "simulate"):
-            still = slice(-fusion.still_frames(cfg.frame_rate), None)
-            profiles = render_profiles(run.scene, cfg, aoa.HEATMAP_BINS,
-                                       still, snr_db=run.snr_db,
-                                       seed=noise_ss)
-            detections = synthesize_detections(run.scene, cfg.frame_rate,
+            still = slice(-fusion.still_frames(run.frame_rate), None)
+            profiles = render_profiles(run.scene, run.frame_rate,
+                                       aoa.HEATMAP_BINS, still,
+                                       snr_db=run.snr_db, seed=noise_ss)
+            detections = synthesize_detections(run.scene, run.frame_rate,
                                                seed=det_ss)
         with _stage(timings, "heatmap"):
             heatmap = aoa.range_angle_heatmap(profiles)
         with _stage(timings, "localize"):
-            result.locations = _localize(detections, cfg.frame_rate,
+            result.locations = _localize(detections, run.frame_rate,
                                          heatmap, report)
     except StageFailed as e:
         report["failure_stage"] = e.stage

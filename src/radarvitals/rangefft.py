@@ -33,12 +33,12 @@ class RangeProfiles:
     one-sided profile, from bin ``first_bin`` on (every row of it when made
     by :func:`range_fft`).  Its slow axis holds the same number of
     snapshots for each frame of ``frame_timestamps``: every chirp of a
-    cube, or one (the first chirp) when rendered.  ``config`` is the
-    capture's frame timing.
+    cube, or one (the first chirp) when rendered.  ``frame_rate`` is the
+    capture's frames per second.
     """
 
     data: np.ndarray
-    config: RadarConfig
+    frame_rate: float
     frame_timestamps: np.ndarray
     first_bin: int = 0
 
@@ -56,7 +56,7 @@ def range_fft(cube: RadarCube) -> RangeProfiles:
     half of the transform is not kept alive by it.
     """
     spectra = np.fft.fft(cube.data, axis=0)[: RadarConfig.num_range_bins]
-    return RangeProfiles(data=spectra.copy(), config=cube.config,
+    return RangeProfiles(data=spectra.copy(), frame_rate=cube.frame_rate,
                          frame_timestamps=cube.frame_timestamps)
 
 

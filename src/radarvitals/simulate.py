@@ -9,8 +9,9 @@ contributes a complex tone across fast time (beat frequency proportional
 to the beat range) times a slow-time factor carrying the amplitude, the
 two-way carrier phase of the phase range and the receive-array response.
 Cubes are indexed ``[fast_sample, slow_sample, virtual_antenna]``.  The
-chirp and the arrays are :class:`RadarConfig`'s class constants, read where
-they are needed; a renderer's ``cfg`` gives only the frame timing.
+chirp, the frame's chirps and the arrays are :class:`RadarConfig`'s class
+constants, read where they are needed; a renderer's ``frame_rate`` (the
+scenario's) spaces the frames ``1 / frame_rate`` apart.
 
 Transmit beamforming is modeled as a per-scatterer illumination gain: with
 steering weights ``w`` the field hitting a scatterer at azimuth theta scales
@@ -74,18 +75,16 @@ class RadarCube:
     """Raw dechirped samples: shape (samples_per_chirp, slow, virtual)."""
 
     data: np.ndarray
-    config: RadarConfig
+    frame_rate: float
     frame_timestamps: np.ndarray
 
 
-def _slow_times(cfg: RadarConfig, duration: float):
-    """Global chirp-start times; chirps within a frame sit ``pri`` apart."""
-    n_frames = int(round(duration * cfg.frame_rate))
+def _frame_times(frame_rate: float, duration: float) -> np.ndarray:
+    """Start times of a capture's frames, ``1 / frame_rate`` apart."""
+    n_frames = int(round(duration * frame_rate))
     if n_frames < 1:
         raise ValueError("duration too short for a single frame")
-    frame_t = np.arange(n_frames) * cfg.frame_period
-    slow_t = (frame_t[:, None] + np.arange(cfg.chirps_per_frame) * cfg.pri)
-    return frame_t, slow_t.ravel()
+    return np.arange(n_frames) * (1.0 / frame_rate)
 
 
 def _illumination(angles_deg, tx_weights):
@@ -155,27 +154,30 @@ def _returns(scene: Scene, slow_t: np.ndarray, tx_weights):
 
 def synthesize_cube(
     scene: Scene,
-    cfg: RadarConfig,
+    frame_rate: float,
     tx_weights=None,
     snr_db: float | None = None,
     seed=None,
 ) -> RadarCube:
-    """Render a scene into a radar cube.
+    """Render a scene into a radar cube, ``frame_rate`` frames per second,
+    each frame's ``RadarConfig.chirps_per_frame`` chirps ``pri`` apart.
 
     Parameters
     ----------
     tx_weights : array-like or BeamWeights, optional
-        Transmit steering weights (length ``cfg.num_tx``); applied as an
-        illumination gain on every scatterer.
+        Transmit steering weights (length ``RadarConfig.num_tx``); applied
+        as an illumination gain on every scatterer.
     snr_db : float, optional
         Per-sample SNR of a unit-amplitude scatterer against the added
         circular complex white noise.  ``None`` leaves the cube noiseless.
     seed : int, numpy Generator, or None
         Noise randomness; ignored when ``snr_db`` is None.
     """
-    frame_t, slow_t = _slow_times(cfg, scene.duration)
-    cube = np.zeros((cfg.samples_per_chirp, slow_t.size, cfg.num_virtual),
-                    dtype=np.complex128)
+    frame_t = _frame_times(frame_rate, scene.duration)
+    slow_t = (frame_t[:, None] + np.arange(RadarConfig.chirps_per_frame)
+              * RadarConfig.pri).ravel()
+    cube = np.zeros((RadarConfig.samples_per_chirp, slow_t.size,
+                     RadarConfig.num_virtual), dtype=np.complex128)
     for beat_r, slow_ant in _returns(scene, slow_t, tx_weights):
         cube += _fast_time(beat_r)[:, :, None] * slow_ant[None, :, :]
 
@@ -185,7 +187,8 @@ def synthesize_cube(
         cube.real += sigma * rng.standard_normal(cube.shape)
         cube.imag += sigma * rng.standard_normal(cube.shape)
 
-    return RadarCube(data=cube, config=cfg, frame_timestamps=frame_t)
+    return RadarCube(data=cube, frame_rate=frame_rate,
+                     frame_timestamps=frame_t)
 
 
 def _tones(beat_r: np.ndarray, bins: np.ndarray):
@@ -224,16 +227,17 @@ def _row_noise(noise: np.random.SeedSequence, row: int, tail: int,
     rng.standard_normal(out=out[:-tail])
 
 
-def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
+def render_profiles(scene: Scene, frame_rate: float, bins: range, frames,
                     tx_weights=None, snr_db: float | None = None,
                     seed=None) -> RangeProfiles:
     """Range profiles of a scene at the consecutive range ``bins`` and at
     ``frames`` (an index into the capture's frames), one snapshot per frame
     (its first chirp), held from ``first_bin = bins.start`` on.
 
-    Without noise the data equals ``range_fft(synthesize_cube(scene, cfg,
-    tx_weights)).data`` at those bins and the frames' first chirps, up to
-    rounding, shaped ``(len(bins), len(frames), num_virtual)``, but no cube
+    Without noise the data equals ``range_fft(synthesize_cube(scene,
+    frame_rate, tx_weights)).data`` at those bins and the frames' first
+    chirps, up to rounding, shaped ``(len(bins), len(frames),
+    num_virtual)``, but no cube
     is formed: each scatterer's range tone (:func:`_tones`) is computed at
     ``bins`` and the frames read, then multiplied by its slow-antenna
     factor (``_returns``).  The beat limit is checked at those frames only.
@@ -245,35 +249,35 @@ def render_profiles(scene: Scene, cfg: RadarConfig, bins: range, frames,
     one), one stream per range row (:func:`_row_noise`).  A sample's noise
     is then the same whichever render draws it, steered or not.
     """
-    if bins.step != 1 or (bins and (bins.start < 0
-                                    or bins.stop > cfg.num_range_bins)):
-        raise ValueError(f"range bins must lie in "
-                         f"[0, {cfg.num_range_bins - 1}], one step apart")
+    n_bins, n_ant = RadarConfig.num_range_bins, RadarConfig.num_virtual
+    if bins.step != 1 or (bins and (bins.start < 0 or bins.stop > n_bins)):
+        raise ValueError(f"range bins must lie in [0, {n_bins - 1}], one "
+                         f"step apart")
     rows = np.arange(bins.start, bins.stop)
-    frame_t, _ = _slow_times(cfg, scene.duration)
+    frame_t = _frame_times(frame_rate, scene.duration)
     frames = np.arange(frame_t.size)[frames]
-    out = np.zeros((rows.size, frames.size, cfg.num_virtual),
-                   dtype=np.complex128)
+    out = np.zeros((rows.size, frames.size, n_ant), dtype=np.complex128)
     for beat_r, slow_ant in _returns(scene, frame_t[frames], tx_weights):
         for row, tone in zip(out, _tones(beat_r, rows)):
             row += tone[:, None] * slow_ant
     if snr_db is not None:
         sigma = (np.sqrt(0.5 * 10.0 ** (-snr_db / 10.0))
-                 * np.sqrt(cfg.samples_per_chirp))
+                 * np.sqrt(RadarConfig.samples_per_chirp))
         noise = (seed if isinstance(seed, np.random.SeedSequence)
                  else np.random.SeedSequence(seed))
         n_frames = frame_t.size
-        tail = min(still_frames(cfg.frame_rate), n_frames)
+        tail = min(still_frames(frame_rate), n_frames)
         # Draw only the still window when no frame before it is read.
         first = (n_frames - tail
                  if frames.size and frames.min() >= n_frames - tail else 0)
-        z = np.empty((rows.size, n_frames - first, cfg.num_virtual, 2))
+        z = np.empty((rows.size, n_frames - first, n_ant, 2))
         for z_row, b in zip(z, bins):
             _row_noise(noise, b, tail, z_row)
         z = z[:, frames - first]
         out.real += sigma * z[..., 0]
         out.imag += sigma * z[..., 1]
-    return RangeProfiles(out, cfg, frame_t[frames], first_bin=bins.start)
+    return RangeProfiles(out, frame_rate, frame_t[frames],
+                         first_bin=bins.start)
 
 
 # Camera person box width and its x jitter (sigma), in pixels; the image

@@ -107,7 +107,7 @@ def extract_phase(profiles, center_bin: int,
         series = beamform.combine(block, rx)
     phase = np.unwrap(np.angle(series), axis=1)
     phase -= phase.mean(axis=1, keepdims=True)
-    return PhaseMatrix(samples=phase, sample_rate=profiles.config.frame_rate,
+    return PhaseMatrix(samples=phase, sample_rate=profiles.frame_rate,
                        range_bins=tuple(bins))
 
 

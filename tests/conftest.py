@@ -15,7 +15,14 @@ settings.load_profile("suite")
 
 @pytest.fixture(scope="session")
 def cfg():
-    return rv.RadarConfig()
+    """The one front end's constants."""
+    return rv.RadarConfig
+
+
+@pytest.fixture(scope="session")
+def frame_rate():
+    """The frame rate of a scenario that sets none."""
+    return rv.ScenarioSpec(name="default").frame_rate
 
 
 @pytest.fixture(scope="session")
@@ -31,9 +38,10 @@ def small_scene():
 
 
 @pytest.fixture(scope="session")
-def small_profiles(cfg, small_scene):
+def small_profiles(frame_rate, small_scene):
     from radarvitals import rangefft, simulate
-    cube = simulate.synthesize_cube(small_scene, cfg, snr_db=20.0, seed=7)
+    cube = simulate.synthesize_cube(small_scene, frame_rate, snr_db=20.0,
+                                    seed=7)
     return rangefft.range_fft(cube)
 
 

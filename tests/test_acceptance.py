@@ -248,17 +248,17 @@ def test_criterion_08_entropy_preserved_and_decomposition_accelerated():
 
 def test_criterion_09_windowed_localization_beats_global_argmax():
     spec = ScenarioSpec.from_json(SCENARIOS / "fusion_stress.json")
-    cfg, scene = spec.radar, spec.scene
+    cfg, frame_rate, scene = rv.RadarConfig, spec.frame_rate, spec.scene
     target = scene.targets[0]
     noise_ss, det_ss = np.random.SeedSequence(spec.seed).spawn(2)
 
-    cube = simulate.synthesize_cube(scene, cfg, snr_db=spec.snr_db,
+    cube = simulate.synthesize_cube(scene, frame_rate, snr_db=spec.snr_db,
                                     seed=noise_ss)
     profiles = range_fft(cube)
-    frames = simulate.synthesize_detections(scene, cfg.frame_rate,
+    frames = simulate.synthesize_detections(scene, frame_rate,
                                             seed=det_ss)
     tracks = fusion.build_tracks(frames)
-    stationary = fusion.filter_stationary(tracks, cfg.frame_rate)
+    stationary = fusion.filter_stationary(tracks, frame_rate)
     assert stationary.ids == ["target-0"]
 
     tail = (stationary.times

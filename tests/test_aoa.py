@@ -113,14 +113,14 @@ class TestHeatmap:
         exactly, on each bundled scenario's render: its near rows, batches
         of 1, 2, 4 and 8 rows, and strided snapshots."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        cfg = spec.radar
         profiles = simulate.render_profiles(
-            spec.scene, cfg, aoa.HEATMAP_BINS,
-            slice(-fusion.still_frames(cfg.frame_rate), None),
+            spec.scene, spec.frame_rate, aoa.HEATMAP_BINS,
+            slice(-fusion.still_frames(spec.frame_rate), None),
             snr_db=spec.snr_db, seed=spec.seed)
         near = int(np.count_nonzero(profiles.range_axis <= aoa.MAX_RANGE_M))
         cases = [(rows, slice(None)) for rows in (1, 2, 4, 8, near)]
-        cases.append((near, slice(None, None, cfg.chirps_per_frame)))
+        cases.append((near, slice(None, None,
+                                  rv.RadarConfig.chirps_per_frame)))
         for rows, snapshots in cases:
             x = profiles.data[:rows, snapshots]
             batched = aoa._loaded(x.transpose(0, 2, 1) @ x.conj()

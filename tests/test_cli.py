@@ -174,16 +174,22 @@ class TestInvalidScenario:
         # a field of view off the angle grid's, which misplaced the window
         pytest.param((), "camera", {"afov_deg": 45.0}, "ScenarioSpec",
                      id="camera"),
-        # the radar's chirp and array keys, even at the values they held
-        *[pytest.param(("radar",), key, value, "RadarConfig",
+        # the radar block, with any one of the front end's keys at the
+        # value it held, or with the frame timing older files set there
+        *[pytest.param((), "radar", {key: value}, "ScenarioSpec",
                        id=f"radar-{key}")
           for key, value in OLD_RADAR_BLOCK.items()],
+        pytest.param((), "radar", {"chirps_per_frame": 4, "frame_rate": 20.0},
+                     "ScenarioSpec", id="radar"),
+        # the chirps per frame, now a front-end constant, at the top level
+        pytest.param((), "chirps_per_frame", 4, "ScenarioSpec",
+                     id="chirps_per_frame"),
     ])
     def test_older_processing_key_exits_2(self, tmp_path, capsys, path, key,
                                           value, owner):
         """A scenario file that still sets a processing knob, the
-        processing or camera block or a radar chirp or array key, that the
-        format no longer has, is refused at load, naming the record and the
+        processing, camera or radar block or a radar key, that the format
+        no longer has, is refused at load, naming the record and the
         key."""
         line = _run_with(tmp_path, capsys, path, key, value)
         assert f"{owner}: unknown key {key!r}" in line
@@ -205,6 +211,7 @@ class TestInvalidScenario:
         (None, "seed", "x"),
         (None, "snr_db", "loud"),
         (None, "beamforming", "yes"),
+        (None, "frame_rate", True),
     ])
     def test_wrong_typed_scalar_exits_2(self, scenario_path, tmp_path,
                                         capsys, block, key, value):
@@ -227,6 +234,10 @@ class TestInvalidScenario:
         pytest.param(None, "n_keep", -5, id="processing-n_keep--5"),
         pytest.param(None, "n_keep", 0, id="processing-n_keep-0"),
         pytest.param(None, "n_keep", 3, id="processing-n_keep-3"),
+        (None, "frame_rate", 0),
+        (None, "frame_rate", -1),
+        (None, "frame_rate", float("inf")),     # json writes it as Infinity
+        (None, "frame_rate", 4200),             # too short for 4 chirps
     ])
     def test_unsurvivable_value_exits_2(self, scenario_path, tmp_path,
                                         capsys, block, key, value):
@@ -242,13 +253,13 @@ class TestInvalidScenario:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("radar",), "frame_rate", True, "RadarConfig"),
-        (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
+        ((), "frame_rate", True, "ScenarioSpec"),
+        (("scene", "targets", 0), "range_m", "far", "VitalTarget"),
         (("scene", "statics", 0), "amplitude", float("nan"),
          "PointReflector"),
         (("scene",), "duration", float("inf"), "Scene"),  # JSON Infinity
-        (("radar",), "frame_rate", float("inf"), "RadarConfig"),
-        (("radar",), "chirps_per_frame", float("inf"), "RadarConfig"),
+        ((), "frame_rate", float("inf"), "ScenarioSpec"),
+        (("scene", "targets", 0), "range_m", float("inf"), "VitalTarget"),
         (("scene", "statics", 0), "amplitude", float("inf"),
          "PointReflector"),
         ((), "n_keep", float("inf"), "ScenarioSpec"),
@@ -265,7 +276,7 @@ class TestInvalidScenario:
         assert f"{record}: {key} must be" in line
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("radar",), "chirps_per_frame", 0, "RadarConfig"),
+        ((), "frame_rate", 0, "ScenarioSpec"),
         (("scene", "statics", 0), "range_m", -1, "PointReflector"),
         (("scene", "targets", 0, "vitals"), "breath_freq", 2.0,
          "VitalParams"),

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import radarvitals as rv
-from radarvitals.config import MAX_AMPLITUDE, SPEED_OF_LIGHT
+from radarvitals.config import MAX_AMPLITUDE, SPEED_OF_LIGHT, Record
 
 
 class TestRadarConfig:
@@ -22,27 +22,20 @@ class TestRadarConfig:
         assert (cfg.chirp_slope_factor * cfg.max_unambiguous_range
                 == pytest.approx(cfg.beat_nyquist))
 
-    def test_round_trip(self, cfg):
-        assert rv.RadarConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_fields_are_the_frame_timing(self, cfg):
-        """The chirp and the array are class constants, not fields."""
-        assert [f.name for f in dataclasses.fields(rv.RadarConfig)] == [
-            "chirps_per_frame", "frame_rate"]
-        assert cfg.to_dict() == {"chirps_per_frame": 4, "frame_rate": 20.0}
-
-    @pytest.mark.parametrize("field,value", [
-        ("chirps_per_frame", 0),
-        ("frame_rate", 0.0),
-    ])
-    def test_rejects_bad_values(self, cfg, field, value):
-        with pytest.raises(ValueError):
-            rv.RadarConfig(**{**cfg.to_dict(), field: value})
+    def test_is_a_plain_class_of_constants(self):
+        """The chirp, the frame's chirps and the array are class constants:
+        no record, no field a scenario could set."""
+        assert not dataclasses.is_dataclass(rv.RadarConfig)
+        assert not issubclass(rv.RadarConfig, Record)
+        assert rv.RadarConfig.chirps_per_frame == 4
 
     def test_rejects_frame_overrun(self):
-        # 500 chirps x 60 us = 30 ms > 20 ms frame period
-        with pytest.raises(ValueError):
-            rv.RadarConfig(chirps_per_frame=500, frame_rate=50.0)
+        """A scenario's frame must hold the front end's 4 chirps, 60 us
+        apart, so its frame rate is at most 1 / 240 us = 4166.67 fps."""
+        assert rv.ScenarioSpec(name="x", frame_rate=4166).frame_rate == 4166
+        with pytest.raises(ValueError,
+                           match="^ScenarioSpec: frame_rate must be at most"):
+            rv.ScenarioSpec(name="x", frame_rate=4167)
 
 
 class TestVitalParams:
@@ -158,8 +151,8 @@ def test_vitals_accept_any_ordered_bands(fb, fh):
 class TestFieldTypes:
     def test_wrong_type_names_record_and_field(self):
         with pytest.raises(ValueError,
-                           match="^RadarConfig: chirps_per_frame must be"):
-            rv.RadarConfig(chirps_per_frame=2.0)
+                           match="^ScenarioSpec: frame_rate must be"):
+            rv.ScenarioSpec(name="x", frame_rate="fast")
         with pytest.raises(ValueError,
                            match="^PointReflector: amplitude must be"):
             rv.PointReflector(2.0, 0.0, float("nan"))

@@ -32,7 +32,6 @@ SCENARIOS = Path(__file__).parents[1] / "scenarios"
 def quick_spec():
     return ScenarioSpec(
         name="quick",
-        radar=rv.RadarConfig(),
         scene=rv.Scene(
             statics=(rv.PointReflector(4.0, -10.0, 0.8),),
             targets=(rv.VitalTarget(
@@ -270,7 +269,6 @@ def _node(d: dict, path: tuple):
 # Where each kind of scenario record sits in a scenario dict.
 SCENARIO_LEVELS = {
     "top": (),
-    "radar": ("radar",),
     "scene": ("scene",),
     "static": ("scene", "statics", 0),
     "target": ("scene", "targets", 0),
@@ -284,7 +282,6 @@ SCENARIO_LEVELS = {
 # The record at each scenario level, and a numeric field of it.
 LEVEL_FIELDS = {
     "top": ("ScenarioSpec", "snr_db"),
-    "radar": ("RadarConfig", "frame_rate"),
     "scene": ("Scene", "duration"),
     "static": ("PointReflector", "amplitude"),
     "target": ("VitalTarget", "range_m"),
@@ -307,6 +304,9 @@ WRONG_TYPED_SCALARS = [
     ("seed", 1.5),
     ("snr_db", "loud"),
     ("snr_db", True),
+    ("frame_rate", "fast"),
+    ("frame_rate", True),
+    ("frame_rate", float("nan")),
     ("num_modes", "fancy"),             # an int or "auto"
     ("num_modes", 2.0),
     ("num_modes", True),
@@ -329,6 +329,11 @@ UNSURVIVABLE_VALUES = [
     ("n_keep", 3, "n_keep must be >= 4"),
     ("num_modes", 0, "num_modes must be >= 1"),
     ("num_modes", -1, "num_modes must be >= 1"),
+    ("frame_rate", 0, "frame_rate must be positive"),
+    ("frame_rate", -1, "frame_rate must be positive"),
+    ("frame_rate", float("inf"), "frame_rate must be"),
+    # a frame too short for the front end's 4 chirps, 60 us apart
+    ("frame_rate", 4200, "frame_rate must be at most 4166.67"),
 ]
 
 
@@ -381,11 +386,12 @@ def _count_renders(monkeypatch) -> dict:
     renders = {"scene": [], "phase": []}
     render = pipeline.render_profiles
 
-    def counted(scene, cfg, bins, frames, tx_weights=None, **kwargs):
-        every = np.arange(simulate._slow_times(cfg, scene.duration)[0].size)
-        out = render(scene, cfg, bins, frames, tx_weights, **kwargs)
+    def counted(scene, frame_rate, bins, frames, tx_weights=None, **kwargs):
+        every = np.arange(simulate._frame_times(frame_rate,
+                                                scene.duration).size)
+        out = render(scene, frame_rate, bins, frames, tx_weights, **kwargs)
         if bins == aoa.HEATMAP_BINS:
-            still = fusion.still_frames(cfg.frame_rate)
+            still = fusion.still_frames(frame_rate)
             assert np.array_equal(every[frames], every[-still:])
             renders["scene"].append(out.data)
         else:
@@ -417,8 +423,8 @@ def _with_angle(spec, kind: str, angle):
 OTHER_CAPTURE = {
     "scene": lambda s: (s, dataclasses.replace(
         s, scene=dataclasses.replace(s.scene, duration=8.5))),
-    "radar": lambda s: (s, dataclasses.replace(
-        s, radar=dataclasses.replace(s.radar, frame_rate=25.0))),
+    # the radar's frame rate
+    "radar": lambda s: (s, dataclasses.replace(s, frame_rate=25.0)),
     "snr_db": lambda s: (s, dataclasses.replace(s, snr_db=25.0)),
     "seed": lambda s: (s, dataclasses.replace(s, seed=1)),
     # equal under ==, different under repr
@@ -566,6 +572,11 @@ class TestStrictKeys:
                      id="processing"),
         # the camera block older scenario files carried, at its old values
         pytest.param((), "camera", OLD_CAMERA_BLOCK, id="camera"),
+        # the radar block older scenario files carried, its frame rate now
+        # at the top level and its chirp count a front-end constant
+        pytest.param((), "radar", {"chirps_per_frame": 4, "frame_rate": 20.0},
+                     id="radar"),
+        pytest.param((), "chirps_per_frame", 4, id="chirps_per_frame"),
     ])
     def test_unknown_key_is_rejected(self, path, key, value):
         d = _scenario_with_every_level()
@@ -588,8 +599,8 @@ class TestStrictKeys:
 
     def test_keys_stay_at_their_level(self):
         d = _scenario_with_every_level()
-        d["radar"]["seed"] = d.pop("seed")
-        with pytest.raises(ValueError, match="unknown key 'seed'"):
+        d["scene"]["frame_rate"] = d.pop("frame_rate")
+        with pytest.raises(ValueError, match="unknown key 'frame_rate'"):
             ScenarioSpec.from_dict(d)
         d = _scenario_with_every_level()
         d["scene"]["n_keep"] = d.pop("n_keep")
@@ -610,9 +621,10 @@ class TestStrictKeys:
             ScenarioSpec.from_dict(d)
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("radar",), "frame_rate", "fast", "RadarConfig"),
-        (("radar",), "chirps_per_frame", 1.0, "RadarConfig"),
-        (("radar",), "chirps_per_frame", True, "RadarConfig"),
+        (("scene",), "duration", "long", "Scene"),
+        (("scene", "targets", 0), "angle_deg", True, "VitalTarget"),
+        (("scene", "targets", 0, "vitals", "body_motion", 0), "start", "x",
+         "BodyMotion"),
         (("scene", "movers", 0), "waypoints", [[0.0, 2.0]],
          "MovingReflector"),
         (("scene", "movers", 0), "amplitude", [[0.0, 1.0, 2.0]],
@@ -630,8 +642,8 @@ class TestStrictKeys:
 
     @pytest.mark.parametrize("path, key, record", [
         (("scene",), "duration", "Scene"),
-        (("radar",), "frame_rate", "RadarConfig"),
-        (("radar",), "chirps_per_frame", "RadarConfig"),
+        ((), "frame_rate", "ScenarioSpec"),
+        (("scene", "targets", 0), "range_m", "VitalTarget"),
         (("scene", "statics", 0), "amplitude", "PointReflector"),
         ((), "snr_db", "ScenarioSpec"),
         ((), "n_keep", "ScenarioSpec"),
@@ -692,12 +704,12 @@ class TestStrictKeys:
     def test_an_int_passes_for_a_float_unconverted(self):
         d = _scenario_with_every_level()
         d["snr_db"] = 20
-        d["radar"]["frame_rate"] = 20
+        d["frame_rate"] = 20
         d["scene"]["duration"] = 20
         d["num_modes"] = 3
         spec = ScenarioSpec.from_dict(d)
         assert type(spec.snr_db) is int
-        assert type(spec.radar.frame_rate) is int
+        assert type(spec.frame_rate) is int
         assert type(spec.scene.duration) is int
         assert spec.num_modes == 3
         assert spec.to_dict() == d
@@ -756,9 +768,10 @@ class TestSpecSerialization:
 
     @pytest.mark.parametrize("key", OLD_RADAR_BLOCK)
     def test_radar_constant_is_the_old_scenario_value(self, key):
-        """Each chirp and array key of the old radar block is a class
-        constant of ``RadarConfig`` holding the value, and the type, every
-        bundled file set."""
+        """Each chirp and array key of the old radar block, and its chirps
+        per frame, is a class constant of ``RadarConfig`` holding the
+        value, and the type, the bundled files set (bench.json's 1 chirp
+        per frame aside)."""
         held = getattr(rv.RadarConfig, key)
         assert held == OLD_RADAR_BLOCK[key]
         assert type(held) is type(OLD_RADAR_BLOCK[key])
@@ -1073,8 +1086,9 @@ def vitals_window(spec, center, tx, noise):
     """The phase window the vitals chain renders for a target at
     ``center``."""
     bins = vitals.channel_bins(center)
-    return simulate.render_profiles(spec.scene, spec.radar, bins, slice(None),
-                                    tx, snr_db=spec.snr_db, seed=noise)
+    return simulate.render_profiles(spec.scene, spec.frame_rate, bins,
+                                    slice(None), tx, snr_db=spec.snr_db,
+                                    seed=noise)
 
 
 class TestSteeredProfiles:
@@ -1084,10 +1098,9 @@ class TestSteeredProfiles:
     def renders(self):
         # range_overlap: static clutter, a vital target and a mover
         spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
-        cfg = spec.radar
         tgt = spec.scene.targets[0]
         tx = beamform.tx_weights(tgt.angle_deg)
-        cubes = [synthesize_cube(spec.scene, cfg, tx_weights=w)
+        cubes = [synthesize_cube(spec.scene, spec.frame_rate, tx_weights=w)
                  for w in (None, tx)]
         return spec, tx, cubes
 
@@ -1099,13 +1112,12 @@ class TestSteeredProfiles:
         the unsteered one's), to rounding: one noise realisation, two
         signals."""
         spec, tx, (plain, steered) = renders
-        cfg = spec.radar
         center = (range_bin_of(spec.scene.targets[0].range_m)
                   if where == "target" else vitals.PHASE_CHANNELS // 2)
         noise = np.random.SeedSequence(11)
         got, base = (vitals_window(spec, center, w, noise) for w in (tx, None))
         bins = vitals.channel_bins(center)
-        first_chirps = slice(None, None, cfg.chirps_per_frame)
+        first_chirps = slice(None, None, rv.RadarConfig.chirps_per_frame)
         difference = (range_fft(steered).data
                       - range_fft(plain).data)[bins.start:bins.stop,
                                                first_chirps]
@@ -1165,15 +1177,21 @@ CLEAN = ScenarioSpec.from_json(SCENARIOS / "clean.json")
 @settings(max_examples=20, deadline=None)
 @given(snr_db=st.floats(MIN_SNR_DB, 60.0),
        amplitude=st.floats(0.0, MAX_AMPLITUDE),
+       frame_rate=st.floats(0.05, 60.0),
+       duration=st.floats(0.1, 12.0),
        beamforming=st.booleans())
-def test_admitted_power_ends_in_rates_or_a_named_failure(snr_db, amplitude,
-                                                         beamforming):
+def test_admitted_power_ends_in_rates_or_a_named_failure(
+        snr_db, amplitude, frame_rate, duration, beamforming):
     """clean.json at any noise level and target amplitude a scenario
-    admits, steered or not: the run ends in finite rates (or none found)
-    or in a named failure stage, never in an exception or a warning."""
+    admits, at any frame rate from 0.05 to 60 fps and any capture from
+    0.1 to 12 s (one frame or none, up to 720), steered or not: the run
+    ends in finite rates (or none found) or in a named failure stage,
+    never in an exception or a warning."""
     target = dataclasses.replace(CLEAN.scene.targets[0], amplitude=amplitude)
-    spec = dataclasses.replace(CLEAN, snr_db=snr_db, scene=dataclasses.replace(
-        CLEAN.scene, targets=(target,)))
+    spec = dataclasses.replace(
+        CLEAN, snr_db=snr_db, frame_rate=frame_rate,
+        scene=dataclasses.replace(CLEAN.scene, targets=(target,),
+                                  duration=duration))
     report = run_scenario(spec, beamforming=beamforming).report
     if report["failure_stage"] is not None:
         assert report["failure_stage"] in ("simulate", "heatmap", "localize",

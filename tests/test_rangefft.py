@@ -26,10 +26,10 @@ def test_half_spectrum_length(cfg, small_profiles):
     assert cfg.num_range_bins == small_profiles.data.shape[0]
 
 
-def test_range_fft_owns_the_kept_half(cfg, small_scene):
+def test_range_fft_owns_the_kept_half(cfg, frame_rate, small_scene):
     """The profiles are a copy of the kept half, not a view that keeps the
     whole transform alive; the values are the transform's."""
-    cube = simulate.synthesize_cube(small_scene, cfg)
+    cube = simulate.synthesize_cube(small_scene, frame_rate)
     prof = range_fft(cube)
     assert prof.data.base is None
     assert np.array_equal(prof.data,

@@ -36,39 +36,39 @@ def test_motion_burst_windowing():
 
 
 class TestCubeGeometry:
-    def test_shape_and_timestamps(self, cfg, small_scene):
-        cube = simulate.synthesize_cube(small_scene, cfg)
-        frames = round(small_scene.duration * cfg.frame_rate)
+    def test_shape_and_timestamps(self, cfg, frame_rate, small_scene):
+        cube = simulate.synthesize_cube(small_scene, frame_rate)
+        frames = round(small_scene.duration * frame_rate)
         assert cube.data.shape == (cfg.samples_per_chirp,
                                    frames * cfg.chirps_per_frame,
                                    cfg.num_virtual)
-        assert cube.frame_timestamps[1] == pytest.approx(cfg.frame_period)
+        assert cube.frame_timestamps[1] == pytest.approx((1.0 / frame_rate))
 
-    def test_static_beat_frequency_lands_on_expected_bin(self, cfg):
+    def test_static_beat_frequency_lands_on_expected_bin(self, frame_rate):
         scene = rv.Scene(statics=(rv.PointReflector(5.0, 0.0),), duration=0.5)
-        cube = simulate.synthesize_cube(scene, cfg)
+        cube = simulate.synthesize_cube(scene, frame_rate)
         prof = range_fft(cube)
         peak = int(np.argmax(np.abs(prof.data[:, 0, 0])))
         assert peak == range_bin_of(5.0)
 
-    def test_antenna_phase_ramp_matches_steering(self, cfg):
+    def test_antenna_phase_ramp_matches_steering(self, cfg, frame_rate):
         angle = 25.0
         scene = rv.Scene(statics=(rv.PointReflector(3.0, angle),),
                          duration=0.5)
-        cube = simulate.synthesize_cube(scene, cfg)
+        cube = simulate.synthesize_cube(scene, frame_rate)
         snap = cube.data[0, 0, :]
         step = np.angle(snap[1:] * snap[:-1].conj())
         expected = (2 * np.pi * cfg.rx_spacing / cfg.wavelength
                     * np.sin(np.deg2rad(angle)))
         assert np.allclose(step, expected, atol=1e-9)
 
-    def test_vital_target_phase_amplitude(self, cfg):
+    def test_vital_target_phase_amplitude(self, cfg, frame_rate):
         """Slow-time phase swings by 4*pi*A/lambda around the breath cycle."""
         vit = rv.VitalParams(breath_freq=0.25, breath_amp=4e-3,
                              heart_freq=1.2, heart_amp=0.0)
         scene = rv.Scene(targets=(rv.VitalTarget(2.0, 0.0, 1.0, vit),),
                          duration=8.0)
-        cube = simulate.synthesize_cube(scene, cfg)
+        cube = simulate.synthesize_cube(scene, frame_rate)
         prof = range_fft(cube)
         rb = range_bin_of(2.0)
         idx = np.arange(len(cube.frame_timestamps)) * cfg.chirps_per_frame
@@ -77,86 +77,87 @@ class TestCubeGeometry:
         expected = 2 * 4 * np.pi * 4e-3 / cfg.wavelength
         assert swing == pytest.approx(expected, rel=0.02)
 
-    def test_mover_sweeps_range_bins(self, cfg):
+    def test_mover_sweeps_range_bins(self, cfg, frame_rate):
         mover = rv.MovingReflector(
             waypoints=((0.0, 2.0, 0.0), (2.0, 8.0, 0.0)))
         scene = rv.Scene(movers=(mover,), duration=2.0)
-        cube = simulate.synthesize_cube(scene, cfg)
+        cube = simulate.synthesize_cube(scene, frame_rate)
         prof = range_fft(cube)
         first = int(np.argmax(np.abs(prof.data[:, 0, 0])))
         last = int(np.argmax(np.abs(prof.data[:, -1, 0])))
-        t_last = ((len(cube.frame_timestamps) - 1) * cfg.frame_period
+        t_last = ((len(cube.frame_timestamps) - 1) * (1.0 / frame_rate)
                   + (cfg.chirps_per_frame - 1) * cfg.pri)
         assert first == range_bin_of(2.0)
         assert last == range_bin_of(float(mover.range_at(t_last)))
 
 
 class TestNoiseAndLimits:
-    def test_snr_sets_noise_power(self, cfg):
+    def test_snr_sets_noise_power(self, frame_rate):
         scene = rv.Scene(duration=0.5)        # empty: pure noise
-        cube = simulate.synthesize_cube(scene, cfg, snr_db=20.0, seed=0)
+        cube = simulate.synthesize_cube(scene, frame_rate, snr_db=20.0,
+                                        seed=0)
         measured = np.mean(np.abs(cube.data) ** 2)
         assert measured == pytest.approx(10 ** (-20 / 10), rel=0.05)
 
-    def test_noiseless_without_snr(self, cfg):
-        cube = simulate.synthesize_cube(rv.Scene(duration=0.5), cfg)
+    def test_noiseless_without_snr(self, frame_rate):
+        cube = simulate.synthesize_cube(rv.Scene(duration=0.5), frame_rate)
         assert np.all(cube.data == 0)
 
-    def test_same_seed_same_cube(self, cfg, small_scene):
-        a = simulate.synthesize_cube(small_scene, cfg, snr_db=10.0, seed=42)
-        b = simulate.synthesize_cube(small_scene, cfg, snr_db=10.0, seed=42)
+    def test_same_seed_same_cube(self, frame_rate, small_scene):
+        a, b = (simulate.synthesize_cube(small_scene, frame_rate, snr_db=10.0,
+                                         seed=42) for _ in range(2))
         assert np.array_equal(a.data, b.data)
 
-    def test_rejects_range_beyond_beat_nyquist(self, cfg):
+    def test_rejects_range_beyond_beat_nyquist(self, cfg, frame_rate):
         bad = rv.Scene(statics=(rv.PointReflector(
             cfg.max_unambiguous_range + 1.0, 0.0),), duration=0.5)
         with pytest.raises(ValueError, match="Nyquist"):
-            simulate.synthesize_cube(bad, cfg)
+            simulate.synthesize_cube(bad, frame_rate)
 
-    def test_rejects_mover_leaving_unambiguous_range(self, cfg):
+    def test_rejects_mover_leaving_unambiguous_range(self, cfg, frame_rate):
         bad = rv.Scene(movers=(rv.MovingReflector(
             waypoints=((0.0, 2.0, 0.0),
                        (0.5, cfg.max_unambiguous_range + 2.0, 0.0))),),
             duration=0.5)
         with pytest.raises(ValueError, match="Nyquist"):
-            simulate.synthesize_cube(bad, cfg)
+            simulate.synthesize_cube(bad, frame_rate)
 
-    def test_tx_weights_length_checked(self, cfg, small_scene):
+    def test_tx_weights_length_checked(self, frame_rate, small_scene):
         with pytest.raises(ValueError, match="num_tx"):
-            simulate.synthesize_cube(small_scene, cfg,
+            simulate.synthesize_cube(small_scene, frame_rate,
                                      tx_weights=np.ones(5))
 
 
 SCENARIOS = Path(__file__).parents[1] / "scenarios"
 
 
-def heatmap_rows(scene, cfg, **kwargs):
+def heatmap_rows(scene, frame_rate, **kwargs):
     """The scene stage's render: the heatmap's rows at the still window's
     frames."""
     return simulate.render_profiles(
-        scene, cfg, aoa.HEATMAP_BINS,
-        slice(-fusion.still_frames(cfg.frame_rate), None), **kwargs)
+        scene, frame_rate, aoa.HEATMAP_BINS,
+        slice(-fusion.still_frames(frame_rate), None), **kwargs)
 
 
-def phase_rows(scene, cfg, center, tx=None, **kwargs):
+def phase_rows(scene, frame_rate, center, tx=None, **kwargs):
     """The phase stage's render: the phase window around ``center`` at
     every frame."""
     bins = vitals.channel_bins(center)
-    return simulate.render_profiles(scene, cfg, bins, slice(None), tx,
-                                    **kwargs)
+    return simulate.render_profiles(scene, frame_rate, bins, slice(None),
+                                    tx, **kwargs)
 
 
-def test_illumination_gain_scales_scatterer(cfg):
+def test_illumination_gain_scales_scatterer(cfg, frame_rate):
     """Steering the transmit pair at the scatterer doubles its amplitude."""
     scene = rv.Scene(statics=(rv.PointReflector(3.0, 20.0),), duration=0.5)
-    plain = simulate.synthesize_cube(scene, cfg)
+    plain = simulate.synthesize_cube(scene, frame_rate)
     tx = tx_weights(20.0)
-    boosted = simulate.synthesize_cube(scene, cfg, tx_weights=tx)
+    boosted = simulate.synthesize_cube(scene, frame_rate, tx_weights=tx)
     ratio = np.abs(boosted.data[0, 0, 0]) / np.abs(plain.data[0, 0, 0])
     assert ratio == pytest.approx(cfg.num_tx, rel=1e-9)
 
 
-def test_mover_follows_its_angle_and_amplitude(cfg):
+def test_mover_follows_its_angle_and_amplitude(cfg, frame_rate):
     """At the first and last slow sample a mover's antenna phase step is
     2*pi*d_r/lambda*sin(theta(t)), its magnitude is amplitude_at(t), and
     transmit weights scale that magnitude by |w^H a_tx(theta(t))|."""
@@ -165,9 +166,10 @@ def test_mover_follows_its_angle_and_amplitude(cfg):
         amplitude=((0.0, 0.5), (1.0, 2.0)))
     scene = rv.Scene(movers=(mover,), duration=1.0)
     tx = tx_weights(10.0)
-    plain = simulate.synthesize_cube(scene, cfg).data
-    steered = simulate.synthesize_cube(scene, cfg, tx_weights=tx).data
-    _, slow_t = simulate._slow_times(cfg, scene.duration)
+    plain = simulate.synthesize_cube(scene, frame_rate).data
+    steered = simulate.synthesize_cube(scene, frame_rate, tx_weights=tx).data
+    slow_t = (simulate._frame_times(frame_rate, scene.duration)[:, None]
+              + np.arange(cfg.chirps_per_frame) * cfg.pri).ravel()
     for s in (0, -1):
         sin_t = np.sin(np.deg2rad(mover.angle_at(slow_t[s])))
         amp = mover.amplitude_at(slow_t[s])
@@ -186,13 +188,13 @@ def test_mover_follows_its_angle_and_amplitude(cfg):
 class TestSteeringCorrection:
     """What steering adds to the renderer's rows, and its bins."""
 
-    def test_zero_without_steering(self, cfg, small_scene):
+    def test_zero_without_steering(self, cfg, frame_rate, small_scene):
         """Weights on the first transmitter alone illuminate as no weights
         do (gain ``a_tx[0] = 1``): steering adds nothing, bit for bit, noise
         included."""
         first_tx = np.eye(cfg.num_tx)[0]
         plain, steered = (simulate.render_profiles(
-            small_scene, cfg, range(3, 6), np.arange(8), tx_weights=w,
+            small_scene, frame_rate, range(3, 6), np.arange(8), tx_weights=w,
             snr_db=20.0, seed=3).data for w in (None, first_tx))
         assert steered.shape == (3, 8, cfg.num_virtual)
         assert np.abs(plain).max() > 0
@@ -200,25 +202,28 @@ class TestSteeringCorrection:
 
     @pytest.mark.parametrize("bins", [range(-1, 2), range(63, 66),
                                       range(0, 6, 2)])
-    def test_rejects_bins_off_the_profile(self, cfg, small_scene, bins):
+    def test_rejects_bins_off_the_profile(self, cfg, frame_rate, small_scene,
+                                          bins):
         """Bins off the 65-bin profile, or not one step apart."""
         tx = np.ones(cfg.num_tx)
         with pytest.raises(ValueError,
                            match=r"range bins must lie in \[0, 64\]"):
-            simulate.render_profiles(small_scene, cfg, bins, np.arange(8),
-                                     tx_weights=tx)
+            simulate.render_profiles(small_scene, frame_rate, bins,
+                                     np.arange(8), tx_weights=tx)
 
 
 @pytest.fixture(scope="module", params=["clean", "range_overlap",
                                         "fusion_stress", "bench"])
-def noiseless_cubes(request):
-    """A bundled scenario with its noiseless cubes, unsteered and steered
-    at its target, and the range bins a run of it reads."""
+def cube_profiles(request):
+    """A bundled scenario with the range FFTs of its noiseless cubes,
+    unsteered and steered at its target, at the first chirp of every
+    frame, and the range bins a run of it reads.  Only those chirps are
+    held: bench's cubes are 131 MB each."""
     spec = ScenarioSpec.from_json(SCENARIOS / f"{request.param}.json")
-    cfg = spec.radar
     tx = tx_weights(spec.scene.targets[0].angle_deg)
-    plain = simulate.synthesize_cube(spec.scene, cfg)
-    steered = simulate.synthesize_cube(spec.scene, cfg, tx_weights=tx)
+    plain, steered = (range_fft(simulate.synthesize_cube(
+        spec.scene, spec.frame_rate, tx_weights=w)).data[
+            :, ::rv.RadarConfig.chirps_per_frame].copy() for w in (None, tx))
     return spec, tx, plain, steered, aoa.HEATMAP_BINS
 
 
@@ -230,35 +235,35 @@ class TestRenderProfiles:
                                                     (True, 0.0),
                                                     (True, 1.0)])
     def test_matches_the_cube_fft_at_the_rendered_bins(
-            self, noiseless_cubes, steer, minus_plain):
+            self, cube_profiles, steer, minus_plain):
         """With ``minus_plain`` 1, the steered render minus the unsteered
         one: what steering adds to the cube's FFT."""
-        spec, tx, plain, steered, bins = noiseless_cubes
-        cfg = spec.radar
+        spec, tx, plain, steered, bins = cube_profiles
 
         def render(weights):
-            return simulate.render_profiles(spec.scene, cfg, bins,
-                                            slice(None),
+            return simulate.render_profiles(spec.scene, spec.frame_rate,
+                                            bins, slice(None),
                                             tx_weights=weights).data
 
-        want = range_fft(steered if steer else plain).data
+        want = steered if steer else plain
         got = render(tx if steer else None)
         if minus_plain:
-            want = want - range_fft(plain).data
+            want = want - plain
             got = got - render(None)
-        want = want[bins][:, ::cfg.chirps_per_frame]
+        want = want[bins]
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_heatmap_bins_at_the_still_window(self, cfg, small_scene):
+    def test_heatmap_bins_at_the_still_window(self, cfg, frame_rate,
+                                              small_scene):
         """The scene stage's render: the heatmap's rows, those at or below
         the localizer's range (34 of the 65 bins here), at the still
         window's frames, the last 3 s, 60 of the 120 frames."""
-        prof = heatmap_rows(small_scene, cfg)
-        ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
+        prof = heatmap_rows(small_scene, frame_rate)
+        ref = range_fft(simulate.synthesize_cube(small_scene, frame_rate))
         near = int(np.count_nonzero(ref.range_axis <= aoa.MAX_RANGE_M))
         frames = len(ref.frame_timestamps)
-        still = round(fusion.STATIONARY_WINDOW_S * cfg.frame_rate)
+        still = round(fusion.STATIONARY_WINDOW_S * frame_rate)
         assert (near, frames, still) == (34, 120, 60)
         want = ref.data[:near, (frames - still) * cfg.chirps_per_frame::
                         cfg.chirps_per_frame]
@@ -269,12 +274,12 @@ class TestRenderProfiles:
                               ref.frame_timestamps[frames - still:])
         assert np.abs(prof.data - want).max() <= 1e-12 * np.abs(want).max()
 
-    def test_phase_window_at_every_frame(self, cfg, small_scene):
+    def test_phase_window_at_every_frame(self, cfg, frame_rate, small_scene):
         """The phase stage's render: the five rows around bin 7 at every
         frame, held from bin 5 on, read by the phase stage as the cube's
         FFT is read."""
-        win = phase_rows(small_scene, cfg, 7)
-        ref = range_fft(simulate.synthesize_cube(small_scene, cfg))
+        win = phase_rows(small_scene, frame_rate, 7)
+        ref = range_fft(simulate.synthesize_cube(small_scene, frame_rate))
         want = ref.data[5:10, ::cfg.chirps_per_frame]
         assert (win.first_bin, win.data.shape) == (5, want.shape)
         assert np.array_equal(win.range_axis, ref.range_axis[5:10])
@@ -288,12 +293,12 @@ class TestRenderProfiles:
                            r"65-bin range profile"):
             vitals.extract_phase(win, 6)
 
-    def test_bin_domain_noise_is_white(self, cfg):
+    def test_bin_domain_noise_is_white(self, cfg, frame_rate):
         """Every bin carries N = samples_per_chirp times the per-sample
         noise power, uncorrelated across bins and antennas."""
         snr_db, n_bins = 10.0, 6
         noise = simulate.render_profiles(
-            rv.Scene(duration=8.0), cfg, range(n_bins), slice(None),
+            rv.Scene(duration=8.0), frame_rate, range(n_bins), slice(None),
             snr_db=snr_db, seed=np.random.SeedSequence(3)).data
         power = cfg.samples_per_chirp * 10.0 ** (-snr_db / 10.0)
         # Each statistic below is a mean of m unit-variance terms, so five
@@ -321,10 +326,11 @@ def overlap_scene():
 NOISY_SNR_DB = 20.0
 
 
-def render_noisy(cfg, scene, seed, bins=range(36), frames=slice(None)):
+def render_noisy(frame_rate, scene, seed, bins=range(36),
+                 frames=slice(None)):
     """Range rows ``bins`` of ``scene`` at ``frames``, with noise drawn from
     ``seed``, as an array."""
-    return simulate.render_profiles(scene, cfg, bins, frames,
+    return simulate.render_profiles(scene, frame_rate, bins, frames,
                                     snr_db=NOISY_SNR_DB, seed=seed).data
 
 
@@ -332,16 +338,16 @@ class TestNoiseDraw:
     """Each range row draws its noise from a stream of its own."""
 
     @pytest.mark.parametrize("seed", [0, 7])
-    def test_is_the_serial_stream_added_to_the_signal(self, cfg,
+    def test_is_the_serial_stream_added_to_the_signal(self, cfg, frame_rate,
                                                        overlap_scene, seed):
         """The noiseless render plus sigma times each row's stream, bit for
         bit: row r's generator is seeded by ``SeedSequence(seed,
         spawn_key=(r,))`` and draws (real, imaginary) pairs for the still
         window's frames, then for the frames before it."""
-        want = simulate.render_profiles(overlap_scene, cfg, range(36),
+        want = simulate.render_profiles(overlap_scene, frame_rate, range(36),
                                         slice(None)).data
         n_frames = want.shape[1]
-        still = round(fusion.STATIONARY_WINDOW_S * cfg.frame_rate)
+        still = round(fusion.STATIONARY_WINDOW_S * frame_rate)
         assert (n_frames, still) == (80, 60)
         sigma = (np.sqrt(0.5 * 10.0 ** (-NOISY_SNR_DB / 10.0))
                  * np.sqrt(cfg.samples_per_chirp))
@@ -353,34 +359,37 @@ class TestNoiseDraw:
             z = np.concatenate((head, tail))
             row.real += sigma * z[..., 0]
             row.imag += sigma * z[..., 1]
-        assert np.array_equal(render_noisy(cfg, overlap_scene, seed), want)
+        assert np.array_equal(render_noisy(frame_rate, overlap_scene, seed),
+                              want)
 
     def test_row_streams_do_not_depend_on_the_order_of_calls(
-            self, cfg, overlap_scene):
+            self, frame_rate, overlap_scene):
         """Rows rendered one at a time, in any order, or as a block from
         another first bin, or only at the still window's frames, equal the
         rows of one render; spawning children of the seed in between
         changes nothing."""
         noise = np.random.SeedSequence(5).spawn(2)[0]
         bins = range(12)
-        together = render_noisy(cfg, overlap_scene, noise, bins)
+        together = render_noisy(frame_rate, overlap_scene, noise, bins)
         noise.spawn(3)
         for r in (11, 3, 0, 7):
-            alone = render_noisy(cfg, overlap_scene, noise, range(r, r + 1))
+            alone = render_noisy(frame_rate, overlap_scene, noise,
+                                 range(r, r + 1))
             assert np.array_equal(alone[0], together[r]), r
         assert np.array_equal(
-            render_noisy(cfg, overlap_scene, noise, range(4, 12)),
+            render_noisy(frame_rate, overlap_scene, noise, range(4, 12)),
             together[4:])
         assert np.array_equal(
-            render_noisy(cfg, overlap_scene, noise, bins, slice(20, None)),
+            render_noisy(frame_rate, overlap_scene, noise, bins,
+                         slice(20, None)),
             together[:, 20:])
 
-    def test_concurrent_callers_get_their_serial_arrays(self, cfg,
+    def test_concurrent_callers_get_their_serial_arrays(self, frame_rate,
                                                         overlap_scene):
         """Four threads (more than this machine's cores, at a short switch
         interval) render four seeds at once, three times over."""
         seeds = (3, 4, 5, 6)
-        serial = [render_noisy(cfg, overlap_scene, s) for s in seeds]
+        serial = [render_noisy(frame_rate, overlap_scene, s) for s in seeds]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -390,7 +399,7 @@ class TestNoiseDraw:
 
                 def render(seed):
                     start.wait()
-                    got[seed] = render_noisy(cfg, overlap_scene, seed)
+                    got[seed] = render_noisy(frame_rate, overlap_scene, seed)
 
                 threads = [threading.Thread(target=render, args=(s,))
                            for s in seeds]
@@ -404,31 +413,32 @@ class TestNoiseDraw:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_noiseless_render_does_not_draw(self, cfg, small_scene,
+    def test_noiseless_render_does_not_draw(self, frame_rate, small_scene,
                                             monkeypatch):
         def broken(*args):
             raise AssertionError("drew noise")
         monkeypatch.setattr(simulate, "_row_noise", broken)
-        out = simulate.render_profiles(small_scene, cfg, range(4),
+        out = simulate.render_profiles(small_scene, frame_rate, range(4),
                                        slice(None))
         assert np.abs(out.data).max() > 0
 
-    def test_draw_error_is_raised_as_itself(self, cfg, small_scene,
+    def test_draw_error_is_raised_as_itself(self, frame_rate, small_scene,
                                             monkeypatch):
         def broken(*args):
             raise MemoryError("no room for the noise")
         monkeypatch.setattr(simulate, "_row_noise", broken)
         with pytest.raises(MemoryError, match="no room for the noise"):
-            render_noisy(cfg, small_scene, 0)
+            render_noisy(frame_rate, small_scene, 0)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-    def test_forked_child_draws_on_its_own_worker(self, cfg, small_scene):
+    def test_forked_child_draws_on_its_own_worker(self, frame_rate,
+                                                  small_scene):
         """A child forked after the parent rendered draws its noise itself
         and renders the parent's array."""
-        want = render_noisy(cfg, small_scene, 5)
+        want = render_noisy(frame_rate, small_scene, 5)
         ctx = multiprocessing.get_context("fork")
         with ctx.Pool(1) as pool:
-            got = pool.apply_async(render_noisy, (cfg, small_scene, 5))
+            got = pool.apply_async(render_noisy, (frame_rate, small_scene, 5))
             assert np.array_equal(got.get(timeout=60), want)
 
 
@@ -453,12 +463,11 @@ class TestTones:
     def test_mover_tone_matches_the_fft(self, name):
         """A mover's beat range at every frame, at every bin."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        cfg = spec.radar
-        frame_t, _ = simulate._slow_times(cfg, spec.scene.duration)
+        frame_t = simulate._frame_times(spec.frame_rate, spec.scene.duration)
         scatterers = list(simulate._scatterers(spec.scene, frame_t))
         beat_r = scatterers[-1][0]
         assert spec.scene.movers and beat_r.shape == frame_t.shape
-        bins = np.arange(cfg.samples_per_chirp // 2 + 1)
+        bins = np.arange(rv.RadarConfig.num_range_bins)
         want = np.fft.fft(simulate._fast_time(beat_r), axis=0)[bins]
         got = simulate._tones(beat_r, bins)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -483,11 +492,11 @@ def _static_at(range_m, angle_deg):
                     duration=1.0)
 
 
-# (first, second) (scene, radar) pairs whose tones differ.
+# (first, second) (scene, frame rate) pairs whose tones differ; "radar"
+# changes the radar's frame rate.
 TONES_RECOMPUTED = {
     "scene": lambda s, c: ((s, c), (dataclasses.replace(s, duration=3.5), c)),
-    "radar": lambda s, c: ((s, c),
-                           (s, dataclasses.replace(c, frame_rate=25.0))),
+    "radar": lambda s, c: ((s, c), (s, 25.0)),
     # equal under ==, different under repr
     "zero_sign": lambda s, c: ((_static_at(4.0, 0.0), c),
                                (_static_at(4.0, -0.0), c)),
@@ -517,19 +526,19 @@ class TestToneSlot:
         each rendered first, equal those rendered after renders of the
         scene at another seed and at other frames."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        scene, cfg = spec.scene, spec.radar
+        scene, frame_rate = spec.scene, spec.frame_rate
         tgt = scene.targets[0]
         center = range_bin_of(tgt.range_m)
         tx = tx_weights(tgt.angle_deg)
         noise = np.random.SeedSequence(spec.seed)
 
         def heat(seed):
-            return heatmap_rows(scene, cfg, snr_db=spec.snr_db,
+            return heatmap_rows(scene, frame_rate, snr_db=spec.snr_db,
                                 seed=seed).data
 
         def window(seed):
-            return phase_rows(scene, cfg, center, tx, snr_db=spec.snr_db,
-                              seed=seed).data
+            return phase_rows(scene, frame_rate, center, tx,
+                              snr_db=spec.snr_db, seed=seed).data
 
         cold_window = window(noise)
         assert np.abs(cold_window).max() > 0
@@ -547,8 +556,8 @@ class TestToneSlot:
         at a time equal one whole computation, bit for bit; neither scene's
         frame count is a multiple of a block."""
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        scene, cfg = spec.scene, spec.radar
-        frame_t, _ = simulate._slow_times(cfg, scene.duration)
+        scene, frame_rate = spec.scene, spec.frame_rate
+        frame_t = simulate._frame_times(frame_rate, scene.duration)
         assert frame_t.size % block != 0
         beat_r = list(simulate._scatterers(scene, frame_t))[-1][0]
         assert scene.movers and beat_r.shape == frame_t.shape
@@ -558,18 +567,19 @@ class TestToneSlot:
         assert np.array_equal(np.concatenate(
             [simulate._tones(beat_r[i:i + block], bins)
              for i in blocks], axis=1), whole)
-        render = render_noisy(cfg, scene, spec.seed, range(36))
+        render = render_noisy(frame_rate, scene, spec.seed, range(36))
         assert np.array_equal(np.concatenate(
-            [render_noisy(cfg, scene, spec.seed, range(36),
+            [render_noisy(frame_rate, scene, spec.seed, range(36),
                           np.arange(i, min(i + block, frame_t.size)))
              for i in blocks], axis=1), render)
 
     @pytest.mark.parametrize("change", TONES_RECOMPUTED)
-    def test_another_scene_or_radar_recomputes(self, cfg, overlap_scene,
-                                               monkeypatch, change):
+    def test_another_scene_or_radar_recomputes(self, frame_rate,
+                                               overlap_scene, monkeypatch,
+                                               change):
         """Each render computes its own tones, and the second render equals
         the same render made again."""
-        first, second = TONES_RECOMPUTED[change](overlap_scene, cfg)
+        first, second = TONES_RECOMPUTED[change](overlap_scene, frame_rate)
         calls = _record_tones(monkeypatch)
         renders = []
         for scene_radar in (first, second, second):
@@ -578,23 +588,24 @@ class TestToneSlot:
                 *scene_radar, range(36), slice(None)).data)
             assert calls
         assert np.array_equal(renders[1], renders[2])
-        # the last two are the same scene and radar to ==, not to repr
+        # the last two are the same scene and frame rate to ==, not to repr
         assert (first == second) == (change in ("zero_sign",
                                                 "int_for_float"))
 
     @pytest.mark.parametrize("change", TONES_REUSED)
-    def test_other_render_arguments_reuse_the_tones(self, cfg, overlap_scene,
+    def test_other_render_arguments_reuse_the_tones(self, frame_rate,
+                                                    overlap_scene,
                                                     monkeypatch, change):
         """A render with other noise, weights, bins or frames computes each
         scatterer's tones at its bins and frames with the values of a
         render of every bin and frame, bit for bit."""
         calls = _record_tones(monkeypatch)
-        simulate.render_profiles(overlap_scene, cfg, **ROWS)
+        simulate.render_profiles(overlap_scene, frame_rate, **ROWS)
         whole = [tones for *_, tones in calls]
         assert [t.shape for t in whole] == [(65, 1), (65, 1), (65, 80)]
         del calls[:]
         second = {**ROWS, **TONES_REUSED[change]}
-        simulate.render_profiles(overlap_scene, cfg, **second)
+        simulate.render_profiles(overlap_scene, frame_rate, **second)
         frames = np.arange(80)[second["frames"]]
         assert len(calls) == len(whole)
         for (bins, n_frames, tones), want in zip(calls, whole):
@@ -604,7 +615,8 @@ class TestToneSlot:
                 want = want[:, frames]
             assert np.array_equal(tones, want)
 
-    def test_beat_limit_is_checked_at_the_rendered_samples_only(self, cfg):
+    def test_beat_limit_is_checked_at_the_rendered_samples_only(
+            self, cfg, frame_rate):
         """A mover that leaves the unambiguous range in its last frames
         renders at the earlier frames and fails at the later ones."""
         r_max = cfg.max_unambiguous_range
@@ -614,19 +626,19 @@ class TestToneSlot:
         early, late = np.arange(10), np.arange(10, 20)   # t < 0.5, t >= 0.5
         bins = range(8)
         assert np.abs(simulate.render_profiles(
-            scene, cfg, bins, early).data).max() > 0
+            scene, frame_rate, bins, early).data).max() > 0
         for frames in (late, slice(None)):
             with pytest.raises(ValueError, match="Nyquist"):
-                simulate.render_profiles(scene, cfg, bins, frames)
+                simulate.render_profiles(scene, frame_rate, bins, frames)
 
     def test_concurrent_renders_of_two_scenes_get_their_serial_arrays(
-            self, cfg, overlap_scene):
+            self, frame_rate, overlap_scene):
         """Four threads, two per scene, render at a short switch
         interval."""
         scenes = (overlap_scene,
                   dataclasses.replace(overlap_scene, duration=3.5))
         jobs = [(scenes[i % 2], 3 + i) for i in range(4)]
-        serial = [render_noisy(cfg, s, seed) for s, seed in jobs]
+        serial = [render_noisy(frame_rate, s, seed) for s, seed in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -636,7 +648,7 @@ class TestToneSlot:
 
                 def render(i):
                     start.wait()
-                    got[i] = render_noisy(cfg, *jobs[i])
+                    got[i] = render_noisy(frame_rate, *jobs[i])
 
                 threads = [threading.Thread(target=render, args=(i,))
                            for i in range(len(jobs))]
@@ -657,15 +669,15 @@ def test_a_sample_has_one_value_whichever_render_draws_it(name):
     frames, bit for bit; the steered window carries the same noise on its
     own signal, to rounding."""
     spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-    scene, cfg = spec.scene, spec.radar
+    scene, frame_rate = spec.scene, spec.frame_rate
     noise, _ = np.random.SeedSequence(spec.seed).spawn(2)
     tgt = scene.targets[0]
     center = range_bin_of(tgt.range_m)
     tx = tx_weights(tgt.angle_deg)
-    heat = heatmap_rows(scene, cfg, snr_db=spec.snr_db, seed=noise)
+    heat = heatmap_rows(scene, frame_rate, snr_db=spec.snr_db, seed=noise)
 
     def window(weights, snr_db):
-        return phase_rows(scene, cfg, center, weights, snr_db=snr_db,
+        return phase_rows(scene, frame_rate, center, weights, snr_db=snr_db,
                           seed=noise).data
 
     plain = window(None, spec.snr_db)
@@ -723,8 +735,7 @@ class TestDetections:
         """The camera tests stillness over the frames the heatmap's rows
         are rendered at: the last 3 s, 60 frames at 20 fps and 150 at
         50 fps."""
-        cfg = rv.RadarConfig(frame_rate=fps)
-        rows = heatmap_rows(small_scene, cfg)
+        rows = heatmap_rows(small_scene, fps)
         kept = fusion.filter_stationary(fusion.build_tracks(
             simulate.synthesize_detections(small_scene, fps, seed=0)), fps)
         assert len(kept) == 1
@@ -764,7 +775,7 @@ class TestDetections:
                                       "fusion_stress", "bench"])
     def test_bundled_scenes_match_the_scalar_loop(self, name, seed):
         spec = ScenarioSpec.from_json(SCENARIOS / f"{name}.json")
-        args = (spec.scene, spec.radar.frame_rate)
+        args = (spec.scene, spec.frame_rate)
         self.assert_same_record(simulate.synthesize_detections(*args, seed),
                                 scalar_detections(*args, seed))
 
@@ -790,7 +801,7 @@ class TestDetections:
         spec = ScenarioSpec.from_json(SCENARIOS / "range_overlap.json")
         rng = np.random.default_rng(7)
         det = simulate.synthesize_detections(spec.scene,
-                                             spec.radar.frame_rate, seed=rng)
+                                             spec.frame_rate, seed=rng)
         boxes = np.count_nonzero(~np.isnan(det.xs))
         assert boxes > 0
         want = np.random.default_rng(7)

@@ -15,9 +15,10 @@ from reference_spectra import crop_mirrored, mirror_extend, spectral_entropy
 from test_acceptance import SCENARIOS, _svd_mode_count
 
 
-def _profiles_with_phase(phase, cfg=None, num_bins=9):
-    """Synthetic range profiles whose center-bin phase follows ``phase``."""
-    cfg = cfg or rv.RadarConfig()
+def _profiles_with_phase(phase, num_bins=9):
+    """Synthetic range profiles whose center-bin phase follows ``phase``,
+    at 20 frames per second."""
+    cfg, frame_rate = rv.RadarConfig, 20.0
     frames = phase.size
     m = frames * cfg.chirps_per_frame
     data = np.full((num_bins, m, cfg.num_virtual), 0.1, dtype=complex)
@@ -25,8 +26,8 @@ def _profiles_with_phase(phase, cfg=None, num_bins=9):
     for b in range(num_bins):
         data[b, idx, :] = np.exp(1j * phase)[:, None]
     return RangeProfiles(
-        data=data, config=cfg,
-        frame_timestamps=np.arange(frames) / cfg.frame_rate)
+        data=data, frame_rate=frame_rate,
+        frame_timestamps=np.arange(frames) / frame_rate)
 
 
 class TestExtractPhase:
@@ -36,7 +37,7 @@ class TestExtractPhase:
         pm = vitals.extract_phase(prof, center_bin=4)
         expected = ramp - ramp.mean()
         assert np.allclose(pm.samples[2], expected, atol=1e-9)
-        assert pm.sample_rate == prof.config.frame_rate
+        assert pm.sample_rate == prof.frame_rate == 20.0
         assert pm.range_bins == (2, 3, 4, 5, 6)
 
     def test_mean_removed_per_channel(self):
