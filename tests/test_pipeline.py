@@ -621,7 +621,7 @@ class TestStrictKeys:
             ScenarioSpec.from_dict(d)
 
     @pytest.mark.parametrize("path, key, value, record", [
-        (("scene",), "duration", "long", "Scene"),
+        ((), "frame_rate", "fast", "ScenarioSpec"),
         (("scene", "targets", 0), "angle_deg", True, "VitalTarget"),
         (("scene", "targets", 0, "vitals", "body_motion", 0), "start", "x",
          "BodyMotion"),
